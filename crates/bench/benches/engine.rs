@@ -1,16 +1,11 @@
-//! Engine benchmark: sequential vs parallel vs sharded vs multi-process
-//! execution backend, end-to-end.
+//! Engine benchmark: sequential vs parallel execution backend, end-to-end.
 //!
 //! The backends are observationally equivalent (identical results and MPC
 //! metrics — see the `backend_equivalence` test suite), so this measures the
 //! pure host-side cost difference — counting-sort routing into pre-counted
-//! buffers plus pool-parallel metering (`parallel`), shard-partitioned
-//! routing with a pipelined cross-shard handoff (`sharded`), supervised
-//! worker OS processes exchanging framed batches over pipes (`process`) —
-//! against the single-threaded reference, on the full Theorem 1.1/1.2
-//! pipelines and on a raw exchange-heavy workload. The `process` legs price
-//! the full fault-tolerance machinery: spawn, framing, checksums, and
-//! supervision, with worker RSS folded into `peak_rss_bytes`.
+//! buffers plus pool-parallel metering (`parallel`) against the
+//! single-threaded reference — on the full Theorem 1.1/1.2 pipelines and on
+//! a raw exchange-heavy workload.
 //!
 //! Besides the human-readable timing lines, every run writes
 //! `BENCH_engine.json` (see `dgo_bench::report`) into the working directory:
@@ -22,10 +17,7 @@ use criterion::{BenchmarkId, Criterion};
 use dgo_bench::report::{peak_rss_bytes, quick_mode, resolved_jobs, BenchLeg, BenchReport};
 use dgo_core::{color_on, orient_on, Params};
 use dgo_graph::generators::{gnm, Family};
-use dgo_mpc::{
-    ClusterConfig, ExecutionBackend, Metrics, ParallelBackend, ProcessBackend, SequentialBackend,
-    ShardedBackend,
-};
+use dgo_mpc::{ClusterConfig, ExecutionBackend, Metrics, ParallelBackend, SequentialBackend};
 
 /// `DGO_BENCH_QUICK=1` shrinks every sweep to its smallest leg with few
 /// samples — the CI smoke mode (seconds, not minutes).
@@ -36,7 +28,7 @@ fn quick() -> bool {
 /// Converts the record of the just-finished bench call plus one metered run
 /// into a report leg. Must be called immediately after the bench call, while
 /// its record is the newest.
-fn record_leg(report: &mut BenchReport, backend: &str, shards: usize, metrics: &Metrics) {
+fn record_leg(report: &mut BenchReport, backend: &str, metrics: &Metrics) {
     let record = criterion::take_records()
         .pop()
         .expect("bench call leaves a record");
@@ -46,17 +38,10 @@ fn record_leg(report: &mut BenchReport, backend: &str, shards: usize, metrics: &
         samples: record.samples,
         jobs: resolved_jobs(Params::practical(0).jobs),
         backend: backend.to_string(),
-        shards,
         comm_words: metrics.total_comm_words,
         peak_tree_bytes: metrics.peak_tree_bytes,
         peak_rss_bytes: peak_rss_bytes(),
     });
-}
-
-/// The shard count `sharded` legs resolve to when the algorithm constructs
-/// its backend internally (auto unless `set_default_shards` was called).
-fn auto_shards() -> usize {
-    ShardedBackend::default_shards().unwrap_or_else(|| dgo_mpc::resolve_jobs(0))
 }
 
 fn bench_orient_backends(c: &mut Criterion, report: &mut BenchReport) {
@@ -74,27 +59,12 @@ fn bench_orient_backends(c: &mut Criterion, report: &mut BenchReport) {
             b.iter(|| orient_on::<SequentialBackend>(g, &params).expect("orientation succeeds"))
         });
         let metrics = orient_on::<SequentialBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "sequential", 0, &metrics);
+        record_leg(report, "sequential", &metrics);
         group.bench_with_input(BenchmarkId::new("parallel", n), &g, |b, g| {
             b.iter(|| orient_on::<ParallelBackend>(g, &params).expect("orientation succeeds"))
         });
         let metrics = orient_on::<ParallelBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "parallel", 0, &metrics);
-        group.bench_with_input(BenchmarkId::new("sharded", n), &g, |b, g| {
-            b.iter(|| orient_on::<ShardedBackend>(g, &params).expect("orientation succeeds"))
-        });
-        let metrics = orient_on::<ShardedBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "sharded", auto_shards(), &metrics);
-        // The multi-process leg prices the whole fault-tolerance stack:
-        // every iteration spawns fresh supervised workers and runs all
-        // exchanges through framed pipes.
-        ProcessBackend::set_default_workers(Some(4));
-        group.bench_with_input(BenchmarkId::new("process", n), &g, |b, g| {
-            b.iter(|| orient_on::<ProcessBackend>(g, &params).expect("orientation succeeds"))
-        });
-        let metrics = orient_on::<ProcessBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "process", 4, &metrics);
-        ProcessBackend::set_default_workers(None);
+        record_leg(report, "parallel", &metrics);
     }
     group.finish();
 }
@@ -119,12 +89,12 @@ fn bench_orient_tree_family(c: &mut Criterion, report: &mut BenchReport) {
             metrics.peak_tree_bytes > 0,
             "tree-family orientation must exercise the view-tree path"
         );
-        record_leg(report, "sequential", 0, &metrics);
-        group.bench_with_input(BenchmarkId::new("sharded", n), &g, |b, g| {
-            b.iter(|| orient_on::<ShardedBackend>(g, &params).expect("orientation succeeds"))
+        record_leg(report, "sequential", &metrics);
+        group.bench_with_input(BenchmarkId::new("parallel", n), &g, |b, g| {
+            b.iter(|| orient_on::<ParallelBackend>(g, &params).expect("orientation succeeds"))
         });
-        let metrics = orient_on::<ShardedBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "sharded", auto_shards(), &metrics);
+        let metrics = orient_on::<ParallelBackend>(&g, &params).unwrap().metrics;
+        record_leg(report, "parallel", &metrics);
     }
     group.finish();
 }
@@ -140,17 +110,12 @@ fn bench_color_backends(c: &mut Criterion, report: &mut BenchReport) {
             b.iter(|| color_on::<SequentialBackend>(g, &params).expect("coloring succeeds"))
         });
         let metrics = color_on::<SequentialBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "sequential", 0, &metrics);
+        record_leg(report, "sequential", &metrics);
         group.bench_with_input(BenchmarkId::new("parallel", n), &g, |b, g| {
             b.iter(|| color_on::<ParallelBackend>(g, &params).expect("coloring succeeds"))
         });
         let metrics = color_on::<ParallelBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "parallel", 0, &metrics);
-        group.bench_with_input(BenchmarkId::new("sharded", n), &g, |b, g| {
-            b.iter(|| color_on::<ShardedBackend>(g, &params).expect("coloring succeeds"))
-        });
-        let metrics = color_on::<ShardedBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "sharded", auto_shards(), &metrics);
+        record_leg(report, "parallel", &metrics);
     }
     group.finish();
 }
@@ -190,7 +155,7 @@ fn bench_raw_exchange(c: &mut Criterion, report: &mut BenchReport) {
             }
             backend.into_metrics()
         };
-        record_leg(report, "sequential", 0, &metrics);
+        record_leg(report, "sequential", &metrics);
         group.bench_with_input(
             BenchmarkId::new("parallel", machines),
             &outbox,
@@ -211,55 +176,7 @@ fn bench_raw_exchange(c: &mut Criterion, report: &mut BenchReport) {
             }
             backend.into_metrics()
         };
-        record_leg(report, "parallel", 0, &metrics);
-        // Shard counts bracketing the batching trade-off: a few big shards
-        // (mostly cross-shard batches) vs many small ones.
-        for shards in [4usize, 16] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("sharded{shards}"), machines),
-                &outbox,
-                |b, outbox| {
-                    b.iter(|| {
-                        let mut backend = ShardedBackend::new(config).with_shards(shards);
-                        for _ in 0..8 {
-                            backend.exchange(outbox.clone()).expect("fits");
-                        }
-                        backend.into_metrics()
-                    })
-                },
-            );
-            let metrics = {
-                let mut backend = ShardedBackend::new(config).with_shards(shards);
-                for _ in 0..8 {
-                    backend.exchange(outbox.clone()).expect("fits");
-                }
-                backend.into_metrics()
-            };
-            record_leg(report, "sharded", shards, &metrics);
-        }
-        // The process leg amortizes one spawn over the 8 exchanges — the
-        // steady-state cost of pipes + framing + checksums per exchange.
-        group.bench_with_input(
-            BenchmarkId::new("process4", machines),
-            &outbox,
-            |b, outbox| {
-                b.iter(|| {
-                    let mut backend = ProcessBackend::new(config).with_workers(4);
-                    for _ in 0..8 {
-                        backend.exchange(outbox.clone()).expect("fits");
-                    }
-                    backend.into_metrics()
-                })
-            },
-        );
-        let metrics = {
-            let mut backend = ProcessBackend::new(config).with_workers(4);
-            for _ in 0..8 {
-                backend.exchange(outbox.clone()).expect("fits");
-            }
-            backend.into_metrics()
-        };
-        record_leg(report, "process", 4, &metrics);
+        record_leg(report, "parallel", &metrics);
     }
     group.finish();
 }

@@ -66,7 +66,6 @@ fn record_kernel_leg(
         samples: record.samples,
         jobs,
         backend: "stage".to_string(),
-        shards: 0,
         comm_words,
         peak_tree_bytes,
         peak_rss_bytes: peak_rss_bytes(),

@@ -12,9 +12,8 @@
 //!   build ([`Graph::from_normalized_unsorted`]). The two graphs are
 //!   asserted bit-identical before anything else runs.
 //! * `scale/orient/<backend>` and `scale/coreness/<backend>` — end-to-end
-//!   `orient` + approximate coreness on the parsed graph, on every
-//!   execution backend including the supervised multi-process one (or a
-//!   single backend, with `--backend`).
+//!   `orient` + approximate coreness on the parsed graph, on both
+//!   execution backends (or a single backend, with `--backend`).
 //!
 //! Every leg carries `peak_rss_bytes` (the kernel's `VmHWM` high-water mark
 //! — monotonic, so read legs in order) next to the usual wall-clock, comm
@@ -27,14 +26,14 @@
 //! cargo run -p dgo-bench --release --bin exp_scale                 # 10⁷ edges
 //! cargo run -p dgo-bench --release --bin exp_scale -- --edges 100000000
 //! cargo run -p dgo-bench --release --bin exp_scale -- --input soc-live.txt
-//! cargo run -p dgo-bench --release --bin exp_scale -- --backend sharded:4 --jobs 0
+//! cargo run -p dgo-bench --release --bin exp_scale -- --backend parallel --jobs 0
 //! DGO_SCALE_SMOKE=1 cargo run -p dgo-bench --release --bin exp_scale  # ~10⁵ edges (CI)
 //! ```
 
 use dgo_bench::report::{
     env_ingest_jobs, peak_rss_bytes, resolved_jobs, scale_smoke, BenchLeg, BenchReport,
 };
-use dgo_bench::{backend_from_args, dispatch_backend, jobs_from_args, BackendKind, ShardedBackend};
+use dgo_bench::{backend_from_args, dispatch_backend, jobs_from_args, BackendKind};
 use dgo_core::{approximate_coreness_on, orient_on, Params};
 use dgo_graph::generators::gnm;
 use dgo_graph::io::{parse_edge_list, write_edge_list};
@@ -60,13 +59,11 @@ fn flag_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
 
 /// Times one closure and pushes its leg; returns the closure's output.
 /// `samples: 1` — at this scale a single end-to-end run is the measurement.
-#[allow(clippy::too_many_arguments)]
 fn leg<T>(
     report: &mut BenchReport,
     name: &str,
     jobs: usize,
     backend: &str,
-    shards: usize,
     comm_words: usize,
     peak_tree_bytes: usize,
     body: impl FnOnce() -> T,
@@ -81,7 +78,6 @@ fn leg<T>(
         samples: 1,
         jobs,
         backend: backend.to_string(),
-        shards,
         comm_words,
         peak_tree_bytes,
         peak_rss_bytes: peak_rss_bytes(),
@@ -196,11 +192,11 @@ fn main() {
     );
 
     // ---- Ingestion: seed path vs fast path --------------------------------
-    let (n_seed, pairs_seed) = leg(&mut report, "scale/parse/seed", 1, "host", 0, 0, 0, || {
+    let (n_seed, pairs_seed) = leg(&mut report, "scale/parse/seed", 1, "host", 0, 0, || {
         seed_path::parse(text.as_slice()).expect("seed parse")
     });
     let seed_parse_s = report.legs.last().expect("pushed").wall_seconds;
-    let g_seed = leg(&mut report, "scale/build/seed", 1, "host", 0, 0, 0, || {
+    let g_seed = leg(&mut report, "scale/build/seed", 1, "host", 0, 0, || {
         seed_path::build(n_seed, &pairs_seed).expect("seed build")
     });
     let seed_build_s = report.legs.last().expect("pushed").wall_seconds;
@@ -213,7 +209,6 @@ fn main() {
         "host",
         0,
         0,
-        0,
         || parse_edge_list(&text).expect("fast parse"),
     );
     let fast_parse_s = report.legs.last().expect("pushed").wall_seconds;
@@ -222,7 +217,6 @@ fn main() {
         "scale/build/fast",
         ingest,
         "host",
-        0,
         0,
         0,
         || Graph::from_normalized_unsorted(n_fast, &pairs_fast, ingest),
@@ -252,20 +246,12 @@ fn main() {
     params.jobs = jobs;
     for kind in backends {
         let name = kind.name();
-        let shards = match kind {
-            BackendKind::Sharded { shards } => shards.unwrap_or_else(dgo_mpc_auto_shards),
-            // Worker processes fill the same report column: both count the
-            // contiguous machine-shard partitions of the exchange.
-            BackendKind::Process { workers } => workers.unwrap_or_else(dgo_mpc_auto_shards),
-            _ => 0,
-        };
         dispatch_backend!(kind, B => {
             let result = leg(
                 &mut report,
                 &format!("scale/orient/{name}"),
                 resolved_jobs(jobs),
                 name,
-                shards,
                 0,
                 0,
                 || orient_on::<B>(&graph, &params).expect("orient"),
@@ -286,7 +272,6 @@ fn main() {
                 &format!("scale/coreness/{name}"),
                 resolved_jobs(jobs),
                 name,
-                shards,
                 0,
                 0,
                 || approximate_coreness_on::<B>(&graph, EPS, &params).expect("coreness"),
@@ -307,9 +292,4 @@ fn main() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write bench report: {e}"),
     }
-}
-
-/// The shard count `sharded` legs resolve to when no explicit `:K` was given.
-fn dgo_mpc_auto_shards() -> usize {
-    ShardedBackend::default_shards().unwrap_or_else(|| resolved_jobs(0))
 }

@@ -455,13 +455,9 @@ mod tests {
             let flat: usize = row[2].parse().unwrap();
             let wire: usize = row[3].parse().unwrap();
             assert!(flat > 0, "family {} must ship bundles: {row:?}", row[0]);
-            if dgo_mpc::tuning::wire_codec_enabled() {
-                // The acceptance bar: ≥ 25% below the flat baseline on both
-                // families (in practice the codec lands far below this).
-                assert!(wire * 4 <= flat * 3, "expected ≥25% bundle saving: {row:?}");
-            } else {
-                assert_eq!(wire, flat, "codec off must charge the flat figure");
-            }
+            // The acceptance bar: ≥ 25% below the flat baseline on both
+            // families (in practice the codec lands far below this).
+            assert!(wire * 4 <= flat * 3, "expected ≥25% bundle saving: {row:?}");
         }
     }
 

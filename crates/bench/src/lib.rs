@@ -10,16 +10,11 @@
 //! cargo run -p dgo-bench --release --bin exp_all          # full suite
 //! cargo run -p dgo-bench --release --bin exp_rounds -- --big
 //! cargo run -p dgo-bench --release --bin exp_all -- --backend parallel
-//! cargo run -p dgo-bench --release --bin exp_all -- --backend sharded:4
 //! cargo bench -p dgo-bench                                 # kernels
 //! ```
 //!
-//! Every experiment binary accepts `--backend
-//! <sequential|parallel|sharded[:K]|process[:K]>` to pick the
-//! [`ExecutionBackend`] the simulation runs on (default: sequential;
-//! `sharded:K` / `process:K` fix the shard/worker count, the plain forms
-//! pick it automatically; `process` runs each shard as a supervised
-//! `dgo-worker` OS process with deterministic crash recovery) and
+//! Every experiment binary accepts `--backend <sequential|parallel>` to pick
+//! the [`ExecutionBackend`] the simulation runs on (default: sequential) and
 //! `--jobs <n>` to budget `n` host threads (`0` = all cores, default: 1) for
 //! the two algorithmic parallelism tiers: composed parallel instances (the
 //! coreness guess ladder, orientation edge parts, coloring vertex parts) and
@@ -45,8 +40,7 @@ pub use table::Table;
 // Re-exported so the experiment binaries can dispatch on a backend without a
 // direct dgo-mpc dependency in their imports.
 pub use dgo_mpc::{
-    dispatch_backend, BackendKind, ExecutionBackend, ParallelBackend, ProcessBackend,
-    SequentialBackend, ShardedBackend,
+    dispatch_backend, BackendKind, ExecutionBackend, ParallelBackend, SequentialBackend,
 };
 
 /// Parses the common `--big` flag shared by the experiment binaries and
@@ -69,8 +63,7 @@ pub fn n_from_args(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Parses the optional `--backend
-/// <sequential|parallel|sharded[:K]|process[:K]>` flag shared by the
+/// Parses the optional `--backend <sequential|parallel>` flag shared by the
 /// experiment binaries (default: sequential).
 ///
 /// # Panics

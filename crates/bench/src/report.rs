@@ -2,7 +2,7 @@
 //!
 //! The criterion benches under `benches/` print human-readable timing lines;
 //! this module persists the same measurements — plus the leg's configuration
-//! (jobs, backend, shard count) and its model-side cost (communication
+//! (jobs, backend) and its model-side cost (communication
 //! words, peak tree bytes from one metered run) — as a JSON file in the
 //! working directory (the workspace root under `cargo bench`), so the
 //! performance trajectory survives across commits instead of scrolling away
@@ -23,10 +23,8 @@ pub struct BenchLeg {
     pub samples: u64,
     /// Host-thread budget the leg ran with (resolved; 1 = sequential host).
     pub jobs: usize,
-    /// Execution backend (`sequential` / `parallel` / `sharded` / `stage`).
+    /// Execution backend (`sequential` / `parallel` / `stage`).
     pub backend: String,
-    /// Shard count for sharded legs; `0` = not applicable.
-    pub shards: usize,
     /// Total communication words one run of the workload charges.
     pub comm_words: usize,
     /// Peak view-tree arena bytes one run of the workload reaches.
@@ -39,35 +37,17 @@ pub struct BenchLeg {
 }
 
 /// The run's peak resident set size in bytes: the process's own `VmHWM`
-/// from `/proc/self/status` **plus** the aggregated peak RSS of any shard
-/// worker processes the multi-process backend supervised
-/// ([`dgo_mpc::worker_peak_rss_bytes`] — children are not part of the
-/// parent's `VmHWM`, so `process` legs would otherwise under-report).
-/// `0` on platforms without procfs. Monotonic: both terms are kernel/process
-/// high-water marks, so this never decreases within a run.
+/// from `/proc/self/status`, `0` on platforms without procfs. Monotonic: it
+/// is the kernel's high-water mark, so it never decreases within a run.
 pub fn peak_rss_bytes() -> usize {
-    let workers = dgo_mpc::worker_peak_rss_bytes() as usize;
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    let kib: usize = rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    return kib * 1024 + workers;
-                }
-            }
-        }
-        workers
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        workers
-    }
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .map_or(0, |kib: usize| kib * 1024)
 }
 
 /// A full bench report: every leg of one bench binary's run.
@@ -108,7 +88,6 @@ impl BenchReport {
             out.push_str(&format!("\"samples\": {}, ", leg.samples));
             out.push_str(&format!("\"jobs\": {}, ", leg.jobs));
             out.push_str(&format!("\"backend\": {}, ", json_string(&leg.backend)));
-            out.push_str(&format!("\"shards\": {}, ", leg.shards));
             out.push_str(&format!("\"comm_words\": {}, ", leg.comm_words));
             out.push_str(&format!("\"peak_tree_bytes\": {}, ", leg.peak_tree_bytes));
             out.push_str(&format!("\"peak_rss_bytes\": {}", leg.peak_rss_bytes));
@@ -154,7 +133,7 @@ pub fn resolved_jobs(jobs: usize) -> usize {
 /// Whether `DGO_BENCH_QUICK=1` asked the criterion benches to shrink every
 /// sweep to its smallest leg with few samples (the CI smoke configuration).
 /// This is the bench crate's single sanctioned read of the knob (dgo-lint
-/// R2); read once per process, like the knobs in `dgo_mpc::tuning`.
+/// R2); read once per process, like `DGO_JOBS` in `dgo_mpc::tuning`.
 pub fn quick_mode() -> bool {
     static QUICK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *QUICK.get_or_init(|| std::env::var("DGO_BENCH_QUICK").is_ok_and(|v| v == "1"))
@@ -215,8 +194,7 @@ mod tests {
             wall_seconds: 0.25,
             samples: 10,
             jobs: 2,
-            backend: "sharded".to_string(),
-            shards: 4,
+            backend: "parallel".to_string(),
             comm_words: 1234,
             peak_tree_bytes: 5678,
             peak_rss_bytes: 9999,
@@ -227,7 +205,7 @@ mod tests {
     fn json_shape_is_stable() {
         let mut report = BenchReport::new("engine");
         report.push(leg("engine_orient/sequential/1024"));
-        report.push(leg("engine_orient/sharded/1024"));
+        report.push(leg("engine_orient/parallel/1024"));
         let json = report.to_json();
         assert!(json.starts_with("{\n  \"name\": \"engine\""));
         assert!(json.contains("\"wall_seconds\": 0.25"));

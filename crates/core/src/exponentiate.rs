@@ -38,8 +38,7 @@ use std::collections::BTreeMap;
 
 /// Wire representation of a view tree for communication metering:
 /// [`ViewTree::wire_words`] — the actual encoded length of the
-/// `dgo_core::wire` delta/varint stream when the codec is on (the default),
-/// or the flat two-words-per-node block copy when `DGO_WIRE_CODEC=0`.
+/// `dgo_core::wire` delta/varint stream.
 #[derive(Debug, Clone, Copy)]
 struct TreeWire {
     words: usize,
@@ -435,13 +434,9 @@ mod tests {
         let m = cluster.metrics();
         assert!(m.bundle_flat_words > 0, "expected shipped bundles");
         assert!(m.bundle_wire_words > 0);
-        if dgo_mpc::tuning::wire_codec_enabled() {
-            // Every u32 varint is at most 5 bytes, so the encoded stream is
-            // strictly below 2 words/node for every tree.
-            assert!(m.bundle_wire_words < m.bundle_flat_words);
-        } else {
-            assert_eq!(m.bundle_wire_words, m.bundle_flat_words);
-        }
+        // Every u32 varint is at most 5 bytes, so the encoded stream is
+        // strictly below 2 words/node for every tree.
+        assert!(m.bundle_wire_words < m.bundle_flat_words);
         // The charged gather traffic includes every bundle payload.
         assert!(m.bundle_wire_words <= m.total_comm_words);
     }

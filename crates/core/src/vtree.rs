@@ -332,19 +332,13 @@ impl ViewTree {
         2 * self.len()
     }
 
-    /// Words this tree actually costs on the wire. With the delta/varint
-    /// codec enabled (`DGO_WIRE_CODEC`, the default) this is the exact
-    /// encoded length of [`crate::wire::encode`]; with the codec off it is
-    /// the flat two-words-per-node figure. Everything that meters tree
-    /// shipment (bundle payload charging, capacity checks) goes through this
-    /// single dispatch point, so the certified communication reflects what
-    /// the chosen representation would really move.
+    /// Words this tree actually costs on the wire: the exact encoded length
+    /// of the delta/varint codec ([`crate::wire::encode`]). Everything that
+    /// meters tree shipment (bundle payload charging, capacity checks) goes
+    /// through this single point, so the certified communication reflects
+    /// what the encoded representation really moves.
     pub fn wire_words(&self) -> usize {
-        if dgo_mpc::tuning::wire_codec_enabled() {
-            crate::wire::encoded_words(self)
-        } else {
-            self.flat_wire_words()
-        }
+        crate::wire::encoded_words(self)
     }
 
     /// Resident heap bytes of the arena (by length, not capacity, so the
@@ -737,9 +731,9 @@ mod tests {
         let t = ViewTree::star(3, &[0, 1, 2]);
         assert_eq!(t.flat_wire_words(), 8);
         // Encoded: count(1B) + 4 vertex varints + 3 parent deltas = 8 bytes
-        // = 1 word. wire_words() dispatches to the codec by default, and can
-        // never exceed the flat figure.
-        assert_eq!(crate::wire::encoded_words(&t), 1);
+        // = 1 word. wire_words() charges the codec, and can never exceed
+        // the flat figure.
+        assert_eq!(t.wire_words(), 1);
         assert!(t.wire_words() <= t.flat_wire_words());
         // 4 nodes × 5 columns × 4 bytes + 3 pool slots × 4 bytes.
         assert_eq!(t.arena_bytes(), 4 * 5 * 4 + 3 * 4);

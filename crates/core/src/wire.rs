@@ -25,15 +25,13 @@
 //! the original structure exactly — the round trip is lossless).
 //!
 //! [`encoded_words`] computes the exact encoded length without materializing
-//! the stream; it is what [`ViewTree::wire_words`] charges when the codec is
-//! on (`DGO_WIRE_CODEC`, see [`dgo_mpc::tuning`]).
+//! the stream; it is what [`ViewTree::wire_words`] charges.
 //!
-//! When a bundle leaves the process — checkpoints on disk, the multi-process
-//! backend's pipes — [`encode_framed`] / [`decode_framed`] wrap the word
-//! stream in the hardened IPC frame of [`dgo_mpc::frame`]: a
-//! magic/version/length/checksum header in front of the payload, so
-//! truncation, corruption, version skew, and trailing garbage are rejected
-//! *before* the codec ever parses a byte.
+//! When a bundle leaves the process — a checkpoint on disk, say —
+//! [`encode_framed`] / [`decode_framed`] wrap the word stream in the
+//! checksummed frame of [`dgo_mpc::frame`]: a magic/version/length/checksum
+//! header in front of the payload, so truncation, corruption, version skew,
+//! and trailing garbage are rejected *before* the codec ever parses a byte.
 
 use crate::ViewTree;
 use dgo_mpc::frame::{self, FrameError};
@@ -55,9 +53,9 @@ pub enum WireError {
     /// count, a parent pointing at itself or forward, varint overflow, or
     /// trailing garbage past the payload.
     Malformed(&'static str),
-    /// The outer IPC frame was rejected ([`decode_framed`]): bad magic,
-    /// version skew, checksum mismatch, truncation, oversized length, or
-    /// trailing bytes.
+    /// The outer frame was rejected ([`decode_framed`]): bad magic, version
+    /// skew, checksum mismatch, truncation, oversized length, or trailing
+    /// bytes.
     Frame(FrameError),
 }
 
@@ -151,7 +149,7 @@ pub fn encode(tree: &ViewTree) -> Vec<u64> {
     words
 }
 
-/// Encodes `tree` as one self-delimiting [`frame::kind::BUNDLE`] IPC frame:
+/// Encodes `tree` as one self-delimiting [`frame::kind::BUNDLE`] frame:
 /// header (magic, version, payload length, FNV-1a checksum) followed by the
 /// compact word stream of [`encode`]. This is the byte form a bundle takes
 /// whenever it leaves the process.
@@ -418,9 +416,9 @@ mod tests {
     #[test]
     fn framed_rejects_wrong_frame_kind() {
         let words = encode(&ViewTree::singleton(4));
-        let hello = frame::encode_frame(frame::kind::HELLO, &words);
+        let other = frame::encode_frame(frame::kind::BUNDLE + 1, &words);
         assert_eq!(
-            decode_framed(&hello),
+            decode_framed(&other),
             Err(WireError::Malformed("frame is not a bundle"))
         );
     }

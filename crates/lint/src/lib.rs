@@ -5,10 +5,10 @@
 //! bit-identical across every backend × parallelism tier) rests on
 //! contracts no compiler checks: parallelism only through the compat-rayon
 //! pool, knob reads only in `dgo_mpc::tuning`, no hash-ordered iteration on
-//! metered paths, audited `unsafe`, typed errors on supervised paths, and
-//! explicit atomic orderings. This crate enforces them statically: a
-//! hand-rolled lexer ([`lexer`]) feeds a token-sequence rule engine
-//! ([`rules`]) scoped by a checked-in config ([`config`], `lint.toml`).
+//! metered paths, audited `unsafe`, and explicit atomic orderings. This
+//! crate enforces them statically: a hand-rolled lexer ([`lexer`]) feeds a
+//! token-sequence rule engine ([`rules`]) scoped by a checked-in config
+//! ([`config`], `lint.toml`).
 //!
 //! Run it as `cargo run -p dgo-lint`, or through the workspace-clean gate
 //! in `tests/lint_clean.rs`.

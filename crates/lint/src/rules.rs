@@ -1,16 +1,15 @@
-//! The rule engine: seven invariant detectors over the token stream.
+//! The rule engine: six invariant detectors over the token stream.
 //!
 //! Each rule guards a documented workspace contract (see `lint.toml` and the
 //! README's "Static analysis" section):
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | R1 | no `std::thread::spawn`/`scope`/`Builder` outside the compat-rayon pool and the supervisor's reader threads |
+//! | R1 | no `std::thread::spawn`/`scope`/`Builder` outside the compat-rayon pool |
 //! | R2 | `std::env::var*` only in `dgo_mpc::tuning` and `dgo_bench::report` (knobs read once per process) |
 //! | R3 | no `Instant::now`/`SystemTime` in the deterministic crates (`dgo_core`, `dgo_graph`) |
 //! | R4 | no `HashMap`/`HashSet` in non-test `dgo_core`/`dgo_mpc` code (iteration-order nondeterminism on metered paths) |
 //! | R5 | every `unsafe` is preceded by a `// SAFETY:` comment |
-//! | R6 | no `.unwrap()`/`.expect()` in the process supervisor / worker request loop (typed errors only) |
 //! | R7 | every atomic `.load(..)`/`.store(..)` names its `Ordering` in the call |
 //!
 //! Detection is token-sequence matching, not type-aware analysis, so some
@@ -25,7 +24,7 @@ use crate::config::{Config, RuleConfig};
 use crate::lexer::{lex, Token, TokenKind};
 
 /// The rule ids the engine implements, in report order.
-pub const KNOWN_RULES: [&str; 7] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7"];
+pub const KNOWN_RULES: [&str; 6] = ["R1", "R2", "R3", "R4", "R5", "R7"];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,7 +194,6 @@ pub fn lint_source(path: &str, source: &str, config: &Config) -> Result<Vec<Diag
             "R3" => detect_wall_clock(&analysis),
             "R4" => detect_hash_collections(&analysis),
             "R5" => detect_undocumented_unsafe(&analysis),
-            "R6" => detect_unwrap(&analysis),
             "R7" => detect_unordered_atomics(&analysis),
             _ => unreachable!("validated above"),
         };
@@ -339,25 +337,6 @@ fn detect_undocumented_unsafe(a: &FileAnalysis) -> Vec<Hit> {
                 code_idx: k,
                 message: "`unsafe` without a `// SAFETY:` comment".to_string(),
             });
-        }
-    }
-    hits
-}
-
-/// R6: `.unwrap()` / `.expect(` calls.
-fn detect_unwrap(a: &FileAnalysis) -> Vec<Hit> {
-    let mut hits = Vec::new();
-    for k in 0..a.code.len() {
-        if !a.punct_at(k, '.') {
-            continue;
-        }
-        for target in ["unwrap", "expect"] {
-            if a.ident_at(k + 1, target) && a.punct_at(k + 2, '(') {
-                hits.push(Hit {
-                    code_idx: k + 1,
-                    message: format!("`.{target}()` on a supervised path"),
-                });
-            }
         }
     }
     hits

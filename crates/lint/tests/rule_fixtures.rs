@@ -175,31 +175,6 @@ fn read(p: *const u32) -> u32 {
     .is_empty());
 }
 
-// --- R6: unwrap/expect on supervised paths ---
-
-#[test]
-fn r6_fires_on_unwrap_and_expect() {
-    let src = r#"
-fn supervise(r: Result<u32, ()>) -> u32 {
-    let a = r.unwrap();
-    let b = r.expect("fine");
-    a + b
-}
-"#;
-    let diags = run("R6", "", "crates/mpc/src/worker.rs", src);
-    assert_eq!(rules_of(&diags), ["R6", "R6"]);
-}
-
-#[test]
-fn r6_quiet_on_unwrap_or_family() {
-    let src = r#"
-fn supervise(r: Result<u32, ()>) -> u32 {
-    r.unwrap_or(0) + r.unwrap_or_else(|_| 1) + r.unwrap_or_default()
-}
-"#;
-    assert!(run("R6", "", "crates/mpc/src/worker.rs", src).is_empty());
-}
-
 // --- R7: named atomic orderings ---
 
 #[test]

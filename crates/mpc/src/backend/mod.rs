@@ -8,40 +8,27 @@
 //!   implementation (the original `Cluster`);
 //! * [`ParallelBackend`] — identical semantics and metrics, with
 //!   counting-sort message routing into flat pre-counted per-destination
-//!   buffers and rayon-parallel per-machine metering;
-//! * [`ShardedBackend`] — machines partitioned into `K` contiguous shards,
-//!   each owning its slice of inboxes: per-shard counting-sort routing on
-//!   the shard's own thread, then a batched cross-shard handoff where every
-//!   ordered shard pair moves one pre-counted contiguous buffer;
-//! * [`ProcessBackend`] — the sharded shape pushed across a process
-//!   boundary: every shard is a supervised `dgo-worker` OS process speaking
-//!   the framed pipe protocol, with deterministic crash recovery and fault
-//!   injection.
+//!   buffers and rayon-parallel per-machine metering.
 //!
-//! All of them are observationally equivalent: same inbox contents in the
-//! same deterministic `(source, production)` order, same errors, same
-//! metrics — property-tested in the workspace's `backend_equivalence` suite.
-//! Picking a backend is therefore purely a host-performance decision;
-//! [`BackendKind`] names the choices for configuration surfaces (CLI flags,
-//! configs).
+//! Both are observationally equivalent: same inbox contents in the same
+//! deterministic `(source, production)` order, same errors, same metrics —
+//! property-tested in the workspace's `backend_equivalence` suite. Picking a
+//! backend is therefore purely a host-performance decision; [`BackendKind`]
+//! names the choices for configuration surfaces (CLI flags, configs).
 //!
 //! Shared metering semantics (round charging, residency checkpoints, key
 //! homing) live in this trait's default methods so backends cannot drift.
 
 mod parallel;
-pub(crate) mod process;
 mod sequential;
-pub(crate) mod sharded;
 
 pub use parallel::ParallelBackend;
-pub use process::{worker_peak_rss_bytes, ProcessBackend};
 pub use sequential::{Cluster, SequentialBackend};
-pub use sharded::ShardedBackend;
 
 use crate::config::ClusterConfig;
 use crate::error::{MpcError, Result};
 use crate::metrics::Metrics;
-use crate::word::WirePayload;
+use crate::word::WordSized;
 use std::fmt;
 use std::str::FromStr;
 
@@ -86,17 +73,13 @@ pub trait ExecutionBackend {
     /// `src`. Returns `inbox[dst]` = messages delivered to machine `dst`, in
     /// deterministic `(source, production)` order.
     ///
-    /// Messages are [`WirePayload`] so any backend — including the
-    /// multi-process one, which moves them over pipes — can transport them;
-    /// in-process backends never serialize.
-    ///
     /// # Errors
     ///
     /// * [`MpcError::WrongClusterWidth`] if `outbox.len() != M`.
     /// * [`MpcError::UnknownMachine`] for an out-of-range destination.
     /// * [`MpcError::CapacityExceeded`] in strict mode if any machine sends
     ///   or receives more than `S` words.
-    fn exchange<T: WirePayload + Send + Sync>(
+    fn exchange<T: WordSized + Send + Sync>(
         &mut self,
         outbox: Vec<Vec<(usize, T)>>,
     ) -> Result<Vec<Vec<T>>>;
@@ -265,40 +248,17 @@ pub enum BackendKind {
     Sequential,
     /// The rayon-parallel backend ([`ParallelBackend`]).
     Parallel,
-    /// The shard-partitioned backend ([`ShardedBackend`]), optionally with an
-    /// explicit shard count (`sharded:K` on the command line; `None` = auto).
-    Sharded {
-        /// Shard count override, applied through
-        /// [`ShardedBackend::set_default_shards`] at dispatch time.
-        shards: Option<usize>,
-    },
-    /// The supervised multi-process backend ([`ProcessBackend`]),
-    /// optionally with an explicit worker count (`process:K` on the command
-    /// line; `None` = auto).
-    Process {
-        /// Worker count override, applied through
-        /// [`ProcessBackend::set_default_workers`] at dispatch time.
-        workers: Option<usize>,
-    },
 }
 
 impl BackendKind {
-    /// Every selectable backend (the sharded and process entries with their
-    /// auto shard/worker counts).
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Sequential,
-        BackendKind::Parallel,
-        BackendKind::Sharded { shards: None },
-        BackendKind::Process { workers: None },
-    ];
+    /// Every selectable backend.
+    pub const ALL: [BackendKind; 2] = [BackendKind::Sequential, BackendKind::Parallel];
 
     /// The flag/config name of this backend.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Sequential => "sequential",
             BackendKind::Parallel => "parallel",
-            BackendKind::Sharded { .. } => "sharded",
-            BackendKind::Process { .. } => "process",
         }
     }
 
@@ -314,15 +274,7 @@ impl BackendKind {
 
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendKind::Sharded {
-                shards: Some(shards),
-            } => write!(f, "sharded:{shards}"),
-            BackendKind::Process {
-                workers: Some(workers),
-            } => write!(f, "process:{workers}"),
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -330,39 +282,9 @@ impl FromStr for BackendKind {
     type Err = String;
 
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        // `sharded` takes an optional `:K` shard-count suffix.
-        if let Some(count) = s
-            .strip_prefix("sharded:")
-            .or_else(|| s.strip_prefix("shard:"))
-        {
-            return match count.parse::<usize>() {
-                Ok(shards) if shards >= 1 => Ok(BackendKind::Sharded {
-                    shards: Some(shards),
-                }),
-                _ => Err(format!(
-                    "bad shard count {count:?} in backend {s:?} (expected sharded:<K> with K >= 1)"
-                )),
-            };
-        }
-        // `process` takes an optional `:K` worker-count suffix.
-        if let Some(count) = s
-            .strip_prefix("process:")
-            .or_else(|| s.strip_prefix("proc:"))
-        {
-            return match count.parse::<usize>() {
-                Ok(workers) if workers >= 1 => Ok(BackendKind::Process {
-                    workers: Some(workers),
-                }),
-                _ => Err(format!(
-                    "bad worker count {count:?} in backend {s:?} (expected process:<K> with K >= 1)"
-                )),
-            };
-        }
         match s {
             "sequential" | "seq" => Ok(BackendKind::Sequential),
             "parallel" | "par" => Ok(BackendKind::Parallel),
-            "sharded" | "shard" => Ok(BackendKind::Sharded { shards: None }),
-            "process" | "proc" => Ok(BackendKind::Process { workers: None }),
             other => Err(format!(
                 "unknown backend {other:?} (expected one of {})",
                 BackendKind::name_list()
@@ -396,22 +318,6 @@ macro_rules! dispatch_backend {
                 type $backend = $crate::ParallelBackend;
                 $body
             }
-            $crate::BackendKind::Sharded { shards } => {
-                // Entry points construct backends internally via
-                // `from_config`, so the shard-count override travels through
-                // the process default. Results and metrics are identical at
-                // any shard count, so the side channel is wall-clock only.
-                $crate::ShardedBackend::set_default_shards(shards);
-                type $backend = $crate::ShardedBackend;
-                $body
-            }
-            $crate::BackendKind::Process { workers } => {
-                // Same side channel as the sharded arm: worker count never
-                // affects results or metrics, only process topology.
-                $crate::ProcessBackend::set_default_workers(workers);
-                type $backend = $crate::ProcessBackend;
-                $body
-            }
         }
     };
 }
@@ -430,57 +336,14 @@ mod tests {
         assert!("threads".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::Parallel.to_string(), "parallel");
         assert_eq!(BackendKind::default(), BackendKind::Sequential);
-    }
-
-    #[test]
-    fn sharded_kind_parses_with_optional_shard_count() {
-        assert_eq!(
-            "sharded".parse::<BackendKind>().unwrap(),
-            BackendKind::Sharded { shards: None }
-        );
-        assert_eq!(
-            "sharded:7".parse::<BackendKind>().unwrap(),
-            BackendKind::Sharded { shards: Some(7) }
-        );
-        assert_eq!(
-            "shard:2".parse::<BackendKind>().unwrap(),
-            BackendKind::Sharded { shards: Some(2) }
-        );
-        assert!("sharded:0".parse::<BackendKind>().is_err());
-        assert!("sharded:many".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::Sharded { shards: None }.to_string(), "sharded");
-        assert_eq!(
-            BackendKind::Sharded { shards: Some(4) }.to_string(),
-            "sharded:4"
-        );
-        assert_eq!(BackendKind::Sharded { shards: Some(4) }.name(), "sharded");
-    }
-
-    #[test]
-    fn process_kind_parses_with_optional_worker_count() {
-        assert_eq!(
-            "process".parse::<BackendKind>().unwrap(),
-            BackendKind::Process { workers: None }
-        );
-        assert_eq!(
-            "process:4".parse::<BackendKind>().unwrap(),
-            BackendKind::Process { workers: Some(4) }
-        );
-        assert_eq!(
-            "proc:2".parse::<BackendKind>().unwrap(),
-            BackendKind::Process { workers: Some(2) }
-        );
-        assert!("process:0".parse::<BackendKind>().is_err());
-        assert!("process:auto".parse::<BackendKind>().is_err());
-        assert_eq!(
-            BackendKind::Process { workers: None }.to_string(),
-            "process"
-        );
-        assert_eq!(
-            BackendKind::Process { workers: Some(3) }.to_string(),
-            "process:3"
-        );
-        assert_eq!(BackendKind::Process { workers: Some(3) }.name(), "process");
+        // Retired backend names fail loudly, listing the live choices.
+        for retired in ["sharded", "sharded:4", "process", "process:3"] {
+            let err = retired.parse::<BackendKind>().unwrap_err();
+            assert!(
+                err.ends_with(r#"(expected one of "sequential", "parallel")"#),
+                "{retired}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -493,10 +356,6 @@ mod tests {
 
     #[test]
     fn dispatch_selects_concrete_type() {
-        // The Sharded/Process arms write the process-wide default counts.
-        let _guard = process::TEST_DEFAULTS_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         for kind in BackendKind::ALL {
             let machines = dispatch_backend!(kind, B => {
                 let backend = B::from_config(ClusterConfig::new(3, 32));

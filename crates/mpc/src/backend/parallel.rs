@@ -32,7 +32,7 @@ use crate::backend::ExecutionBackend;
 use crate::config::ClusterConfig;
 use crate::error::{MpcError, Result};
 use crate::metrics::Metrics;
-use crate::word::{WirePayload, WordSized};
+use crate::word::WordSized;
 
 use crate::tuning::exchange_inline_threshold;
 
@@ -171,7 +171,7 @@ impl ExecutionBackend for ParallelBackend {
         self.metrics
     }
 
-    fn exchange<T: WirePayload + Send + Sync>(
+    fn exchange<T: WordSized + Send + Sync>(
         &mut self,
         outbox: Vec<Vec<(usize, T)>>,
     ) -> Result<Vec<Vec<T>>> {
@@ -318,6 +318,68 @@ mod tests {
         let (seq_out, par_out, _, _) = run_both(ClusterConfig::new(2, 64), outbox);
         // Both report the first out-of-range destination in scan order.
         assert_eq!(seq_out.unwrap_err(), par_out.unwrap_err());
+    }
+
+    #[test]
+    fn outputs_identical_across_inline_cutoff() {
+        // One message on either side of the inline cutoff: `< threshold`
+        // takes the single-chunk inline pass, `>= threshold` the chunked
+        // parallel one. Both must match sequential bit-for-bit (inboxes AND
+        // metrics) at every thread count.
+        let threshold = exchange_inline_threshold();
+        let machines = 16usize;
+        let config = ClusterConfig::new(machines, 1 << 20);
+        for threads in [2, 4] {
+            for total in [threshold - 1, threshold, threshold + 1] {
+                let per_machine = total / machines;
+                let mut outbox = random_outbox(machines, per_machine, 5);
+                let mut extra = total - per_machine * machines;
+                for msgs in outbox.iter_mut() {
+                    if extra == 0 {
+                        break;
+                    }
+                    msgs.push((3, 77));
+                    extra -= 1;
+                }
+                assert_eq!(outbox.iter().map(Vec::len).sum::<usize>(), total);
+                let mut seq = SequentialBackend::new(config);
+                let seq_inbox = ExecutionBackend::exchange(&mut seq, outbox.clone()).unwrap();
+                let mut par = ParallelBackend::new(config).with_threads(threads);
+                let inbox = par.exchange(outbox).unwrap();
+                let context = format!("threads = {threads}, total = {total}");
+                assert_eq!(inbox, seq_inbox, "{context}");
+                assert_eq!(par.into_metrics(), seq.into_metrics(), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_error_parity_unknown_machine_late_chunk() {
+        // Above the cutoff the metering pass runs in source chunks. One
+        // invalid destination sits in the *last* chunk and an earlier one in
+        // a previous chunk: the chunk merge must keep the earlier one, as
+        // the sequential scan does, and record no round.
+        let machines = 16usize;
+        let config = ClusterConfig::new(machines, 1 << 20);
+        let mut outbox = random_outbox(machines, 512, 9);
+        outbox[5].push((machines + 2, 1));
+        outbox[machines - 1].push((machines + 5, 1));
+        assert!(outbox.iter().map(Vec::len).sum::<usize>() > exchange_inline_threshold());
+        let mut seq = SequentialBackend::new(config);
+        let seq_err = ExecutionBackend::exchange(&mut seq, outbox.clone()).unwrap_err();
+        assert_eq!(
+            seq_err,
+            MpcError::UnknownMachine {
+                machine: machines + 2,
+                num_machines: machines
+            }
+        );
+        for threads in [2, 4] {
+            let mut par = ParallelBackend::new(config).with_threads(threads);
+            let err = par.exchange(outbox.clone()).unwrap_err();
+            assert_eq!(err, seq_err, "threads = {threads}");
+            assert_eq!(par.metrics().rounds, 0, "no round recorded on error");
+        }
     }
 
     #[test]

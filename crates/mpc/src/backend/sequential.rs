@@ -19,7 +19,7 @@ use crate::backend::ExecutionBackend;
 use crate::config::ClusterConfig;
 use crate::error::{MpcError, Result};
 use crate::metrics::Metrics;
-use crate::word::{WirePayload, WordSized};
+use crate::word::WordSized;
 
 /// Backwards-compatible name for the reference backend: the original
 /// simulator type was called `Cluster` before the backend trait existed.
@@ -189,7 +189,7 @@ impl ExecutionBackend for SequentialBackend {
         self.metrics
     }
 
-    fn exchange<T: WirePayload + Send + Sync>(
+    fn exchange<T: WordSized + Send + Sync>(
         &mut self,
         outbox: Vec<Vec<(usize, T)>>,
     ) -> Result<Vec<Vec<T>>> {

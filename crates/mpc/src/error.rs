@@ -59,33 +59,6 @@ pub enum MpcError {
         /// Aggregate capacity: the sum of every instance's `M · S`.
         capacity: usize,
     },
-    /// A shard worker process of the multi-process backend died (its pipe
-    /// closed or it exited) and respawn-and-replay recovery was exhausted.
-    WorkerCrashed {
-        /// Index of the crashed shard worker.
-        worker: usize,
-        /// Protocol phase in flight: `"spawn"`, `"route"`, or `"fill"`.
-        phase: &'static str,
-    },
-    /// A shard worker process failed to answer within the supervision
-    /// deadline and respawn-and-replay recovery was exhausted.
-    WorkerTimeout {
-        /// Index of the unresponsive shard worker.
-        worker: usize,
-        /// Protocol phase in flight: `"spawn"`, `"route"`, or `"fill"`.
-        phase: &'static str,
-        /// The deadline that expired, in milliseconds.
-        timeout_ms: u64,
-    },
-    /// A shard worker sent bytes that violate the framed wire protocol
-    /// (bad magic/version, checksum mismatch, malformed payload) and
-    /// recovery was exhausted.
-    Protocol {
-        /// Index of the offending shard worker.
-        worker: usize,
-        /// What was violated.
-        detail: &'static str,
-    },
 }
 
 impl fmt::Display for MpcError {
@@ -113,16 +86,6 @@ impl fmt::Display for MpcError {
                 f,
                 "instance group of {instances} holds {words} words combined, aggregate capacity is {capacity}"
             ),
-            MpcError::WorkerCrashed { worker, phase } => {
-                write!(f, "shard worker {worker} crashed during {phase} and recovery was exhausted")
-            }
-            MpcError::WorkerTimeout { worker, phase, timeout_ms } => write!(
-                f,
-                "shard worker {worker} unresponsive during {phase} for {timeout_ms} ms and recovery was exhausted"
-            ),
-            MpcError::Protocol { worker, detail } => {
-                write!(f, "shard worker {worker} violated the wire protocol: {detail}")
-            }
         }
     }
 }
@@ -184,35 +147,6 @@ mod tests {
     fn error_is_send_sync_static() {
         fn check<T: Send + Sync + 'static>() {}
         check::<MpcError>();
-    }
-
-    #[test]
-    fn display_worker_errors() {
-        let e = MpcError::WorkerCrashed {
-            worker: 3,
-            phase: "route",
-        };
-        assert_eq!(
-            e.to_string(),
-            "shard worker 3 crashed during route and recovery was exhausted"
-        );
-        let e = MpcError::WorkerTimeout {
-            worker: 0,
-            phase: "fill",
-            timeout_ms: 250,
-        };
-        let s = e.to_string();
-        assert!(s.contains("worker 0"));
-        assert!(s.contains("fill"));
-        assert!(s.contains("250 ms"));
-        let e = MpcError::Protocol {
-            worker: 1,
-            detail: "frame checksum mismatch",
-        };
-        assert_eq!(
-            e.to_string(),
-            "shard worker 1 violated the wire protocol: frame checksum mismatch"
-        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Framed binary protocol for inter-process transport.
+//! Checksummed frames for word streams that leave the process.
 //!
-//! Everything the multi-process backend moves over a pipe — and everything
-//! `dgo_core::wire` persists outside a trusted in-memory buffer — travels as
-//! a *frame*: a fixed header (magic, protocol version, frame kind, payload
-//! length, checksum) followed by the payload as little-endian `u64` words.
-//! The decoder is strict: wrong magic, unknown version, oversized or
-//! truncated payloads, and checksum mismatches are all typed [`FrameError`]s
-//! instead of garbage values, so a crashed or adversarial peer can corrupt a
-//! *connection* but never a *result*.
+//! A word stream that `dgo_core::wire` hands to an untrusted byte buffer (a
+//! file, a socket) travels as a *frame*: a fixed header (magic, format
+//! version, frame kind, payload length, checksum) followed by the payload as
+//! little-endian `u64` words. The decoder is strict: wrong magic, unknown
+//! version, oversized or truncated payloads, and checksum mismatches are all
+//! typed [`FrameError`]s instead of garbage values, so damaged bytes can fail
+//! a *read* but never produce a wrong *result*.
 //!
 //! Layout (all little-endian):
 //!
@@ -22,13 +21,13 @@
 //!     20    8n  payload words
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"DGOF";
 
-/// Protocol version carried in every frame header. A mismatch is a typed
-/// error — a parent never talks past a worker built from different sources.
+/// Format version carried in every frame header. A mismatch is a typed
+/// error — a reader never parses bytes written by a different format.
 pub const VERSION: u16 = 1;
 
 /// Header size in bytes.
@@ -39,19 +38,8 @@ pub const HEADER_BYTES: usize = 20;
 /// balloon memory.
 pub const DEFAULT_MAX_PAYLOAD_WORDS: usize = 1 << 29;
 
-/// Frame kinds of the worker protocol (plus the bundle kind `dgo_core::wire`
-/// stamps on persisted view-tree streams).
+/// Frame kinds: the header byte that tells a reader what the payload is.
 pub mod kind {
-    /// Worker greeting, sent once on startup: `[version, pid]`.
-    pub const HELLO: u8 = 1;
-    /// Parent → worker: route one shard's outboxes.
-    pub const ROUTE_REQ: u8 = 2;
-    /// Worker → parent: tallies plus per-destination-shard segments.
-    pub const ROUTE_RESP: u8 = 3;
-    /// Parent → worker: fill one shard's inboxes from ordered segments.
-    pub const FILL_REQ: u8 = 4;
-    /// Worker → parent: the shard's per-machine inbox streams.
-    pub const FILL_RESP: u8 = 5;
     /// A framed `dgo_core::wire` view-tree bundle.
     pub const BUNDLE: u8 = 16;
 }
@@ -59,7 +47,7 @@ pub mod kind {
 /// A violation of the frame protocol, detected on decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// Clean end of stream at a frame boundary (the peer closed its pipe).
+    /// Clean end of stream at a frame boundary (no further frame).
     Eof,
     /// The stream ended inside a frame header or payload.
     Truncated,
@@ -111,8 +99,8 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 /// FNV-1a over the payload words (little-endian byte order). Cheap, stable,
-/// and plenty to catch the truncation/corruption failure modes a pipe or a
-/// crashing peer produces; this is an integrity check, not authentication.
+/// and plenty to catch truncation and corruption; this is an integrity
+/// check, not authentication.
 pub fn checksum(payload: &[u64]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &word in payload {
@@ -137,16 +125,6 @@ pub fn encode_frame(frame_kind: u8, payload: &[u64]) -> Vec<u8> {
         bytes.extend_from_slice(&word.to_le_bytes());
     }
     bytes
-}
-
-/// Writes one frame to a stream.
-///
-/// # Errors
-///
-/// Propagates the underlying write error.
-pub fn write_frame(w: &mut impl Write, frame_kind: u8, payload: &[u64]) -> std::io::Result<()> {
-    w.write_all(&encode_frame(frame_kind, payload))?;
-    w.flush()
 }
 
 /// Validates a header's fixed fields and extracts `(kind, payload_words)`.
@@ -206,8 +184,8 @@ fn read_exact_or_eof(
 ///
 /// # Errors
 ///
-/// Any [`FrameError`]; [`FrameError::Eof`] means the peer closed the stream
-/// cleanly between frames.
+/// Any [`FrameError`]; [`FrameError::Eof`] means the stream ended cleanly
+/// between frames.
 pub fn read_frame(
     r: &mut impl Read,
     max_payload_words: usize,
@@ -246,36 +224,36 @@ pub fn decode_frame(bytes: &[u8], max_payload_words: usize) -> Result<(u8, Vec<u
 mod tests {
     use super::*;
 
+    /// Any kind byte other than [`kind::BUNDLE`]: frames carry it opaquely.
+    const OTHER: u8 = 3;
+
     #[test]
     fn round_trip() {
         for payload in [vec![], vec![0u64], vec![1, u64::MAX, 42, 7]] {
-            let bytes = encode_frame(kind::ROUTE_REQ, &payload);
+            let bytes = encode_frame(OTHER, &payload);
             assert_eq!(bytes.len(), HEADER_BYTES + payload.len() * 8);
             let (k, back) = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD_WORDS).unwrap();
-            assert_eq!(k, kind::ROUTE_REQ);
+            assert_eq!(k, OTHER);
             assert_eq!(back, payload);
         }
     }
 
     #[test]
     fn stream_carries_multiple_frames() {
-        let mut stream = encode_frame(kind::HELLO, &[1, 99]);
-        stream.extend(encode_frame(kind::ROUTE_RESP, &[5, 6, 7]));
+        let mut stream = encode_frame(OTHER, &[1, 99]);
+        stream.extend(encode_frame(kind::BUNDLE, &[5, 6, 7]));
         let mut cursor: &[u8] = &stream;
+        assert_eq!(read_frame(&mut cursor, 64).unwrap(), (OTHER, vec![1, 99]));
         assert_eq!(
             read_frame(&mut cursor, 64).unwrap(),
-            (kind::HELLO, vec![1, 99])
-        );
-        assert_eq!(
-            read_frame(&mut cursor, 64).unwrap(),
-            (kind::ROUTE_RESP, vec![5, 6, 7])
+            (kind::BUNDLE, vec![5, 6, 7])
         );
         assert_eq!(read_frame(&mut cursor, 64), Err(FrameError::Eof));
     }
 
     #[test]
     fn truncation_is_detected() {
-        let bytes = encode_frame(kind::FILL_REQ, &[1, 2, 3]);
+        let bytes = encode_frame(OTHER, &[1, 2, 3]);
         // Mid-payload.
         assert_eq!(
             decode_frame(&bytes[..bytes.len() - 3], 64),
@@ -289,23 +267,23 @@ mod tests {
 
     #[test]
     fn bad_magic_version_reserved_rejected() {
-        let mut bytes = encode_frame(kind::HELLO, &[]);
+        let mut bytes = encode_frame(OTHER, &[]);
         bytes[0] = b'X';
         assert!(matches!(
             decode_frame(&bytes, 64),
             Err(FrameError::BadMagic(_))
         ));
-        let mut bytes = encode_frame(kind::HELLO, &[]);
+        let mut bytes = encode_frame(OTHER, &[]);
         bytes[4] = 9;
         assert_eq!(decode_frame(&bytes, 64), Err(FrameError::BadVersion(9)));
-        let mut bytes = encode_frame(kind::HELLO, &[]);
+        let mut bytes = encode_frame(OTHER, &[]);
         bytes[7] = 1;
         assert_eq!(decode_frame(&bytes, 64), Err(FrameError::BadReserved(1)));
     }
 
     #[test]
     fn oversized_payload_rejected_before_allocation() {
-        let mut bytes = encode_frame(kind::ROUTE_REQ, &[0; 4]);
+        let mut bytes = encode_frame(OTHER, &[0; 4]);
         // Forge a huge declared length; the cap must reject it without
         // trusting it.
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -320,12 +298,12 @@ mod tests {
 
     #[test]
     fn corruption_fails_the_checksum() {
-        let mut bytes = encode_frame(kind::ROUTE_RESP, &[10, 20, 30]);
+        let mut bytes = encode_frame(OTHER, &[10, 20, 30]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         assert_eq!(decode_frame(&bytes, 64), Err(FrameError::BadChecksum));
         // Corrupting the stored checksum itself is equally fatal.
-        let mut bytes = encode_frame(kind::ROUTE_RESP, &[10, 20, 30]);
+        let mut bytes = encode_frame(OTHER, &[10, 20, 30]);
         bytes[12] ^= 1;
         assert_eq!(decode_frame(&bytes, 64), Err(FrameError::BadChecksum));
     }

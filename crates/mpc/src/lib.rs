@@ -18,7 +18,7 @@
 //!
 //! All simulator operations live behind the [`ExecutionBackend`] trait
 //! (`exchange` / `charge_rounds` / `checkpoint_residency` / metrics), and
-//! every algorithm crate in the workspace is generic over it. Three backends
+//! every algorithm crate in the workspace is generic over it. Two backends
 //! ship:
 //!
 //! * [`SequentialBackend`] — the deterministic, single-threaded reference
@@ -26,18 +26,7 @@
 //! * [`ParallelBackend`] — observationally identical (same inboxes, errors,
 //!   and metrics — property-tested), but routes messages through flat,
 //!   pre-counted per-destination buffers (counting-sort routing) and runs
-//!   the per-machine metering in parallel with rayon;
-//! * [`ShardedBackend`] — observationally identical again, but partitions
-//!   the machines into `K` contiguous shards that route their own slice of
-//!   inboxes (per-shard counting sort) and exchange cross-shard traffic as
-//!   pre-counted contiguous batches — the distribution-ready shape where a
-//!   shard maps to a host;
-//! * [`ProcessBackend`] — the fault-tolerant multi-process realization of
-//!   the sharded shape: each shard runs as a supervised separate OS process
-//!   (the `dgo-worker` helper binary) speaking the framed protocol of
-//!   [`frame`] over pipes, with deterministic crash recovery
-//!   (kill/respawn/replay), per-phase deadlines, and deterministic fault
-//!   injection (`DGO_FAULT_PLAN`) for chaos testing.
+//!   the per-machine metering in parallel with rayon.
 //!
 //! Pick a backend by constructing it (or via [`BackendKind`] +
 //! [`dispatch_backend!`] on configuration surfaces) and hand it to any
@@ -99,15 +88,10 @@ mod metrics;
 pub mod primitives;
 pub mod tuning;
 mod word;
-mod worker;
 
-pub use backend::{
-    worker_peak_rss_bytes, BackendKind, Cluster, ExecutionBackend, ParallelBackend, ProcessBackend,
-    SequentialBackend, ShardedBackend,
-};
+pub use backend::{BackendKind, Cluster, ExecutionBackend, ParallelBackend, SequentialBackend};
 pub use config::ClusterConfig;
 pub use error::{MpcError, Result};
 pub use instance::{resolve_jobs, split_jobs, InstanceGroup, JobSplit};
 pub use metrics::{Metrics, RoundStats};
-pub use word::{packed_words, total_words, WirePayload, WordSized, BYTES_PER_WORD};
-pub use worker::worker_main;
+pub use word::{packed_words, total_words, WordSized, BYTES_PER_WORD};

@@ -9,7 +9,7 @@
 
 use crate::backend::ExecutionBackend;
 use crate::error::Result;
-use crate::word::WirePayload;
+use crate::word::WordSized;
 use std::collections::BTreeMap;
 
 /// Aggregates `(key, value)` items by key with the associative, commutative
@@ -43,7 +43,7 @@ pub fn aggregate_by_key<B, V, F>(
 ) -> Result<Vec<Vec<(u64, V)>>>
 where
     B: ExecutionBackend,
-    V: WirePayload + Copy + Send + Sync,
+    V: WordSized + Copy + Send + Sync,
     F: FnMut(V, V) -> V,
 {
     let m = cluster.num_machines();

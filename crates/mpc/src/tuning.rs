@@ -1,170 +1,38 @@
-//! Inline-execution cutoffs for the parallel substrate, in one place.
+//! Inline-execution cutoffs and the job-count knob, in one place.
 //!
 //! Parallel fan-out is only worth its scheduling overhead above some input
-//! size; below it, running inline on the calling thread is faster. Those
-//! cutoffs used to be scattered constants (`PARALLEL_THRESHOLD` in the
-//! parallel and sharded backends, a private 1024-item floor in
-//! `dgo_core::stage`) whose values encoded per-call *thread-spawn* cost —
-//! obsolete now that the compat-rayon substrate runs a persistent
-//! work-stealing pool and a parallel call only costs a few queue pushes.
-//! This module is the single source of truth for both knobs.
+//! size; below it, running inline on the calling thread is faster. This
+//! module is the single source of truth for both cutoffs.
 //!
 //! Two distinct cutoffs remain because the work units differ by orders of
 //! magnitude: an exchange processes whole per-machine outboxes per item,
 //! a stage map processes one vertex per item.
 //!
-//! # `DGO_INLINE_THRESHOLD`
-//!
-//! Setting the environment variable `DGO_INLINE_THRESHOLD=<n>` overrides
-//! *both* cutoffs with `n` for tuning experiments (`0` forces parallel
-//! paths everywhere, a huge value forces inline everywhere). The variable
-//! is read once per process and cached; changing it mid-process has no
-//! effect. Invalid values are ignored.
-//!
 //! Crossing a cutoff never changes results — only where the work runs.
 //! The conformance tests in this module's users pin that down by comparing
 //! outputs just below and just above each cutoff.
 //!
-//! # `DGO_WIRE_CODEC`
-//!
-//! The view-tree wire codec (`dgo_core::wire` — delta/varint compression of
-//! the Lemma 4.1 exponentiation bundles) is on by default; setting
-//! `DGO_WIRE_CODEC=0` (or `false`/`off`) reverts the bundle metering to the
-//! flat two-words-per-node model. Like the inline threshold, the variable is
-//! read once per process and cached. The switch only changes the *metered
-//! communication words* (identically on every backend); results, layers,
-//! colors, and errors never depend on it.
-//!
-//! # Multi-process supervision knobs
-//!
-//! The multi-process backend ([`ProcessBackend`](crate::ProcessBackend))
-//! reads three more variables, each once per process:
-//!
-//! * `DGO_WORKER_TIMEOUT_MS` — base per-phase supervision deadline for a
-//!   shard worker's response (default 10000). The effective deadline adds
-//!   1 ms of grace per KiB of request payload, so large scale-regime
-//!   exchanges are never mistaken for hangs; a worker that does not answer
-//!   within the effective deadline is killed and recovery kicks in.
-//! * `DGO_WORKER_RETRIES` — how many times a failed phase is retried with a
-//!   respawned worker before the typed error surfaces (default 2, i.e. three
-//!   attempts total).
-//! * `DGO_FAULT_PLAN` — deterministic fault injection, a comma-separated
-//!   list of [`FaultSpec`]s in the syntax
-//!   `kind@exchange:w<worker>[:<ms>][:route|:fill][*<count>]` where `kind`
-//!   is `kill`, `delay`, `trunc`, or `corrupt`. Example:
-//!   `kill@2:w0,delay@5:w1:300:fill` kills worker 0 at the second exchange
-//!   and delays worker 1's fifth-exchange fill response by 300 ms. Each spec
-//!   fires `count` times (default 1) and is then spent; recovery replays are
-//!   never re-faulted.
+//! The one environment variable this module reads is `DGO_JOBS`
+//! ([`env_jobs`]).
 
 use std::sync::OnceLock;
 
 /// Default minimum number of exchange messages (outbox entries in flight)
-/// before a backend's meter/route/drain loops fan out to the pool.
+/// before a backend's metering loop fans out to the pool.
 pub const DEFAULT_EXCHANGE_INLINE_THRESHOLD: usize = 4096;
 
 /// Default minimum number of per-vertex items before a
 /// `dgo_core::stage::StageExecutor` map fans out to the pool.
 pub const DEFAULT_STAGE_INLINE_THRESHOLD: usize = 1024;
 
-/// Messages-per-exchange cutoff: at or below this, backend exchanges run
-/// inline (the sharded backend additionally collapses to a single flat
-/// shard). Honors [`DGO_INLINE_THRESHOLD`](self#dgo_inline_threshold).
+/// Messages-per-exchange cutoff: below this, backend exchanges run inline.
 pub fn exchange_inline_threshold() -> usize {
-    override_threshold().unwrap_or(DEFAULT_EXCHANGE_INLINE_THRESHOLD)
+    DEFAULT_EXCHANGE_INLINE_THRESHOLD
 }
 
-/// Items-per-stage cutoff: below this, stage maps run inline. Honors
-/// [`DGO_INLINE_THRESHOLD`](self#dgo_inline_threshold).
+/// Items-per-stage cutoff: below this, stage maps run inline.
 pub fn stage_inline_threshold() -> usize {
-    override_threshold().unwrap_or(DEFAULT_STAGE_INLINE_THRESHOLD)
-}
-
-/// Whether the view-tree wire codec is enabled (the default): bundle
-/// metering charges the delta/varint-encoded length instead of the flat two
-/// words per node. Honors [`DGO_WIRE_CODEC`](self#dgo_wire_codec), read once
-/// per process.
-pub fn wire_codec_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| parse_codec_switch(std::env::var("DGO_WIRE_CODEC").ok().as_deref()))
-}
-
-/// Parses the codec switch: only an explicit `0`/`false`/`off` (trimmed,
-/// case-insensitive) disables it; unset, empty, or anything else keeps the
-/// codec on.
-fn parse_codec_switch(raw: Option<&str>) -> bool {
-    match raw {
-        Some(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off"))
-        }
-        None => true,
-    }
-}
-
-/// The cached `DGO_INLINE_THRESHOLD` override, if set and valid.
-fn override_threshold() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| parse_override(std::env::var("DGO_INLINE_THRESHOLD").ok().as_deref()))
-}
-
-/// Parses an override value: `None`/empty/invalid → no override.
-fn parse_override(raw: Option<&str>) -> Option<usize> {
-    raw?.trim().parse().ok()
-}
-
-/// Default per-phase supervision deadline for a shard worker, in
-/// milliseconds.
-pub const DEFAULT_WORKER_TIMEOUT_MS: u64 = 10_000;
-
-/// Default number of recovery retries for a failed worker phase.
-pub const DEFAULT_WORKER_RETRIES: u32 = 2;
-
-/// Per-phase supervision deadline in milliseconds for a shard worker's
-/// response. Honors `DGO_WORKER_TIMEOUT_MS`, read once per process; invalid
-/// or zero values fall back to the default.
-pub fn worker_timeout_ms() -> u64 {
-    static TIMEOUT: OnceLock<u64> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        parse_positive_u64(std::env::var("DGO_WORKER_TIMEOUT_MS").ok().as_deref())
-            .unwrap_or(DEFAULT_WORKER_TIMEOUT_MS)
-    })
-}
-
-/// Number of times a failed worker phase is retried with a respawned worker
-/// before the typed error surfaces. Honors `DGO_WORKER_RETRIES`, read once
-/// per process; invalid values fall back to the default (zero is allowed —
-/// no retries).
-pub fn worker_retries() -> u32 {
-    static RETRIES: OnceLock<u32> = OnceLock::new();
-    *RETRIES.get_or_init(|| {
-        std::env::var("DGO_WORKER_RETRIES")
-            .ok()
-            .as_deref()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_WORKER_RETRIES)
-    })
-}
-
-/// Parses a positive integer; `None`/empty/invalid/zero → `None`.
-fn parse_positive_u64(raw: Option<&str>) -> Option<u64> {
-    match raw?.trim().parse() {
-        Ok(0) | Err(_) => None,
-        Ok(v) => Some(v),
-    }
-}
-
-/// Explicit shard-worker binary override from `DGO_WORKER_BIN`, read once
-/// per process. Unset or empty → `None` (the supervisor falls back to its
-/// own executable re-invoked in worker mode).
-pub fn worker_bin_override() -> Option<&'static str> {
-    static BIN: OnceLock<Option<String>> = OnceLock::new();
-    BIN.get_or_init(|| {
-        std::env::var("DGO_WORKER_BIN")
-            .ok()
-            .filter(|v| !v.trim().is_empty())
-    })
-    .as_deref()
+    DEFAULT_STAGE_INLINE_THRESHOLD
 }
 
 /// The raw `DGO_JOBS` parallelism knob, read once per process: `None` when
@@ -180,232 +48,16 @@ pub fn env_jobs() -> Option<usize> {
     })
 }
 
-/// The fault a [`FaultSpec`] injects into a shard worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The worker process exits immediately instead of answering.
-    Kill,
-    /// The worker sleeps for the spec's `ms` before answering (use with a
-    /// short `DGO_WORKER_TIMEOUT_MS` to exercise the timeout path).
-    Delay,
-    /// The worker writes a truncated response frame, then exits.
-    TruncateFrame,
-    /// The worker flips a payload byte of its response frame, failing the
-    /// checksum.
-    CorruptFrame,
-}
-
-/// Which protocol phase a [`FaultSpec`] targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPhase {
-    /// Either phase (the default): the fault fires on the first matching
-    /// request of the exchange.
-    Any,
-    /// Only the routing request.
-    Route,
-    /// Only the inbox-fill request.
-    Fill,
-}
-
-/// One deterministic injected fault, parsed from `DGO_FAULT_PLAN` (see the
-/// [module docs](self#multi-process-supervision-knobs) for the syntax).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// What to inject.
-    pub kind: FaultKind,
-    /// 1-based exchange number the fault arms at.
-    pub exchange: u64,
-    /// Target shard worker index.
-    pub worker: usize,
-    /// Milliseconds for [`FaultKind::Delay`]; ignored by other kinds.
-    pub ms: u64,
-    /// Which protocol phase to fault.
-    pub phase: FaultPhase,
-    /// How many times the fault fires before it is spent.
-    pub count: u32,
-}
-
-/// Parses a comma-separated fault plan. Returns `None` if any spec is
-/// malformed (an unparseable plan is a configuration error worth surfacing,
-/// not silently ignoring — callers treat `None` as "reject").
-///
-/// Syntax per spec: `kind@exchange:w<worker>[:<ms>][:route|:fill][*<count>]`.
-pub fn parse_fault_plan(raw: &str) -> Option<Vec<FaultSpec>> {
-    let mut plan = Vec::new();
-    for spec in raw.split(',') {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            continue;
-        }
-        plan.push(parse_fault_spec(spec)?);
-    }
-    Some(plan)
-}
-
-/// Parses one `kind@exchange:w<worker>[:<ms>][:route|:fill][*<count>]` spec.
-fn parse_fault_spec(spec: &str) -> Option<FaultSpec> {
-    let (body, count) = match spec.split_once('*') {
-        Some((body, count)) => (body, count.trim().parse().ok().filter(|&c| c > 0)?),
-        None => (spec, 1),
-    };
-    let (kind, rest) = body.split_once('@')?;
-    let kind = match kind.trim() {
-        "kill" => FaultKind::Kill,
-        "delay" => FaultKind::Delay,
-        "trunc" => FaultKind::TruncateFrame,
-        "corrupt" => FaultKind::CorruptFrame,
-        _ => return None,
-    };
-    let mut fields = rest.split(':');
-    let exchange: u64 = fields.next()?.trim().parse().ok().filter(|&e| e > 0)?;
-    let worker = fields.next()?.trim().strip_prefix('w')?.parse().ok()?;
-    let mut ms = 0;
-    let mut phase = FaultPhase::Any;
-    for field in fields {
-        let field = field.trim();
-        match field {
-            "route" => phase = FaultPhase::Route,
-            "fill" => phase = FaultPhase::Fill,
-            _ => ms = field.parse().ok()?,
-        }
-    }
-    Some(FaultSpec {
-        kind,
-        exchange,
-        worker,
-        ms,
-        phase,
-        count,
-    })
-}
-
-/// The process-wide fault plan from `DGO_FAULT_PLAN`, read once per process.
-/// Unset or empty → empty plan; a malformed plan aborts at first use (a
-/// typo'd chaos run must not silently become a fault-free run).
-pub fn fault_plan() -> &'static [FaultSpec] {
-    static PLAN: OnceLock<Vec<FaultSpec>> = OnceLock::new();
-    PLAN.get_or_init(|| match std::env::var("DGO_FAULT_PLAN") {
-        Ok(raw) => {
-            parse_fault_plan(&raw).unwrap_or_else(|| panic!("DGO_FAULT_PLAN is malformed: {raw:?}"))
-        }
-        Err(_) => Vec::new(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_apply_without_override() {
-        // The test environment must not set the override; guard the
-        // assumption so a poisoned environment fails loudly, not subtly.
-        if std::env::var("DGO_INLINE_THRESHOLD").is_ok() {
-            return;
-        }
         assert_eq!(
             exchange_inline_threshold(),
             DEFAULT_EXCHANGE_INLINE_THRESHOLD
         );
         assert_eq!(stage_inline_threshold(), DEFAULT_STAGE_INLINE_THRESHOLD);
-    }
-
-    #[test]
-    fn codec_switch_parsing() {
-        assert!(parse_codec_switch(None));
-        assert!(parse_codec_switch(Some("")));
-        assert!(parse_codec_switch(Some("1")));
-        assert!(parse_codec_switch(Some("on")));
-        assert!(parse_codec_switch(Some("yes")));
-        assert!(!parse_codec_switch(Some("0")));
-        assert!(!parse_codec_switch(Some(" 0 ")));
-        assert!(!parse_codec_switch(Some("false")));
-        assert!(!parse_codec_switch(Some("FALSE")));
-        assert!(!parse_codec_switch(Some("off")));
-    }
-
-    #[test]
-    fn codec_default_is_on() {
-        // The test environment must not disable the codec; guard the
-        // assumption so a poisoned environment fails loudly. (The CI matrix
-        // runs a dedicated DGO_WIRE_CODEC=0 leg as a separate process.)
-        if std::env::var("DGO_WIRE_CODEC").is_ok() {
-            return;
-        }
-        assert!(wire_codec_enabled());
-    }
-
-    #[test]
-    fn override_parsing() {
-        assert_eq!(parse_override(None), None);
-        assert_eq!(parse_override(Some("")), None);
-        assert_eq!(parse_override(Some("not a number")), None);
-        assert_eq!(parse_override(Some("-3")), None);
-        assert_eq!(parse_override(Some("0")), Some(0));
-        assert_eq!(parse_override(Some(" 2048 ")), Some(2048));
-    }
-
-    #[test]
-    fn worker_knob_defaults() {
-        // Guard against a poisoned environment, as above.
-        if std::env::var("DGO_WORKER_TIMEOUT_MS").is_ok()
-            || std::env::var("DGO_WORKER_RETRIES").is_ok()
-        {
-            return;
-        }
-        assert_eq!(worker_timeout_ms(), DEFAULT_WORKER_TIMEOUT_MS);
-        assert_eq!(worker_retries(), DEFAULT_WORKER_RETRIES);
-    }
-
-    #[test]
-    fn positive_u64_parsing() {
-        assert_eq!(parse_positive_u64(None), None);
-        assert_eq!(parse_positive_u64(Some("")), None);
-        assert_eq!(parse_positive_u64(Some("0")), None);
-        assert_eq!(parse_positive_u64(Some("nope")), None);
-        assert_eq!(parse_positive_u64(Some(" 1500 ")), Some(1500));
-    }
-
-    #[test]
-    fn fault_plan_parses_minimal_spec() {
-        let plan = parse_fault_plan("kill@2:w0").unwrap();
-        assert_eq!(
-            plan,
-            vec![FaultSpec {
-                kind: FaultKind::Kill,
-                exchange: 2,
-                worker: 0,
-                ms: 0,
-                phase: FaultPhase::Any,
-                count: 1,
-            }]
-        );
-    }
-
-    #[test]
-    fn fault_plan_parses_full_spec_list() {
-        let plan =
-            parse_fault_plan("delay@5:w1:300:fill, corrupt@1:w2:route*3 ,trunc@9:w0").unwrap();
-        assert_eq!(plan.len(), 3);
-        assert_eq!(plan[0].kind, FaultKind::Delay);
-        assert_eq!(plan[0].ms, 300);
-        assert_eq!(plan[0].phase, FaultPhase::Fill);
-        assert_eq!(plan[1].kind, FaultKind::CorruptFrame);
-        assert_eq!(plan[1].phase, FaultPhase::Route);
-        assert_eq!(plan[1].count, 3);
-        assert_eq!(plan[2].kind, FaultKind::TruncateFrame);
-        assert_eq!(plan[2].exchange, 9);
-    }
-
-    #[test]
-    fn fault_plan_empty_and_malformed() {
-        assert_eq!(parse_fault_plan(""), Some(vec![]));
-        assert_eq!(parse_fault_plan(" , "), Some(vec![]));
-        assert!(parse_fault_plan("explode@1:w0").is_none()); // unknown kind
-        assert!(parse_fault_plan("kill@0:w0").is_none()); // exchange is 1-based
-        assert!(parse_fault_plan("kill@1:0").is_none()); // missing 'w'
-        assert!(parse_fault_plan("kill@1:w0*0").is_none()); // zero count
-        assert!(parse_fault_plan("kill@1:w0:sideways").is_none()); // bad phase
-        assert!(parse_fault_plan("kill@1").is_none()); // missing worker
     }
 }

@@ -1,16 +1,10 @@
-//! Word-size accounting and the word-stream payload codec.
+//! Word-size accounting.
 //!
 //! The MPC model measures memory and communication in *words* of `O(log n)`
 //! bits — one word describes a vertex id, an edge endpoint, a layer number,
 //! etc. (paper §1.1). Everything the simulator meters implements
-//! [`WordSized`].
-//!
-//! Messages that cross a *process* boundary (the multi-process
-//! [`ProcessBackend`](crate::ProcessBackend)) additionally implement
-//! [`WirePayload`]: a canonical, self-delimiting encoding into `u64` words
-//! that round-trips losslessly and rejects non-canonical streams on decode.
-//! Every type the algorithms exchange — scalars, small tuples, options,
-//! vectors — has an implementation, mirroring the [`WordSized`] impls.
+//! [`WordSized`]; exchanges move values in-process and charge their
+//! `words()`, so no message is ever serialized.
 
 /// Types whose transmission/storage cost in MPC words is known.
 ///
@@ -83,175 +77,6 @@ pub fn total_words<T: WordSized>(items: &[T]) -> usize {
     items.iter().map(WordSized::words).sum()
 }
 
-/// Canonical word-stream codec for exchange payloads.
-///
-/// A value encodes to a self-delimiting sequence of `u64` words and decodes
-/// back from the front of a word slice, advancing it. The codec is strict:
-/// `decode_words` returns `None` for any stream `encode_words` could not have
-/// produced (out-of-range scalars, bad discriminants, truncation), so
-/// corruption on a process boundary surfaces as a typed error instead of a
-/// silently different value.
-///
-/// The encoded length may exceed [`WordSized::words`] (containers carry a
-/// length prefix); model metering always charges `words()`, never the
-/// transport length.
-///
-/// # Examples
-///
-/// ```
-/// use dgo_mpc::WirePayload;
-///
-/// let mut words = Vec::new();
-/// (7u64, 3u32).encode_words(&mut words);
-/// let mut rest: &[u64] = &words;
-/// assert_eq!(<(u64, u32)>::decode_words(&mut rest), Some((7, 3)));
-/// assert!(rest.is_empty());
-/// ```
-pub trait WirePayload: WordSized + Sized {
-    /// Appends this value's canonical word encoding to `out`.
-    fn encode_words(&self, out: &mut Vec<u64>);
-
-    /// Decodes one value from the front of `words`, advancing the slice past
-    /// the consumed prefix. `None` if the stream is truncated or not
-    /// canonical; `words` is then in an unspecified position.
-    fn decode_words(words: &mut &[u64]) -> Option<Self>;
-}
-
-/// Pops the next word off the front of the slice.
-#[inline]
-fn take_word(words: &mut &[u64]) -> Option<u64> {
-    let (&first, rest) = words.split_first()?;
-    *words = rest;
-    Some(first)
-}
-
-macro_rules! impl_wire_payload_unsigned {
-    ($($t:ty),*) => {
-        $(impl WirePayload for $t {
-            fn encode_words(&self, out: &mut Vec<u64>) {
-                out.push(*self as u64);
-            }
-            fn decode_words(words: &mut &[u64]) -> Option<Self> {
-                <$t>::try_from(take_word(words)?).ok()
-            }
-        })*
-    };
-}
-
-macro_rules! impl_wire_payload_signed {
-    ($($t:ty),*) => {
-        $(impl WirePayload for $t {
-            fn encode_words(&self, out: &mut Vec<u64>) {
-                // Sign-extend through i64 so the one-word form is canonical.
-                out.push(*self as i64 as u64);
-            }
-            fn decode_words(words: &mut &[u64]) -> Option<Self> {
-                <$t>::try_from(take_word(words)? as i64).ok()
-            }
-        })*
-    };
-}
-
-impl_wire_payload_unsigned!(u8, u16, u32, u64, usize);
-impl_wire_payload_signed!(i8, i16, i32, i64, isize);
-
-impl WirePayload for bool {
-    fn encode_words(&self, out: &mut Vec<u64>) {
-        out.push(u64::from(*self));
-    }
-    fn decode_words(words: &mut &[u64]) -> Option<Self> {
-        match take_word(words)? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
-impl<A: WirePayload, B: WirePayload> WirePayload for (A, B) {
-    fn encode_words(&self, out: &mut Vec<u64>) {
-        self.0.encode_words(out);
-        self.1.encode_words(out);
-    }
-    fn decode_words(words: &mut &[u64]) -> Option<Self> {
-        Some((A::decode_words(words)?, B::decode_words(words)?))
-    }
-}
-
-impl<A: WirePayload, B: WirePayload, C: WirePayload> WirePayload for (A, B, C) {
-    fn encode_words(&self, out: &mut Vec<u64>) {
-        self.0.encode_words(out);
-        self.1.encode_words(out);
-        self.2.encode_words(out);
-    }
-    fn decode_words(words: &mut &[u64]) -> Option<Self> {
-        Some((
-            A::decode_words(words)?,
-            B::decode_words(words)?,
-            C::decode_words(words)?,
-        ))
-    }
-}
-
-impl<A: WirePayload, B: WirePayload, C: WirePayload, D: WirePayload> WirePayload for (A, B, C, D) {
-    fn encode_words(&self, out: &mut Vec<u64>) {
-        self.0.encode_words(out);
-        self.1.encode_words(out);
-        self.2.encode_words(out);
-        self.3.encode_words(out);
-    }
-    fn decode_words(words: &mut &[u64]) -> Option<Self> {
-        Some((
-            A::decode_words(words)?,
-            B::decode_words(words)?,
-            C::decode_words(words)?,
-            D::decode_words(words)?,
-        ))
-    }
-}
-
-impl<T: WirePayload> WirePayload for Option<T> {
-    fn encode_words(&self, out: &mut Vec<u64>) {
-        match self {
-            None => out.push(0),
-            Some(value) => {
-                out.push(1);
-                value.encode_words(out);
-            }
-        }
-    }
-    fn decode_words(words: &mut &[u64]) -> Option<Self> {
-        match take_word(words)? {
-            0 => Some(None),
-            1 => Some(Some(T::decode_words(words)?)),
-            _ => None,
-        }
-    }
-}
-
-impl<T: WirePayload> WirePayload for Vec<T> {
-    fn encode_words(&self, out: &mut Vec<u64>) {
-        out.push(self.len() as u64);
-        for item in self {
-            item.encode_words(out);
-        }
-    }
-    fn decode_words(words: &mut &[u64]) -> Option<Self> {
-        let len = take_word(words)?;
-        // Each element costs at least one word, so a length beyond the
-        // remaining stream can never be satisfied — reject before sizing any
-        // allocation off a corrupted prefix.
-        if len as usize > words.len() {
-            return None;
-        }
-        let mut items = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            items.push(T::decode_words(words)?);
-        }
-        Some(items)
-    }
-}
-
 /// Bytes one MPC word carries when a byte-granular stream (e.g. the
 /// `dgo_core::wire` varint codec) is packed into the word model: the model's
 /// `O(log n)` words are realized as `u64` here, so eight bytes ride per word.
@@ -317,77 +142,5 @@ mod tests {
         assert_eq!(packed_words(BYTES_PER_WORD), 1);
         assert_eq!(packed_words(BYTES_PER_WORD + 1), 2);
         assert_eq!(packed_words(5 * BYTES_PER_WORD), 5);
-    }
-
-    fn round_trip<T: WirePayload + PartialEq + std::fmt::Debug>(value: T) {
-        let mut words = Vec::new();
-        value.encode_words(&mut words);
-        let mut rest: &[u64] = &words;
-        assert_eq!(T::decode_words(&mut rest), Some(value));
-        assert!(rest.is_empty(), "decode must consume the whole encoding");
-    }
-
-    #[test]
-    fn payload_scalars_round_trip() {
-        round_trip(0u8);
-        round_trip(u8::MAX);
-        round_trip(u32::MAX);
-        round_trip(u64::MAX);
-        round_trip(usize::MAX);
-        round_trip(-1i8);
-        round_trip(i32::MIN);
-        round_trip(i64::MIN);
-        round_trip(true);
-        round_trip(false);
-    }
-
-    #[test]
-    fn payload_compounds_round_trip() {
-        round_trip((5u64, 9u64));
-        round_trip((1u32, -2i64, 3usize));
-        round_trip((1u8, 2u16, 3u32, 4u64));
-        round_trip(Some((7u64, 8u64)));
-        round_trip(None::<u64>);
-        round_trip(vec![1u64, 2, 3]);
-        round_trip(Vec::<u32>::new());
-        round_trip(vec![(1u64, 2u64), (3, 4)]);
-    }
-
-    #[test]
-    fn payload_decode_is_strict() {
-        // Out-of-range scalar.
-        let words = [300u64];
-        assert_eq!(u8::decode_words(&mut &words[..]), None);
-        // Bad bool / Option discriminants.
-        assert_eq!(bool::decode_words(&mut &[2u64][..]), None);
-        assert_eq!(Option::<u64>::decode_words(&mut &[2u64, 0][..]), None);
-        // Truncated tuple and vector.
-        assert_eq!(<(u64, u64)>::decode_words(&mut &[1u64][..]), None);
-        assert_eq!(Vec::<u64>::decode_words(&mut &[3u64, 1, 2][..]), None);
-        // Vector length far beyond the stream must not allocate or loop.
-        assert_eq!(Vec::<u64>::decode_words(&mut &[u64::MAX, 0][..]), None);
-        // Empty stream.
-        assert_eq!(u64::decode_words(&mut &[][..]), None);
-    }
-
-    #[test]
-    fn payload_signed_sign_extends() {
-        let mut words = Vec::new();
-        (-1i32).encode_words(&mut words);
-        assert_eq!(words, vec![u64::MAX]);
-        assert_eq!(i32::decode_words(&mut &words[..]), Some(-1));
-        // A value outside i32 range is rejected, not wrapped.
-        let too_big = [(i32::MAX as i64 + 1) as u64];
-        assert_eq!(i32::decode_words(&mut &too_big[..]), None);
-    }
-
-    #[test]
-    fn payload_decode_advances_slice() {
-        let mut words = Vec::new();
-        (4u64, 5u64).encode_words(&mut words);
-        9u64.encode_words(&mut words);
-        let mut rest: &[u64] = &words;
-        assert_eq!(<(u64, u64)>::decode_words(&mut rest), Some((4, 5)));
-        assert_eq!(rest, &[9u64]);
     }
 }

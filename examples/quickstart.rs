@@ -3,12 +3,12 @@
 //!
 //! ```bash
 //! cargo run --release --example quickstart
-//! cargo run --release --example quickstart -- --backend sharded:4
+//! cargo run --release --example quickstart -- --backend parallel
 //! ```
 //!
-//! `--backend <sequential|parallel|sharded[:K]>` picks the execution
-//! backend (default: sequential). Every backend prints identical numbers —
-//! the choice is purely a host-performance decision.
+//! `--backend <sequential|parallel>` picks the execution backend (default:
+//! sequential). Both backends print identical numbers — the choice is
+//! purely a host-performance decision.
 
 use dgo::core::{color_on, estimate_lambda, orient_on, Params};
 use dgo::graph::generators::gnm;

@@ -1,18 +1,14 @@
 //! Backend-equivalence property tests.
 //!
-//! The contract of the execution-backend refactor: [`SequentialBackend`],
-//! [`ParallelBackend`], and [`ShardedBackend`] are *observationally
-//! identical*. Every property here runs the same computation on the backends
-//! and asserts bit-identical outputs — orientations, colorings, layerings,
-//! coreness estimates — and bit-identical MPC metrics (rounds, communication
-//! volume, per-round loads, memory peaks), across the gnm, Barabási–Albert,
-//! and planted-forest workload families and many seeds. The sharded backend
-//! is additionally swept across shard counts (1, 2, 7): the shard partition
-//! is purely a routing-batch decision and must never show in the results.
-//! The multi-process backend ([`ProcessBackend`]) is held to the same
-//! contract at worker counts (1, 2, 7) — including runs where workers are
-//! killed mid-computation by the deterministic fault plan and the
-//! supervisor recovers by respawn-and-replay.
+//! The contract of the execution-backend refactor: [`SequentialBackend`] and
+//! [`ParallelBackend`] are *observationally identical*. Every property here
+//! runs the same computation on both backends and asserts bit-identical
+//! outputs — orientations, colorings, layerings, coreness estimates — and
+//! bit-identical MPC metrics (rounds, communication volume, per-round loads,
+//! memory peaks), across the gnm, Barabási–Albert, and planted-forest
+//! workload families and many seeds. The parallel backend is additionally
+//! swept across thread counts (1, 2, 7): the fan-out is purely a scheduling
+//! decision and must never show in the results.
 
 use dgo::core::{
     approximate_coreness_on, color_on, complete_layering_on, exponentiate_and_prune, orient_on,
@@ -22,34 +18,15 @@ use dgo::graph::generators::{barabasi_albert, gnm, random_forest};
 use dgo::graph::Graph;
 use dgo::local::direct_peeling_mpc_on;
 use dgo::mpc::{
-    ClusterConfig, ExecutionBackend, Metrics, MpcError, ParallelBackend, ProcessBackend,
-    SequentialBackend, ShardedBackend,
+    ClusterConfig, ExecutionBackend, Metrics, MpcError, ParallelBackend, SequentialBackend,
 };
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-mod common;
 
 const SEEDS: [u64; 4] = [1, 7, 42, 0xD60];
 
-/// The shard counts the acceptance contract sweeps (a trivial single shard,
-/// an even split, and a ragged split that leaves a short tail shard).
-const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
-
-/// The worker counts the multi-process acceptance contract sweeps.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
-
-/// Serializes the tests that flip the process backend's process-wide
-/// defaults (worker count, fault plan), and makes sure the worker binary
-/// exists so those tests exercise real processes.
-static PROCESS_DEFAULTS: Mutex<()> = Mutex::new(());
-
-fn process_lock() -> MutexGuard<'static, ()> {
-    common::ensure_worker_built();
-    PROCESS_DEFAULTS
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
+/// The thread counts the acceptance contract sweeps (inline, an even split,
+/// and a ragged odd split).
+const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// The three generator families the equivalence contract is checked on.
 fn workloads(n: usize, seed: u64) -> Vec<(&'static str, Graph)> {
@@ -152,176 +129,22 @@ fn layerings_and_coreness_bit_identical() {
 }
 
 #[test]
-fn sharded_orientations_and_colorings_bit_identical_across_shard_counts() {
-    // The sharded backend is constructed deep inside the entry points via
-    // `from_config`, so the shard count travels through the process default —
-    // exactly the path `--backend sharded:K` uses. The default is safe to
-    // flip mid-suite: every shard count must produce identical results, so
-    // no other test can observe it.
-    for shards in SHARD_COUNTS {
-        ShardedBackend::set_default_shards(Some(shards));
-        for (family, g) in workloads(500, 7) {
-            let params = Params::practical(g.num_vertices());
-            let context = format!("orient/{family}/shards{shards}");
-            let seq = orient_on::<SequentialBackend>(&g, &params).expect("sequential orient");
-            let sharded = orient_on::<ShardedBackend>(&g, &params).expect("sharded orient");
-            assert_eq!(
-                seq.orientation, sharded.orientation,
-                "{context}: orientations differ"
-            );
-            assert_eq!(
-                seq.layering, sharded.layering,
-                "{context}: layerings differ"
-            );
-            assert_eq!(seq.stats, sharded.stats, "{context}: stats differ");
-            assert_metrics_eq(&context, &seq.metrics, &sharded.metrics);
-
-            let context = format!("color/{family}/shards{shards}");
-            let seq = color_on::<SequentialBackend>(&g, &params).expect("sequential color");
-            let sharded = color_on::<ShardedBackend>(&g, &params).expect("sharded color");
-            assert_eq!(
-                seq.coloring, sharded.coloring,
-                "{context}: colorings differ"
-            );
-            assert_eq!(seq.stats, sharded.stats, "{context}: stats differ");
-            assert_metrics_eq(&context, &seq.metrics, &sharded.metrics);
-        }
-    }
-    ShardedBackend::set_default_shards(None);
-}
-
-#[test]
-fn sharded_layerings_and_coreness_bit_identical_across_shard_counts() {
-    for shards in SHARD_COUNTS {
+fn parallel_layerings_bit_identical_across_thread_counts() {
+    for threads in THREAD_COUNTS {
         for (family, g) in workloads(400, 11) {
             let params = Params::practical(g.num_vertices());
-            // The explicit-construction path: `with_shards` pins the count
-            // per backend, independent of the process default.
-            let context = format!("layering/{family}/shards{shards}");
+            // Explicit construction pins the thread count per backend.
+            let context = format!("layering/{family}/threads{threads}");
             let config = dgo::core::layering_config(&g, &params);
             let mut seq = SequentialBackend::new(config);
-            let mut sharded = ShardedBackend::new(config).with_shards(shards);
+            let mut par = ParallelBackend::new(config).with_threads(threads);
             let seq_out = dgo::core::complete_layering_in(&g, &params, &mut seq).expect("layering");
-            let sharded_out =
-                dgo::core::complete_layering_in(&g, &params, &mut sharded).expect("layering");
-            assert_eq!(seq_out.0, sharded_out.0, "{context}: layerings differ");
-            assert_eq!(seq_out.1, sharded_out.1, "{context}: stats differ");
-            assert_metrics_eq(&context, seq.metrics(), sharded.metrics());
-
-            let context = format!("coreness/{family}/shards{shards}");
-            ShardedBackend::set_default_shards(Some(shards));
-            let seq =
-                approximate_coreness_on::<SequentialBackend>(&g, 0.5, &params).expect("coreness");
-            let sharded =
-                approximate_coreness_on::<ShardedBackend>(&g, 0.5, &params).expect("coreness");
-            assert_eq!(
-                seq.estimate, sharded.estimate,
-                "{context}: estimates differ"
-            );
-            assert_eq!(seq.guesses, sharded.guesses, "{context}: ladders differ");
-            assert_metrics_eq(&context, &seq.metrics, &sharded.metrics);
+            let par_out = dgo::core::complete_layering_in(&g, &params, &mut par).expect("layering");
+            assert_eq!(seq_out.0, par_out.0, "{context}: layerings differ");
+            assert_eq!(seq_out.1, par_out.1, "{context}: stats differ");
+            assert_metrics_eq(&context, seq.metrics(), par.metrics());
         }
     }
-    ShardedBackend::set_default_shards(None);
-}
-
-#[test]
-fn process_orientations_and_colorings_bit_identical_across_worker_counts() {
-    // The multi-process backend is constructed inside the entry points via
-    // `from_config`, so the worker count travels through the process default
-    // — exactly the path `--backend process:K` uses.
-    let _guard = process_lock();
-    for workers in WORKER_COUNTS {
-        ProcessBackend::set_default_workers(Some(workers));
-        for (family, g) in workloads(400, 7) {
-            let params = Params::practical(g.num_vertices());
-            let context = format!("orient/{family}/workers{workers}");
-            let seq = orient_on::<SequentialBackend>(&g, &params).expect("sequential orient");
-            let proc = orient_on::<ProcessBackend>(&g, &params).expect("process orient");
-            assert_eq!(
-                seq.orientation, proc.orientation,
-                "{context}: orientations differ"
-            );
-            assert_eq!(seq.layering, proc.layering, "{context}: layerings differ");
-            assert_eq!(seq.stats, proc.stats, "{context}: stats differ");
-            assert_metrics_eq(&context, &seq.metrics, &proc.metrics);
-        }
-        let g = gnm(400, 1200, 7);
-        let params = Params::practical(g.num_vertices());
-        let context = format!("color/gnm/workers{workers}");
-        let seq = color_on::<SequentialBackend>(&g, &params).expect("sequential color");
-        let proc = color_on::<ProcessBackend>(&g, &params).expect("process color");
-        assert_eq!(seq.coloring, proc.coloring, "{context}: colorings differ");
-        assert_eq!(seq.stats, proc.stats, "{context}: stats differ");
-        assert_metrics_eq(&context, &seq.metrics, &proc.metrics);
-    }
-    ProcessBackend::set_default_workers(None);
-}
-
-#[test]
-fn process_layerings_and_coreness_bit_identical_across_worker_counts() {
-    let _guard = process_lock();
-    let g = gnm(300, 900, 11);
-    let params = Params::practical(g.num_vertices());
-    for workers in WORKER_COUNTS {
-        // Explicit construction pins the worker count per backend and lets
-        // the test assert that real worker processes actually served the
-        // exchanges (no silent downgrade to the in-process path).
-        let context = format!("layering/gnm/workers{workers}");
-        let config = dgo::core::layering_config(&g, &params);
-        let mut seq = SequentialBackend::new(config);
-        let mut proc = ProcessBackend::new(config).with_workers(workers);
-        let seq_out = dgo::core::complete_layering_in(&g, &params, &mut seq).expect("layering");
-        let proc_out = dgo::core::complete_layering_in(&g, &params, &mut proc).expect("layering");
-        assert!(
-            !proc.is_degraded(),
-            "{context}: expected real worker processes (is dgo-worker built?)"
-        );
-        assert_eq!(seq_out.0, proc_out.0, "{context}: layerings differ");
-        assert_eq!(seq_out.1, proc_out.1, "{context}: stats differ");
-        assert_metrics_eq(&context, seq.metrics(), proc.metrics());
-
-        let context = format!("coreness/gnm/workers{workers}");
-        ProcessBackend::set_default_workers(Some(workers));
-        let seq = approximate_coreness_on::<SequentialBackend>(&g, 0.5, &params).expect("coreness");
-        let proc = approximate_coreness_on::<ProcessBackend>(&g, 0.5, &params).expect("coreness");
-        assert_eq!(seq.estimate, proc.estimate, "{context}: estimates differ");
-        assert_eq!(seq.guesses, proc.guesses, "{context}: ladders differ");
-        assert_metrics_eq(&context, &seq.metrics, &proc.metrics);
-    }
-    ProcessBackend::set_default_workers(None);
-}
-
-#[test]
-fn process_recovery_from_injected_kills_is_bit_identical() {
-    // Workers are killed mid-computation at planned exchanges; the
-    // supervisor respawns them and replays, and every observable — results,
-    // stats, and full metrics — must stay bit-identical to the sequential
-    // reference. The per-spec budgets are finite, so the replays themselves
-    // run fault-free.
-    let _guard = process_lock();
-    ProcessBackend::set_default_workers(Some(2));
-    ProcessBackend::set_default_fault_plan(Some(
-        "kill@2:w0,kill@3:w1:route,kill@5:w0:fill,delay@4:w1:30",
-    ));
-    let g = gnm(400, 1200, 42);
-    let params = Params::practical(g.num_vertices());
-    let seq = orient_on::<SequentialBackend>(&g, &params).expect("sequential orient");
-    let proc = orient_on::<ProcessBackend>(&g, &params).expect("process orient under kills");
-    assert_eq!(
-        seq.orientation, proc.orientation,
-        "kills: orientations differ"
-    );
-    assert_eq!(seq.layering, proc.layering, "kills: layerings differ");
-    assert_eq!(seq.stats, proc.stats, "kills: stats differ");
-    assert_metrics_eq("orient/kills", &seq.metrics, &proc.metrics);
-
-    let seq = approximate_coreness_on::<SequentialBackend>(&g, 0.5, &params).expect("coreness");
-    let proc = approximate_coreness_on::<ProcessBackend>(&g, 0.5, &params).expect("coreness");
-    assert_eq!(seq.estimate, proc.estimate, "kills: estimates differ");
-    assert_metrics_eq("coreness/kills", &seq.metrics, &proc.metrics);
-    ProcessBackend::set_default_fault_plan(None);
-    ProcessBackend::set_default_workers(None);
 }
 
 #[test]
@@ -341,13 +164,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Raw exchange equivalence on arbitrary traffic: same inboxes (in the
-    /// deterministic (source, production) order) and same metrics on every
-    /// backend, the sharded one at an arbitrary shard count.
+    /// deterministic (source, production) order) and same metrics on both
+    /// backends, the parallel one at an arbitrary thread count.
     #[test]
     fn exchange_equivalence(
         machines in 1usize..24,
         per_machine in 0usize..40,
-        shards in 1usize..9,
+        threads in 1usize..9,
         seed in any::<u64>(),
     ) {
         use rand::rngs::StdRng;
@@ -362,24 +185,20 @@ proptest! {
             .collect();
         let config = ClusterConfig::new(machines, 1 << 16);
         let mut seq = SequentialBackend::new(config);
-        let mut par = ParallelBackend::new(config);
-        let mut sharded = ShardedBackend::new(config).with_shards(shards);
+        let mut par = ParallelBackend::new(config).with_threads(threads);
         let seq_inbox = ExecutionBackend::exchange(&mut seq, outbox.clone()).unwrap();
-        let par_inbox = par.exchange(outbox.clone()).unwrap();
-        let sharded_inbox = sharded.exchange(outbox).unwrap();
+        let par_inbox = par.exchange(outbox).unwrap();
         prop_assert_eq!(&seq_inbox, &par_inbox);
-        prop_assert_eq!(&seq_inbox, &sharded_inbox);
         prop_assert_eq!(seq.metrics(), par.metrics());
-        prop_assert_eq!(seq.metrics(), sharded.metrics());
     }
 
-    /// Error parity on starved clusters: every backend rejects the same
+    /// Error parity on starved clusters: both backends reject the same
     /// overloaded exchanges with the same error.
     #[test]
     fn exchange_error_parity(
         machines in 2usize..8,
         capacity in 1usize..6,
-        shards in 1usize..9,
+        threads in 1usize..9,
         seed in any::<u64>(),
     ) {
         use rand::rngs::StdRng;
@@ -392,21 +211,15 @@ proptest! {
             .collect();
         let config = ClusterConfig::new(machines, capacity);
         let mut seq = SequentialBackend::new(config);
-        let mut par = ParallelBackend::new(config);
-        let mut sharded = ShardedBackend::new(config).with_shards(shards);
+        let mut par = ParallelBackend::new(config).with_threads(threads);
         let seq_out: Result<_, MpcError> = ExecutionBackend::exchange(&mut seq, outbox.clone());
-        let par_out = par.exchange(outbox.clone());
-        let sharded_out = sharded.exchange(outbox);
+        let par_out = par.exchange(outbox);
         match (&seq_out, &par_out) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "divergent outcomes: {a:?} vs {b:?}"),
         }
-        match (seq_out, sharded_out) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "divergent sharded outcomes: {a:?} vs {b:?}"),
-        }
+        prop_assert_eq!(seq.metrics(), par.metrics());
     }
 
     /// Algorithm-level equivalence on small random instances, including the
@@ -422,26 +235,17 @@ proptest! {
         let g = gnm(n, m.min(n * (n - 1) / 2), seed);
         let mut seq = SequentialBackend::new(ClusterConfig::new(512, 4096));
         let mut par = ParallelBackend::new(ClusterConfig::new(512, 4096));
-        let mut sharded = ShardedBackend::new(ClusterConfig::new(512, 4096)).with_shards(7);
         let seq_exp = exponentiate_and_prune(&g, 64, k, steps, &mut seq).unwrap();
         let par_exp = exponentiate_and_prune(&g, 64, k, steps, &mut par).unwrap();
-        let sharded_exp = exponentiate_and_prune(&g, 64, k, steps, &mut sharded).unwrap();
         prop_assert_eq!(&seq_exp.trees, &par_exp.trees);
         prop_assert_eq!(&seq_exp.active, &par_exp.active);
-        prop_assert_eq!(&seq_exp.trees, &sharded_exp.trees);
-        prop_assert_eq!(&seq_exp.active, &sharded_exp.active);
         prop_assert_eq!(seq.metrics(), par.metrics());
-        prop_assert_eq!(seq.metrics(), sharded.metrics());
 
         let mut seq = SequentialBackend::new(ClusterConfig::new(512, 4096));
         let mut par = ParallelBackend::new(ClusterConfig::new(512, 4096));
-        let mut sharded = ShardedBackend::new(ClusterConfig::new(512, 4096)).with_shards(3);
         let seq_pla = partial_layer_assignment(&g, 64, k, 3, steps, &mut seq).unwrap();
         let par_pla = partial_layer_assignment(&g, 64, k, 3, steps, &mut par).unwrap();
-        let sharded_pla = partial_layer_assignment(&g, 64, k, 3, steps, &mut sharded).unwrap();
         prop_assert_eq!(&seq_pla.layering, &par_pla.layering);
-        prop_assert_eq!(&seq_pla.layering, &sharded_pla.layering);
         prop_assert_eq!(seq.metrics(), par.metrics());
-        prop_assert_eq!(seq.metrics(), sharded.metrics());
     }
 }

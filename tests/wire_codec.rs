@@ -7,9 +7,7 @@
 use dgo::core::wire;
 use dgo::core::{exponentiate_and_prune_staged, StageExecutor, ViewTree};
 use dgo::graph::generators::gnm;
-use dgo::mpc::{
-    tuning, ClusterConfig, ExecutionBackend, ParallelBackend, SequentialBackend, ShardedBackend,
-};
+use dgo::mpc::{ClusterConfig, ExecutionBackend, ParallelBackend, SequentialBackend};
 use proptest::prelude::*;
 
 /// Deterministically grows a random tree from a seed: start from a root and
@@ -105,9 +103,8 @@ proptest! {
 }
 
 /// The bundle meters are recorded by the algorithm layer, so every backend
-/// must report byte-for-byte identical wire and flat word counts — and with
-/// the codec on, the wire figure must be strictly below flat whenever
-/// bundles ship at all.
+/// must report byte-for-byte identical wire and flat word counts — and the
+/// wire figure must be strictly below flat whenever bundles ship at all.
 #[test]
 fn bundle_meters_identical_across_backends_and_jobs() {
     let g = gnm(48, 140, 11);
@@ -116,32 +113,23 @@ fn bundle_meters_identical_across_backends_and_jobs() {
     for jobs in [1usize, 2, 0] {
         let stage = StageExecutor::new(jobs);
         let mut seq = SequentialBackend::new(config);
-        let mut par = ParallelBackend::new(config);
-        let mut sharded = ShardedBackend::new(config).with_shards(5);
         let s = exponentiate_and_prune_staged(&g, 64, 2, 3, &mut seq, &stage).unwrap();
-        let p = exponentiate_and_prune_staged(&g, 64, 2, 3, &mut par, &stage).unwrap();
-        let h = exponentiate_and_prune_staged(&g, 64, 2, 3, &mut sharded, &stage).unwrap();
-        assert_eq!(s.trees, p.trees);
-        assert_eq!(s.trees, h.trees);
-        assert_eq!(seq.metrics(), par.metrics(), "jobs {jobs}: metrics differ");
-        assert_eq!(
-            seq.metrics(),
-            sharded.metrics(),
-            "jobs {jobs}: metrics differ"
-        );
+        for threads in [1usize, 2, 7] {
+            let mut par = ParallelBackend::new(config).with_threads(threads);
+            let p = exponentiate_and_prune_staged(&g, 64, 2, 3, &mut par, &stage).unwrap();
+            let context = format!("jobs {jobs}, threads {threads}");
+            assert_eq!(s.trees, p.trees, "{context}: trees differ");
+            assert_eq!(seq.metrics(), par.metrics(), "{context}: metrics differ");
+        }
         let m = seq.metrics().clone();
         assert!(m.bundle_flat_words > 0, "workload must ship bundles");
         assert!(m.bundle_wire_words > 0);
-        if tuning::wire_codec_enabled() {
-            assert!(
-                m.bundle_wire_words < m.bundle_flat_words,
-                "codec on: wire {} must beat flat {}",
-                m.bundle_wire_words,
-                m.bundle_flat_words
-            );
-        } else {
-            assert_eq!(m.bundle_wire_words, m.bundle_flat_words);
-        }
+        assert!(
+            m.bundle_wire_words < m.bundle_flat_words,
+            "wire {} must beat flat {}",
+            m.bundle_wire_words,
+            m.bundle_flat_words
+        );
         assert!(m.bundle_wire_words <= m.total_comm_words);
         match &reference {
             None => reference = Some(m),
