@@ -2,10 +2,10 @@
 //!
 //! The backends are observationally equivalent (identical results and MPC
 //! metrics — see the `backend_equivalence` test suite), so this measures the
-//! pure host-side cost difference — counting-sort routing into pre-counted
-//! buffers plus pool-parallel metering (`parallel`) against the
-//! single-threaded reference — on the full Theorem 1.1/1.2 pipelines and on
-//! a raw exchange-heavy workload.
+//! pure host-side cost difference — the same flat counting-sort routing
+//! with its per-machine metering split over the pool (`parallel`) against
+//! the single-threaded reference — on the full Theorem 1.1/1.2 pipelines and
+//! on a raw exchange-heavy workload.
 //!
 //! Besides the human-readable timing lines, every run writes
 //! `BENCH_engine.json` (see `dgo_bench::report`) into the working directory:
@@ -17,7 +17,9 @@ use criterion::{BenchmarkId, Criterion};
 use dgo_bench::report::{peak_rss_bytes, quick_mode, resolved_jobs, BenchLeg, BenchReport};
 use dgo_core::{color_on, orient_on, Params};
 use dgo_graph::generators::{gnm, Family};
-use dgo_mpc::{ClusterConfig, ExecutionBackend, Metrics, ParallelBackend, SequentialBackend};
+use dgo_mpc::{
+    ClusterConfig, ExecutionBackend, Metrics, ParallelBackend, PerMachine, SequentialBackend,
+};
 
 /// `DGO_BENCH_QUICK=1` shrinks every sweep to its smallest leg with few
 /// samples — the CI smoke mode (seconds, not minutes).
@@ -127,13 +129,14 @@ fn bench_raw_exchange(c: &mut Criterion, report: &mut BenchReport) {
     group.sample_size(if quick() { 3 } else { 10 });
     let machine_counts: &[usize] = if quick() { &[64] } else { &[64, 256] };
     for &machines in machine_counts {
-        let outbox: Vec<Vec<(usize, (u64, u64))>> = (0..machines)
+        let outbox: PerMachine<(usize, (u64, u64))> = (0..machines)
             .map(|src| {
                 (0..machines)
                     .map(|dst| (dst, ((src * machines + dst) as u64, dst as u64)))
                     .collect()
             })
-            .collect();
+            .collect::<Vec<Vec<_>>>()
+            .into();
         let config = ClusterConfig::new(machines, 1 << 20);
         group.bench_with_input(
             BenchmarkId::new("sequential", machines),

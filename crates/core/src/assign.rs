@@ -13,7 +13,7 @@ use crate::exponentiate::{exponentiate_and_prune_staged, ExponentiationResult};
 use crate::stage::StageExecutor;
 use dgo_graph::{Graph, LayerAssignment};
 use dgo_mpc::primitives::aggregate_by_key;
-use dgo_mpc::ExecutionBackend;
+use dgo_mpc::{ExecutionBackend, PerMachine};
 
 /// Min-combines per-tree layer assignments into a graph-wide partial layer
 /// assignment (the final step of Algorithm 4), metered as one MPC
@@ -30,17 +30,23 @@ pub fn combine_tree_layers<B: ExecutionBackend>(
     cluster: &mut B,
 ) -> Result<LayerAssignment> {
     let machines = cluster.num_machines();
-    // Proposals originate wherever the owning tree lives; spread them.
-    let mut per_machine: Vec<Vec<(u64, u64)>> = vec![Vec::new(); machines];
-    for (i, (v, layer)) in proposals.into_iter().enumerate() {
-        per_machine[i % machines].push((v, u64::from(layer)));
+    // Proposals originate wherever the owning tree lives; spread them
+    // round-robin, proposal `i` on machine `i mod M`, straight into the flat
+    // per-machine buffer.
+    let mut per_machine = PerMachine::with_capacity(machines, proposals.len());
+    for machine in 0..machines {
+        per_machine.push_machine(
+            proposals
+                .iter()
+                .skip(machine)
+                .step_by(machines)
+                .map(|&(v, layer)| (v, u64::from(layer))),
+        );
     }
     let combined = aggregate_by_key(cluster, per_machine, u64::min)?;
     let mut layering = LayerAssignment::unassigned(n);
-    for records in combined {
-        for (v, layer) in records {
-            layering.set_layer(v as usize, layer as u32);
-        }
+    for &(v, layer) in combined.items() {
+        layering.set_layer(v as usize, layer as u32);
     }
     Ok(layering)
 }
@@ -224,6 +230,42 @@ mod tests {
         assert_eq!(la.layer(2), 2);
         assert!(!la.is_assigned(1));
         assert!(!la.is_assigned(3));
+    }
+
+    #[test]
+    fn combine_wraps_proposals_around_the_machines() {
+        // Ten proposals on three machines: proposal i starts on machine
+        // i mod 3, so machine 0 holds proposals 0, 3, 6, 9 — three for the
+        // hot vertex 4 and one for vertex 7 — machine 1 holds 1, 4, 7 (two
+        // duplicates of vertex 2) and machine 2 holds 2, 5, 8.
+        let proposals = vec![
+            (4u64, 5u32), // machine 0
+            (2, 3),       // machine 1
+            (4, 6),       // machine 2
+            (4, 2),       // machine 0
+            (2, 3),       // machine 1
+            (5, 1),       // machine 2
+            (7, 9),       // machine 0
+            (4, 4),       // machine 1
+            (2, 8),       // machine 2
+            (4, 7),       // machine 0
+        ];
+        let mut cluster = Cluster::new(ClusterConfig::new(3, 64));
+        let la = combine_tree_layers(8, proposals, &mut cluster).unwrap();
+        let layers: Vec<u32> = (0..8).map(|v| la.layer(v)).collect();
+        let u = dgo_graph::UNASSIGNED;
+        assert_eq!(layers, [u, u, 3, u, 2, 1, u, 9]);
+        // Pre-combined, machine 0 sends {4, 7}, machine 1 {2, 4} and
+        // machine 2 {2, 4, 5}: seven two-word records. Machine 1 is home to
+        // vertices 4 and 7 and receives four records, machine 2 (home to 2
+        // and 5) three.
+        let m = cluster.metrics();
+        assert_eq!(m.rounds, 1);
+        let round = m.round_log[0];
+        assert_eq!(
+            (round.total_words, round.max_sent, round.max_received),
+            (14, 6, 8)
+        );
     }
 
     #[test]

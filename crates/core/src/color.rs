@@ -34,7 +34,6 @@ use dgo_local::randomized_list_coloring;
 use dgo_mpc::instance::{check_group_capacity, run_indexed, split_jobs};
 use dgo_mpc::primitives::gather_bundles;
 use dgo_mpc::{ClusterConfig, ExecutionBackend, Metrics, SequentialBackend};
-use std::collections::BTreeMap;
 
 /// Execution statistics of the coloring pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,19 +239,17 @@ fn color_single<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
         // --- Lemma 4.1 gather: batch vertices learn the colors of their
         // strictly-higher (already colored) neighbors. ---
         let mut requests: Vec<(u64, u64)> = Vec::new();
-        let mut bundles: BTreeMap<u64, u32> = BTreeMap::new();
         for layer in (lo + 1)..=hi {
             for &v in &layer_members[layer as usize] {
                 for &w in graph.neighbors(v) {
-                    let w = w as usize;
-                    if layering.layer(w) > hi {
-                        requests.push((v as u64, w as u64));
-                        bundles.insert(w as u64, colors[w]);
+                    if layering.layer(w as usize) > hi {
+                        requests.push((v as u64, u64::from(w)));
                     }
                 }
             }
         }
-        gather_bundles(&mut cluster, &bundles, &requests)?;
+        // Every requested bundle is one neighbor's color: one word.
+        gather_bundles(&mut cluster, &requests, |_| Some(1))?;
         // --- Directed exponentiation cost: learning the within-batch
         // reachable sets costs O(log(batch depth)) additional rounds. ---
         let batch_depth = (hi - lo) as usize;

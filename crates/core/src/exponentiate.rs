@@ -33,22 +33,7 @@ use crate::stage::StageExecutor;
 use crate::vtree::{NodeId, ViewTree};
 use dgo_graph::Graph;
 use dgo_mpc::primitives::gather_bundles;
-use dgo_mpc::{ExecutionBackend, WordSized};
-use std::collections::BTreeMap;
-
-/// Wire representation of a view tree for communication metering:
-/// [`ViewTree::wire_words`] — the actual encoded length of the
-/// `dgo_core::wire` delta/varint stream.
-#[derive(Debug, Clone, Copy)]
-struct TreeWire {
-    words: usize,
-}
-
-impl WordSized for TreeWire {
-    fn words(&self) -> usize {
-        self.words
-    }
-}
+use dgo_mpc::ExecutionBackend;
 
 /// Output of [`exponentiate_and_prune`]: the per-vertex view trees after `s`
 /// steps, with their final activity flags.
@@ -190,25 +175,21 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
             requests.extend(vertex_requests);
             leaf_plan.push(leaves);
         }
-        // Meter the tree transfer as a Lemma 4.1 gather: provider wire sizes
-        // are a stage over the deduplicated provider ids.
+        // Meter the tree transfer as a Lemma 4.1 gather: a bundle is the
+        // provider's tree at its encoded size (`ViewTree::wire_words`),
+        // computed as a stage over the deduplicated provider ids and looked
+        // up per request through a per-vertex table.
         let provider_ids: Vec<usize> = {
             let mut ids: Vec<usize> = requests.iter().map(|&(_, u)| u as usize).collect();
             ids.sort_unstable();
             ids.dedup();
             ids
         };
-        let bundles: BTreeMap<u64, TreeWire> = stage
-            .map(&provider_ids, |_, &u| {
-                (
-                    u as u64,
-                    TreeWire {
-                        words: trees[u].wire_words(),
-                    },
-                )
-            })
-            .into_iter()
-            .collect();
+        let mut wire_words = vec![0usize; n];
+        let provider_words = stage.map(&provider_ids, |_, &u| trees[u].wire_words());
+        for (&u, words) in provider_ids.iter().zip(provider_words) {
+            wire_words[u] = words;
+        }
         // Book the bundle payloads (post-codec vs the flat baseline) once per
         // delivered copy. Recorded here in the algorithm layer — the encoding
         // is the algorithm's choice, so the totals are backend-independent by
@@ -216,7 +197,7 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
         let (bundle_wire, bundle_flat) =
             requests.iter().fold((0usize, 0usize), |(w, f), &(_, u)| {
                 (
-                    w + bundles[&u].words,
+                    w + wire_words[u as usize],
                     f + trees[u as usize].flat_wire_words(),
                 )
             });
@@ -225,7 +206,7 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
                 .metrics_mut()
                 .record_bundle_words(bundle_wire, bundle_flat);
         }
-        gather_bundles(cluster, &bundles, &requests)?;
+        gather_bundles(cluster, &requests, |u| Some(wire_words[u as usize]))?;
 
         // Materialize the attachments (inactive vertices keep pruned trees)
         // as a double-buffered stage: every attaching vertex splices its own

@@ -26,15 +26,8 @@
 //!
 //! [`encoded_words`] computes the exact encoded length without materializing
 //! the stream; it is what [`ViewTree::wire_words`] charges.
-//!
-//! When a bundle leaves the process — a checkpoint on disk, say —
-//! [`encode_framed`] / [`decode_framed`] wrap the word stream in the
-//! checksummed frame of [`dgo_mpc::frame`]: a magic/version/length/checksum
-//! header in front of the payload, so truncation, corruption, version skew,
-//! and trailing garbage are rejected *before* the codec ever parses a byte.
 
 use crate::ViewTree;
-use dgo_mpc::frame::{self, FrameError};
 use dgo_mpc::{packed_words, BYTES_PER_WORD};
 
 /// Sentinel parent of the root inside the arena (not transmitted).
@@ -53,10 +46,6 @@ pub enum WireError {
     /// count, a parent pointing at itself or forward, varint overflow, or
     /// trailing garbage past the payload.
     Malformed(&'static str),
-    /// The outer frame was rejected ([`decode_framed`]): bad magic, version
-    /// skew, checksum mismatch, truncation, oversized length, or trailing
-    /// bytes.
-    Frame(FrameError),
 }
 
 impl std::fmt::Display for WireError {
@@ -64,14 +53,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "wire stream truncated"),
             WireError::Malformed(reason) => write!(f, "malformed wire stream: {reason}"),
-            WireError::Frame(e) => write!(f, "bundle frame rejected: {e}"),
         }
-    }
-}
-
-impl From<FrameError> for WireError {
-    fn from(e: FrameError) -> Self {
-        WireError::Frame(e)
     }
 }
 
@@ -147,25 +129,6 @@ pub fn encode(tree: &ViewTree) -> Vec<u64> {
         words[i / BYTES_PER_WORD] |= (b as u64) << ((i % BYTES_PER_WORD) * 8);
     }
     words
-}
-
-/// Encodes `tree` as one self-delimiting [`frame::kind::BUNDLE`] frame:
-/// header (magic, version, payload length, FNV-1a checksum) followed by the
-/// compact word stream of [`encode`]. This is the byte form a bundle takes
-/// whenever it leaves the process.
-pub fn encode_framed(tree: &ViewTree) -> Vec<u8> {
-    frame::encode_frame(frame::kind::BUNDLE, &encode(tree))
-}
-
-/// Decodes one framed bundle produced by [`encode_framed`], verifying the
-/// frame envelope (magic, version, length bound, checksum, no trailing
-/// bytes) before handing the payload to the strict codec [`decode`].
-pub fn decode_framed(bytes: &[u8]) -> Result<ViewTree, WireError> {
-    let (kind, payload) = frame::decode_frame(bytes, frame::DEFAULT_MAX_PAYLOAD_WORDS)?;
-    if kind != frame::kind::BUNDLE {
-        return Err(WireError::Malformed("frame is not a bundle"));
-    }
-    decode(&payload)
 }
 
 /// Byte-granular reader over a packed word stream.
@@ -346,81 +309,6 @@ mod tests {
         let mut long = encode(&ViewTree::singleton(1));
         long.push(0);
         assert!(matches!(decode(&long), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn framed_round_trip_is_lossless() {
-        for t in [
-            ViewTree::singleton(9),
-            ViewTree::star(3, &[0, 1, 2, 7]),
-            ViewTree::star(777, &(0..300).collect::<Vec<u32>>()),
-        ] {
-            let bytes = encode_framed(&t);
-            assert_eq!(decode_framed(&bytes).expect("framed round trip"), t);
-        }
-    }
-
-    #[test]
-    fn framed_rejects_truncation_corruption_and_skew() {
-        let bytes = encode_framed(&ViewTree::star(2, &[0, 1, 3]));
-
-        // Truncated anywhere — inside the header or inside the payload.
-        for cut in [0, 3, frame::HEADER_BYTES - 1, bytes.len() - 1] {
-            assert!(
-                matches!(decode_framed(&bytes[..cut]), Err(WireError::Frame(_))),
-                "cut at {cut} must be rejected"
-            );
-        }
-
-        // Single-bit corruption in the payload fails the checksum.
-        let mut corrupt = bytes.clone();
-        *corrupt.last_mut().unwrap() ^= 0x01;
-        assert_eq!(
-            decode_framed(&corrupt),
-            Err(WireError::Frame(FrameError::BadChecksum))
-        );
-
-        // Bad magic.
-        let mut magic = bytes.clone();
-        magic[0] = b'X';
-        assert!(matches!(
-            decode_framed(&magic),
-            Err(WireError::Frame(FrameError::BadMagic(_)))
-        ));
-
-        // Version skew.
-        let mut skew = bytes.clone();
-        skew[4] = frame::VERSION as u8 + 1;
-        assert!(matches!(
-            decode_framed(&skew),
-            Err(WireError::Frame(FrameError::BadVersion(_)))
-        ));
-
-        // Trailing bytes past the frame.
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(
-            decode_framed(&trailing),
-            Err(WireError::Frame(FrameError::TrailingBytes(1)))
-        );
-
-        // A forged oversized length never drives an allocation.
-        let mut huge = bytes;
-        huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_framed(&huge),
-            Err(WireError::Frame(FrameError::Oversized { .. }))
-        ));
-    }
-
-    #[test]
-    fn framed_rejects_wrong_frame_kind() {
-        let words = encode(&ViewTree::singleton(4));
-        let other = frame::encode_frame(frame::kind::BUNDLE + 1, &words);
-        assert_eq!(
-            decode_framed(&other),
-            Err(WireError::Malformed("frame is not a bundle"))
-        );
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! * [`SequentialBackend`] — the deterministic single-threaded reference
 //!   implementation (the original `Cluster`);
-//! * [`ParallelBackend`] — identical semantics and metrics, with
-//!   counting-sort message routing into flat pre-counted per-destination
-//!   buffers and rayon-parallel per-machine metering.
+//! * [`ParallelBackend`] — identical semantics and metrics, with the
+//!   per-machine metering of each round split into machine ranges on the
+//!   rayon pool.
 //!
 //! Both are observationally equivalent: same inbox contents in the same
 //! deterministic `(source, production)` order, same errors, same metrics —
@@ -16,8 +16,11 @@
 //! backend is therefore purely a host-performance decision; [`BackendKind`]
 //! names the choices for configuration surfaces (CLI flags, configs).
 //!
-//! Shared metering semantics (round charging, residency checkpoints, key
-//! homing) live in this trait's default methods so backends cannot drift.
+//! Shared semantics live here so backends cannot drift: round charging,
+//! residency checkpoints and key homing in the trait's default methods, and
+//! the exchange itself — one metering pass, one counting-sort scatter into
+//! a flat [`PerMachine`] inbox, the capacity check — in one function both
+//! backends call, differing only in how they split the metering.
 
 mod parallel;
 mod sequential;
@@ -28,8 +31,10 @@ pub use sequential::{Cluster, SequentialBackend};
 use crate::config::ClusterConfig;
 use crate::error::{MpcError, Result};
 use crate::metrics::Metrics;
+use crate::per_machine::PerMachine;
 use crate::word::WordSized;
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 
 /// The execution substrate of the MPC simulator: synchronous message
@@ -45,7 +50,9 @@ use std::str::FromStr;
 /// implementations over [`config`](ExecutionBackend::config) and
 /// [`metrics_mut`](ExecutionBackend::metrics_mut) so every backend meters
 /// identically; only [`exchange`](ExecutionBackend::exchange) — the part
-/// with real routing work — is backend-specific.
+/// with real routing work — is backend-specific, and both built-in
+/// backends implement it with the same routing and differ only in how they
+/// split its metering.
 pub trait ExecutionBackend {
     /// Creates a backend for the given cluster shape.
     fn from_config(config: ClusterConfig) -> Self
@@ -69,20 +76,24 @@ pub trait ExecutionBackend {
 
     /// Executes one synchronous communication round.
     ///
-    /// `outbox[src]` holds `(destination, message)` pairs produced by machine
-    /// `src`. Returns `inbox[dst]` = messages delivered to machine `dst`, in
-    /// deterministic `(source, production)` order.
+    /// `outbox[src]` holds the `(destination, message)` pairs machine `src`
+    /// produced. Returns the inbox: `inbox[dst]` holds the messages delivered
+    /// to machine `dst`, in deterministic `(source, production)` order. Both
+    /// sides are flat [`PerMachine`] buffers, so a round costs one offset per
+    /// machine and a constant number of moves per message.
     ///
     /// # Errors
     ///
-    /// * [`MpcError::WrongClusterWidth`] if `outbox.len() != M`.
-    /// * [`MpcError::UnknownMachine`] for an out-of-range destination.
-    /// * [`MpcError::CapacityExceeded`] in strict mode if any machine sends
-    ///   or receives more than `S` words.
+    /// * [`MpcError::WrongClusterWidth`] if `outbox.num_machines() != M`.
+    /// * [`MpcError::UnknownMachine`] for the first out-of-range destination
+    ///   in `(source, production)` order.
+    /// * [`MpcError::CapacityExceeded`] in strict mode for the first machine,
+    ///   in index order, that sends or receives more than `S` words (its
+    ///   send checked before its receive).
     fn exchange<T: WordSized + Send + Sync>(
         &mut self,
-        outbox: Vec<Vec<(usize, T)>>,
-    ) -> Result<Vec<Vec<T>>>;
+        outbox: PerMachine<(usize, T)>,
+    ) -> Result<PerMachine<T>>;
 
     /// Number of machines `M`.
     fn num_machines(&self) -> usize {
@@ -144,54 +155,6 @@ pub trait ExecutionBackend {
         Ok(())
     }
 
-    /// Enforces the per-round communication constraint after an exchange's
-    /// loads are tallied: machines are checked in order, send before
-    /// receive; strict mode errors on the first offense, relaxed mode
-    /// records one violation per offense.
-    ///
-    /// Backend-implementor API: `exchange` implementations call this so the
-    /// constraint semantics cannot drift between backends.
-    ///
-    /// # Errors
-    ///
-    /// [`MpcError::CapacityExceeded`] in strict mode.
-    fn check_round_capacity(
-        &mut self,
-        sent: &[usize],
-        received: &[usize],
-        round: u64,
-    ) -> Result<()> {
-        let capacity = self.config().local_memory;
-        let strict = self.config().strict;
-        for machine in 0..sent.len() {
-            if sent[machine] > capacity {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: Some(machine),
-                        round,
-                        words: sent[machine],
-                        capacity,
-                        direction: "send",
-                    });
-                }
-                self.metrics_mut().record_violation();
-            }
-            if received[machine] > capacity {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: Some(machine),
-                        round,
-                        words: received[machine],
-                        capacity,
-                        direction: "receive",
-                    });
-                }
-                self.metrics_mut().record_violation();
-            }
-        }
-        Ok(())
-    }
-
     /// Residency checkpoint: asserts that `per_machine[i]` words fit in `S`
     /// on every machine, and records peaks in the metrics.
     ///
@@ -236,6 +199,127 @@ pub trait ExecutionBackend {
         }
         out
     }
+}
+
+/// One side of a round's per-machine word loads — what machines send, or
+/// what they receive — folded over a range of machines in index order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    total: usize,
+    max: usize,
+    /// The first machine over capacity, with its load.
+    first_over: Option<(usize, usize)>,
+    /// Machines over capacity.
+    over: u64,
+    /// The first out-of-range destination, in `(source, production)` order
+    /// (send side only).
+    unknown: Option<usize>,
+}
+
+impl Tally {
+    fn add(&mut self, machine: usize, words: usize, capacity: usize) {
+        self.total += words;
+        self.max = self.max.max(words);
+        if words > capacity {
+            self.first_over.get_or_insert((machine, words));
+            self.over += 1;
+        }
+    }
+
+    /// Folds `self` with the tally of the machines that follow it.
+    pub(crate) fn then(self, later: Tally) -> Tally {
+        Tally {
+            total: self.total + later.total,
+            max: self.max.max(later.max),
+            first_over: self.first_over.or(later.first_over),
+            over: self.over + later.over,
+            unknown: self.unknown.or(later.unknown),
+        }
+    }
+}
+
+/// The exchange both backends run: validate the width, tally the sources
+/// (checking every destination), route by counting sort, tally the
+/// destinations, then enforce the per-round capacity and record the round.
+///
+/// `split(machines, tally)` must cover `0..machines` with consecutive ranges,
+/// call `tally` on each and fold the results left to right with
+/// [`Tally::then`]; the result is then the same for every split, which is all
+/// that distinguishes the backends.
+pub(crate) fn metered_exchange<B, T, S>(
+    backend: &mut B,
+    outbox: PerMachine<(usize, T)>,
+    split: S,
+) -> Result<PerMachine<T>>
+where
+    B: ExecutionBackend + ?Sized,
+    T: WordSized + Sync,
+    S: Fn(usize, &(dyn Fn(Range<usize>) -> Tally + Sync)) -> Tally,
+{
+    let machines = backend.num_machines();
+    if outbox.num_machines() != machines {
+        return Err(MpcError::WrongClusterWidth {
+            expected: machines,
+            found: outbox.num_machines(),
+        });
+    }
+    let capacity = backend.local_memory();
+    let sent = split(machines, &|sources| {
+        let mut tally = Tally::default();
+        for src in sources {
+            let mut words = 0;
+            for (dst, payload) in &outbox[src] {
+                if *dst >= machines && tally.unknown.is_none() {
+                    tally.unknown = Some(*dst);
+                }
+                words += payload.words();
+            }
+            tally.add(src, words, capacity);
+        }
+        tally
+    });
+    if let Some(machine) = sent.unknown {
+        return Err(MpcError::UnknownMachine {
+            machine,
+            num_machines: machines,
+        });
+    }
+    let inbox = outbox.route(machines);
+    let received = split(machines, &|destinations| {
+        let mut tally = Tally::default();
+        for dst in destinations {
+            let words = inbox[dst].iter().map(WordSized::words).sum();
+            tally.add(dst, words, capacity);
+        }
+        tally
+    });
+    // Machines are checked in index order, each one's send before its
+    // receive; strict mode stops at the first offense, relaxed mode records
+    // one violation per offense.
+    let offense = match (sent.first_over, received.first_over) {
+        (Some((src, words)), Some((dst, _))) if src <= dst => Some((src, words, "send")),
+        (Some((src, words)), None) => Some((src, words, "send")),
+        (_, Some((dst, words))) => Some((dst, words, "receive")),
+        (None, None) => None,
+    };
+    if let Some((machine, words, direction)) = offense {
+        if backend.config().strict {
+            return Err(MpcError::CapacityExceeded {
+                machine: Some(machine),
+                round: backend.metrics().rounds + 1,
+                words,
+                capacity,
+                direction,
+            });
+        }
+        for _ in 0..sent.over + received.over {
+            backend.metrics_mut().record_violation();
+        }
+    }
+    backend
+        .metrics_mut()
+        .record_round(sent.total, sent.max, received.max);
+    Ok(inbox)
 }
 
 /// Names the built-in backends for configuration surfaces (CLI flags,

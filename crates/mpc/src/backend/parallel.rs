@@ -1,55 +1,43 @@
 //! The parallel execution backend.
 //!
-//! [`ParallelBackend`] meters exactly like [`SequentialBackend`] but routes
-//! exchanges through flat, pre-counted per-destination buffers (counting-sort
-//! routing) and fans the per-machine metering work — word counting,
-//! destination validation, per-destination tallies — out across threads with
-//! rayon's fork-join primitives:
+//! [`ParallelBackend`] routes and meters exactly like [`SequentialBackend`]
+//! — one metering pass, one counting-sort scatter into a flat inbox — but
+//! splits the metering into contiguous machine ranges, one pool task per
+//! thread: word counting and destination validation over source ranges,
+//! then the receive tallies over destination ranges. Range tallies fold
+//! left to right in machine order, so the loads, the first invalid
+//! destination in `(source, production)` order and the first machine over
+//! capacity are identical to a sequential scan.
 //!
-//! 1. **Parallel metering pass**: sources are split into contiguous chunks,
-//!    one task per thread; each task tallies per-source sent words,
-//!    per-destination received words, and per-destination message counts for
-//!    its chunk. Partials merge left-to-right in chunk order, so the merged
-//!    tallies — and the *first* invalid destination in `(source, production)`
-//!    order — are identical to a sequential scan.
-//! 2. **Counting-sort routing**: every destination buffer is allocated once
-//!    at its exact final size from the pre-counted tallies, then filled in a
-//!    single deterministic `(source, production)`-order pass — no per-message
-//!    `Vec` growth reallocations.
-//!
-//! The result is bit-identical to the sequential backend (same inboxes, same
-//! errors, same metrics) — the equivalence is property-tested. The tallying
-//! pass fans out across all cores; the routing fill stays a single
-//! deterministic pass (pre-sized, so it is one move per message with no
-//! reallocation), which bounds the end-to-end speedup on exchange-dominated
-//! workloads — parallelizing the fill over destinations from the per-chunk
-//! counts is the natural next step. Small exchanges fall back to an inline
-//! single-chunk pass so thread fan-out never costs more than it saves.
+//! The scatter itself stays one deterministic pass: it is a counting sort of
+//! one flat array, one move per message. Small exchanges tally inline on the
+//! calling thread so fan-out never costs more than it saves.
 //!
 //! [`SequentialBackend`]: crate::SequentialBackend
 
-use crate::backend::ExecutionBackend;
+use crate::backend::{metered_exchange, ExecutionBackend, Tally};
 use crate::config::ClusterConfig;
-use crate::error::{MpcError, Result};
+use crate::error::Result;
 use crate::metrics::Metrics;
-use crate::word::WordSized;
-
+use crate::per_machine::PerMachine;
 use crate::tuning::exchange_inline_threshold;
+use crate::word::WordSized;
+use std::ops::Range;
 
-/// A simulated MPC cluster with rayon-parallel metering and counting-sort
-/// message routing. Observationally identical to
+/// A simulated MPC cluster whose per-round metering runs in machine ranges
+/// on the rayon pool. Observationally identical to
 /// [`SequentialBackend`](crate::SequentialBackend).
 ///
 /// # Examples
 ///
 /// ```
-/// use dgo_mpc::{ClusterConfig, ExecutionBackend, ParallelBackend};
+/// use dgo_mpc::{ClusterConfig, ExecutionBackend, ParallelBackend, PerMachine};
 ///
 /// let mut cluster = ParallelBackend::new(ClusterConfig::new(4, 1024));
 /// let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; 4];
 /// outbox[0].push((3, 99));
-/// let inbox = cluster.exchange(outbox)?;
-/// assert_eq!(inbox[3], vec![99]);
+/// let inbox = cluster.exchange(PerMachine::from(outbox))?;
+/// assert_eq!(inbox[3], [99]);
 /// assert_eq!(cluster.metrics().rounds, 1);
 /// # Ok::<(), dgo_mpc::MpcError>(())
 /// ```
@@ -58,20 +46,6 @@ pub struct ParallelBackend {
     config: ClusterConfig,
     metrics: Metrics,
     threads: usize,
-}
-
-/// Merged output of the parallel metering pass. Chunk partials concatenate
-/// (`sent`) or sum (`received`, `counts`) in chunk order, so the merge of any
-/// chunking equals the sequential scan.
-struct MeterPass {
-    /// Words sent per source machine, in source order.
-    sent: Vec<usize>,
-    /// Words received per destination machine.
-    received: Vec<usize>,
-    /// Messages (not words) per destination machine, for buffer pre-counting.
-    counts: Vec<usize>,
-    /// First out-of-range destination in `(source, production)` order.
-    first_invalid: Option<usize>,
 }
 
 impl ParallelBackend {
@@ -90,64 +64,22 @@ impl ParallelBackend {
         self.threads = threads.max(1);
         self
     }
+}
 
-    /// The metering pass: per-source sent words, per-destination received
-    /// words and message counts, and the first invalid destination.
-    fn meter<T: WordSized + Send + Sync>(
-        &self,
-        outbox: &[Vec<(usize, T)>],
-        threads: usize,
-    ) -> MeterPass {
-        let machines = self.config.num_machines;
-        rayon::chunk_map_reduce(
-            outbox,
-            threads,
-            |_, chunk| {
-                let mut pass = MeterPass {
-                    sent: Vec::with_capacity(chunk.len()),
-                    received: vec![0usize; machines],
-                    counts: vec![0usize; machines],
-                    first_invalid: None,
-                };
-                for msgs in chunk {
-                    let mut src_sent = 0usize;
-                    for (dst, payload) in msgs {
-                        if *dst >= machines {
-                            if pass.first_invalid.is_none() {
-                                pass.first_invalid = Some(*dst);
-                            }
-                            continue;
-                        }
-                        let words = payload.words();
-                        src_sent += words;
-                        pass.received[*dst] += words;
-                        pass.counts[*dst] += 1;
-                    }
-                    pass.sent.push(src_sent);
-                }
-                pass
-            },
-            |mut a, b| {
-                a.sent.extend(b.sent);
-                for (acc, add) in a.received.iter_mut().zip(&b.received) {
-                    *acc += add;
-                }
-                for (acc, add) in a.counts.iter_mut().zip(&b.counts) {
-                    *acc += add;
-                }
-                if a.first_invalid.is_none() {
-                    a.first_invalid = b.first_invalid;
-                }
-                a
-            },
-        )
-        .unwrap_or(MeterPass {
-            sent: Vec::new(),
-            received: vec![0; machines],
-            counts: vec![0; machines],
-            first_invalid: None,
-        })
-    }
+/// Tallies `0..machines` in `threads` near-equal contiguous ranges, one pool
+/// task each, folded in machine order.
+fn tally_chunked(
+    machines: usize,
+    threads: usize,
+    tally: &(dyn Fn(Range<usize>) -> Tally + Sync),
+) -> Tally {
+    let chunk = machines.div_ceil(threads.clamp(1, machines.max(1))).max(1);
+    let tasks = machines.div_ceil(chunk);
+    rayon::chunk_map_collect_range(tasks, tasks, |t| {
+        tally(t * chunk..((t + 1) * chunk).min(machines))
+    })
+    .into_iter()
+    .fold(Tally::default(), Tally::then)
 }
 
 impl ExecutionBackend for ParallelBackend {
@@ -173,48 +105,16 @@ impl ExecutionBackend for ParallelBackend {
 
     fn exchange<T: WordSized + Send + Sync>(
         &mut self,
-        outbox: Vec<Vec<(usize, T)>>,
-    ) -> Result<Vec<Vec<T>>> {
-        let machines = self.config.num_machines;
-        if outbox.len() != machines {
-            return Err(MpcError::WrongClusterWidth {
-                expected: machines,
-                found: outbox.len(),
-            });
-        }
-        let round = self.metrics.rounds + 1;
-        let total_messages: usize = outbox.iter().map(Vec::len).sum();
-        let threads = if total_messages < exchange_inline_threshold() {
+        outbox: PerMachine<(usize, T)>,
+    ) -> Result<PerMachine<T>> {
+        let threads = if outbox.len() < exchange_inline_threshold() {
             1
         } else {
             self.threads
         };
-        let pass = self.meter(&outbox, threads);
-        if let Some(machine) = pass.first_invalid {
-            return Err(MpcError::UnknownMachine {
-                machine,
-                num_machines: machines,
-            });
-        }
-        self.check_round_capacity(&pass.sent, &pass.received, round)?;
-        let total: usize = pass.sent.iter().sum();
-        let max_sent = pass.sent.iter().copied().max().unwrap_or(0);
-        let max_received = pass.received.iter().copied().max().unwrap_or(0);
-        self.metrics.record_round(total, max_sent, max_received);
-        // Counting-sort routing: each destination buffer is pre-sized from
-        // the metering pass, then filled in one (source, production)-order
-        // pass — deterministic inbox order with zero growth reallocations.
-        let mut inbox: Vec<Vec<T>> = pass
-            .counts
-            .iter()
-            .map(|&count| Vec::with_capacity(count))
-            .collect();
-        for msgs in outbox {
-            for (dst, payload) in msgs {
-                inbox[dst].push(payload);
-            }
-        }
-        Ok(inbox)
+        metered_exchange(self, outbox, |machines, tally| {
+            tally_chunked(machines, threads, tally)
+        })
     }
 }
 
@@ -222,10 +122,15 @@ impl ExecutionBackend for ParallelBackend {
 mod tests {
     use super::*;
     use crate::backend::SequentialBackend;
+    use crate::error::MpcError;
 
     /// Deterministic pseudo-random outbox generator (SplitMix64; the crate
     /// deliberately has no rand dependency).
-    fn random_outbox(machines: usize, per_machine: usize, mut seed: u64) -> Vec<Vec<(usize, u64)>> {
+    fn random_outbox(machines: usize, per_machine: usize, seed: u64) -> PerMachine<(usize, u64)> {
+        PerMachine::from(random_lists(machines, per_machine, seed))
+    }
+
+    fn random_lists(machines: usize, per_machine: usize, mut seed: u64) -> Vec<Vec<(usize, u64)>> {
         let mut next = move || {
             seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = seed;
@@ -243,13 +148,14 @@ mod tests {
     }
 
     type ExchangeOutcome = (
-        Result<Vec<Vec<u64>>>,
-        Result<Vec<Vec<u64>>>,
+        Result<PerMachine<u64>>,
+        Result<PerMachine<u64>>,
         Metrics,
         Metrics,
     );
 
     fn run_both(config: ClusterConfig, outbox: Vec<Vec<(usize, u64)>>) -> ExchangeOutcome {
+        let outbox = PerMachine::from(outbox);
         let mut seq = SequentialBackend::new(config);
         let mut par = ParallelBackend::new(config).with_threads(4);
         let seq_out = ExecutionBackend::exchange(&mut seq, outbox.clone());
@@ -260,7 +166,7 @@ mod tests {
     #[test]
     fn matches_sequential_on_random_traffic() {
         for seed in 0..8 {
-            let outbox = random_outbox(16, 50, seed);
+            let outbox = random_lists(16, 50, seed);
             let (seq_out, par_out, seq_metrics, par_metrics) =
                 run_both(ClusterConfig::new(16, 4096), outbox);
             assert_eq!(seq_out.unwrap(), par_out.unwrap(), "seed {seed}");
@@ -272,7 +178,7 @@ mod tests {
     fn large_exchange_crosses_parallel_threshold() {
         // 64 machines x 128 messages = 8192 > the inline cutoff: the
         // chunked parallel path must still match sequential bit-for-bit.
-        let outbox = random_outbox(64, 128, 42);
+        let outbox = random_lists(64, 128, 42);
         assert!(outbox.iter().map(Vec::len).sum::<usize>() > exchange_inline_threshold());
         let (seq_out, par_out, seq_metrics, par_metrics) =
             run_both(ClusterConfig::new(64, 1 << 20), outbox);
@@ -288,15 +194,15 @@ mod tests {
             vec![(2, 20)],
             vec![(2, 30), (2, 31)],
         ];
-        let inbox = par.exchange(outbox).unwrap();
-        assert_eq!(inbox[2], vec![10, 11, 20, 30, 31]);
+        let inbox = par.exchange(PerMachine::from(outbox)).unwrap();
+        assert_eq!(inbox[2], [10, 11, 20, 30, 31]);
         assert!(inbox[0].is_empty() && inbox[1].is_empty());
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let outbox = random_outbox(32, 300, 7);
-        let mut reference: Option<(Vec<Vec<u64>>, Metrics)> = None;
+        let mut reference: Option<(PerMachine<u64>, Metrics)> = None;
         for threads in [1, 2, 3, 8, 19] {
             let mut par =
                 ParallelBackend::new(ClusterConfig::new(32, 1 << 20)).with_threads(threads);
@@ -332,7 +238,7 @@ mod tests {
         for threads in [2, 4] {
             for total in [threshold - 1, threshold, threshold + 1] {
                 let per_machine = total / machines;
-                let mut outbox = random_outbox(machines, per_machine, 5);
+                let mut outbox = random_lists(machines, per_machine, 5);
                 let mut extra = total - per_machine * machines;
                 for msgs in outbox.iter_mut() {
                     if extra == 0 {
@@ -342,6 +248,7 @@ mod tests {
                     extra -= 1;
                 }
                 assert_eq!(outbox.iter().map(Vec::len).sum::<usize>(), total);
+                let outbox = PerMachine::from(outbox);
                 let mut seq = SequentialBackend::new(config);
                 let seq_inbox = ExecutionBackend::exchange(&mut seq, outbox.clone()).unwrap();
                 let mut par = ParallelBackend::new(config).with_threads(threads);
@@ -361,10 +268,11 @@ mod tests {
         // the sequential scan does, and record no round.
         let machines = 16usize;
         let config = ClusterConfig::new(machines, 1 << 20);
-        let mut outbox = random_outbox(machines, 512, 9);
+        let mut outbox = random_lists(machines, 512, 9);
         outbox[5].push((machines + 2, 1));
         outbox[machines - 1].push((machines + 5, 1));
-        assert!(outbox.iter().map(Vec::len).sum::<usize>() > exchange_inline_threshold());
+        let outbox = PerMachine::from(outbox);
+        assert!(outbox.len() > exchange_inline_threshold());
         let mut seq = SequentialBackend::new(config);
         let seq_err = ExecutionBackend::exchange(&mut seq, outbox.clone()).unwrap_err();
         assert_eq!(
@@ -404,7 +312,7 @@ mod tests {
         let mut par = ParallelBackend::new(ClusterConfig::new(3, 64));
         let outbox: Vec<Vec<(usize, u64)>> = vec![vec![]];
         assert!(matches!(
-            par.exchange(outbox),
+            par.exchange(PerMachine::from(outbox)),
             Err(MpcError::WrongClusterWidth {
                 expected: 3,
                 found: 1

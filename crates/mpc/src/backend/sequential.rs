@@ -15,10 +15,11 @@
 //! Every other backend is defined by equivalence to this one: identical
 //! inboxes, errors, and metrics for identical call sequences.
 
-use crate::backend::ExecutionBackend;
+use crate::backend::{metered_exchange, ExecutionBackend};
 use crate::config::ClusterConfig;
-use crate::error::{MpcError, Result};
+use crate::error::Result;
 use crate::metrics::Metrics;
+use crate::per_machine::PerMachine;
 use crate::word::WordSized;
 
 /// Backwards-compatible name for the reference backend: the original
@@ -31,14 +32,14 @@ pub type Cluster = SequentialBackend;
 /// # Examples
 ///
 /// ```
-/// use dgo_mpc::{ClusterConfig, SequentialBackend};
+/// use dgo_mpc::{ClusterConfig, PerMachine, SequentialBackend};
 ///
 /// let mut cluster = SequentialBackend::new(ClusterConfig::new(4, 1024));
 /// // Machine 0 sends one word to machine 3.
 /// let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; 4];
 /// outbox[0].push((3, 99));
-/// let inbox = cluster.exchange(outbox)?;
-/// assert_eq!(inbox[3], vec![99]);
+/// let inbox = cluster.exchange(PerMachine::from(outbox))?;
+/// assert_eq!(inbox[3], [99]);
 /// assert_eq!(cluster.metrics().rounds, 1);
 /// # Ok::<(), dgo_mpc::MpcError>(())
 /// ```
@@ -90,50 +91,22 @@ impl SequentialBackend {
     }
 
     /// Executes one synchronous communication round; see
-    /// [`ExecutionBackend::exchange`].
+    /// [`ExecutionBackend::exchange`]. Every machine's loads are tallied in
+    /// one pass on the calling thread.
     ///
     /// # Errors
     ///
-    /// * [`MpcError::WrongClusterWidth`] if `outbox.len() != M`.
-    /// * [`MpcError::UnknownMachine`] for an out-of-range destination.
-    /// * [`MpcError::CapacityExceeded`] in strict mode if any machine sends
-    ///   or receives more than `S` words.
-    pub fn exchange<T: WordSized>(&mut self, outbox: Vec<Vec<(usize, T)>>) -> Result<Vec<Vec<T>>> {
-        let m = self.config.num_machines;
-        if outbox.len() != m {
-            return Err(MpcError::WrongClusterWidth {
-                expected: m,
-                found: outbox.len(),
-            });
-        }
-        let round = self.metrics.rounds + 1;
-        let mut sent = vec![0usize; m];
-        let mut received = vec![0usize; m];
-        for (src, msgs) in outbox.iter().enumerate() {
-            for (dst, payload) in msgs {
-                if *dst >= m {
-                    return Err(MpcError::UnknownMachine {
-                        machine: *dst,
-                        num_machines: m,
-                    });
-                }
-                let w = payload.words();
-                sent[src] += w;
-                received[*dst] += w;
-            }
-        }
-        ExecutionBackend::check_round_capacity(self, &sent, &received, round)?;
-        let total: usize = sent.iter().sum();
-        let max_sent = sent.iter().copied().max().unwrap_or(0);
-        let max_received = received.iter().copied().max().unwrap_or(0);
-        self.metrics.record_round(total, max_sent, max_received);
-        let mut inbox: Vec<Vec<T>> = (0..m).map(|_| Vec::new()).collect();
-        for msgs in outbox {
-            for (dst, payload) in msgs {
-                inbox[dst].push(payload);
-            }
-        }
-        Ok(inbox)
+    /// * [`MpcError::WrongClusterWidth`](crate::MpcError::WrongClusterWidth)
+    ///   if `outbox.num_machines() != M`.
+    /// * [`MpcError::UnknownMachine`](crate::MpcError::UnknownMachine) for an
+    ///   out-of-range destination.
+    /// * [`MpcError::CapacityExceeded`](crate::MpcError::CapacityExceeded) in
+    ///   strict mode if any machine sends or receives more than `S` words.
+    pub fn exchange<T: WordSized + Send + Sync>(
+        &mut self,
+        outbox: PerMachine<(usize, T)>,
+    ) -> Result<PerMachine<T>> {
+        metered_exchange(self, outbox, |machines, tally| tally(0..machines))
     }
 
     /// Charges `rounds` synchronous rounds for an unmaterialized primitive;
@@ -191,8 +164,8 @@ impl ExecutionBackend for SequentialBackend {
 
     fn exchange<T: WordSized + Send + Sync>(
         &mut self,
-        outbox: Vec<Vec<(usize, T)>>,
-    ) -> Result<Vec<Vec<T>>> {
+        outbox: PerMachine<(usize, T)>,
+    ) -> Result<PerMachine<T>> {
         SequentialBackend::exchange(self, outbox)
     }
 }
@@ -200,6 +173,7 @@ impl ExecutionBackend for SequentialBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MpcError;
 
     fn small() -> SequentialBackend {
         SequentialBackend::new(ClusterConfig::new(3, 8))
@@ -209,10 +183,10 @@ mod tests {
     fn exchange_routes_messages() {
         let mut c = small();
         let outbox: Vec<Vec<(usize, u32)>> = vec![vec![(1, 10), (2, 20)], vec![(0, 30)], vec![]];
-        let inbox = c.exchange(outbox).unwrap();
-        assert_eq!(inbox[0], vec![30]);
-        assert_eq!(inbox[1], vec![10]);
-        assert_eq!(inbox[2], vec![20]);
+        let inbox = c.exchange(PerMachine::from(outbox)).unwrap();
+        assert_eq!(inbox[0], [30]);
+        assert_eq!(inbox[1], [10]);
+        assert_eq!(inbox[2], [20]);
         assert_eq!(c.metrics().rounds, 1);
         assert_eq!(c.metrics().total_comm_words, 3);
     }
@@ -222,7 +196,7 @@ mod tests {
         let mut c = small();
         let outbox: Vec<Vec<(usize, u32)>> = vec![vec![]];
         assert!(matches!(
-            c.exchange(outbox),
+            c.exchange(PerMachine::from(outbox)),
             Err(MpcError::WrongClusterWidth {
                 expected: 3,
                 found: 1
@@ -235,7 +209,7 @@ mod tests {
         let mut c = small();
         let outbox: Vec<Vec<(usize, u32)>> = vec![vec![(7, 1)], vec![], vec![]];
         assert!(matches!(
-            c.exchange(outbox),
+            c.exchange(PerMachine::from(outbox)),
             Err(MpcError::UnknownMachine { machine: 7, .. })
         ));
     }
@@ -245,7 +219,7 @@ mod tests {
         let mut c = small(); // S = 8
         let outbox: Vec<Vec<(usize, u64)>> =
             vec![(0..9).map(|i| (1usize, i)).collect(), vec![], vec![]];
-        let err = c.exchange(outbox).unwrap_err();
+        let err = c.exchange(PerMachine::from(outbox)).unwrap_err();
         assert!(matches!(
             err,
             MpcError::CapacityExceeded {
@@ -263,7 +237,7 @@ mod tests {
             (0..5).map(|i| (2usize, i)).collect(),
             vec![],
         ];
-        let err = c.exchange(outbox).unwrap_err();
+        let err = c.exchange(PerMachine::from(outbox)).unwrap_err();
         assert!(matches!(
             err,
             MpcError::CapacityExceeded {
@@ -278,7 +252,7 @@ mod tests {
     fn relaxed_mode_records_violation() {
         let mut c = SequentialBackend::new(ClusterConfig::new(2, 4).relaxed());
         let outbox: Vec<Vec<(usize, u64)>> = vec![(0..9).map(|i| (1usize, i)).collect(), vec![]];
-        let inbox = c.exchange(outbox).unwrap();
+        let inbox = c.exchange(PerMachine::from(outbox)).unwrap();
         assert_eq!(inbox[1].len(), 9);
         assert!(c.metrics().violations >= 1);
     }
@@ -346,7 +320,9 @@ mod tests {
     fn cluster_alias_still_works() {
         // Downstream code and docs predating the backend trait use `Cluster`.
         let mut c: Cluster = Cluster::new(ClusterConfig::new(2, 16));
-        let inbox = c.exchange(vec![vec![(1usize, 5u64)], vec![]]).unwrap();
-        assert_eq!(inbox[1], vec![5]);
+        let inbox = c
+            .exchange(PerMachine::from(vec![vec![(1usize, 5u64)], vec![]]))
+            .unwrap();
+        assert_eq!(inbox[1], [5]);
     }
 }

@@ -29,7 +29,7 @@
 //! supply the parallelism.
 //!
 //! ```
-//! use dgo_mpc::{ClusterConfig, ExecutionBackend, InstanceGroup, SequentialBackend};
+//! use dgo_mpc::{ClusterConfig, ExecutionBackend, InstanceGroup, PerMachine, SequentialBackend};
 //!
 //! // Three independent instances, two host threads.
 //! let mut group =
@@ -37,7 +37,7 @@
 //! let echoes = group.run_all(|i, backend| {
 //!     let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
 //!     outbox[0].push((1, i as u64));
-//!     Ok::<u64, dgo_mpc::MpcError>(backend.exchange(outbox)?[1][0])
+//!     Ok::<u64, dgo_mpc::MpcError>(backend.exchange(PerMachine::from(outbox))?[1][0])
 //! })?;
 //! assert_eq!(echoes, vec![0, 1, 2]);
 //! let metrics = group.into_metrics()?;
@@ -352,11 +352,12 @@ impl<B: ExecutionBackend> InstanceGroup<B> {
 mod tests {
     use super::*;
     use crate::backend::{ParallelBackend, SequentialBackend};
+    use crate::per_machine::PerMachine;
 
     fn ping(i: usize, backend: &mut SequentialBackend) -> Result<u64> {
         let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
         outbox[0].push((1, i as u64 * 10));
-        Ok(backend.exchange(outbox)?[1][0])
+        Ok(backend.exchange(PerMachine::from(outbox))?[1][0])
     }
 
     #[test]
@@ -519,7 +520,7 @@ mod tests {
             .run_all(|i, backend| {
                 let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
                 outbox[i % 3].push(((i + 1) % 3, i as u64));
-                Ok::<u64, MpcError>(backend.exchange(outbox)?[(i + 1) % 3][0])
+                Ok::<u64, MpcError>(backend.exchange(PerMachine::from(outbox))?[(i + 1) % 3][0])
             })
             .unwrap();
         assert_eq!(out, vec![0, 1, 2, 3]);

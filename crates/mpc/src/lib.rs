@@ -24,23 +24,29 @@
 //! * [`SequentialBackend`] — the deterministic, single-threaded reference
 //!   implementation ([`Cluster`] is a backwards-compatible alias);
 //! * [`ParallelBackend`] — observationally identical (same inboxes, errors,
-//!   and metrics — property-tested), but routes messages through flat,
-//!   pre-counted per-destination buffers (counting-sort routing) and runs
-//!   the per-machine metering in parallel with rayon.
+//!   and metrics — property-tested), but runs the per-machine metering of
+//!   each round in machine ranges on the rayon pool.
+//!
+//! A round's outbox and inbox are flat [`PerMachine`] buffers: one offset per
+//! machine plus one array of messages, routed by one counting sort. A round
+//! therefore costs `O(M)` integers and a constant number of moves per
+//! message, never a heap buffer per machine — the §1.1 clusters sized for
+//! `Θ(n·B + m)` global memory have more machines than a typical round has
+//! messages.
 //!
 //! Pick a backend by constructing it (or via [`BackendKind`] +
 //! [`dispatch_backend!`] on configuration surfaces) and hand it to any
 //! algorithm entry point:
 //!
 //! ```
-//! use dgo_mpc::{ClusterConfig, ExecutionBackend, ParallelBackend, SequentialBackend};
+//! use dgo_mpc::{ClusterConfig, ExecutionBackend, ParallelBackend, PerMachine, SequentialBackend};
 //!
 //! let cfg = ClusterConfig::new(4, 1024);
 //! // Same algorithm code runs on either backend:
 //! fn ping<B: ExecutionBackend>(backend: &mut B) -> dgo_mpc::Result<u64> {
 //!     let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
 //!     outbox[0].push((1, 42));
-//!     Ok(backend.exchange(outbox)?[1][0])
+//!     Ok(backend.exchange(PerMachine::from(outbox))?[1][0])
 //! }
 //! assert_eq!(ping(&mut SequentialBackend::new(cfg))?, 42);
 //! assert_eq!(ping(&mut ParallelBackend::new(cfg))?, 42);
@@ -61,7 +67,7 @@
 //! # Example: a round of communication under metering
 //!
 //! ```
-//! use dgo_mpc::{Cluster, ClusterConfig};
+//! use dgo_mpc::{Cluster, ClusterConfig, PerMachine};
 //!
 //! // n = 10_000-vertex graph, δ = 0.5 → S ≈ 100 words/machine.
 //! let cfg = ClusterConfig::for_graph(10_000, 40_000, 0.5);
@@ -69,8 +75,8 @@
 //!
 //! let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; cluster.num_machines()];
 //! outbox[0].push((1, 42));
-//! let inbox = cluster.exchange(outbox)?;
-//! assert_eq!(inbox[1], vec![42]);
+//! let inbox = cluster.exchange(PerMachine::from(outbox))?;
+//! assert_eq!(inbox[1], [42]);
 //! assert_eq!(cluster.metrics().rounds, 1);
 //! # Ok::<(), dgo_mpc::MpcError>(())
 //! ```
@@ -82,9 +88,9 @@
 mod backend;
 mod config;
 mod error;
-pub mod frame;
 pub mod instance;
 mod metrics;
+mod per_machine;
 pub mod primitives;
 pub mod tuning;
 mod word;
@@ -94,4 +100,5 @@ pub use config::ClusterConfig;
 pub use error::{MpcError, Result};
 pub use instance::{resolve_jobs, split_jobs, InstanceGroup, JobSplit};
 pub use metrics::{Metrics, RoundStats};
+pub use per_machine::PerMachine;
 pub use word::{packed_words, total_words, WordSized, BYTES_PER_WORD};

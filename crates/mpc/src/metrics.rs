@@ -42,10 +42,9 @@ pub struct Metrics {
     /// the max (it is *not* a summed host-wide total). Zero for algorithms
     /// that never hold trees.
     pub peak_tree_bytes: usize,
-    /// Words the Lemma 4.1 view-tree bundles actually cost on the wire (the
-    /// delta/varint-encoded lengths when the `dgo_core::wire` codec is on,
-    /// the flat lengths when it is off), summed over every delivered copy.
-    /// A volume-like counter: a subset of
+    /// Words the Lemma 4.1 view-tree bundles actually cost on the wire —
+    /// their `dgo_core::wire` delta/varint-encoded lengths — summed over
+    /// every delivered copy. A volume-like counter: a subset of
     /// [`total_comm_words`](Metrics::total_comm_words) that both merge
     /// directions sum. Zero for algorithms that never ship trees.
     pub bundle_wire_words: usize,

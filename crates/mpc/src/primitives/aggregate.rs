@@ -9,73 +9,71 @@
 
 use crate::backend::ExecutionBackend;
 use crate::error::Result;
+use crate::per_machine::PerMachine;
 use crate::word::WordSized;
-use std::collections::BTreeMap;
 
 /// Aggregates `(key, value)` items by key with the associative, commutative
-/// `combine` function. Returns, per machine, the combined record for every
-/// key homed there (sorted by key for determinism).
+/// `combine` function. `items[i]` lists the items machine `i` holds. Returns,
+/// per machine, the combined record for every key homed there (sorted by key
+/// for determinism).
 ///
-/// Costs one exchange round (after free local pre-combining).
+/// Costs one exchange round (after free local pre-combining). Both combines
+/// work on each machine's list in place — a stable sort by key, then one
+/// fold over each run of equal keys in list order — instead of building a
+/// map per machine.
 ///
 /// # Errors
 ///
-/// Propagates capacity errors from the exchange.
+/// [`MpcError::WrongClusterWidth`](crate::MpcError::WrongClusterWidth) if
+/// `items` does not list every machine; otherwise propagates capacity errors
+/// from the exchange.
 ///
 /// # Examples
 ///
 /// ```
-/// use dgo_mpc::{Cluster, ClusterConfig};
+/// use dgo_mpc::{Cluster, ClusterConfig, PerMachine};
 /// use dgo_mpc::primitives::aggregate_by_key;
 ///
 /// let mut cluster = Cluster::new(ClusterConfig::new(2, 64));
-/// let items = vec![vec![(7u64, 3u64), (8, 1)], vec![(7, 2)]];
+/// let items = PerMachine::from(vec![vec![(7u64, 3u64), (8, 1)], vec![(7, 2)]]);
 /// let out = aggregate_by_key(&mut cluster, items, u64::min)?;
 /// // Key 7 homes on machine 7 % 2 = 1; min(3, 2) = 2.
-/// assert_eq!(out[1], vec![(7, 2)]);
-/// assert_eq!(out[0], vec![(8, 1)]);
+/// assert_eq!(out[1], [(7, 2)]);
+/// assert_eq!(out[0], [(8, 1)]);
 /// # Ok::<(), dgo_mpc::MpcError>(())
 /// ```
 pub fn aggregate_by_key<B, V, F>(
     cluster: &mut B,
-    items: Vec<Vec<(u64, V)>>,
+    mut items: PerMachine<(u64, V)>,
     mut combine: F,
-) -> Result<Vec<Vec<(u64, V)>>>
+) -> Result<PerMachine<(u64, V)>>
 where
     B: ExecutionBackend,
     V: WordSized + Copy + Send + Sync,
     F: FnMut(V, V) -> V,
 {
-    let m = cluster.num_machines();
-    // Local pre-combine on each machine.
-    let mut outbox: Vec<Vec<(usize, (u64, V))>> = (0..m).map(|_| Vec::new()).collect();
-    for (machine, local) in items.into_iter().enumerate() {
-        // A BTreeMap both pre-combines and yields records already
-        // key-sorted, keeping the outbox order deterministic.
-        let mut combined: BTreeMap<u64, V> = BTreeMap::new();
-        for (key, value) in local {
-            combined
-                .entry(key)
-                .and_modify(|acc| *acc = combine(*acc, value))
-                .or_insert(value);
-        }
-        for (key, value) in combined {
-            outbox[machine].push((cluster.home(key), (key, value)));
+    items.retain_prefixes(|list| combine_runs(list, &mut combine));
+    let outbox = items.map(|(key, value)| (cluster.home(key), (key, value)));
+    let mut inbox = cluster.exchange(outbox)?;
+    inbox.retain_prefixes(|list| combine_runs(list, &mut combine));
+    Ok(inbox)
+}
+
+/// Sorts `list` stably by key and folds every run of equal keys, in list
+/// order, into one record at the front; returns the number of records.
+fn combine_runs<V: Copy>(list: &mut [(u64, V)], combine: &mut impl FnMut(V, V) -> V) -> usize {
+    list.sort_by_key(|&(key, _)| key);
+    let mut kept = 0;
+    for i in 0..list.len() {
+        let (key, value) = list[i];
+        if kept > 0 && list[kept - 1].0 == key {
+            list[kept - 1].1 = combine(list[kept - 1].1, value);
+        } else {
+            list[kept] = (key, value);
+            kept += 1;
         }
     }
-    let inbox = cluster.exchange(outbox)?;
-    let mut out: Vec<Vec<(u64, V)>> = Vec::with_capacity(m);
-    for received in inbox {
-        let mut combined: BTreeMap<u64, V> = BTreeMap::new();
-        for (key, value) in received {
-            combined
-                .entry(key)
-                .and_modify(|acc| *acc = combine(*acc, value))
-                .or_insert(value);
-        }
-        out.push(combined.into_iter().collect());
-    }
-    Ok(out)
+    kept
 }
 
 /// Counts occurrences of each key. Convenience wrapper over
@@ -86,13 +84,9 @@ where
 /// Propagates capacity errors from the exchange.
 pub fn count_by_key<B: ExecutionBackend>(
     cluster: &mut B,
-    keys: Vec<Vec<u64>>,
-) -> Result<Vec<Vec<(u64, u64)>>> {
-    let items = keys
-        .into_iter()
-        .map(|ks| ks.into_iter().map(|k| (k, 1u64)).collect())
-        .collect();
-    aggregate_by_key(cluster, items, |a, b| a + b)
+    keys: PerMachine<u64>,
+) -> Result<PerMachine<(u64, u64)>> {
+    aggregate_by_key(cluster, keys.map(|key| (key, 1u64)), |a, b| a + b)
 }
 
 #[cfg(test)]
@@ -104,15 +98,15 @@ mod tests {
     #[test]
     fn min_aggregation() {
         let mut c = Cluster::new(ClusterConfig::new(3, 64));
-        let items = vec![
+        let items = PerMachine::from(vec![
             vec![(0u64, 5u64), (1, 7), (2, 9)],
             vec![(0, 3), (1, 8)],
             vec![(0, 6)],
-        ];
+        ]);
         let out = aggregate_by_key(&mut c, items, u64::min).unwrap();
-        assert_eq!(out[0], vec![(0, 3)]); // 0 % 3 = 0
-        assert_eq!(out[1], vec![(1, 7)]);
-        assert_eq!(out[2], vec![(2, 9)]);
+        assert_eq!(out[0], [(0, 3)]); // 0 % 3 = 0
+        assert_eq!(out[1], [(1, 7)]);
+        assert_eq!(out[2], [(2, 9)]);
     }
 
     #[test]
@@ -120,37 +114,38 @@ mod tests {
         // 2 machines, S = 8: 100 values for one key would blow the receive
         // cap without pre-combining; with it only 2 records cross.
         let mut c = Cluster::new(ClusterConfig::new(2, 8));
-        let items = vec![
+        let items = PerMachine::from(vec![
             (0..100).map(|i| (5u64, i as u64)).collect::<Vec<_>>(),
             (0..100)
                 .map(|i| (5u64, (100 + i) as u64))
                 .collect::<Vec<_>>(),
-        ];
+        ]);
         let out = aggregate_by_key(&mut c, items, u64::min).unwrap();
-        assert_eq!(out[1], vec![(5, 0)]);
+        assert_eq!(out[1], [(5, 0)]);
     }
 
     #[test]
     fn count_by_key_counts() {
         let mut c = Cluster::new(ClusterConfig::new(2, 64));
-        let keys = vec![vec![4u64, 4, 5], vec![4, 5, 6]];
+        let keys = PerMachine::from(vec![vec![4u64, 4, 5], vec![4, 5, 6]]);
         let out = count_by_key(&mut c, keys).unwrap();
-        assert_eq!(out[0], vec![(4, 3), (6, 1)]);
-        assert_eq!(out[1], vec![(5, 2)]);
+        assert_eq!(out[0], [(4, 3), (6, 1)]);
+        assert_eq!(out[1], [(5, 2)]);
     }
 
     #[test]
     fn empty_input() {
         let mut c = Cluster::new(ClusterConfig::new(2, 8));
-        let out = aggregate_by_key::<_, u64, _>(&mut c, vec![vec![], vec![]], u64::min).unwrap();
-        assert!(out.iter().all(Vec::is_empty));
+        let empty = PerMachine::from(vec![vec![], vec![]]);
+        let out = aggregate_by_key::<_, u64, _>(&mut c, empty, u64::min).unwrap();
+        assert!(out.iter().all(<[_]>::is_empty));
         assert_eq!(c.metrics().rounds, 1);
     }
 
     #[test]
     fn output_sorted_by_key() {
         let mut c = Cluster::new(ClusterConfig::new(1, 64));
-        let items = vec![vec![(9u64, 1u64), (3, 1), (6, 1), (0, 1)]];
+        let items = PerMachine::from(vec![vec![(9u64, 1u64), (3, 1), (6, 1), (0, 1)]]);
         let out = aggregate_by_key(&mut c, items, u64::min).unwrap();
         let keys: Vec<u64> = out[0].iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, vec![0, 3, 6, 9]);

@@ -7,13 +7,12 @@
 //! count requested copies, (2) a broadcast tree that replicates each bundle
 //! `k_v` times growing by an `n^{δ/2}` fan-out per round, and (3) a
 //! rank-matching delivery. [`gather_bundles`] implements exactly that cost
-//! model.
+//! model: the payloads never move, because callers already hold them
+//! host-side, so only their sizes enter the charge.
 
 use crate::backend::ExecutionBackend;
 use crate::error::Result;
 use crate::primitives::sort::SORT_ROUNDS;
-use crate::word::WordSized;
-use std::collections::BTreeMap;
 
 /// Rounds a broadcast tree needs to make `copies` copies with the given
 /// per-round `fanout` (at least 1 round once any copying happens).
@@ -40,42 +39,61 @@ pub fn broadcast_tree_rounds(copies: usize, fanout: usize) -> u64 {
     rounds
 }
 
-/// Delivers requested bundles to consumers (Lemma 4.1).
+/// Charges the delivery of requested bundles to their consumers
+/// (Lemma 4.1).
 ///
-/// * `bundles`: `key -> payload` held by the keys' home machines.
-/// * `requests`: `(consumer, bundle_key)` pairs; requests for keys with no
-///   bundle are ignored.
-///
-/// Returns `consumer -> [(bundle_key, payload)]` with each consumer's list
-/// sorted by bundle key.
+/// * `requests`: `(consumer, bundle_key)` pairs.
+/// * `bundle_words(key)`: the payload words of `key`'s bundle, or `None`
+///   when `key` has no bundle; such requests enter the copy-counting sort
+///   but deliver nothing.
 ///
 /// Cost charged: one sort (copy counting), a broadcast tree of depth
-/// `log_{√S}(max copies)`, and one delivery round.
+/// `log_{√S}(max copies)`, and one delivery round. Every delivered copy
+/// costs its key word plus the payload.
 ///
 /// # Errors
 ///
 /// Capacity errors if the per-consumer volume or balanced per-machine volume
 /// exceeds `S` (the preconditions (A)/(B) of Lemma 4.1 are violated).
-pub fn gather_bundles<B: ExecutionBackend, P: Clone + WordSized>(
+///
+/// # Examples
+///
+/// ```
+/// use dgo_mpc::primitives::{gather_bundles, SORT_ROUNDS};
+/// use dgo_mpc::{Cluster, ClusterConfig};
+///
+/// let mut cluster = Cluster::new(ClusterConfig::new(2, 1024));
+/// // Consumers 0 and 1 both want bundle 10 (two words); 0 also wants 20.
+/// let words = |key: u64| match key {
+///     10 => Some(2),
+///     20 => Some(1),
+///     _ => None,
+/// };
+/// gather_bundles(&mut cluster, &[(0, 20), (0, 10), (1, 10)], words)?;
+/// // The sort, a one-round broadcast tree for bundle 10's two copies, and
+/// // the delivery of 2 + 3 + 3 words.
+/// assert_eq!(cluster.metrics().rounds, SORT_ROUNDS + 2);
+/// assert_eq!(cluster.metrics().total_comm_words, 3 * 6 + 8 + 8);
+/// # Ok::<(), dgo_mpc::MpcError>(())
+/// ```
+pub fn gather_bundles<B: ExecutionBackend>(
     cluster: &mut B,
-    bundles: &BTreeMap<u64, P>,
     requests: &[(u64, u64)],
-) -> Result<BTreeMap<u64, Vec<(u64, P)>>> {
+    bundle_words: impl Fn(u64) -> Option<usize>,
+) -> Result<()> {
     let m = cluster.num_machines();
     let s = cluster.local_memory();
 
     // Phase 1: count copies per bundle (sorting-based, SORT_ROUNDS).
-    let mut copies: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut per_consumer_words: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut total_delivered = 0usize;
+    let mut copies: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
+    let mut consumer_words: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
     for &(consumer, key) in requests {
-        if let Some(payload) = bundles.get(&key) {
-            *copies.entry(key).or_insert(0) += 1;
-            let w = 1 + payload.words();
-            *per_consumer_words.entry(consumer).or_insert(0) += w;
-            total_delivered += w;
+        if let Some(words) = bundle_words(key) {
+            copies.push((key, 1));
+            consumer_words.push((consumer, 1 + words));
         }
     }
+    let total_delivered: usize = consumer_words.iter().map(|&(_, w)| w).sum();
     let count_volume = 2 * requests.len(); // (key, consumer) pairs
     let count_load = count_volume.div_ceil(m).max(1).min(count_volume.max(1));
     cluster.charge_rounds(SORT_ROUNDS, count_volume * SORT_ROUNDS as usize, count_load)?;
@@ -83,7 +101,7 @@ pub fn gather_bundles<B: ExecutionBackend, P: Clone + WordSized>(
     // Phase 2: broadcast-tree replication with fan-out sqrt(S) (the paper's
     // n^{δ/2} growth factor).
     let fanout = ((s as f64).sqrt().floor() as usize).max(2);
-    let max_copies = copies.values().copied().max().unwrap_or(0);
+    let max_copies = largest_group_sum(&mut copies);
     let tree_rounds = broadcast_tree_rounds(max_copies, fanout);
     if tree_rounds > 0 {
         let per_round_load = total_delivered.div_ceil(m).max(1);
@@ -92,23 +110,20 @@ pub fn gather_bundles<B: ExecutionBackend, P: Clone + WordSized>(
 
     // Phase 3: rank-matched delivery; the binding constraint is each
     // consumer's own inbox volume (precondition (A) of Lemma 4.1).
-    let max_consumer = per_consumer_words.values().copied().max().unwrap_or(0);
+    let max_consumer = largest_group_sum(&mut consumer_words);
     let delivery_load = max_consumer.max(total_delivered.div_ceil(m)).max(1);
-    cluster.charge_rounds(1, total_delivered, delivery_load)?;
+    cluster.charge_rounds(1, total_delivered, delivery_load)
+}
 
-    // Materialize results.
-    let mut out: BTreeMap<u64, Vec<(u64, P)>> = BTreeMap::new();
-    for &(consumer, key) in requests {
-        if let Some(payload) = bundles.get(&key) {
-            out.entry(consumer)
-                .or_default()
-                .push((key, payload.clone()));
-        }
-    }
-    for list in out.values_mut() {
-        list.sort_unstable_by_key(|&(k, _)| k);
-    }
-    Ok(out)
+/// The largest per-key total of `(key, amount)` pairs, grouping by sorting
+/// the pairs in place (already grouped input sorts in linear time).
+fn largest_group_sum(pairs: &mut [(u64, usize)]) -> usize {
+    pairs.sort_unstable_by_key(|&(key, _)| key);
+    pairs
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|group| group.iter().map(|&(_, amount)| amount).sum())
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -132,33 +147,48 @@ mod tests {
         assert_eq!(broadcast_tree_rounds(8, 0), 3);
     }
 
+    /// Bundle sizes of the tests: keys 10 and 20 hold two words and one.
+    fn two_bundles(key: u64) -> Option<usize> {
+        match key {
+            10 => Some(2),
+            20 => Some(1),
+            _ => None,
+        }
+    }
+
     #[test]
-    fn gather_delivers_sorted() {
+    fn gather_charges_each_consumers_inbox() {
+        // Consumer 0 gathers both bundles (3 + 2 words), consumer 1 one
+        // (3 words), out of order and ungrouped: the delivery round's load
+        // is consumer 0's inbox, the tree replicates bundle 10 twice.
         let mut c = cluster(2, 1024);
-        let mut bundles = BTreeMap::new();
-        bundles.insert(10u64, vec![1u64, 2]);
-        bundles.insert(20u64, vec![3u64]);
-        let requests = vec![(0u64, 20u64), (0, 10), (1, 10)];
-        let out = gather_bundles(&mut c, &bundles, &requests).unwrap();
-        assert_eq!(out[&0], vec![(10, vec![1, 2]), (20, vec![3])]);
-        assert_eq!(out[&1], vec![(10, vec![1, 2])]);
-        assert!(c.metrics().rounds > SORT_ROUNDS);
+        let requests = [(0u64, 20u64), (1, 10), (0, 10)];
+        gather_bundles(&mut c, &requests, two_bundles).unwrap();
+        let log = &c.metrics().round_log;
+        assert_eq!(log.len() as u64, SORT_ROUNDS + 2);
+        assert!(log[..SORT_ROUNDS as usize]
+            .iter()
+            .all(|r| r.total_words == 6 && r.max_sent == 3));
+        let tree = log[SORT_ROUNDS as usize];
+        assert_eq!((tree.total_words, tree.max_sent), (8, 4));
+        let delivery = log[SORT_ROUNDS as usize + 1];
+        assert_eq!((delivery.total_words, delivery.max_sent), (8, 5));
     }
 
     #[test]
     fn missing_keys_ignored() {
+        // The request is sorted, but nothing is replicated or delivered.
         let mut c = cluster(2, 1024);
-        let bundles: BTreeMap<u64, u64> = BTreeMap::new();
-        let out = gather_bundles(&mut c, &bundles, &[(0, 99)]).unwrap();
-        assert!(out.is_empty());
+        gather_bundles(&mut c, &[(0, 99)], two_bundles).unwrap();
+        assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
+        assert_eq!(c.metrics().total_comm_words, 2 * SORT_ROUNDS as usize);
     }
 
     #[test]
     fn consumer_overload_errors() {
         let mut c = cluster(2, 8);
-        let mut bundles = BTreeMap::new();
-        bundles.insert(0u64, vec![0u64; 20]); // 20-word bundle > S = 8
-        let err = gather_bundles(&mut c, &bundles, &[(1, 0)]).unwrap_err();
+        // A 20-word bundle > S = 8.
+        let err = gather_bundles(&mut c, &[(1, 0)], |_| Some(20)).unwrap_err();
         assert!(err.to_string().contains("capacity"));
     }
 
@@ -168,20 +198,17 @@ mod tests {
         // broadcast tree than a single copy.
         let mut single = cluster(4, 64);
         let mut many = cluster(4, 64);
-        let mut bundles = BTreeMap::new();
-        bundles.insert(0u64, 1u64);
-        gather_bundles(&mut single, &bundles, &[(1, 0)]).unwrap();
+        gather_bundles(&mut single, &[(1, 0)], |_| Some(1)).unwrap();
         let reqs: Vec<(u64, u64)> = (0..40).map(|i| (i, 0)).collect();
-        gather_bundles(&mut many, &bundles, &reqs).unwrap();
+        gather_bundles(&mut many, &reqs, |_| Some(1)).unwrap();
         assert!(many.metrics().rounds > single.metrics().rounds);
     }
 
     #[test]
     fn empty_requests() {
         let mut c = cluster(2, 64);
-        let mut bundles = BTreeMap::new();
-        bundles.insert(0u64, 5u64);
-        let out = gather_bundles(&mut c, &bundles, &[]).unwrap();
-        assert!(out.is_empty());
+        gather_bundles(&mut c, &[], two_bundles).unwrap();
+        assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
+        assert_eq!(c.metrics().total_comm_words, 0);
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation-profile fence for the flat-arena `ViewTree` hot loops.
+//! Allocation-profile fence for the flat-arena `ViewTree` hot loops and the
+//! flat message rounds.
 //!
 //! A counting global allocator wraps `System` and tallies every
 //! allocation/reallocation. The assertions pin the arena's allocation
@@ -7,6 +8,9 @@
 //! consumed provider tree *amortized* — never per spliced node. Before the
 //! arena refactor every spliced internal node allocated its own `children`
 //! vector, so these bounds are the regression fence for the CSR layout.
+//! Algorithm 4's min-combine makes a constant number of allocations however
+//! many machines and proposals it has: its rounds are flat per-machine
+//! buffers, not a heap buffer per machine.
 //!
 //! Everything runs in one `#[test]` (the harness would otherwise interleave
 //! allocations of concurrently running tests into the measured windows) and
@@ -14,8 +18,9 @@
 
 #![cfg(target_has_atomic = "ptr")] // the counter is an atomic
 
-use dgo::core::{local_prune_with, PruneScratch, StageExecutor, ViewTree};
+use dgo::core::{combine_tree_layers, local_prune_with, PruneScratch, StageExecutor, ViewTree};
 use dgo::graph::generators::Family;
+use dgo::mpc::{ClusterConfig, ExecutionBackend, SequentialBackend};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -156,4 +161,26 @@ fn attach_is_o1_allocations_per_consumed_tree() {
         "batch pruning allocated {batch_allocs} times for {n} trees"
     );
     assert_eq!(batch.len(), n);
+
+    // --- Algorithm 4's min-combine: a constant number of acquisitions,
+    // independent of the machine count and the proposal count. Vertex
+    // `i % vertices` proposes layer `i % 7 + 1`, so hot vertices collect
+    // many proposals. ---
+    for (machines, proposal_count) in [(100_000usize, 10_000usize), (50_000, 20_000)] {
+        let vertices = proposal_count / 4;
+        let proposals: Vec<(u64, u32)> = (0..proposal_count)
+            .map(|i| ((i % vertices) as u64, (i % 7 + 1) as u32))
+            .collect();
+        let mut cluster = SequentialBackend::from_config(ClusterConfig::new(machines, 1 << 16));
+        let (combine_allocs, layering) =
+            measure(|| combine_tree_layers(vertices, proposals, &mut cluster));
+        let layering = layering.expect("the min-combine fits");
+        assert!(layering.is_complete());
+        assert_eq!(cluster.metrics().rounds, 1);
+        assert!(
+            combine_allocs <= 16,
+            "the min-combine of {proposal_count} proposals on {machines} machines \
+             allocated {combine_allocs} times — not a constant"
+        );
+    }
 }

@@ -18,7 +18,8 @@ use dgo::graph::generators::{barabasi_albert, gnm, random_forest};
 use dgo::graph::Graph;
 use dgo::local::direct_peeling_mpc_on;
 use dgo::mpc::{
-    ClusterConfig, ExecutionBackend, Metrics, MpcError, ParallelBackend, SequentialBackend,
+    ClusterConfig, ExecutionBackend, Metrics, MpcError, ParallelBackend, PerMachine,
+    SequentialBackend,
 };
 use proptest::prelude::*;
 
@@ -176,13 +177,14 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let outbox: Vec<Vec<(usize, u64)>> = (0..machines)
+        let outbox: PerMachine<(usize, u64)> = (0..machines)
             .map(|_| {
                 (0..per_machine)
                     .map(|_| (rng.random_range(0..machines), rng.random::<u64>() % 1000))
                     .collect()
             })
-            .collect();
+            .collect::<Vec<Vec<_>>>()
+            .into();
         let config = ClusterConfig::new(machines, 1 << 16);
         let mut seq = SequentialBackend::new(config);
         let mut par = ParallelBackend::new(config).with_threads(threads);
@@ -204,11 +206,12 @@ proptest! {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let outbox: Vec<Vec<(usize, u64)>> = (0..machines)
+        let outbox: PerMachine<(usize, u64)> = (0..machines)
             .map(|_| {
                 (0..12).map(|_| (rng.random_range(0..machines), 1u64)).collect()
             })
-            .collect();
+            .collect::<Vec<Vec<_>>>()
+            .into();
         let config = ClusterConfig::new(machines, capacity);
         let mut seq = SequentialBackend::new(config);
         let mut par = ParallelBackend::new(config).with_threads(threads);

@@ -7,7 +7,7 @@
 use dgo::core::{complete_layering, orient, Params};
 use dgo::graph::generators::{gnm, star, Family};
 use dgo::local::direct_peeling_mpc;
-use dgo::mpc::{Cluster, ClusterConfig, MpcError};
+use dgo::mpc::{Cluster, ClusterConfig, MpcError, PerMachine};
 
 #[test]
 fn strict_metering_passes_for_all_families() {
@@ -78,7 +78,7 @@ fn exchange_round_trip_preserves_messages() {
             outbox[src].push((dst, (src * 10 + dst) as u64));
         }
     }
-    let inbox = cluster.exchange(outbox).unwrap();
+    let inbox = cluster.exchange(PerMachine::from(outbox)).unwrap();
     for (dst, received) in inbox.iter().enumerate() {
         assert_eq!(received.len(), 5);
         for (src, &msg) in received.iter().enumerate() {

@@ -6,7 +6,7 @@
 
 use dgo_core::stage::StageExecutor;
 use dgo_mpc::instance::InstanceGroup;
-use dgo_mpc::{ClusterConfig, MpcError, SequentialBackend};
+use dgo_mpc::{ClusterConfig, MpcError, PerMachine, SequentialBackend};
 
 /// A small per-instance workload that exercises tier-3 stages inside a
 /// tier-2 instance: one metered exchange plus a vertex-stage map and
@@ -21,7 +21,7 @@ fn staged_workload(
     for (m, box_m) in outbox.iter_mut().enumerate() {
         box_m.push(((m + 1) % machines, (instance * 100 + m) as u64));
     }
-    let inbox = backend.exchange(outbox)?;
+    let inbox = backend.exchange(PerMachine::from(outbox))?;
     let items: Vec<u64> = (0..2_000u64).map(|v| v + instance as u64).collect();
     let mapped = stage.map(&items, |i, &v| v * 3 + i as u64 + inbox[0][0]);
     let total = stage.sum_by(&mapped, |_, &v| v as usize);
