@@ -1,11 +1,7 @@
-//! Engine benchmark: sequential vs parallel execution backend, end-to-end.
-//!
-//! The backends are observationally equivalent (identical results and MPC
-//! metrics — see the `backend_equivalence` test suite), so this measures the
-//! pure host-side cost difference — the same flat counting-sort routing
-//! with its per-machine metering split over the pool (`parallel`) against
-//! the single-threaded reference — on the full Theorem 1.1/1.2 pipelines and
-//! on a raw exchange-heavy workload.
+//! Engine benchmark: the execution backend end-to-end, on the full
+//! Theorem 1.1/1.2 pipelines and on a raw exchange-heavy workload. The legs
+//! keep the backend name (`sequential`) for continuity of the persisted
+//! trajectory.
 //!
 //! Besides the human-readable timing lines, every run writes
 //! `BENCH_engine.json` (see `dgo_bench::report`) into the working directory:
@@ -15,11 +11,9 @@
 
 use criterion::{BenchmarkId, Criterion};
 use dgo_bench::report::{peak_rss_bytes, quick_mode, resolved_jobs, BenchLeg, BenchReport};
-use dgo_core::{color_on, orient_on, Params};
+use dgo_core::{color, orient, Params};
 use dgo_graph::generators::{gnm, Family};
-use dgo_mpc::{
-    ClusterConfig, ExecutionBackend, Metrics, ParallelBackend, PerMachine, SequentialBackend,
-};
+use dgo_mpc::{ClusterConfig, Metrics, PerMachine, SequentialBackend};
 
 /// `DGO_BENCH_QUICK=1` shrinks every sweep to its smallest leg with few
 /// samples — the CI smoke mode (seconds, not minutes).
@@ -30,7 +24,7 @@ fn quick() -> bool {
 /// Converts the record of the just-finished bench call plus one metered run
 /// into a report leg. Must be called immediately after the bench call, while
 /// its record is the newest.
-fn record_leg(report: &mut BenchReport, backend: &str, metrics: &Metrics) {
+fn record_leg(report: &mut BenchReport, metrics: &Metrics) {
     let record = criterion::take_records()
         .pop()
         .expect("bench call leaves a record");
@@ -39,14 +33,14 @@ fn record_leg(report: &mut BenchReport, backend: &str, metrics: &Metrics) {
         wall_seconds: record.mean_seconds,
         samples: record.samples,
         jobs: resolved_jobs(Params::practical(0).jobs),
-        backend: backend.to_string(),
+        backend: "sequential".to_string(),
         comm_words: metrics.total_comm_words,
         peak_tree_bytes: metrics.peak_tree_bytes,
         peak_rss_bytes: peak_rss_bytes(),
     });
 }
 
-fn bench_orient_backends(c: &mut Criterion, report: &mut BenchReport) {
+fn bench_orient(c: &mut Criterion, report: &mut BenchReport) {
     let mut group = c.benchmark_group("engine_orient");
     group.sample_size(if quick() { 3 } else { 10 });
     let sizes: &[usize] = if quick() {
@@ -58,15 +52,10 @@ fn bench_orient_backends(c: &mut Criterion, report: &mut BenchReport) {
         let g = gnm(n, 4 * n, 9);
         let params = Params::practical(n);
         group.bench_with_input(BenchmarkId::new("sequential", n), &g, |b, g| {
-            b.iter(|| orient_on::<SequentialBackend>(g, &params).expect("orientation succeeds"))
+            b.iter(|| orient(g, &params).expect("orientation succeeds"))
         });
-        let metrics = orient_on::<SequentialBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "sequential", &metrics);
-        group.bench_with_input(BenchmarkId::new("parallel", n), &g, |b, g| {
-            b.iter(|| orient_on::<ParallelBackend>(g, &params).expect("orientation succeeds"))
-        });
-        let metrics = orient_on::<ParallelBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "parallel", &metrics);
+        let metrics = orient(&g, &params).unwrap().metrics;
+        record_leg(report, &metrics);
     }
     group.finish();
 }
@@ -84,24 +73,19 @@ fn bench_orient_tree_family(c: &mut Criterion, report: &mut BenchReport) {
         let g = Family::Tree.generate(n, 9);
         let params = Params::practical(n);
         group.bench_with_input(BenchmarkId::new("sequential", n), &g, |b, g| {
-            b.iter(|| orient_on::<SequentialBackend>(g, &params).expect("orientation succeeds"))
+            b.iter(|| orient(g, &params).expect("orientation succeeds"))
         });
-        let metrics = orient_on::<SequentialBackend>(&g, &params).unwrap().metrics;
+        let metrics = orient(&g, &params).unwrap().metrics;
         assert!(
             metrics.peak_tree_bytes > 0,
             "tree-family orientation must exercise the view-tree path"
         );
-        record_leg(report, "sequential", &metrics);
-        group.bench_with_input(BenchmarkId::new("parallel", n), &g, |b, g| {
-            b.iter(|| orient_on::<ParallelBackend>(g, &params).expect("orientation succeeds"))
-        });
-        let metrics = orient_on::<ParallelBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "parallel", &metrics);
+        record_leg(report, &metrics);
     }
     group.finish();
 }
 
-fn bench_color_backends(c: &mut Criterion, report: &mut BenchReport) {
+fn bench_color(c: &mut Criterion, report: &mut BenchReport) {
     let mut group = c.benchmark_group("engine_color");
     group.sample_size(if quick() { 3 } else { 10 });
     let sizes: &[usize] = if quick() { &[1024] } else { &[1024, 4096] };
@@ -109,15 +93,10 @@ fn bench_color_backends(c: &mut Criterion, report: &mut BenchReport) {
         let g = gnm(n, 4 * n, 9);
         let params = Params::practical(n);
         group.bench_with_input(BenchmarkId::new("sequential", n), &g, |b, g| {
-            b.iter(|| color_on::<SequentialBackend>(g, &params).expect("coloring succeeds"))
+            b.iter(|| color(g, &params).expect("coloring succeeds"))
         });
-        let metrics = color_on::<SequentialBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "sequential", &metrics);
-        group.bench_with_input(BenchmarkId::new("parallel", n), &g, |b, g| {
-            b.iter(|| color_on::<ParallelBackend>(g, &params).expect("coloring succeeds"))
-        });
-        let metrics = color_on::<ParallelBackend>(&g, &params).unwrap().metrics;
-        record_leg(report, "parallel", &metrics);
+        let metrics = color(&g, &params).unwrap().metrics;
+        record_leg(report, &metrics);
     }
     group.finish();
 }
@@ -158,28 +137,7 @@ fn bench_raw_exchange(c: &mut Criterion, report: &mut BenchReport) {
             }
             backend.into_metrics()
         };
-        record_leg(report, "sequential", &metrics);
-        group.bench_with_input(
-            BenchmarkId::new("parallel", machines),
-            &outbox,
-            |b, outbox| {
-                b.iter(|| {
-                    let mut backend = ParallelBackend::new(config);
-                    for _ in 0..8 {
-                        backend.exchange(outbox.clone()).expect("fits");
-                    }
-                    backend.into_metrics()
-                })
-            },
-        );
-        let metrics = {
-            let mut backend = ParallelBackend::new(config);
-            for _ in 0..8 {
-                backend.exchange(outbox.clone()).expect("fits");
-            }
-            backend.into_metrics()
-        };
-        record_leg(report, "parallel", &metrics);
+        record_leg(report, &metrics);
     }
     group.finish();
 }
@@ -188,9 +146,9 @@ fn main() {
     let mut criterion = Criterion::default();
     let mut report = BenchReport::new("engine");
     criterion::take_records(); // drop any stale records
-    bench_orient_backends(&mut criterion, &mut report);
+    bench_orient(&mut criterion, &mut report);
     bench_orient_tree_family(&mut criterion, &mut report);
-    bench_color_backends(&mut criterion, &mut report);
+    bench_color(&mut criterion, &mut report);
     bench_raw_exchange(&mut criterion, &mut report);
     // Workspace root: two levels above this package's manifest dir.
     match report.write_in(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")) {

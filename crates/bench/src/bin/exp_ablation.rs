@@ -1,15 +1,12 @@
 //! E6: parameter ablations — k_factor, budget, and step-count sweeps.
 //!
-//! Usage: `cargo run -p dgo-bench --release --bin exp_ablation [-- --n 8192] [-- --backend parallel] [-- --jobs 8]`
+//! Usage: `cargo run -p dgo-bench --release --bin exp_ablation [-- --n 8192] [-- --jobs 8]`
 
-use dgo_bench::{backend_from_args, dispatch_backend, e6_ablation, jobs_from_args, n_from_args};
+use dgo_bench::{e6_ablation, jobs_from_args, n_from_args};
 
 fn main() {
     let n = n_from_args(1 << 13);
-    let jobs = jobs_from_args();
-    dispatch_backend!(backend_from_args(), B => {
-        for table in e6_ablation::<B>(n, jobs) {
-            println!("{table}");
-        }
-    });
+    for table in e6_ablation(n, jobs_from_args()) {
+        println!("{table}");
+    }
 }

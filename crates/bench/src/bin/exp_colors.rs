@@ -1,13 +1,9 @@
 //! E3: coloring quality — palette size vs Δ+1 vs the λ·loglog budget.
 //!
-//! Usage: `cargo run -p dgo-bench --release --bin exp_colors [-- --n 8192] [-- --backend parallel] [-- --jobs 8]`
+//! Usage: `cargo run -p dgo-bench --release --bin exp_colors [-- --n 8192] [-- --jobs 8]`
 
-use dgo_bench::{backend_from_args, dispatch_backend, e3_colors, jobs_from_args, n_from_args};
+use dgo_bench::{e3_colors, jobs_from_args, n_from_args};
 
 fn main() {
-    let n = n_from_args(1 << 13);
-    let jobs = jobs_from_args();
-    dispatch_backend!(backend_from_args(), B => {
-        println!("{}", e3_colors::<B>(n, jobs));
-    });
+    println!("{}", e3_colors(n_from_args(1 << 13), jobs_from_args()));
 }

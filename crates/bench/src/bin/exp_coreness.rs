@@ -1,13 +1,9 @@
 //! E7: approximate coreness (paper footnote 2 / GLM19) vs exact.
 //!
-//! Usage: `cargo run -p dgo-bench --release --bin exp_coreness [-- --n 8192] [-- --backend parallel] [-- --jobs 8]`
+//! Usage: `cargo run -p dgo-bench --release --bin exp_coreness [-- --n 8192] [-- --jobs 8]`
 
-use dgo_bench::{backend_from_args, dispatch_backend, e7_coreness, jobs_from_args, n_from_args};
+use dgo_bench::{e7_coreness, jobs_from_args, n_from_args};
 
 fn main() {
-    let n = n_from_args(1 << 13);
-    let jobs = jobs_from_args();
-    dispatch_backend!(backend_from_args(), B => {
-        println!("{}", e7_coreness::<B>(n, jobs));
-    });
+    println!("{}", e7_coreness(n_from_args(1 << 13), jobs_from_args()));
 }

@@ -1,16 +1,12 @@
 //! E5: memory compliance — peak machine words vs S = n^δ.
 //!
-//! Usage: `cargo run -p dgo-bench --release --bin exp_memory [-- --big] [-- --backend parallel] [-- --jobs 8]`
+//! Usage: `cargo run -p dgo-bench --release --bin exp_memory [-- --big] [-- --jobs 8]`
 
-use dgo_bench::{
-    backend_from_args, dispatch_backend, e5_memory, e5_wire, jobs_from_args, sizes_from_args,
-};
+use dgo_bench::{e5_memory, e5_wire, jobs_from_args, sizes_from_args};
 
 fn main() {
     let sizes = sizes_from_args();
     let jobs = jobs_from_args();
-    dispatch_backend!(backend_from_args(), B => {
-        println!("{}", e5_memory::<B>(&sizes, jobs));
-        println!("{}", e5_wire::<B>(&sizes, jobs));
-    });
+    println!("{}", e5_memory(&sizes, jobs));
+    println!("{}", e5_wire(&sizes, jobs));
 }

@@ -1,13 +1,9 @@
 //! E2: orientation quality — max outdegree vs arboricity, ours vs BE08.
 //!
-//! Usage: `cargo run -p dgo-bench --release --bin exp_outdegree [-- --n 8192] [-- --backend parallel] [-- --jobs 8]`
+//! Usage: `cargo run -p dgo-bench --release --bin exp_outdegree [-- --n 8192] [-- --jobs 8]`
 
-use dgo_bench::{backend_from_args, dispatch_backend, e2_outdegree, jobs_from_args, n_from_args};
+use dgo_bench::{e2_outdegree, jobs_from_args, n_from_args};
 
 fn main() {
-    let n = n_from_args(1 << 13);
-    let jobs = jobs_from_args();
-    dispatch_backend!(backend_from_args(), B => {
-        println!("{}", e2_outdegree::<B>(n, jobs));
-    });
+    println!("{}", e2_outdegree(n_from_args(1 << 13), jobs_from_args()));
 }

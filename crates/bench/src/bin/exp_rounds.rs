@@ -1,16 +1,14 @@
 //! E1: round-complexity comparison — ours vs direct simulation vs models.
 //!
-//! Usage: `cargo run -p dgo-bench --release --bin exp_rounds [-- --big] [-- --backend parallel] [-- --jobs 8]`
+//! Usage: `cargo run -p dgo-bench --release --bin exp_rounds [-- --big] [-- --jobs 8]`
 
-use dgo_bench::{backend_from_args, dispatch_backend, e1_rounds, jobs_from_args, sizes_from_args};
+use dgo_bench::{e1_rounds, jobs_from_args, sizes_from_args};
 use dgo_graph::generators::Family;
 
 fn main() {
     let sizes = sizes_from_args();
     let jobs = jobs_from_args();
-    dispatch_backend!(backend_from_args(), B => {
-        for family in [Family::SparseGnm, Family::Tree, Family::PowerLaw] {
-            println!("{}", e1_rounds::<B>(&sizes, family, jobs));
-        }
-    });
+    for family in [Family::SparseGnm, Family::Tree, Family::PowerLaw] {
+        println!("{}", e1_rounds(&sizes, family, jobs));
+    }
 }

@@ -11,9 +11,10 @@
 //!   sort+dedup ([`Graph::from_edges_by_sort`]); `fast` is the counting-sort
 //!   build ([`Graph::from_normalized_unsorted`]). The two graphs are
 //!   asserted bit-identical before anything else runs.
-//! * `scale/orient/<backend>` and `scale/coreness/<backend>` — end-to-end
-//!   `orient` + approximate coreness on the parsed graph, on both
-//!   execution backends (or a single backend, with `--backend`).
+//! * `scale/orient/sequential` and `scale/coreness/sequential` — end-to-end
+//!   `orient` + approximate coreness on the parsed graph, on
+//!   `SequentialBackend` (the leg names keep the backend for continuity of
+//!   the persisted trajectory).
 //!
 //! Every leg carries `peak_rss_bytes` (the kernel's `VmHWM` high-water mark
 //! — monotonic, so read legs in order) next to the usual wall-clock, comm
@@ -26,15 +27,15 @@
 //! cargo run -p dgo-bench --release --bin exp_scale                 # 10⁷ edges
 //! cargo run -p dgo-bench --release --bin exp_scale -- --edges 100000000
 //! cargo run -p dgo-bench --release --bin exp_scale -- --input soc-live.txt
-//! cargo run -p dgo-bench --release --bin exp_scale -- --backend parallel --jobs 0
+//! cargo run -p dgo-bench --release --bin exp_scale -- --jobs 0
 //! DGO_SCALE_SMOKE=1 cargo run -p dgo-bench --release --bin exp_scale  # ~10⁵ edges (CI)
 //! ```
 
+use dgo_bench::jobs_from_args;
 use dgo_bench::report::{
     env_ingest_jobs, peak_rss_bytes, resolved_jobs, scale_smoke, BenchLeg, BenchReport,
 };
-use dgo_bench::{backend_from_args, dispatch_backend, jobs_from_args, BackendKind};
-use dgo_core::{approximate_coreness_on, orient_on, Params};
+use dgo_core::{approximate_coreness, orient, Params};
 use dgo_graph::generators::gnm;
 use dgo_graph::io::{parse_edge_list, write_edge_list};
 use dgo_graph::Graph;
@@ -160,10 +161,6 @@ fn main() {
     let seed: u64 = flag_value("--seed").unwrap_or(97);
     let jobs = jobs_from_args();
     let input: Option<String> = flag_value("--input");
-    let backends: Vec<BackendKind> = match std::env::args().any(|a| a == "--backend") {
-        true => vec![backend_from_args()],
-        false => BackendKind::ALL.to_vec(),
-    };
     let mut report = BenchReport::new("scale");
     let ingest = env_ingest_jobs();
 
@@ -241,51 +238,46 @@ fn main() {
         graph.num_edges()
     );
 
-    // ---- End-to-end algorithms on every backend ---------------------------
+    // ---- End-to-end algorithms ---------------------------------------------
     let mut params = Params::practical(graph.num_vertices());
     params.jobs = jobs;
-    for kind in backends {
-        let name = kind.name();
-        dispatch_backend!(kind, B => {
-            let result = leg(
-                &mut report,
-                &format!("scale/orient/{name}"),
-                resolved_jobs(jobs),
-                name,
-                0,
-                0,
-                || orient_on::<B>(&graph, &params).expect("orient"),
-            );
-            let last = report.legs.last_mut().expect("pushed");
-            last.comm_words = result.metrics.total_comm_words;
-            last.peak_tree_bytes = result.metrics.peak_tree_bytes;
-            println!(
-                "  orient/{name}: max out-degree {}, rounds {}, comm words {}",
-                result.orientation.max_out_degree(),
-                result.metrics.rounds,
-                result.metrics.total_comm_words
-            );
-            drop(result);
+    let result = leg(
+        &mut report,
+        "scale/orient/sequential",
+        resolved_jobs(jobs),
+        "sequential",
+        0,
+        0,
+        || orient(&graph, &params).expect("orient"),
+    );
+    let last = report.legs.last_mut().expect("pushed");
+    last.comm_words = result.metrics.total_comm_words;
+    last.peak_tree_bytes = result.metrics.peak_tree_bytes;
+    println!(
+        "  orient: max out-degree {}, rounds {}, comm words {}",
+        result.orientation.max_out_degree(),
+        result.metrics.rounds,
+        result.metrics.total_comm_words
+    );
+    drop(result);
 
-            let coreness = leg(
-                &mut report,
-                &format!("scale/coreness/{name}"),
-                resolved_jobs(jobs),
-                name,
-                0,
-                0,
-                || approximate_coreness_on::<B>(&graph, EPS, &params).expect("coreness"),
-            );
-            let last = report.legs.last_mut().expect("pushed");
-            last.comm_words = coreness.metrics.total_comm_words;
-            last.peak_tree_bytes = coreness.metrics.peak_tree_bytes;
-            println!(
-                "  coreness/{name}: ladder of {} guesses, comm words {}",
-                coreness.stats.len(),
-                coreness.metrics.total_comm_words
-            );
-        });
-    }
+    let coreness = leg(
+        &mut report,
+        "scale/coreness/sequential",
+        resolved_jobs(jobs),
+        "sequential",
+        0,
+        0,
+        || approximate_coreness(&graph, EPS, &params).expect("coreness"),
+    );
+    let last = report.legs.last_mut().expect("pushed");
+    last.comm_words = coreness.metrics.total_comm_words;
+    last.peak_tree_bytes = coreness.metrics.peak_tree_bytes;
+    println!(
+        "  coreness: ladder of {} guesses, comm words {}",
+        coreness.stats.len(),
+        coreness.metrics.total_comm_words
+    );
 
     // Workspace root: two levels above this package's manifest dir.
     match report.write_in(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")) {

@@ -10,13 +10,13 @@
 
 use crate::table::Table;
 use dgo_core::{
-    approximate_coreness_on, color_on, complete_layering_on, estimate_lambda, num_paths_in_staged,
-    orient_on, Params, StageExecutor,
+    approximate_coreness, color, complete_layering, estimate_lambda, num_paths_in_staged, orient,
+    Params, StageExecutor,
 };
 use dgo_graph::generators::Family;
 use dgo_graph::{coreness, Coloring};
-use dgo_local::{be08_peeling, direct_peeling_mpc_on, RoundModel};
-use dgo_mpc::{ClusterConfig, ExecutionBackend};
+use dgo_local::{be08_peeling, direct_peeling_mpc, RoundModel};
+use dgo_mpc::{Cluster, ClusterConfig};
 
 /// Default instance sizes for size sweeps (kept laptop-friendly; binaries
 /// accept `--big` for an extended sweep).
@@ -30,11 +30,7 @@ pub const SEED: u64 = 0xE5EED;
 
 /// E1 (Figure-1 analog): measured MPC rounds of this paper's orientation vs
 /// the direct LOCAL→MPC simulation, with the three analytic model curves.
-pub fn e1_rounds<B: ExecutionBackend + Send>(
-    sizes: &[usize],
-    family: Family,
-    jobs: usize,
-) -> Table {
+pub fn e1_rounds(sizes: &[usize], family: Family, jobs: usize) -> Table {
     let mut table = Table::new(
         format!("E1: MPC rounds vs n ({family}) — ours vs direct simulation vs models"),
         &[
@@ -49,11 +45,10 @@ pub fn e1_rounds<B: ExecutionBackend + Send>(
     for &n in sizes {
         let g = family.generate(n, SEED);
         let params = Params::practical(n).with_jobs(jobs);
-        let ours = orient_on::<B>(&g, &params).expect("orientation must succeed");
+        let ours = orient(&g, &params).expect("orientation must succeed");
         let lambda = estimate_lambda(&g, &params);
         let cfg = ClusterConfig::for_graph(g.num_vertices(), g.num_edges(), params.delta);
-        let direct =
-            direct_peeling_mpc_on::<B>(&g, lambda, 0.5, cfg).expect("baseline must succeed");
+        let direct = direct_peeling_mpc(&g, lambda, 0.5, cfg).expect("baseline must succeed");
         table.push_row(vec![
             n.to_string(),
             ours.metrics.rounds.to_string(),
@@ -68,7 +63,7 @@ pub fn e1_rounds<B: ExecutionBackend + Send>(
 
 /// E2 (Table-1 analog): max outdegree normalized by `λ̂` across families,
 /// ours vs the BE08 `(2+ε)λ` baseline.
-pub fn e2_outdegree<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table {
+pub fn e2_outdegree(n: usize, jobs: usize) -> Table {
     let mut table = Table::new(
         format!("E2: orientation quality at n = {n} — max outdegree vs λ̂"),
         &["family", "λ̂", "ours", "ours/λ̂", "be08", "be08/λ̂", "Δ"],
@@ -77,7 +72,7 @@ pub fn e2_outdegree<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table 
         let g = family.generate(n, SEED);
         let params = Params::practical(n).with_jobs(jobs);
         let lambda = estimate_lambda(&g, &params).max(1);
-        let ours = orient_on::<B>(&g, &params).expect("orientation must succeed");
+        let ours = orient(&g, &params).expect("orientation must succeed");
         let be08 = be08_peeling(&g, lambda, 0.5, 0);
         let be08_deg = be08
             .orientation(&g)
@@ -99,7 +94,7 @@ pub fn e2_outdegree<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table 
 
 /// E3 (Table-2 analog): colors used by Theorem 1.2 vs the `Δ+1` reference
 /// and the `λ log log n` budget.
-pub fn e3_colors<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table {
+pub fn e3_colors(n: usize, jobs: usize) -> Table {
     let mut table = Table::new(
         format!("E3: coloring at n = {n} — palette vs Δ+1 vs λ·loglog budget"),
         &[
@@ -116,7 +111,7 @@ pub fn e3_colors<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table {
         let g = family.generate(n, SEED);
         let params = Params::practical(n).with_jobs(jobs);
         let lambda = estimate_lambda(&g, &params).max(1);
-        let ours = color_on::<B>(&g, &params).expect("coloring must succeed");
+        let ours = color(&g, &params).expect("coloring must succeed");
         ours.coloring.validate(&g).expect("coloring must be proper");
         let deg = dgo_graph::degeneracy(&g);
         let mut rev = deg.order.clone();
@@ -137,14 +132,14 @@ pub fn e3_colors<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table {
 
 /// E4 (Figure-2 analog): layer-tail decay `|{v : ℓ(v) ≥ j}| / n` against the
 /// `0.5^{j-1}` bound of Lemma 3.15, plus the Lemma 2.4 path-count mass.
-pub fn e4_decay<B: ExecutionBackend + Send>(n: usize, family: Family, jobs: usize) -> Table {
+pub fn e4_decay(n: usize, family: Family, jobs: usize) -> Table {
     let mut table = Table::new(
         format!("E4: layer-tail decay at n = {n} ({family}) — Lemma 3.15(2)"),
         &["j", "tail(j)", "tail(j)/n", "bound 0.5^(j-1)"],
     );
     let g = family.generate(n, SEED);
     let params = Params::practical(n).with_jobs(jobs);
-    let out = complete_layering_on::<B>(&g, &params).expect("layering must succeed");
+    let out = complete_layering(&g, &params).expect("layering must succeed");
     let tails = out.layering.tail_sizes();
     let nv = g.num_vertices() as f64;
     for (idx, &tail) in tails.iter().enumerate().take(16) {
@@ -176,7 +171,7 @@ pub fn e4_decay<B: ExecutionBackend + Send>(n: usize, family: Family, jobs: usiz
 /// (`peak_tree_bytes`) and the bundle words (flat baseline vs what the
 /// delta/varint codec actually charged — see [`e5_wire`] for the dedicated
 /// compression sweep) alongside the certified words.
-pub fn e5_memory<B: ExecutionBackend + Send>(sizes: &[usize], jobs: usize) -> Table {
+pub fn e5_memory(sizes: &[usize], jobs: usize) -> Table {
     let mut table = Table::new(
         "E5: memory — peak machine words vs S = n^δ, global vs m+n, tree arenas".to_string(),
         &[
@@ -201,7 +196,7 @@ pub fn e5_memory<B: ExecutionBackend + Send>(sizes: &[usize], jobs: usize) -> Ta
                 let mut params = Params::practical(n).with_jobs(jobs);
                 params.delta = delta;
                 let s = params.local_memory(g.num_vertices());
-                let out = complete_layering_on::<B>(&g, &params).expect("layering must succeed");
+                let out = complete_layering(&g, &params).expect("layering must succeed");
                 table.push_row(vec![
                     family.name().to_string(),
                     n.to_string(),
@@ -237,7 +232,7 @@ fn saving_percent(wire: usize, flat: usize) -> String {
 /// and would report no traffic) and prints the certified words charged per
 /// family and size: flat two-words-per-node baseline vs the delta/varint
 /// encoded figure, and the resulting saving.
-pub fn e5_wire<B: ExecutionBackend + Send>(sizes: &[usize], jobs: usize) -> Table {
+pub fn e5_wire(sizes: &[usize], jobs: usize) -> Table {
     use dgo_core::exponentiate_and_prune_staged;
     const BUDGET: usize = 256;
     const K: usize = 3;
@@ -257,7 +252,7 @@ pub fn e5_wire<B: ExecutionBackend + Send>(sizes: &[usize], jobs: usize) -> Tabl
     for family in [Family::PowerLaw, Family::Tree] {
         for &n in sizes {
             let g = family.generate(n, SEED);
-            let mut cluster = B::from_config(ClusterConfig::new((n * BUDGET / 64).max(8), 1 << 15));
+            let mut cluster = Cluster::new(ClusterConfig::new((n * BUDGET / 64).max(8), 1 << 15));
             exponentiate_and_prune_staged(&g, BUDGET, K, STEPS, &mut cluster, &stage)
                 .expect("exponentiation must fit");
             let m = cluster.metrics();
@@ -277,7 +272,7 @@ pub fn e5_wire<B: ExecutionBackend + Send>(sizes: &[usize], jobs: usize) -> Tabl
 /// E6 (Figure-3 analog, ablation): sweeps of the pruning factor `k_factor`,
 /// budget `B`, and step count `s` on a fixed workload — rounds vs outdegree
 /// trade-off.
-pub fn e6_ablation<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Vec<Table> {
+pub fn e6_ablation(n: usize, jobs: usize) -> Vec<Table> {
     let g = Family::PowerLaw.generate(n, SEED);
     let mut tables = Vec::new();
 
@@ -288,7 +283,7 @@ pub fn e6_ablation<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Vec<Tab
     for &kf in &[1.0f64, 2.0, 4.0, 8.0] {
         let mut params = Params::practical(n).with_jobs(jobs);
         params.k_factor = kf;
-        let out = complete_layering_on::<B>(&g, &params).expect("layering must succeed");
+        let out = complete_layering(&g, &params).expect("layering must succeed");
         t.push_row(vec![
             format!("{kf:.0}"),
             out.metrics.rounds.to_string(),
@@ -310,7 +305,7 @@ pub fn e6_ablation<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Vec<Tab
     for &b in &[32usize, 64, 128, 256] {
         let mut params = Params::practical(n).with_jobs(jobs);
         params.budget = b;
-        let out = complete_layering_on::<B>(&tree, &params).expect("layering must succeed");
+        let out = complete_layering(&tree, &params).expect("layering must succeed");
         t.push_row(vec![
             b.to_string(),
             out.metrics.rounds.to_string(),
@@ -334,7 +329,7 @@ pub fn e6_ablation<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Vec<Tab
     for &s in &[1u32, 2, 3, 5] {
         let mut params = Params::practical(n).with_jobs(jobs);
         params.steps = s;
-        let out = complete_layering_on::<B>(&tree, &params).expect("layering must succeed");
+        let out = complete_layering(&tree, &params).expect("layering must succeed");
         let k = out.stats.k;
         t.push_row(vec![
             s.to_string(),
@@ -352,7 +347,7 @@ pub fn e6_ablation<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Vec<Tab
 /// (paper footnote 2 / GLM19) vs exact coreness — soundness and
 /// approximation-factor distribution.
 #[allow(clippy::needless_range_loop)]
-pub fn e7_coreness<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table {
+pub fn e7_coreness(n: usize, jobs: usize) -> Table {
     let mut table = Table::new(
         format!("E7: coreness estimates at n = {n} — guess ladder vs exact"),
         &[
@@ -372,7 +367,7 @@ pub fn e7_coreness<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table {
     ] {
         let g = family.generate(n, SEED);
         let params = Params::practical(n).with_jobs(jobs);
-        let r = approximate_coreness_on::<B>(&g, 0.5, &params).expect("coreness must succeed");
+        let r = approximate_coreness(&g, 0.5, &params).expect("coreness must succeed");
         let exact = coreness(&g);
         let mut sound = true;
         let mut ratios: Vec<f64> = Vec::with_capacity(g.num_vertices());
@@ -400,42 +395,34 @@ pub fn e7_coreness<B: ExecutionBackend + Send>(n: usize, jobs: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgo_mpc::{ParallelBackend, SequentialBackend};
 
     #[test]
     fn e1_produces_rows() {
-        let t = e1_rounds::<SequentialBackend>(&[256, 512], Family::Tree, 1);
+        let t = e1_rounds(&[256, 512], Family::Tree, 1);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
-    fn e1_backend_choice_does_not_change_measurements() {
-        let seq = e1_rounds::<SequentialBackend>(&[256], Family::Tree, 1);
-        let par = e1_rounds::<ParallelBackend>(&[256], Family::Tree, 1);
-        assert_eq!(seq.rows, par.rows);
-    }
-
-    #[test]
     fn e2_covers_all_families() {
-        let t = e2_outdegree::<SequentialBackend>(256, 1);
+        let t = e2_outdegree(256, 1);
         assert_eq!(t.len(), Family::ALL.len());
     }
 
     #[test]
     fn e3_covers_all_families() {
-        let t = e3_colors::<SequentialBackend>(256, 1);
+        let t = e3_colors(256, 1);
         assert_eq!(t.len(), Family::ALL.len());
     }
 
     #[test]
     fn e4_reports_decay() {
-        let t = e4_decay::<SequentialBackend>(512, Family::SparseGnm, 1);
+        let t = e4_decay(512, Family::SparseGnm, 1);
         assert!(t.len() >= 2);
     }
 
     #[test]
     fn e5_all_deltas() {
-        let t = e5_memory::<ParallelBackend>(&[256], 1);
+        let t = e5_memory(&[256], 1);
         // Two families × three deltas.
         assert_eq!(t.len(), 6);
         // The tree-family rows exercise exponentiation, so the tree-arena
@@ -449,7 +436,7 @@ mod tests {
 
     #[test]
     fn e5_wire_certifies_compression_on_both_families() {
-        let t = e5_wire::<SequentialBackend>(&[256], 1);
+        let t = e5_wire(&[256], 1);
         assert_eq!(t.len(), 2);
         for row in &t.rows {
             let flat: usize = row[2].parse().unwrap();
@@ -462,15 +449,8 @@ mod tests {
     }
 
     #[test]
-    fn e5_wire_backend_choice_does_not_change_the_table() {
-        let seq = e5_wire::<SequentialBackend>(&[256], 1);
-        let par = e5_wire::<ParallelBackend>(&[256], 1);
-        assert_eq!(seq.rows, par.rows);
-    }
-
-    #[test]
     fn e7_sound_everywhere() {
-        let t = e7_coreness::<SequentialBackend>(256, 1);
+        let t = e7_coreness(256, 1);
         assert_eq!(t.len(), 4);
         for row in &t.rows {
             assert_eq!(row[3], "true", "{row:?}");
@@ -481,14 +461,14 @@ mod tests {
     fn e7_job_count_does_not_change_the_table() {
         // The concurrent guess ladder is bit-identical to the sequential
         // loop, so the printed experiment tables cannot depend on --jobs.
-        let sequential = e7_coreness::<SequentialBackend>(256, 1);
-        let concurrent = e7_coreness::<SequentialBackend>(256, 4);
+        let sequential = e7_coreness(256, 1);
+        let concurrent = e7_coreness(256, 4);
         assert_eq!(sequential.rows, concurrent.rows);
     }
 
     #[test]
     fn e6_three_tables() {
-        let ts = e6_ablation::<SequentialBackend>(256, 1);
+        let ts = e6_ablation(256, 1);
         assert_eq!(ts.len(), 3);
         assert!(ts.iter().all(|t| !t.is_empty()));
     }

@@ -9,19 +9,18 @@
 //! ```bash
 //! cargo run -p dgo-bench --release --bin exp_all          # full suite
 //! cargo run -p dgo-bench --release --bin exp_rounds -- --big
-//! cargo run -p dgo-bench --release --bin exp_all -- --backend parallel
+//! cargo run -p dgo-bench --release --bin exp_all -- --jobs 0
 //! cargo bench -p dgo-bench                                 # kernels
 //! ```
 //!
-//! Every experiment binary accepts `--backend <sequential|parallel>` to pick
-//! the [`ExecutionBackend`] the simulation runs on (default: sequential) and
-//! `--jobs <n>` to budget `n` host threads (`0` = all cores, default: 1) for
-//! the two algorithmic parallelism tiers: composed parallel instances (the
-//! coreness guess ladder, orientation edge parts, coloring vertex parts) and
-//! the vertex-parallel stages inside every instance (`dgo_core::stage`).
-//! Backends and job counts are observationally equivalent — identical
-//! tables — so both flags only change host wall-clock; the `engine`,
-//! `coreness`, and `stage` criterion benches measure the difference.
+//! The simulation runs on `dgo_mpc::SequentialBackend`. Every experiment
+//! binary accepts `--jobs <n>` to budget `n` host threads (`0` = all cores,
+//! default: 1) for the workspace's two parallelism tiers: composed parallel
+//! instances (the coreness guess ladder, orientation edge parts, coloring
+//! vertex parts) and the vertex-parallel stages inside every instance
+//! (`dgo_core::stage`). Job counts are observationally equivalent —
+//! identical tables — so the flag only changes host wall-clock; the
+//! `coreness` and `stage` criterion benches measure the difference.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -36,12 +35,6 @@ pub use experiments::{
     BIG_SIZES, DEFAULT_SIZES, SEED,
 };
 pub use table::Table;
-
-// Re-exported so the experiment binaries can dispatch on a backend without a
-// direct dgo-mpc dependency in their imports.
-pub use dgo_mpc::{
-    dispatch_backend, BackendKind, ExecutionBackend, ParallelBackend, SequentialBackend,
-};
 
 /// Parses the common `--big` flag shared by the experiment binaries and
 /// returns the size sweep to use.
@@ -61,26 +54,6 @@ pub fn n_from_args(default: usize) -> usize {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Parses the optional `--backend <sequential|parallel>` flag shared by the
-/// experiment binaries (default: sequential).
-///
-/// # Panics
-///
-/// Panics with the parse error message on an unknown backend name.
-pub fn backend_from_args() -> BackendKind {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--backend") {
-        None => BackendKind::default(),
-        Some(i) => match args.get(i + 1) {
-            None => panic!(
-                "--backend requires a value (one of {})",
-                BackendKind::name_list()
-            ),
-            Some(value) => value.parse().unwrap_or_else(|e| panic!("{e}")),
-        },
-    }
 }
 
 /// Parses the optional `--jobs <n>` flag shared by the experiment binaries:

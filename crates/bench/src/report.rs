@@ -23,7 +23,8 @@ pub struct BenchLeg {
     pub samples: u64,
     /// Host-thread budget the leg ran with (resolved; 1 = sequential host).
     pub jobs: usize,
-    /// Execution backend (`sequential` / `parallel` / `stage`).
+    /// What ran the leg: `sequential` (the execution backend), `stage` (the
+    /// vertex-stage kernels) or `host` (host-only ingestion).
     pub backend: String,
     /// Total communication words one run of the workload charges.
     pub comm_words: usize,
@@ -194,7 +195,7 @@ mod tests {
             wall_seconds: 0.25,
             samples: 10,
             jobs: 2,
-            backend: "parallel".to_string(),
+            backend: "sequential".to_string(),
             comm_words: 1234,
             peak_tree_bytes: 5678,
             peak_rss_bytes: 9999,
@@ -205,7 +206,7 @@ mod tests {
     fn json_shape_is_stable() {
         let mut report = BenchReport::new("engine");
         report.push(leg("engine_orient/sequential/1024"));
-        report.push(leg("engine_orient/parallel/1024"));
+        report.push(leg("engine_orient/sequential/4096"));
         let json = report.to_json();
         assert!(json.starts_with("{\n  \"name\": \"engine\""));
         assert!(json.contains("\"wall_seconds\": 0.25"));

@@ -88,9 +88,8 @@ pub fn color(graph: &Graph, params: &Params) -> Result<ColorResult> {
     color_on::<SequentialBackend>(graph, params)
 }
 
-/// [`color`] on a caller-chosen [`ExecutionBackend`] — e.g.
-/// `color_on::<dgo_mpc::ParallelBackend>(&g, &params)` for the rayon
-/// backend. Results and metrics are backend-independent. On the Lemma 2.2
+/// [`color`] on a caller-chosen [`ExecutionBackend`] implementation (the
+/// workspace ships one, `dgo_mpc::SequentialBackend`). On the Lemma 2.2
 /// vertex-partition path, the independent per-part pipelines execute
 /// host-parallel across [`Params::jobs`] threads; the disjoint-palette
 /// combine folds in part order, so outputs are bit-identical to the

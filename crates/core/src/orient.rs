@@ -495,11 +495,11 @@ pub fn orient(graph: &Graph, params: &Params) -> Result<OrientResult> {
     orient_on::<SequentialBackend>(graph, params)
 }
 
-/// [`orient`] on a caller-chosen [`ExecutionBackend`] — e.g.
-/// `orient_on::<dgo_mpc::ParallelBackend>(&g, &params)` for the rayon
-/// backend. Results and metrics are backend-independent, and on the
-/// large-`λ` edge-partition path the per-part layerings execute as a
-/// host-parallel [`InstanceGroup`] across [`Params::jobs`] threads.
+/// [`orient`] on a caller-chosen [`ExecutionBackend`] implementation (the
+/// workspace ships one, `dgo_mpc::SequentialBackend`). On the large-`λ`
+/// edge-partition path the per-part layerings execute as a host-parallel
+/// [`InstanceGroup`] across [`Params::jobs`] threads, with outputs and
+/// metrics bit-identical at any job count.
 ///
 /// # Errors
 ///

@@ -50,7 +50,7 @@ pub struct Params {
     pub lambda_hint: usize,
     /// Seed for all randomized subroutines.
     pub seed: u64,
-    /// Host threads for the two algorithmic parallelism tiers: composed
+    /// Host threads for the workspace's two parallelism tiers: composed
     /// parallel *instances* (the coreness guess ladder, Theorem 1.1's
     /// per-part layerings, Lemma 2.2's per-part colorings) and the
     /// vertex-parallel *stages* inside every instance (the Algorithm 1–4
@@ -59,7 +59,7 @@ pub struct Params {
     /// `dgo_mpc::split_jobs` instead of multiplying. `1` runs everything in
     /// sequential host loops, `0` uses every available core. Results and
     /// metrics are bit-identical at any value — this knob only trades host
-    /// wall-clock, like the backend choice.
+    /// wall-clock.
     ///
     /// Presets default this to the `DGO_JOBS` environment variable when set
     /// (CI runs the test suite under both `DGO_JOBS=1` and `DGO_JOBS=0`),

@@ -27,11 +27,11 @@
 //! `tests/stage_parallel.rs` suite is the conformance bar, mirroring
 //! `tests/instance_parallel.rs` for the instance tier.
 //!
-//! This is the third parallelism tier of the workspace: backend routing
-//! (`dgo_mpc::ParallelBackend`), instance fan-out (`dgo_mpc::InstanceGroup`),
-//! and now vertex stages inside each instance. The tiers share one thread
-//! pool: outer instance fan-outs subdivide their budget via
-//! [`dgo_mpc::split_jobs`] instead of oversubscribing the host.
+//! This is the second of the workspace's two parallelism tiers: instance
+//! fan-out (`dgo_mpc::InstanceGroup`), then vertex stages inside each
+//! instance. Both draw on the one [`Params::jobs`](crate::Params::jobs)
+//! budget and one thread pool: outer instance fan-outs subdivide their
+//! budget via [`dgo_mpc::split_jobs`] instead of oversubscribing the host.
 //!
 //! ```
 //! use dgo_core::stage::StageExecutor;
@@ -43,7 +43,10 @@
 //! ```
 
 use dgo_mpc::resolve_jobs;
-use dgo_mpc::tuning::stage_inline_threshold;
+
+/// Minimum number of items before a stage fans out to the pool; smaller
+/// stages run inline on the calling thread.
+const INLINE_THRESHOLD: usize = 1024;
 
 /// Executes index-ordered data-parallel map stages over a fixed host-thread
 /// budget.
@@ -77,13 +80,12 @@ impl StageExecutor {
     }
 
     /// The thread count a stage over `len` items actually fans to: the full
-    /// budget, or 1 below the inline floor
-    /// ([`dgo_mpc::tuning::stage_inline_threshold`] — trivially small stages,
-    /// a residency sizing pass, a near-empty peel layer, cost more to
-    /// schedule than to run). The floor depends only on the item count, so
-    /// outputs stay bit-identical (inline == one chunk).
+    /// budget, or 1 below the inline floor ([`INLINE_THRESHOLD`] — trivially
+    /// small stages, a residency sizing pass, a near-empty peel layer, cost
+    /// more to schedule than to run). The floor depends only on the item
+    /// count, so outputs stay bit-identical (inline == one chunk).
     fn threads_for(&self, len: usize) -> usize {
-        if len < stage_inline_threshold() {
+        if len < INLINE_THRESHOLD {
             1
         } else {
             self.threads
@@ -105,7 +107,7 @@ impl StageExecutor {
 
     /// [`StageExecutor::map`] with per-worker scratch: each parallel chunk
     /// calls `init()` once and passes the scratch mutably to every `f` call
-    /// in that chunk. This is the tier-3 scratch-reuse contract of the
+    /// in that chunk. This is the tier-2 scratch-reuse contract of the
     /// Algorithm 1/3 hot loops: `f` must fully (re)initialize whatever
     /// scratch state it reads, so outputs are independent of how chunks
     /// share a scratch — the scratch only recycles allocations, and results
@@ -259,19 +261,15 @@ mod tests {
             stage.map(&items, |_, &v| v + 1),
             (1..=10).collect::<Vec<_>>()
         );
-        assert_eq!(
-            stage.threads_for(dgo_mpc::tuning::stage_inline_threshold()),
-            8
-        );
+        assert_eq!(stage.threads_for(INLINE_THRESHOLD), 8);
     }
 
     #[test]
     fn outputs_identical_across_inline_cutoff() {
         // One item on either side of the inline floor: the inline and
         // fanned-out paths must produce identical outputs.
-        let floor = dgo_mpc::tuning::stage_inline_threshold();
         let stage = StageExecutor::new(4);
-        for len in [floor - 1, floor, floor + 1] {
+        for len in [INLINE_THRESHOLD - 1, INLINE_THRESHOLD, INLINE_THRESHOLD + 1] {
             let items: Vec<u64> = (0..len as u64).rev().collect();
             let reference = StageExecutor::sequential().map(&items, |i, &v| v * 5 + i as u64);
             assert_eq!(

@@ -2,7 +2,7 @@
 //! workspace.
 //!
 //! The workspace's conformance bar (results, errors, and metrics
-//! bit-identical across every backend × parallelism tier) rests on
+//! bit-identical at every job count in both parallelism tiers) rests on
 //! contracts no compiler checks: parallelism only through the compat-rayon
 //! pool, knob reads only in `dgo_mpc::tuning`, no hash-ordered iteration on
 //! metered paths, audited `unsafe`, and explicit atomic orderings. This

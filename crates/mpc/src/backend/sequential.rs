@@ -1,4 +1,4 @@
-//! The sequential (reference) execution backend.
+//! The sequential execution backend.
 //!
 //! [`SequentialBackend`] is the deterministic single-threaded metering
 //! simulator: operations compute their results in-process while the backend
@@ -11,13 +11,10 @@
 //! algorithm does not fit the machine); in relaxed mode it is recorded in the
 //! metrics so parameter sweeps can chart how far out of budget a
 //! configuration is.
-//!
-//! Every other backend is defined by equivalence to this one: identical
-//! inboxes, errors, and metrics for identical call sequences.
 
-use crate::backend::{metered_exchange, ExecutionBackend};
+use crate::backend::ExecutionBackend;
 use crate::config::ClusterConfig;
-use crate::error::Result;
+use crate::error::{MpcError, Result};
 use crate::metrics::Metrics;
 use crate::per_machine::PerMachine;
 use crate::word::WordSized;
@@ -91,22 +88,76 @@ impl SequentialBackend {
     }
 
     /// Executes one synchronous communication round; see
-    /// [`ExecutionBackend::exchange`]. Every machine's loads are tallied in
-    /// one pass on the calling thread.
+    /// [`ExecutionBackend::exchange`]. One pass tallies what every machine
+    /// sends (checking each destination), one counting sort routes the
+    /// messages, one pass tallies what every machine receives; then the
+    /// capacity is enforced and the round recorded.
     ///
     /// # Errors
     ///
-    /// * [`MpcError::WrongClusterWidth`](crate::MpcError::WrongClusterWidth)
-    ///   if `outbox.num_machines() != M`.
-    /// * [`MpcError::UnknownMachine`](crate::MpcError::UnknownMachine) for an
-    ///   out-of-range destination.
-    /// * [`MpcError::CapacityExceeded`](crate::MpcError::CapacityExceeded) in
-    ///   strict mode if any machine sends or receives more than `S` words.
-    pub fn exchange<T: WordSized + Send + Sync>(
+    /// * [`MpcError::WrongClusterWidth`] if `outbox.num_machines() != M`.
+    /// * [`MpcError::UnknownMachine`] for the first out-of-range destination
+    ///   in `(source, production)` order.
+    /// * [`MpcError::CapacityExceeded`] in strict mode for the first machine,
+    ///   in index order, that sends or receives more than `S` words (its
+    ///   send checked before its receive).
+    pub fn exchange<T: WordSized>(
         &mut self,
         outbox: PerMachine<(usize, T)>,
     ) -> Result<PerMachine<T>> {
-        metered_exchange(self, outbox, |machines, tally| tally(0..machines))
+        let machines = self.config.num_machines;
+        if outbox.num_machines() != machines {
+            return Err(MpcError::WrongClusterWidth {
+                expected: machines,
+                found: outbox.num_machines(),
+            });
+        }
+        let capacity = self.config.local_memory;
+        let mut sent = Tally::default();
+        for (src, messages) in outbox.iter().enumerate() {
+            let mut words = 0;
+            for (dst, payload) in messages {
+                if *dst >= machines {
+                    return Err(MpcError::UnknownMachine {
+                        machine: *dst,
+                        num_machines: machines,
+                    });
+                }
+                words += payload.words();
+            }
+            sent.add(src, words, capacity);
+        }
+        let inbox = outbox.route(machines);
+        let mut received = Tally::default();
+        for (dst, messages) in inbox.iter().enumerate() {
+            received.add(dst, messages.iter().map(WordSized::words).sum(), capacity);
+        }
+        // Machines are checked in index order, each one's send before its
+        // receive; strict mode stops at the first offense, relaxed mode
+        // records one violation per offense.
+        let offense = match (sent.first_over, received.first_over) {
+            (Some((src, words)), Some((dst, _))) if src <= dst => Some((src, words, "send")),
+            (Some((src, words)), None) => Some((src, words, "send")),
+            (_, Some((dst, words))) => Some((dst, words, "receive")),
+            (None, None) => None,
+        };
+        if let Some((machine, words, direction)) = offense {
+            if self.config.strict {
+                return Err(MpcError::CapacityExceeded {
+                    machine: Some(machine),
+                    round: self.metrics.rounds + 1,
+                    words,
+                    capacity,
+                    direction,
+                });
+            }
+            for _ in 0..sent.over + received.over {
+                self.metrics.record_violation();
+            }
+        }
+        self.metrics
+            .record_round(sent.total, sent.max, received.max);
+        Ok(inbox)
     }
 
     /// Charges `rounds` synchronous rounds for an unmaterialized primitive;
@@ -133,12 +184,6 @@ impl SequentialBackend {
     pub fn checkpoint_residency(&mut self, per_machine: &[usize]) -> Result<()> {
         ExecutionBackend::checkpoint_residency(self, per_machine)
     }
-
-    /// Distributes `count` keyed items (`0..count`) over machines by home
-    /// placement, returning per-machine key lists. Helper for loading inputs.
-    pub fn scatter_keys(&self, count: u64) -> Vec<Vec<u64>> {
-        ExecutionBackend::scatter_keys(self, count)
-    }
 }
 
 impl ExecutionBackend for SequentialBackend {
@@ -162,18 +207,37 @@ impl ExecutionBackend for SequentialBackend {
         self.metrics
     }
 
-    fn exchange<T: WordSized + Send + Sync>(
-        &mut self,
-        outbox: PerMachine<(usize, T)>,
-    ) -> Result<PerMachine<T>> {
+    fn exchange<T: WordSized>(&mut self, outbox: PerMachine<(usize, T)>) -> Result<PerMachine<T>> {
         SequentialBackend::exchange(self, outbox)
+    }
+}
+
+/// One side of a round's per-machine word loads — what machines send, or
+/// what they receive — folded in machine index order.
+#[derive(Debug, Default)]
+struct Tally {
+    total: usize,
+    max: usize,
+    /// The first machine over capacity, with its load.
+    first_over: Option<(usize, usize)>,
+    /// Machines over capacity.
+    over: u64,
+}
+
+impl Tally {
+    fn add(&mut self, machine: usize, words: usize, capacity: usize) {
+        self.total += words;
+        self.max = self.max.max(words);
+        if words > capacity {
+            self.first_over.get_or_insert((machine, words));
+            self.over += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::MpcError;
 
     fn small() -> SequentialBackend {
         SequentialBackend::new(ClusterConfig::new(3, 8))
@@ -292,19 +356,6 @@ mod tests {
     fn residency_wrong_width() {
         let mut c = small();
         assert!(c.checkpoint_residency(&[1, 2]).is_err());
-    }
-
-    #[test]
-    fn scatter_keys_covers_all() {
-        let c = small();
-        let scattered = c.scatter_keys(10);
-        let total: usize = scattered.iter().map(Vec::len).sum();
-        assert_eq!(total, 10);
-        for (machine, keys) in scattered.iter().enumerate() {
-            for &k in keys {
-                assert_eq!(c.home(k), machine);
-            }
-        }
     }
 
     #[test]

@@ -19,14 +19,12 @@
 //! Because every instance runs on its own private backend and outputs are
 //! collected by instance index, results are **bit-identical to the
 //! sequential host loop at any job count** — thread count is purely a
-//! wall-clock decision, exactly like the backend choice.
+//! wall-clock decision.
 //!
-//! `jobs` composes *multiplicatively* with any host parallelism the
-//! per-instance backend uses internally: `jobs` instances of
-//! [`ParallelBackend`](crate::ParallelBackend) can each fan their metering
-//! across all cores, oversubscribing the host. When fanning many instances,
-//! pair the group with sequential per-instance backends and let the group
-//! supply the parallelism.
+//! The backend itself is single-threaded, so the group's threads are the
+//! only host parallelism it adds. The vertex stages running inside each
+//! instance take their share of the same budget through [`split_jobs`]
+//! instead of multiplying into oversubscription.
 //!
 //! ```
 //! use dgo_mpc::{ClusterConfig, ExecutionBackend, InstanceGroup, PerMachine, SequentialBackend};
@@ -351,7 +349,7 @@ impl<B: ExecutionBackend> InstanceGroup<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ParallelBackend, SequentialBackend};
+    use crate::backend::SequentialBackend;
     use crate::per_machine::PerMachine;
 
     fn ping(i: usize, backend: &mut SequentialBackend) -> Result<u64> {
@@ -510,20 +508,6 @@ mod tests {
         assert_eq!(metrics.peak_global_memory, 200);
         // Two local residency violations plus the aggregate one.
         assert_eq!(metrics.violations, 3);
-    }
-
-    #[test]
-    fn works_with_parallel_backend_instances() {
-        // Instance-level parallelism composes with the rayon backend.
-        let mut group = InstanceGroup::<ParallelBackend>::uniform(ClusterConfig::new(3, 64), 4, 0);
-        let out = group
-            .run_all(|i, backend| {
-                let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
-                outbox[i % 3].push(((i + 1) % 3, i as u64));
-                Ok::<u64, MpcError>(backend.exchange(PerMachine::from(outbox))?[(i + 1) % 3][0])
-            })
-            .unwrap();
-        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     /// The first `instances` inner budgets of a split, for readable asserts.

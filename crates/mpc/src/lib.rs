@@ -1,4 +1,4 @@
-//! # dgo-mpc — a metering simulator for scalable MPC with pluggable backends
+//! # dgo-mpc — a metering simulator for scalable MPC
 //!
 //! The Massively Parallel Computation model (§1.1 of the paper;
 //! [KSV10, GSZ11, BKS17, ANOY14]) has `M` machines with `S` words of local
@@ -14,18 +14,13 @@
 //! an algorithm that completes under strict metering is a certificate that
 //! it fits the model at that `(M, S)`.
 //!
-//! ## Execution backends
+//! ## The execution backend
 //!
 //! All simulator operations live behind the [`ExecutionBackend`] trait
 //! (`exchange` / `charge_rounds` / `checkpoint_residency` / metrics), and
-//! every algorithm crate in the workspace is generic over it. Two backends
-//! ship:
-//!
-//! * [`SequentialBackend`] — the deterministic, single-threaded reference
-//!   implementation ([`Cluster`] is a backwards-compatible alias);
-//! * [`ParallelBackend`] — observationally identical (same inboxes, errors,
-//!   and metrics — property-tested), but runs the per-machine metering of
-//!   each round in machine ranges on the rayon pool.
+//! every algorithm crate in the workspace is generic over it. Its one
+//! implementation is [`SequentialBackend`] ([`Cluster`] is an alias): the
+//! deterministic single-threaded reference simulator.
 //!
 //! A round's outbox and inbox are flat [`PerMachine`] buffers: one offset per
 //! machine plus one array of messages, routed by one counting sort. A round
@@ -34,22 +29,17 @@
 //! `Θ(n·B + m)` global memory have more machines than a typical round has
 //! messages.
 //!
-//! Pick a backend by constructing it (or via [`BackendKind`] +
-//! [`dispatch_backend!`] on configuration surfaces) and hand it to any
-//! algorithm entry point:
+//! Algorithms are written once against the trait and handed a backend:
 //!
 //! ```
-//! use dgo_mpc::{ClusterConfig, ExecutionBackend, ParallelBackend, PerMachine, SequentialBackend};
+//! use dgo_mpc::{ClusterConfig, ExecutionBackend, PerMachine, SequentialBackend};
 //!
-//! let cfg = ClusterConfig::new(4, 1024);
-//! // Same algorithm code runs on either backend:
 //! fn ping<B: ExecutionBackend>(backend: &mut B) -> dgo_mpc::Result<u64> {
 //!     let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
 //!     outbox[0].push((1, 42));
 //!     Ok(backend.exchange(PerMachine::from(outbox))?[1][0])
 //! }
-//! assert_eq!(ping(&mut SequentialBackend::new(cfg))?, 42);
-//! assert_eq!(ping(&mut ParallelBackend::new(cfg))?, 42);
+//! assert_eq!(ping(&mut SequentialBackend::new(ClusterConfig::new(4, 1024)))?, 42);
 //! # Ok::<(), dgo_mpc::MpcError>(())
 //! ```
 //!
@@ -95,7 +85,7 @@ pub mod primitives;
 pub mod tuning;
 mod word;
 
-pub use backend::{BackendKind, Cluster, ExecutionBackend, ParallelBackend, SequentialBackend};
+pub use backend::{Cluster, ExecutionBackend, SequentialBackend};
 pub use config::ClusterConfig;
 pub use error::{MpcError, Result};
 pub use instance::{resolve_jobs, split_jobs, InstanceGroup, JobSplit};

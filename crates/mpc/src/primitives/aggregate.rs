@@ -49,7 +49,7 @@ pub fn aggregate_by_key<B, V, F>(
 ) -> Result<PerMachine<(u64, V)>>
 where
     B: ExecutionBackend,
-    V: WordSized + Copy + Send + Sync,
+    V: WordSized + Copy,
     F: FnMut(V, V) -> V,
 {
     items.retain_prefixes(|list| combine_runs(list, &mut combine));
@@ -74,19 +74,6 @@ fn combine_runs<V: Copy>(list: &mut [(u64, V)], combine: &mut impl FnMut(V, V) -
         }
     }
     kept
-}
-
-/// Counts occurrences of each key. Convenience wrapper over
-/// [`aggregate_by_key`] with unit counts.
-///
-/// # Errors
-///
-/// Propagates capacity errors from the exchange.
-pub fn count_by_key<B: ExecutionBackend>(
-    cluster: &mut B,
-    keys: PerMachine<u64>,
-) -> Result<PerMachine<(u64, u64)>> {
-    aggregate_by_key(cluster, keys.map(|key| (key, 1u64)), |a, b| a + b)
 }
 
 #[cfg(test)]
@@ -125,10 +112,15 @@ mod tests {
     }
 
     #[test]
-    fn count_by_key_counts() {
+    fn sum_aggregation_counts_every_record() {
+        // A sum is not idempotent: a record folded twice, or dropped by the
+        // pre-combine, changes the count.
         let mut c = Cluster::new(ClusterConfig::new(2, 64));
-        let keys = PerMachine::from(vec![vec![4u64, 4, 5], vec![4, 5, 6]]);
-        let out = count_by_key(&mut c, keys).unwrap();
+        let items = PerMachine::from(vec![
+            vec![(4u64, 1u64), (4, 1), (5, 1)],
+            vec![(4, 1), (5, 1), (6, 1)],
+        ]);
+        let out = aggregate_by_key(&mut c, items, |a, b| a + b).unwrap();
         assert_eq!(out[0], [(4, 3), (6, 1)]);
         assert_eq!(out[1], [(5, 2)]);
     }

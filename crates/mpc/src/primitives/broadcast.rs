@@ -12,7 +12,12 @@
 
 use crate::backend::ExecutionBackend;
 use crate::error::Result;
-use crate::primitives::sort::SORT_ROUNDS;
+
+/// Rounds charged per distributed sort: the constant-round sample sort of
+/// Goodrich–Sitchinava–Zhang \[GSZ11\] (sample, partition, route, local
+/// sort — a constant independent of data size). [`gather_bundles`] charges
+/// one for its copy count.
+pub const SORT_ROUNDS: u64 = 3;
 
 /// Rounds a broadcast tree needs to make `copies` copies with the given
 /// per-round `fanout` (at least 1 round once any copying happens).

@@ -3,29 +3,12 @@
 //!
 //! ```bash
 //! cargo run --release --example quickstart
-//! cargo run --release --example quickstart -- --backend parallel
 //! ```
-//!
-//! `--backend <sequential|parallel>` picks the execution backend (default:
-//! sequential). Both backends print identical numbers — the choice is
-//! purely a host-performance decision.
 
-use dgo::core::{color_on, estimate_lambda, orient_on, Params};
+use dgo::core::{color, estimate_lambda, orient, Params};
 use dgo::graph::generators::gnm;
-use dgo::mpc::{dispatch_backend, BackendKind, ExecutionBackend};
 
-/// Minimal `--backend` parsing (the experiment binaries share the same flag
-/// through `dgo-bench`; examples depend only on the umbrella crate).
-fn backend_from_args() -> BackendKind {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or_default()
-}
-
-fn run<B: ExecutionBackend + Send>() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A random graph with n = 10_000 vertices and average degree 8.
     let n = 10_000;
     let g = gnm(n, 4 * n, 42);
@@ -39,7 +22,7 @@ fn run<B: ExecutionBackend + Send>() -> Result<(), Box<dyn std::error::Error>> {
     println!("arboricity estimate λ̂ = {}", estimate_lambda(&g, &params));
 
     // --- Theorem 1.1: low-outdegree orientation. ---
-    let oriented = orient_on::<B>(&g, &params)?;
+    let oriented = orient(&g, &params)?;
     oriented.orientation.validate(&g)?;
     println!("\n== orientation (Theorem 1.1) ==");
     println!(
@@ -69,7 +52,7 @@ fn run<B: ExecutionBackend + Send>() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Theorem 1.2: density-dependent coloring. ---
-    let colored = color_on::<B>(&g, &params)?;
+    let colored = color(&g, &params)?;
     colored.coloring.validate(&g)?;
     println!("\n== coloring (Theorem 1.2) ==");
     println!("colors used          : {}", colored.coloring.num_colors());
@@ -82,10 +65,4 @@ fn run<B: ExecutionBackend + Send>() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     Ok(())
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let kind = backend_from_args();
-    println!("backend: {kind}");
-    dispatch_backend!(kind, B => { run::<B>() })
 }

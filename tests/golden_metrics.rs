@@ -1,10 +1,11 @@
 //! Golden metrics: the metering of two fixed runs, pinned to recorded
 //! values.
 //!
-//! `backend_equivalence` compares the backends with each other, so a
-//! metering drift in code both share — the exchange's load tallies, the
-//! Algorithm 4 min-combine, the Lemma 4.1 gather cost model — would pass
-//! it. These runs pin the absolute figures instead: rounds, communication
+//! `backend_equivalence` checks the raw exchange against a model, and the
+//! `instance_parallel` and `stage_parallel` suites compare job counts with
+//! each other, so a metering drift in the algorithm layer — the Algorithm 4
+//! min-combine, the Lemma 4.1 gather cost model — would pass them all.
+//! These runs pin the absolute figures instead: rounds, communication
 //! volume, the worst round load, the Lemma 4.1 bundle words, and a digest
 //! of the per-round log. Any change to them is a change to what the
 //! simulator certifies and must be deliberate.

@@ -10,15 +10,14 @@
 //!    Property-tested on arbitrary metrics here.
 //! 2. **Bit-identical concurrency** — the concurrent coreness guess ladder
 //!    and the concurrent per-part orientation produce exactly the outputs of
-//!    the sequential host loop at any `jobs` count, on either execution
-//!    backend.
+//!    the sequential host loop at any `jobs` count.
 
 use dgo::core::{
     approximate_coreness_on, color_on, orient_on, partial_layering_bounded_on, Params,
 };
 use dgo::graph::generators::{clique, gnm, planted_dense};
 use dgo::graph::{degeneracy, Graph};
-use dgo::mpc::{ExecutionBackend, Metrics, ParallelBackend, SequentialBackend};
+use dgo::mpc::{Metrics, SequentialBackend};
 use proptest::prelude::*;
 
 /// Arbitrary scalar metrics. `merge_parallel` composes the scalar counters
@@ -138,13 +137,17 @@ fn sequential_reference_ladder(
     (estimate, guesses, metrics)
 }
 
-fn assert_ladder_matches_reference<B: ExecutionBackend + Send>(graph: &Graph, label: &str) {
+fn assert_ladder_matches_reference(graph: &Graph, label: &str) {
     let params = Params::practical(graph.num_vertices());
     let (ref_estimate, ref_guesses, ref_metrics) = sequential_reference_ladder(graph, 0.5, &params);
     for jobs in [1usize, 2, 8, 0] {
         let context = format!("{label}/jobs{jobs}");
-        let r = approximate_coreness_on::<B>(graph, 0.5, &params.clone().with_jobs(jobs))
-            .expect("coreness succeeds");
+        let r = approximate_coreness_on::<SequentialBackend>(
+            graph,
+            0.5,
+            &params.clone().with_jobs(jobs),
+        )
+        .expect("coreness succeeds");
         assert_eq!(r.estimate, ref_estimate, "{context}: estimates differ");
         assert_eq!(r.guesses, ref_guesses, "{context}: guess ladders differ");
         assert_eq!(r.metrics, ref_metrics, "{context}: merged metrics differ");
@@ -156,17 +159,10 @@ fn concurrent_ladder_bit_identical_to_sequential_loop() {
     for (label, g) in [
         ("gnm", gnm(400, 1600, 7)),
         ("planted_dense", planted_dense(600, 1200, 25, 3)),
+        ("gnm-500", gnm(500, 2000, 11)),
     ] {
-        assert_ladder_matches_reference::<SequentialBackend>(&g, label);
+        assert_ladder_matches_reference(&g, label);
     }
-}
-
-#[test]
-fn concurrent_ladder_bit_identical_on_parallel_backend() {
-    // Instance-level concurrency composes with the rayon exchange backend
-    // without disturbing outputs.
-    let g = gnm(500, 2000, 11);
-    assert_ladder_matches_reference::<ParallelBackend>(&g, "gnm/parallel-backend");
 }
 
 #[test]

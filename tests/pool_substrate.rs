@@ -1,5 +1,5 @@
 //! Conformance tests for the persistent work-stealing pool under the full
-//! parallelism stack: nested tier-2 (instance fan-out) → tier-3 (vertex
+//! parallelism stack: nested tier-1 (instance fan-out) → tier-2 (vertex
 //! stages) use on one pool, panic propagation through stolen tasks,
 //! `chunk_map_*` determinism across job counts, and the spawn-count fence
 //! proving steady-state stage loops create zero new OS threads.
@@ -8,8 +8,8 @@ use dgo_core::stage::StageExecutor;
 use dgo_mpc::instance::InstanceGroup;
 use dgo_mpc::{ClusterConfig, MpcError, PerMachine, SequentialBackend};
 
-/// A small per-instance workload that exercises tier-3 stages inside a
-/// tier-2 instance: one metered exchange plus a vertex-stage map and
+/// A small per-instance workload that exercises tier-2 stages inside a
+/// tier-1 instance: one metered exchange plus a vertex-stage map and
 /// reduction, all on instance-specific data.
 fn staged_workload(
     instance: usize,
@@ -30,7 +30,7 @@ fn staged_workload(
 
 #[test]
 fn nested_instance_and_stage_tiers_share_one_pool() {
-    // Tier-2 fans instances across the pool; each instance runs tier-3
+    // Tier-1 fans instances across the pool; each instance runs tier-2
     // stage maps on the same pool. Cooperative waiting must drain the
     // nested stage tasks even when every worker is inside an instance —
     // this test hanging (not failing) is the deadlock regression signal.

@@ -21,7 +21,7 @@ use dgo::core::{
 };
 use dgo::graph::generators::{core_onion_with_truth, gnm, ring_of_cliques, Family};
 use dgo::graph::Graph;
-use dgo::mpc::{Cluster, ClusterConfig, ExecutionBackend, ParallelBackend, SequentialBackend};
+use dgo::mpc::{Cluster, ClusterConfig, SequentialBackend};
 use proptest::prelude::*;
 
 /// The job counts every stage must reproduce the `jobs = 1` reference under:
@@ -113,16 +113,18 @@ fn algorithm_4_stages_bit_identical_across_families() {
     }
 }
 
-fn assert_driver_bit_identical<B: ExecutionBackend + Send>(graph: &Graph, label: &str) {
+fn assert_driver_bit_identical(graph: &Graph, label: &str) {
     // Single-instance drivers: Params::jobs goes entirely to vertex stages.
     let params = Params::practical(graph.num_vertices()).with_jobs(1);
-    let layering_reference = complete_layering_on::<B>(graph, &params).expect("layering succeeds");
-    let orient_reference = orient_on::<B>(graph, &params).expect("orient succeeds");
-    let color_reference = color_on::<B>(graph, &params).expect("color succeeds");
+    let layering_reference =
+        complete_layering_on::<SequentialBackend>(graph, &params).expect("layering succeeds");
+    let orient_reference = orient_on::<SequentialBackend>(graph, &params).expect("orient succeeds");
+    let color_reference = color_on::<SequentialBackend>(graph, &params).expect("color succeeds");
     for jobs in JOB_COUNTS {
         let context = format!("{label}/jobs{jobs}");
         let tuned = params.clone().with_jobs(jobs);
-        let layering = complete_layering_on::<B>(graph, &tuned).expect("layering succeeds");
+        let layering =
+            complete_layering_on::<SequentialBackend>(graph, &tuned).expect("layering succeeds");
         assert_eq!(
             layering.layering, layering_reference.layering,
             "{context}: layerings differ"
@@ -135,7 +137,7 @@ fn assert_driver_bit_identical<B: ExecutionBackend + Send>(graph: &Graph, label:
             layering.stats, layering_reference.stats,
             "{context}: layering stats differ"
         );
-        let oriented = orient_on::<B>(graph, &tuned).expect("orient succeeds");
+        let oriented = orient_on::<SequentialBackend>(graph, &tuned).expect("orient succeeds");
         assert_eq!(
             oriented.orientation, orient_reference.orientation,
             "{context}: orientations differ"
@@ -144,7 +146,7 @@ fn assert_driver_bit_identical<B: ExecutionBackend + Send>(graph: &Graph, label:
             oriented.metrics, orient_reference.metrics,
             "{context}: orientation metrics differ"
         );
-        let colored = color_on::<B>(graph, &tuned).expect("color succeeds");
+        let colored = color_on::<SequentialBackend>(graph, &tuned).expect("color succeeds");
         assert_eq!(
             colored.coloring, color_reference.coloring,
             "{context}: colorings differ"
@@ -158,16 +160,8 @@ fn assert_driver_bit_identical<B: ExecutionBackend + Send>(graph: &Graph, label:
 
 #[test]
 fn drivers_bit_identical_across_jobs() {
-    let g = gnm(400, 1600, 7);
-    assert_driver_bit_identical::<SequentialBackend>(&g, "gnm");
-}
-
-#[test]
-fn drivers_bit_identical_on_parallel_backend() {
-    // All three parallelism tiers at once: rayon exchange routing, instance
-    // fan-out, vertex stages — still bit-identical.
-    let g = ring_of_cliques(40, 6);
-    assert_driver_bit_identical::<ParallelBackend>(&g, "ring-of-cliques/parallel-backend");
+    assert_driver_bit_identical(&gnm(400, 1600, 7), "gnm");
+    assert_driver_bit_identical(&ring_of_cliques(40, 6), "ring-of-cliques");
 }
 
 #[test]
