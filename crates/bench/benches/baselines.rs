@@ -1,5 +1,6 @@
 //! Benchmark: the comparison baselines — BE08 LOCAL peeling and the direct
-//! LOCAL→MPC simulation — on the same workload as `orient_end2end`.
+//! LOCAL→MPC simulation — on the same workload as the `engine_orient` legs
+//! of the `engine` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dgo_graph::generators::gnm;

@@ -26,9 +26,9 @@
 //! [`ColorStats::simulated_local_rounds`].
 
 use crate::error::Result;
-use crate::orient::{complete_layering_on, estimate_lambda, layering_config, LayeringStats};
+use crate::orient::{complete_layering_on, lambda_and_parts, layering_config, LayeringStats};
 use crate::params::Params;
-use crate::reduce::partition_vertices;
+use crate::reduce::{partition_vertices, VertexPart};
 use dgo_graph::{Coloring, Graph};
 use dgo_local::randomized_list_coloring;
 use dgo_mpc::instance::{check_group_capacity, run_indexed, split_jobs};
@@ -101,13 +101,13 @@ pub fn color(graph: &Graph, params: &Params) -> Result<ColorResult> {
 pub fn color_on<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<ColorResult> {
     params.validate()?;
     let n = graph.num_vertices();
-    let lambda_hat = estimate_lambda(graph, params);
-    let k = params.k(lambda_hat);
-    let log_n = (n.max(2) as f64).log2();
-    let parts_needed = (k as f64 / log_n).ceil() as usize;
+    let (lambda_hat, parts_needed) = lambda_and_parts(graph, params);
 
     if parts_needed <= 1 {
-        return color_single::<B>(graph, params);
+        // The layering takes this λ̂ as its hint instead of estimating again.
+        let mut single = params.clone();
+        single.lambda_hint = lambda_hat;
+        return color_single::<B>(graph, &single);
     }
 
     // Lemma 2.2 path: vertex partition, disjoint palettes, parallel parts.
@@ -115,36 +115,20 @@ pub fn color_on<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
     // re-estimated on the sparser part), so parts fan across host threads;
     // only the palette-offset fold below is order-sensitive and runs on the
     // host in part order. The thread budget splits between the part fan-out
-    // and each part's vertex stages so the tiers share one pool.
-    let parts = partition_vertices(graph, parts_needed, params.seed);
-    // Budget over the parts that actually run: an empty part is a no-op and
-    // must not consume one of the remainder-boosted inner budgets. Each
-    // non-empty part picks its budget by active rank (its index among the
-    // non-empty parts), so the boosted budgets land on real work.
-    let mut active_parts_count = 0usize;
-    let active_rank: Vec<usize> = parts
-        .iter()
-        .map(|part| {
-            let current = active_parts_count;
-            active_parts_count += usize::from(part.graph.num_vertices() > 0);
-            current
-        })
+    // and each part's vertex stages so the tiers share one pool. An empty
+    // part colors nothing, so it is dropped before the fan-out and never
+    // takes one of the inner budgets.
+    let parts: Vec<VertexPart> = partition_vertices(graph, parts_needed, params.seed)
+        .into_iter()
+        .filter(|part| part.graph.num_vertices() > 0)
         .collect();
-    let split = split_jobs(params.jobs, active_parts_count);
-    let part_results: Vec<Option<ColorResult>> = run_indexed(
-        parts.len(),
-        split.outer(),
-        |i| -> Result<Option<ColorResult>> {
-            let part = &parts[i];
-            if part.graph.num_vertices() == 0 {
-                return Ok(None);
-            }
-            let mut part_params = params.clone();
-            part_params.jobs = split.inner(active_rank[i]);
-            part_params.lambda_hint = 0; // re-estimate on the sparser part
-            color_single::<B>(&part.graph, &part_params).map(Some)
-        },
-    )?;
+    let split = split_jobs(params.jobs, parts.len());
+    let part_results: Vec<ColorResult> = run_indexed(parts.len(), split.outer(), |i| {
+        let mut part_params = params.clone();
+        part_params.jobs = split.inner(i);
+        part_params.lambda_hint = 0; // re-estimate on the sparser part
+        color_single::<B>(&parts[i].graph, &part_params)
+    })?;
 
     let mut colors = vec![0u32; n];
     let mut metrics = Metrics::new();
@@ -157,13 +141,8 @@ pub fn color_on<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
         layering_stats: Vec::new(),
         parts: parts_needed,
     };
-    let mut active_parts = 0usize;
     let mut capacity = 0usize;
     for (part, sub) in parts.iter().zip(part_results) {
-        let Some(sub) = sub else {
-            continue;
-        };
-        active_parts += 1;
         capacity = capacity
             .saturating_add(layering_config(&part.graph, params).global_memory())
             .saturating_add(coloring_config(&part.graph, params).global_memory());
@@ -182,7 +161,7 @@ pub fn color_on<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
     // every part's sections — the same aggregate check InstanceGroup
     // enforces for the layering compositions (each part runs two strict
     // clusters, so the group semantics are strict).
-    check_group_capacity(&mut metrics, active_parts, capacity, true)?;
+    check_group_capacity(&mut metrics, parts.len(), capacity, true)?;
     Ok(ColorResult {
         coloring: Coloring::new(colors)?,
         metrics,
@@ -388,7 +367,7 @@ mod tests {
         let g = gnm(1000, 8000, 2); // density 8
         let params = Params::practical(1000);
         let r = check(&g, &params);
-        let lambda = estimate_lambda(&g, &params);
+        let lambda = crate::estimate_lambda(&g, &params);
         let loglog = (1000f64).log2().log2();
         assert!(
             (r.stats.palette as f64) <= 24.0 * lambda as f64 * loglog,

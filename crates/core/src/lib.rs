@@ -17,7 +17,7 @@
 //! | Algorithm 4 `PartialLayerAssignment` | [`partial_layer_assignment`] |
 //! | Lemmas 2.1 / 2.2 (random partitioning) | [`partition_edges`] / [`partition_vertices`] |
 //! | Definition 2.2 / Lemma 2.4 (path counts) | [`num_paths_in`] / [`num_paths_out`] |
-//! | Lemmas 3.14–3.15 (iterated + boosted layering) | [`complete_layering`] |
+//! | Lemmas 3.14–3.15 (iterated + boosted layering) | [`complete_layering`], [`partial_layering_bounded_in`] (one shared stage loop) |
 //! | Theorem 1.1 | [`orient`] |
 //! | Theorem 1.2 (+ Lemma 4.1) | [`color`] |
 //! | Lemma 4.1 bundle wire format (delta/varint codec) | [`wire`] |
@@ -82,8 +82,8 @@ pub use exponentiate::{
 };
 pub use orient::{
     complete_layering, complete_layering_in, complete_layering_on, estimate_lambda,
-    layering_config, orient, orient_on, partial_layering_bounded, partial_layering_bounded_in,
-    partial_layering_bounded_on, LayeringOutcome, LayeringStats, OrientResult,
+    layering_config, orient, orient_on, partial_layering_bounded_in, LayeringOutcome,
+    LayeringStats, OrientResult,
 };
 pub use params::Params;
 pub use paths::{

@@ -16,6 +16,10 @@
 //!   as Stage 1, keeping termination parameter-independent. Every fallback
 //!   round is metered and reported.
 //!
+//! [`complete_layering_in`] and the coreness ladder's fallback-free
+//! [`partial_layering_bounded_in`] are two short loops over one private
+//! stage loop, so both always run the same prelude, Stage 1 and stages.
+//!
 //! Theorem 1.1 wraps the layering: when `k = Θ(λ) ≫ log n`, the edge set is
 //! first split by Lemma 2.1 so each part has arboricity `O(log n)`; parts
 //! run (conceptually in parallel) and their orientations union.
@@ -77,8 +81,11 @@ pub struct OrientResult {
     pub parts: usize,
 }
 
-/// Estimates the arboricity for parameterization: explicit hint, exact flow
-/// machinery on small graphs, degeneracy on large ones.
+/// Estimates the arboricity for parameterization: the explicit hint when
+/// set, else [`arboricity_bounds`]`(..).lower` — `⌈α⌉` from the exact flow
+/// machinery on graphs of at most [`Params::exact_arboricity_threshold`]
+/// vertices, and `⌈density⌉` of the densest peeling suffix (at least `α/2`)
+/// above it.
 pub fn estimate_lambda(graph: &Graph, params: &Params) -> usize {
     if params.lambda_hint > 0 {
         return params.lambda_hint;
@@ -86,6 +93,16 @@ pub fn estimate_lambda(graph: &Graph, params: &Params) -> usize {
     arboricity_bounds(graph, params.exact_arboricity_threshold)
         .lower
         .max(1)
+}
+
+/// λ̂ and the part count `⌈k / log₂ n⌉` of Theorem 1.1's edge partition
+/// (Lemma 2.1) and Theorem 1.2's vertex partition (Lemma 2.2): the one λ̂
+/// estimate each pipeline makes on its input graph.
+pub(crate) fn lambda_and_parts(graph: &Graph, params: &Params) -> (usize, usize) {
+    let lambda_hat = estimate_lambda(graph, params);
+    let log_n = (graph.num_vertices().max(2) as f64).log2();
+    let parts = (params.k(lambda_hat) as f64 / log_n).ceil() as usize;
+    (lambda_hat, parts)
 }
 
 /// Builds the cluster configuration for a layering run on an `n`-vertex,
@@ -179,297 +196,221 @@ pub fn complete_layering_in<B: ExecutionBackend>(
     params: &Params,
     cluster: &mut B,
 ) -> Result<(LayerAssignment, LayeringStats)> {
-    params.validate()?;
-    let stage = StageExecutor::new(params.jobs);
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
-    let lambda_hat = estimate_lambda(graph, params);
-    let k = params.k(lambda_hat);
-    let s = params.local_memory(n);
-    let budget_cap = budget_cap(s);
-    let mut budget = params.effective_budget(n, k).min(budget_cap);
-
-    // Input residency: the graph (2m edge-endpoint words + n vertex records)
-    // spread evenly, as §1.1 allows arbitrary initial distribution.
-    let machines = cluster.num_machines();
-    let input_share = (2 * m + n).div_ceil(machines);
-    cluster.checkpoint_residency(&vec![input_share; machines])?;
-
-    let mut layering = LayerAssignment::unassigned(n);
-    let mut offset = 0u32;
-    let mut stats = LayeringStats {
-        lambda_hat,
-        k,
-        initial_peel_rounds: 0,
-        stages: 0,
-        fallback_rounds: 0,
-        layers: 0,
-        final_budget: budget,
-    };
-
-    // Residual degrees for the peeling phases.
-    let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
-    let mut alive: Vec<bool> = vec![true; n];
-
-    // ---- Stage 1: initial peeling, O(log k) rounds (Lemma 3.15). ----
-    let peel_target = 2 * (32 - u32::leading_zeros(k.max(2) as u32 - 1)).max(1);
-    for _ in 0..peel_target {
-        if !peel_round(
-            graph,
-            &mut degree,
-            &mut alive,
-            k,
-            &mut layering,
-            &mut offset,
-            cluster,
-            &stage,
-        )? {
-            break;
-        }
-        stats.initial_peel_rounds += 1;
-    }
-
-    // ---- Stage 2: boosted partial assignments (Lemma 3.15). ----
-    let mut stall_threshold = k;
-    loop {
-        let unassigned: Vec<usize> = (0..n).filter(|&v| alive[v]).collect();
-        if unassigned.is_empty() {
-            break;
-        }
-        if stats.stages >= params.max_stages {
+    let mut state = LayeringState::start(graph, params, cluster)?;
+    let k = state.stats.k;
+    // Guaranteed-progress fallback: after a stage that assigns nothing, a
+    // peel round whose threshold doubles until something comes off
+    // (doubling reaches the max degree quickly).
+    let mut threshold = k;
+    while state.remaining > 0 {
+        if state.stats.stages >= params.max_stages {
             return Err(CoreError::StageBudgetExhausted {
-                unassigned: unassigned.len(),
-                stages: stats.stages,
+                unassigned: state.remaining,
+                stages: state.stats.stages,
             });
         }
-        stats.stages += 1;
-        let (sub, mapping) = graph.induced_subgraph(&unassigned);
-        let layers_i = params.stage_layers(budget, k);
-        let steps_i = params.effective_steps(layers_i);
-        let partial =
-            partial_layer_assignment_staged(&sub, budget, k, layers_i, steps_i, cluster, &stage)?;
-        let newly = partial.layering.num_assigned();
-        if newly > 0 {
-            for (v_new, &v_old) in mapping.iter().enumerate() {
-                if partial.layering.is_assigned(v_new) {
-                    let layer = offset + partial.layering.layer(v_new);
-                    layering.set_layer(v_old, layer);
-                    alive[v_old] = false;
-                }
-            }
-            // Keep residual degrees consistent for any later fallback.
-            for (v_new, &v_old) in mapping.iter().enumerate() {
-                if partial.layering.is_assigned(v_new) {
-                    for &w in graph.neighbors(v_old) {
-                        let w = w as usize;
-                        if alive[w] {
-                            degree[w] -= 1;
-                        }
-                    }
-                }
-            }
-            offset += layers_i;
-            stall_threshold = k;
+        if state.stage()? {
+            threshold = k;
         } else {
-            // Guaranteed-progress fallback: escalate the peel threshold until
-            // something comes off (doubling reaches the max degree quickly).
-            stall_threshold = stall_threshold.saturating_mul(2);
-            let progressed = peel_round(
-                graph,
-                &mut degree,
-                &mut alive,
-                stall_threshold,
-                &mut layering,
-                &mut offset,
-                cluster,
-                &stage,
-            )?;
-            stats.fallback_rounds += 1;
-            if !progressed {
-                continue; // threshold keeps doubling next iteration
-            }
-        }
-        budget = budget.saturating_mul(budget).min(budget_cap);
-        stats.final_budget = stats.final_budget.max(budget);
-    }
-
-    stats.layers = layering.max_layer().unwrap_or(0);
-    Ok((layering, stats))
-}
-
-/// One metered peeling round: assigns every alive vertex with residual degree
-/// `≤ threshold` to a fresh layer. Returns whether anything was peeled.
-/// The communication volume is a [`StageExecutor::sum_by`] reduction over the
-/// peeled set, charged once on the backend.
-#[allow(clippy::too_many_arguments)]
-fn peel_round<B: ExecutionBackend>(
-    graph: &Graph,
-    degree: &mut [usize],
-    alive: &mut [bool],
-    threshold: usize,
-    layering: &mut LayerAssignment,
-    offset: &mut u32,
-    cluster: &mut B,
-    stage: &StageExecutor,
-) -> Result<bool> {
-    let n = graph.num_vertices();
-    let peel: Vec<usize> = (0..n)
-        .filter(|&v| alive[v] && degree[v] <= threshold)
-        .collect();
-    if peel.is_empty() {
-        return Ok(false);
-    }
-    // Announcement + aggregated decrements, as in the direct baseline.
-    let volume: usize = peel.len() + stage.sum_by(&peel, |_, &v| degree[v]);
-    let machines = cluster.num_machines();
-    let load = volume.div_ceil(machines).max(1);
-    cluster.charge_rounds(2, volume, load)?;
-    *offset += 1;
-    for &v in &peel {
-        layering.set_layer(v, *offset);
-        alive[v] = false;
-    }
-    for &v in &peel {
-        for &w in graph.neighbors(v) {
-            let w = w as usize;
-            if alive[w] {
-                degree[w] -= 1;
-            }
+            threshold = threshold.saturating_mul(2);
+            state.fallback_round(threshold)?;
         }
     }
-    Ok(true)
+    Ok(state.finish())
 }
 
-/// Bounded layering variant used for *certificate generation* (the coreness
-/// application): identical to [`complete_layering`] but without the
-/// guaranteed-progress fallback — the stage loop simply stops when a stage
-/// makes no progress or `stages_cap` is reached, returning a (possibly
-/// partial) layering whose measured out-degree bound certifies
-/// `coreness(v) ≤ bound` for every *assigned* vertex.
+/// Bounded layering for *certificate generation* (the coreness
+/// application), on a caller-*managed* backend sized via
+/// [`layering_config`]: the stage loop of [`complete_layering_in`] without
+/// the guaranteed-progress fallback. It stops at the first stage that
+/// assigns nothing or after `stages_cap` stages (`0` leaves Stage 1 alone),
+/// returning a (possibly partial) layering whose measured out-degree bound
+/// certifies `coreness(v) ≤ bound` for every *assigned* vertex. The coreness
+/// guess ladder runs one of these per guess in an [`InstanceGroup`].
 ///
 /// # Errors
 ///
-/// Same as [`complete_layering`] (except stage exhaustion, which is the
-/// expected stopping mode here and returns the partial result).
-pub fn partial_layering_bounded(
-    graph: &Graph,
-    params: &Params,
-    stages_cap: u32,
-) -> Result<LayeringOutcome> {
-    partial_layering_bounded_on::<SequentialBackend>(graph, params, stages_cap)
-}
-
-/// [`partial_layering_bounded`] on a caller-chosen [`ExecutionBackend`].
-///
-/// # Errors
-///
-/// Same as [`partial_layering_bounded`].
-pub fn partial_layering_bounded_on<B: ExecutionBackend>(
-    graph: &Graph,
-    params: &Params,
-    stages_cap: u32,
-) -> Result<LayeringOutcome> {
-    let mut cluster = B::from_config(layering_config(graph, params));
-    let (layering, stats) = partial_layering_bounded_in(graph, params, stages_cap, &mut cluster)?;
-    Ok(LayeringOutcome {
-        layering,
-        metrics: cluster.into_metrics(),
-        stats,
-    })
-}
-
-/// [`partial_layering_bounded`] on a caller-*managed* backend (sized via
-/// [`layering_config`]), for composing certificate runs in an
-/// [`InstanceGroup`] — the coreness guess ladder runs one of these per guess.
-///
-/// # Errors
-///
-/// Same as [`partial_layering_bounded`].
+/// Same as [`complete_layering`], except stage exhaustion: stopping is the
+/// expected mode here and returns the partial result.
 pub fn partial_layering_bounded_in<B: ExecutionBackend>(
     graph: &Graph,
     params: &Params,
     stages_cap: u32,
     cluster: &mut B,
 ) -> Result<(LayerAssignment, LayeringStats)> {
-    params.validate()?;
-    let stage = StageExecutor::new(params.jobs);
-    let n = graph.num_vertices();
-    let m = graph.num_edges();
-    let lambda_hat = estimate_lambda(graph, params);
-    let k = params.k(lambda_hat);
-    let s = params.local_memory(n);
-    let budget_cap = budget_cap(s);
-    let mut budget = params.effective_budget(n, k).min(budget_cap);
-    let machines = cluster.num_machines();
-    cluster.checkpoint_residency(&vec![(2 * m + n).div_ceil(machines); machines])?;
-
-    let mut layering = LayerAssignment::unassigned(n);
-    let mut offset = 0u32;
-    let mut stats = LayeringStats {
-        lambda_hat,
-        k,
-        initial_peel_rounds: 0,
-        stages: 0,
-        fallback_rounds: 0,
-        layers: 0,
-        final_budget: budget,
-    };
-    let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
-    let mut alive: Vec<bool> = vec![true; n];
-
-    let peel_target = 2 * (32 - u32::leading_zeros(k.max(2) as u32 - 1)).max(1);
-    for _ in 0..peel_target {
-        if !peel_round(
-            graph,
-            &mut degree,
-            &mut alive,
-            k,
-            &mut layering,
-            &mut offset,
-            cluster,
-            &stage,
-        )? {
+    let mut state = LayeringState::start(graph, params, cluster)?;
+    while state.remaining > 0 && state.stats.stages < stages_cap {
+        if !state.stage()? {
             break;
         }
-        stats.initial_peel_rounds += 1;
+    }
+    Ok(state.finish())
+}
+
+/// Lemma 3.15's layering in progress: the one stage loop that
+/// [`complete_layering_in`] and [`partial_layering_bounded_in`] step.
+/// Building it runs the prelude and Stage 1; the two loops then take boosted
+/// Stage-2 stages and fallback peel rounds until they [`finish`](Self::finish).
+struct LayeringState<'a, B> {
+    graph: &'a Graph,
+    params: &'a Params,
+    cluster: &'a mut B,
+    executor: StageExecutor,
+    layering: LayerAssignment,
+    /// Layers used so far: the next step appends after them.
+    offset: u32,
+    /// Residual degrees for the peel rounds.
+    degree: Vec<usize>,
+    alive: Vec<bool>,
+    /// Vertices still unassigned.
+    remaining: usize,
+    budget: usize,
+    budget_cap: usize,
+    stats: LayeringStats,
+}
+
+impl<'a, B: ExecutionBackend> LayeringState<'a, B> {
+    /// Validates `params`, estimates λ̂, checkpoints the input residency and
+    /// runs Stage 1: `O(log k)` rounds of degree-`≤ k` peeling (Lemma 3.15).
+    fn start(graph: &'a Graph, params: &'a Params, cluster: &'a mut B) -> Result<Self> {
+        params.validate()?;
+        let n = graph.num_vertices();
+        let m = graph.num_edges();
+        let lambda_hat = estimate_lambda(graph, params);
+        let k = params.k(lambda_hat);
+        let budget_cap = budget_cap(params.local_memory(n));
+        let budget = params.effective_budget(n, k).min(budget_cap);
+        // Input residency: the graph (2m edge-endpoint words + n vertex
+        // records) spread evenly, as §1.1 allows arbitrary initial distribution.
+        let machines = cluster.num_machines();
+        cluster.checkpoint_residency(&vec![(2 * m + n).div_ceil(machines); machines])?;
+        let mut state = LayeringState {
+            graph,
+            params,
+            cluster,
+            executor: StageExecutor::new(params.jobs),
+            layering: LayerAssignment::unassigned(n),
+            offset: 0,
+            degree: (0..n).map(|v| graph.degree(v)).collect(),
+            alive: vec![true; n],
+            remaining: n,
+            budget,
+            budget_cap,
+            stats: LayeringStats {
+                lambda_hat,
+                k,
+                initial_peel_rounds: 0,
+                stages: 0,
+                fallback_rounds: 0,
+                layers: 0,
+                final_budget: budget,
+            },
+        };
+        let peel_target = 2 * (32 - u32::leading_zeros(k.max(2) as u32 - 1)).max(1);
+        while state.stats.initial_peel_rounds < peel_target && state.peel_round(k)? {
+            state.stats.initial_peel_rounds += 1;
+        }
+        Ok(state)
     }
 
-    while stats.stages < stages_cap {
-        let unassigned: Vec<usize> = (0..n).filter(|&v| alive[v]).collect();
-        if unassigned.is_empty() {
-            break;
-        }
-        stats.stages += 1;
-        let (sub, mapping) = graph.induced_subgraph(&unassigned);
-        let layers_i = params.stage_layers(budget, k);
-        let steps_i = params.effective_steps(layers_i);
-        let partial =
-            partial_layer_assignment_staged(&sub, budget, k, layers_i, steps_i, cluster, &stage)?;
-        if partial.layering.num_assigned() == 0 {
-            break; // no fallback in bounded mode
-        }
+    /// One boosted Stage-2 stage (Lemma 3.15): Algorithm 4 on the subgraph
+    /// induced by the unassigned vertices, its layers appended after the
+    /// current ones. Returns whether it assigned anything; only progress
+    /// boosts the budget `B ← min(B², cap)`.
+    fn stage(&mut self) -> Result<bool> {
+        self.stats.stages += 1;
+        let unassigned: Vec<usize> = (0..self.alive.len()).filter(|&v| self.alive[v]).collect();
+        let (sub, mapping) = self.graph.induced_subgraph(&unassigned);
+        let (budget, k) = (self.budget, self.stats.k);
+        let layers = self.params.stage_layers(budget, k);
+        let steps = self.params.effective_steps(layers);
+        let partial = partial_layer_assignment_staged(
+            &sub,
+            budget,
+            k,
+            layers,
+            steps,
+            &mut *self.cluster,
+            &self.executor,
+        )?;
+        let mut assigned = Vec::with_capacity(partial.layering.num_assigned());
         for (v_new, &v_old) in mapping.iter().enumerate() {
             if partial.layering.is_assigned(v_new) {
-                layering.set_layer(v_old, offset + partial.layering.layer(v_new));
-                alive[v_old] = false;
+                let layer = self.offset + partial.layering.layer(v_new);
+                self.layering.set_layer(v_old, layer);
+                assigned.push(v_old);
             }
         }
-        for (v_new, &v_old) in mapping.iter().enumerate() {
-            if partial.layering.is_assigned(v_new) {
-                for &w in graph.neighbors(v_old) {
-                    let w = w as usize;
-                    if alive[w] {
-                        degree[w] -= 1;
-                    }
+        if assigned.is_empty() {
+            return Ok(false);
+        }
+        self.retire(&assigned);
+        self.offset += layers;
+        self.boost();
+        Ok(true)
+    }
+
+    /// The guaranteed-progress fallback after a stage that assigned nothing:
+    /// one peel round at `threshold`, boosting the budget if it peeled.
+    fn fallback_round(&mut self, threshold: usize) -> Result<()> {
+        self.stats.fallback_rounds += 1;
+        if self.peel_round(threshold)? {
+            self.boost();
+        }
+        Ok(())
+    }
+
+    /// Ends the loop: records the layer count and hands back the layering.
+    fn finish(mut self) -> (LayerAssignment, LayeringStats) {
+        self.stats.layers = self.layering.max_layer().unwrap_or(0);
+        (self.layering, self.stats)
+    }
+
+    /// One metered peeling round: assigns every alive vertex with residual
+    /// degree `≤ threshold` to a fresh layer. Returns whether anything was
+    /// peeled. The communication volume is a [`StageExecutor::sum_by`]
+    /// reduction over the peeled set, charged once on the backend.
+    fn peel_round(&mut self, threshold: usize) -> Result<bool> {
+        let peel: Vec<usize> = (0..self.alive.len())
+            .filter(|&v| self.alive[v] && self.degree[v] <= threshold)
+            .collect();
+        if peel.is_empty() {
+            return Ok(false);
+        }
+        // Announcement + aggregated decrements, as in the direct baseline.
+        let volume = peel.len() + self.executor.sum_by(&peel, |_, &v| self.degree[v]);
+        let load = volume.div_ceil(self.cluster.num_machines()).max(1);
+        self.cluster.charge_rounds(2, volume, load)?;
+        self.offset += 1;
+        for &v in &peel {
+            self.layering.set_layer(v, self.offset);
+        }
+        self.retire(&peel);
+        Ok(true)
+    }
+
+    /// Marks `vertices` (already given their layers) assigned, then takes
+    /// them out of their alive neighbors' residual degrees.
+    fn retire(&mut self, vertices: &[usize]) {
+        for &v in vertices {
+            self.alive[v] = false;
+        }
+        self.remaining -= vertices.len();
+        for &v in vertices {
+            for &w in self.graph.neighbors(v) {
+                let w = w as usize;
+                if self.alive[w] {
+                    self.degree[w] -= 1;
                 }
             }
         }
-        offset += layers_i;
-        budget = budget.saturating_mul(budget).min(budget_cap);
-        stats.final_budget = stats.final_budget.max(budget);
     }
-    stats.layers = layering.max_layer().unwrap_or(0);
-    Ok((layering, stats))
+
+    /// `B ← min(B², cap)`, after a step that made progress.
+    fn boost(&mut self) {
+        self.budget = self.budget.saturating_mul(self.budget).min(self.budget_cap);
+        self.stats.final_budget = self.stats.final_budget.max(self.budget);
+    }
 }
 
 /// Theorem 1.1: computes an orientation with max outdegree `O(λ log log n)`
@@ -509,14 +450,13 @@ pub fn orient_on<B: ExecutionBackend + Send>(
     params: &Params,
 ) -> Result<OrientResult> {
     params.validate()?;
-    let n = graph.num_vertices();
-    let lambda_hat = estimate_lambda(graph, params);
-    let k = params.k(lambda_hat);
-    let log_n = (n.max(2) as f64).log2();
-    let parts_needed = (k as f64 / log_n).ceil() as usize;
+    let (lambda_hat, parts_needed) = lambda_and_parts(graph, params);
 
     if parts_needed <= 1 {
-        let outcome = complete_layering_on::<B>(graph, params)?;
+        // The layering takes this λ̂ as its hint instead of estimating again.
+        let mut single = params.clone();
+        single.lambda_hint = lambda_hat;
+        let outcome = complete_layering_on::<B>(graph, &single)?;
         let orientation = outcome.layering.to_orientation(graph)?;
         return Ok(OrientResult {
             orientation,
@@ -586,7 +526,9 @@ pub fn orient_on<B: ExecutionBackend + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgo_graph::generators::{barabasi_albert, clique, gnm, grid_2d, random_tree, star};
+    use dgo_graph::generators::{
+        barabasi_albert, clique, gnm, grid_2d, planted_dense, random_tree, star,
+    };
 
     #[test]
     fn complete_layering_on_random_graph() {
@@ -722,6 +664,79 @@ mod tests {
         let b = complete_layering(&g, &p).unwrap();
         assert_eq!(a.layering, b.layering);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
+    }
+
+    /// λ-hint 1 parameters, so Stage 1 leaves work for boosted stages.
+    fn low_hint(n: usize) -> Params {
+        let mut params = Params::practical(n).with_jobs(1);
+        params.lambda_hint = 1;
+        params
+    }
+
+    /// [`partial_layering_bounded_in`] on a fresh backend sized by
+    /// [`layering_config`], returning the backend's metrics too.
+    fn bounded(
+        g: &Graph,
+        params: &Params,
+        stages_cap: u32,
+    ) -> (LayerAssignment, LayeringStats, Metrics) {
+        let mut cluster = SequentialBackend::from_config(layering_config(g, params));
+        let (layering, stats) =
+            partial_layering_bounded_in(g, params, stages_cap, &mut cluster).unwrap();
+        (layering, stats, cluster.into_metrics())
+    }
+
+    #[test]
+    fn bounded_matches_complete_without_fallback() {
+        for g in [barabasi_albert(2000, 4, 3), gnm(1500, 4500, 17)] {
+            let params = low_hint(g.num_vertices());
+            let complete = complete_layering(&g, &params).unwrap();
+            assert!(complete.stats.stages > 0, "Stage 2 must run");
+            assert_eq!(complete.stats.fallback_rounds, 0);
+            let (layering, stats, metrics) = bounded(&g, &params, params.max_stages);
+            assert_eq!(layering, complete.layering);
+            assert_eq!(stats, complete.stats);
+            assert_eq!(metrics, complete.metrics);
+        }
+    }
+
+    #[test]
+    fn bounded_at_cap_zero_is_stage_one_alone() {
+        let g = planted_dense(3000, 9000, 40, 5);
+        let params = low_hint(g.num_vertices());
+        let complete = complete_layering(&g, &params).unwrap();
+        let (layering, stats, metrics) = bounded(&g, &params, 0);
+        assert_eq!(stats.stages, 0);
+        assert!(stats.initial_peel_rounds > 0);
+        assert_eq!(
+            stats.initial_peel_rounds,
+            complete.stats.initial_peel_rounds
+        );
+        assert_eq!(stats.layers, stats.initial_peel_rounds);
+        // Stage 1's layers are the first layers of the complete layering.
+        for v in 0..g.num_vertices() {
+            if complete.layering.layer(v) <= stats.initial_peel_rounds {
+                assert_eq!(layering.layer(v), complete.layering.layer(v));
+            } else {
+                assert!(!layering.is_assigned(v), "vertex {v} assigned past Stage 1");
+            }
+        }
+        // Each peel round is one announcement and one decrement round.
+        assert_eq!(metrics.rounds, 2 * u64::from(stats.initial_peel_rounds));
+    }
+
+    #[test]
+    fn stage_budget_exhaustion_is_reported() {
+        let g = planted_dense(3000, 9000, 40, 5);
+        let mut params = low_hint(g.num_vertices());
+        params.max_stages = 1;
+        assert_eq!(
+            complete_layering(&g, &params).unwrap_err(),
+            CoreError::StageBudgetExhausted {
+                unassigned: 498,
+                stages: 1,
+            }
+        );
     }
 
     use dgo_graph::Graph;

@@ -43,8 +43,10 @@ pub struct Params {
     /// Palette multiplier: the coloring uses `palette_factor · d` colors where
     /// `d` is the layering out-degree (paper's proof uses `3d`).
     pub palette_factor: usize,
-    /// Threshold (in vertices) under which arboricity is computed exactly via
-    /// flows; above it the degeneracy estimate is used.
+    /// Threshold (in vertices) up to which λ̂ is `⌈α⌉`, computed exactly via
+    /// flows; above it λ̂ is `⌈density⌉` of the densest peeling suffix (at
+    /// least `α/2`). The degeneracy only bounds `λ` from above and is never
+    /// λ̂.
     pub exact_arboricity_threshold: usize,
     /// Arboricity estimate override; `0` means estimate from the graph.
     pub lambda_hint: usize,

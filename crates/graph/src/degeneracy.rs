@@ -89,18 +89,24 @@ pub fn degeneracy(graph: &Graph) -> Degeneracy {
 ///
 /// This is the standard 2-approximation: `peeling_density(G) ≥ α(G) / 2`.
 pub fn peeling_density_lower_bound(graph: &Graph) -> f64 {
+    densest_suffix_density(graph, &degeneracy(graph).order)
+}
+
+/// The density of the densest suffix of the peeling `order` (a permutation
+/// of the vertices): the suffix pass of [`peeling_density_lower_bound`], for
+/// callers that already hold a [`degeneracy`] order.
+pub(crate) fn densest_suffix_density(graph: &Graph, order: &[usize]) -> f64 {
     let n = graph.num_vertices();
     if n == 0 {
         return 0.0;
     }
-    let deg = degeneracy(graph);
     let mut in_suffix = vec![true; n];
     // Process the peeling order forward, maintaining the number of edges in
     // the remaining suffix.
     let mut edges_left = graph.num_edges();
     let mut best = edges_left as f64 / n as f64;
     let mut remaining = n;
-    for &v in &deg.order {
+    for &v in order {
         let still: usize = graph
             .neighbors(v)
             .iter()

@@ -13,7 +13,7 @@
 //! * [`arboricity_bounds`] — two-sided bounds on `λ` combining the above
 //!   with degeneracy, with a cheap degeneracy-only path for large graphs.
 
-use crate::degeneracy::{degeneracy, peeling_density_lower_bound};
+use crate::degeneracy::{degeneracy, densest_suffix_density};
 use crate::flow::FlowNetwork;
 use crate::graph::Graph;
 
@@ -204,9 +204,9 @@ impl ArboricityBounds {
 ///
 /// For graphs with at most `exact_threshold` vertices the exact flow
 /// machinery pins `λ ∈ {⌈α⌉, ⌈α⌉+1}`; larger graphs fall back to
-/// `⌈peeling density⌉ ≤ λ ≤ degeneracy` in `O(m)` time (the degeneracy
-/// upper bound follows from the acyclic outdegree-`k` orientation of a
-/// `k`-degenerate graph).
+/// `⌈peeling density⌉ ≤ λ ≤ degeneracy` in `O(m)` time, both read off one
+/// [`degeneracy`] peel (the upper bound follows from the acyclic
+/// outdegree-`k` orientation of a `k`-degenerate graph).
 ///
 /// # Examples
 ///
@@ -234,11 +234,11 @@ pub fn arboricity_bounds(graph: &Graph, exact_threshold: usize) -> ArboricityBou
             exact: true,
         }
     } else {
-        let lower = peeling_density_lower_bound(graph).ceil() as usize;
-        let upper = degeneracy(graph).value;
+        let peel = degeneracy(graph);
+        let lower = densest_suffix_density(graph, &peel.order).ceil() as usize;
         ArboricityBounds {
             lower: lower.max(1),
-            upper: upper.max(1),
+            upper: peel.value.max(1),
             exact: false,
         }
     }
@@ -319,7 +319,7 @@ mod tests {
         )
         .unwrap();
         let exact = exact_max_density(&g);
-        let lb = peeling_density_lower_bound(&g);
+        let lb = crate::degeneracy::peeling_density_lower_bound(&g);
         assert!(exact + 1e-9 >= lb);
         assert!(exact <= lb * 2.0 + 1e-9, "peeling is a 2-approximation");
     }
@@ -373,6 +373,11 @@ mod tests {
         assert!(b.lower >= 1);
         // Degeneracy of K6 is 5.
         assert_eq!(b.upper, 5);
+        // Both bounds come off one peel: the lower bound is the densest
+        // peeling suffix (15/6 for K6), the upper bound the degeneracy.
+        let lower = crate::degeneracy::peeling_density_lower_bound(&g).ceil() as usize;
+        assert_eq!((b.lower, b.upper), (lower, degeneracy(&g).value));
+        assert_eq!(b.lower, 3);
     }
 
     #[test]

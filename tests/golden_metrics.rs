@@ -1,5 +1,4 @@
-//! Golden metrics: the metering of two fixed runs, pinned to recorded
-//! values.
+//! Golden metrics: the metering of fixed runs, pinned to recorded values.
 //!
 //! `backend_equivalence` checks the raw exchange against a model, and the
 //! `instance_parallel` and `stage_parallel` suites compare job counts with
@@ -7,12 +6,19 @@
 //! min-combine, the Lemma 4.1 gather cost model — would pass them all.
 //! These runs pin the absolute figures instead: rounds, communication
 //! volume, the worst round load, the Lemma 4.1 bundle words, and a digest
-//! of the per-round log. Any change to them is a change to what the
-//! simulator certifies and must be deliberate.
+//! of the per-round log. The layering, orientation and coloring runs also
+//! pin every `LayeringStats` field and an output digest, so the Lemma 3.15
+//! stage loop and the λ̂ plumbing around it cannot drift unnoticed. Any
+//! change to them is a change to what the simulator certifies and must be
+//! deliberate.
 
-use dgo::core::{approximate_coreness, partial_layer_assignment, Params};
+use dgo::core::{
+    approximate_coreness, color, complete_layering, orient, partial_layer_assignment,
+    LayeringStats, Params,
+};
 use dgo::graph::generators::{gnm, planted_dense};
 use dgo::mpc::{Cluster, ClusterConfig, Metrics};
+use dgo::LayerAssignment;
 
 /// FNV-1a over every field of every round-log entry, in order.
 fn round_log_digest(metrics: &Metrics) -> u64 {
@@ -109,6 +115,116 @@ fn approximate_coreness_metrics_are_pinned() {
             bundle_flat_words: 12_380,
             round_log_len: 0,
             round_log_digest: 14_695_981_039_346_656_037,
+        }
+    );
+}
+
+fn layer_sum(layering: &LayerAssignment) -> u64 {
+    (0..layering.len())
+        .map(|v| u64::from(layering.layer(v)))
+        .sum()
+}
+
+#[test]
+fn complete_layering_with_fallback_is_pinned() {
+    // λ-hint 1 on a planted dense core: Stage 1 peels the sparse
+    // background, boosted Stage-2 stages run Algorithms 1-4, and the core
+    // stalls them into escalating fallback peels.
+    let g = planted_dense(3000, 9000, 40, 5);
+    let mut params = Params::practical(g.num_vertices()).with_jobs(1);
+    params.lambda_hint = 1;
+    let out = complete_layering(&g, &params).expect("layering");
+    assert_eq!(
+        out.stats,
+        LayeringStats {
+            lambda_hat: 1,
+            k: 2,
+            initial_peel_rounds: 2,
+            stages: 7,
+            fallback_rounds: 5,
+            layers: 7,
+            final_budget: 16,
+        }
+    );
+    assert_eq!(layer_sum(&out.layering), 10_345, "layering changed");
+    assert_eq!(
+        golden(&out.metrics),
+        Golden {
+            rounds: 71,
+            total_comm_words: 25_615,
+            max_round_load: 14,
+            bundle_wire_words: 1_788,
+            bundle_flat_words: 6_344,
+            round_log_len: 71,
+            round_log_digest: 606_813_836_435_427_324,
+        }
+    );
+}
+
+#[test]
+fn orient_edge_partition_path_is_pinned() {
+    // λ̂ estimated on the planted core: k / log₂ n exceeds 1, so Theorem
+    // 1.1 splits the edges and lays out every part on its own.
+    let g = planted_dense(3000, 9000, 40, 5);
+    let params = Params::practical(g.num_vertices()).with_jobs(1);
+    let r = orient(&g, &params).expect("orient");
+    assert_eq!(r.parts, 4);
+    assert_eq!(r.orientation.max_out_degree(), 45, "orientation changed");
+    let part = |lambda_hat: usize| LayeringStats {
+        lambda_hat,
+        k: 2 * lambda_hat,
+        initial_peel_rounds: 2,
+        stages: 0,
+        fallback_rounds: 0,
+        layers: 2,
+        final_budget: 16,
+    };
+    assert_eq!(r.stats, vec![part(7), part(7), part(6), part(7)]);
+    assert_eq!(
+        golden(&r.metrics),
+        Golden {
+            rounds: 4,
+            total_comm_words: 31_252,
+            max_round_load: 2,
+            bundle_wire_words: 0,
+            bundle_flat_words: 0,
+            round_log_len: 0,
+            round_log_digest: 14_695_981_039_346_656_037,
+        }
+    );
+}
+
+#[test]
+fn color_single_graph_path_is_pinned() {
+    // λ̂ = 4 on G(1500, 4500): one part, so the λ̂ estimate feeds the
+    // single-graph layering directly.
+    let g = gnm(1500, 4500, 17);
+    let params = Params::practical(g.num_vertices()).with_jobs(1);
+    let r = color(&g, &params).expect("color");
+    assert_eq!(r.stats.parts, 1);
+    assert_eq!(r.coloring.num_colors(), 24, "coloring changed");
+    assert_eq!(
+        r.stats.layering_stats,
+        vec![LayeringStats {
+            lambda_hat: 4,
+            k: 8,
+            initial_peel_rounds: 2,
+            stages: 0,
+            fallback_rounds: 0,
+            layers: 2,
+            final_budget: 16,
+        }]
+    );
+    assert_eq!(
+        golden(&r.metrics),
+        Golden {
+            rounds: 16,
+            total_comm_words: 27_071,
+            max_round_load: 12,
+            bundle_wire_words: 0,
+            bundle_flat_words: 0,
+            round_log_len: 4,
+            round_log_digest: 17_821_022_933_567_172_338,
         }
     );
 }

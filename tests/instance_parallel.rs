@@ -13,11 +13,12 @@
 //!    the sequential host loop at any `jobs` count.
 
 use dgo::core::{
-    approximate_coreness_on, color_on, orient_on, partial_layering_bounded_on, Params,
+    approximate_coreness_on, color_on, layering_config, orient_on, partial_layering_bounded_in,
+    Params,
 };
 use dgo::graph::generators::{clique, gnm, planted_dense};
 use dgo::graph::{degeneracy, Graph};
-use dgo::mpc::{Metrics, SequentialBackend};
+use dgo::mpc::{ExecutionBackend, Metrics, SequentialBackend};
 use proptest::prelude::*;
 
 /// Arbitrary scalar metrics. `merge_parallel` composes the scalar counters
@@ -118,21 +119,21 @@ fn sequential_reference_ladder(
     for &guess in &guesses {
         let mut run_params = params.clone();
         run_params.lambda_hint = guess;
-        let outcome = partial_layering_bounded_on::<SequentialBackend>(graph, &run_params, 8)
+        let mut cluster = SequentialBackend::from_config(layering_config(graph, &run_params));
+        let (layering, _) = partial_layering_bounded_in(graph, &run_params, 8, &mut cluster)
             .expect("bounded layering succeeds");
-        if outcome.layering.num_assigned() > 0 {
-            let witness = outcome
-                .layering
+        if layering.num_assigned() > 0 {
+            let witness = layering
                 .out_degree_bound(graph)
                 .expect("bound computes")
                 .max(1) as u32;
             for (v, e) in estimate.iter_mut().enumerate() {
-                if outcome.layering.is_assigned(v) {
+                if layering.is_assigned(v) {
                     *e = (*e).min(witness);
                 }
             }
         }
-        metrics.merge_parallel(&outcome.metrics);
+        metrics.merge_parallel(&cluster.into_metrics());
     }
     (estimate, guesses, metrics)
 }
