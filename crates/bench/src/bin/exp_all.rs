@@ -1,4 +1,5 @@
-//! The full experiment suite (E1–E7). EXPERIMENTS.md records this output.
+//! The full experiment suite (E1–E7, listed under "What the reproduction
+//! checks" in PAPER.md).
 //!
 //! Usage: `cargo run -p dgo-bench --release --bin exp_all [-- --big] [-- --jobs 8]`
 

@@ -1,4 +1,4 @@
-//! E1: round-complexity comparison — ours vs direct simulation vs models.
+//! E1: round-complexity comparison — ours vs the direct simulation baseline.
 //!
 //! Usage: `cargo run -p dgo-bench --release --bin exp_rounds [-- --big] [-- --jobs 8]`
 

@@ -1,6 +1,7 @@
 //! The experiment suite: one function per claim-derived table/figure
-//! (E1–E6 of DESIGN.md §6). Each returns [`Table`]s so the binaries, the
-//! integration tests, and EXPERIMENTS.md all consume the same code path.
+//! (E1–E7, listed under "What the reproduction checks" in PAPER.md). Each
+//! returns [`Table`]s so the binaries and the integration tests consume the
+//! same code path.
 //!
 //! Every experiment takes a `jobs` knob (threaded from the binaries'
 //! `--jobs` flag into [`Params::jobs`]): composed parallel instances — the
@@ -15,7 +16,7 @@ use dgo_core::{
 };
 use dgo_graph::generators::Family;
 use dgo_graph::{coreness, Coloring};
-use dgo_local::{be08_peeling, direct_peeling_mpc, RoundModel};
+use dgo_local::{be08_peeling, direct_peeling_mpc};
 use dgo_mpc::{Cluster, ClusterConfig};
 
 /// Default instance sizes for size sweeps (kept laptop-friendly; binaries
@@ -29,18 +30,11 @@ pub const BIG_SIZES: [usize; 6] = [1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 17, 
 pub const SEED: u64 = 0xE5EED;
 
 /// E1 (Figure-1 analog): measured MPC rounds of this paper's orientation vs
-/// the direct LOCAL→MPC simulation, with the three analytic model curves.
+/// the `Θ(log n)` direct LOCAL→MPC simulation of \[BE08\] peeling (§1.4).
 pub fn e1_rounds(sizes: &[usize], family: Family, jobs: usize) -> Table {
     let mut table = Table::new(
-        format!("E1: MPC rounds vs n ({family}) — ours vs direct simulation vs models"),
-        &[
-            "n",
-            "ours(measured)",
-            "direct(measured)",
-            "model:ours",
-            "model:glm19",
-            "model:direct",
-        ],
+        format!("E1: MPC rounds vs n ({family}) — ours vs direct simulation"),
+        &["n", "ours(measured)", "direct(measured)"],
     );
     for &n in sizes {
         let g = family.generate(n, SEED);
@@ -53,9 +47,6 @@ pub fn e1_rounds(sizes: &[usize], family: Family, jobs: usize) -> Table {
             n.to_string(),
             ours.metrics.rounds.to_string(),
             direct.metrics.rounds.to_string(),
-            format!("{:.0}", RoundModel::predict_ours(n)),
-            format!("{:.0}", RoundModel::predict_glm19(n)),
-            format!("{:.0}", RoundModel::predict_direct(n)),
         ]);
     }
     table

@@ -1,9 +1,10 @@
 //! # dgo-bench — the experiment harness
 //!
 //! Regenerates every claim-derived table and figure of the reproduction
-//! (DESIGN.md §6): the binaries `exp_rounds`, `exp_outdegree`, `exp_colors`,
-//! `exp_decay`, `exp_memory`, and `exp_ablation` each print one experiment;
-//! `exp_all` runs the full suite (this is what EXPERIMENTS.md records).
+//! (E1–E7, listed under "What the reproduction checks" in PAPER.md): the
+//! binaries `exp_rounds`, `exp_outdegree`, `exp_colors`, `exp_decay`,
+//! `exp_memory`, `exp_ablation` and `exp_coreness` each print one
+//! experiment; `exp_all` runs the full suite.
 //! Criterion microbenchmarks for the core kernels live under `benches/`.
 //!
 //! ```bash

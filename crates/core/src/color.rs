@@ -21,9 +21,10 @@
 //!    "at least 2d available colors".
 //!
 //! The within-layer subroutine is the randomized trial coloring of
-//! [`dgo_local::randomized_list_coloring`], substituting for [HKNT22] (see
-//! DESIGN.md §5); its simulated LOCAL rounds are reported separately in
-//! [`ColorStats::simulated_local_rounds`].
+//! [`dgo_local::randomized_list_coloring`], substituting for [HKNT22]: it
+//! runs on the gathered neighbourhoods, so it adds no MPC round, and any
+//! proper list coloring stays inside the `3d` palette. Its simulated LOCAL
+//! rounds are reported separately in [`ColorStats::simulated_local_rounds`].
 
 use crate::error::Result;
 use crate::orient::{complete_layering_on, lambda_and_parts, layering_config, LayeringStats};

@@ -7,9 +7,11 @@
 //! `dgo_core::approximate_coreness` reproduces that application, with this
 //! exact `O(m)` computation as ground truth.
 
+use crate::degeneracy::min_degree_peel;
 use crate::graph::Graph;
 
-/// Computes the exact coreness of every vertex (Matula–Beck bucket peeling).
+/// Computes the exact coreness of every vertex (Matula–Beck bucket peeling,
+/// the same peel as [`degeneracy`](fn@crate::degeneracy)).
 ///
 /// Runs in `O(n + m)` time.
 ///
@@ -25,49 +27,7 @@ use crate::graph::Graph;
 /// # Ok::<(), dgo_graph::GraphError>(())
 /// ```
 pub fn coreness(graph: &Graph) -> Vec<u32> {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); max_deg + 1];
-    for v in 0..n {
-        buckets[degree[v]].push(v);
-    }
-    let mut removed = vec![false; n];
-    let mut core = vec![0u32; n];
-    let mut current = 0usize;
-    let mut cursor = 0usize;
-    for _ in 0..n {
-        while buckets[cursor].is_empty() {
-            cursor += 1;
-        }
-        let v = loop {
-            match buckets[cursor].pop() {
-                Some(v) if !removed[v] && degree[v] == cursor => break v,
-                Some(_) => continue, // stale
-                None => {
-                    cursor += 1;
-                    while buckets[cursor].is_empty() {
-                        cursor += 1;
-                    }
-                }
-            }
-        };
-        removed[v] = true;
-        current = current.max(cursor);
-        core[v] = current as u32;
-        for &w in graph.neighbors(v) {
-            let w = w as usize;
-            if !removed[w] {
-                degree[w] -= 1;
-                buckets[degree[w]].push(w);
-            }
-        }
-        cursor = cursor.saturating_sub(1);
-    }
-    core
+    min_degree_peel(graph).1
 }
 
 #[cfg(test)]

@@ -32,13 +32,20 @@ pub struct Degeneracy {
 /// # Ok::<(), dgo_graph::GraphError>(())
 /// ```
 pub fn degeneracy(graph: &Graph) -> Degeneracy {
+    let (order, core) = min_degree_peel(graph);
+    // The running max is largest at the last removal.
+    let value = order.last().map_or(0, |&v| core[v] as usize);
+    Degeneracy { value, order }
+}
+
+/// The min-degree bucket peel behind [`degeneracy`] and
+/// [`coreness`](fn@crate::coreness): the removal order, and every vertex's
+/// coreness — the running max of the removal degree along that order.
+///
+/// The tie order (last pushed, first popped) is part of the contract: the
+/// densest peeling suffix, and with it λ̂, is read off this order.
+pub(crate) fn min_degree_peel(graph: &Graph) -> (Vec<usize>, Vec<u32>) {
     let n = graph.num_vertices();
-    if n == 0 {
-        return Degeneracy {
-            value: 0,
-            order: Vec::new(),
-        };
-    }
     let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
     let max_deg = degree.iter().copied().max().unwrap_or(0);
     // Bucket queue on current degree.
@@ -48,7 +55,8 @@ pub fn degeneracy(graph: &Graph) -> Degeneracy {
     }
     let mut removed = vec![false; n];
     let mut order = Vec::with_capacity(n);
-    let mut value = 0usize;
+    let mut core = vec![0u32; n];
+    let mut current = 0usize;
     let mut cursor = 0usize;
     for _ in 0..n {
         // Find the smallest non-empty bucket at or after `cursor`; degrees
@@ -70,7 +78,8 @@ pub fn degeneracy(graph: &Graph) -> Degeneracy {
             }
         };
         removed[v] = true;
-        value = value.max(cursor);
+        current = current.max(cursor);
+        core[v] = current as u32;
         order.push(v);
         for &w in graph.neighbors(v) {
             let w = w as usize;
@@ -81,7 +90,7 @@ pub fn degeneracy(graph: &Graph) -> Degeneracy {
         }
         cursor = cursor.saturating_sub(1);
     }
-    Degeneracy { value, order }
+    (order, core)
 }
 
 /// Lower bound on the maximum subgraph density `α` from the peeling suffixes:

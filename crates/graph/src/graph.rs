@@ -1,8 +1,9 @@
 //! Compressed-sparse-row representation of simple undirected graphs.
 //!
 //! [`Graph`] is the workhorse type of the whole workspace: generators produce
-//! it, the MPC and LOCAL simulators consume it, and all algorithm outputs
-//! (orientations, colorings, layerings) are validated against it.
+//! it, the MPC simulator and the LOCAL baselines consume it, and all
+//! algorithm outputs (orientations, colorings, layerings) are validated
+//! against it.
 
 use crate::error::{GraphError, Result};
 use serde::{Deserialize, Serialize};

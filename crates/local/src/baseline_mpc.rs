@@ -9,14 +9,14 @@
 //! art before \[GLM19\] and, apart from the `2^Θ(√log n)` sparsification route,
 //! the only executable comparator).
 
+use crate::peeling::be08_peeling;
 use dgo_graph::{Graph, LayerAssignment};
-use dgo_mpc::{ClusterConfig, ExecutionBackend, Metrics, Result, SequentialBackend};
-use std::collections::HashSet;
+use dgo_mpc::{Cluster, ClusterConfig, Metrics, Result};
 
 /// Result of the direct LOCAL→MPC peeling simulation.
 #[derive(Debug, Clone)]
 pub struct DirectMpcResult {
-    /// The computed H-partition (same artifact as the LOCAL peeling).
+    /// The computed H-partition: [`be08_peeling`]'s layering.
     pub layering: LayerAssignment,
     /// Metered MPC execution statistics.
     pub metrics: Metrics,
@@ -26,15 +26,20 @@ pub struct DirectMpcResult {
 
 /// Runs \[BE08\] peeling as a metered MPC computation.
 ///
-/// Vertices and edges are distributed over machines (vertices by home
-/// placement, edges round-robin); each peeling round costs one announcement
-/// exchange plus an aggregation tree of depth `⌈log_S M⌉` for the degree
-/// decrements.
+/// Computes [`be08_peeling`] at `max(λ̂, 1)` with its default layer cap and
+/// meters each of its rounds on a [`Cluster`]. Vertices and edges are
+/// distributed over machines (vertices by home placement, edges
+/// round-robin); each peeling round costs one announcement exchange plus an
+/// aggregation tree of depth `⌈log_S M⌉` for the degree decrements.
 ///
 /// # Errors
 ///
 /// Propagates [`dgo_mpc::MpcError`] if a round's communication exceeds the
 /// per-machine capacity in strict mode.
+///
+/// # Panics
+///
+/// Panics if `eps` is negative.
 ///
 /// # Examples
 ///
@@ -56,25 +61,10 @@ pub fn direct_peeling_mpc(
     eps: f64,
     config: ClusterConfig,
 ) -> Result<DirectMpcResult> {
-    direct_peeling_mpc_on::<SequentialBackend>(graph, lambda_hat, eps, config)
-}
-
-/// [`direct_peeling_mpc`] on a caller-chosen [`ExecutionBackend`].
-///
-/// # Errors
-///
-/// See [`direct_peeling_mpc`].
-pub fn direct_peeling_mpc_on<B: ExecutionBackend>(
-    graph: &Graph,
-    lambda_hat: usize,
-    eps: f64,
-    config: ClusterConfig,
-) -> Result<DirectMpcResult> {
-    assert!(eps >= 0.0, "eps must be nonnegative");
+    let peeling = be08_peeling(graph, lambda_hat.max(1), eps, 0);
+    let layering = peeling.layering;
     let n = graph.num_vertices();
-    let m = graph.num_edges();
-    let threshold = ((2.0 + eps) * lambda_hat.max(1) as f64).ceil() as usize;
-    let mut cluster = B::from_config(config);
+    let mut cluster = Cluster::new(config);
     let machines = cluster.num_machines();
     let s = cluster.local_memory();
 
@@ -83,7 +73,7 @@ pub fn direct_peeling_mpc_on<B: ExecutionBackend>(
     for v in 0..n {
         residency[cluster.home(v as u64)] += 2;
     }
-    for (i, _) in graph.edges().enumerate() {
+    for i in 0..graph.num_edges() {
         residency[i % machines] += 2;
     }
     cluster.checkpoint_residency(&residency)?;
@@ -97,33 +87,34 @@ pub fn direct_peeling_mpc_on<B: ExecutionBackend>(
             .max(1.0) as u64
     };
 
-    let mut layering = LayerAssignment::unassigned(n);
-    let mut degree: Vec<usize> = (0..n).map(|v| graph.degree(v)).collect();
-    let mut alive = vec![true; n];
-    let mut remaining = n;
-    let mut layer = 0u32;
-    let round_cap = 4 * (n.max(2) as f64).log2().ceil() as u32 + 8;
-
-    while remaining > 0 && layer < round_cap {
-        layer += 1;
-        let peel: Vec<usize> = (0..n)
-            .filter(|&v| alive[v] && degree[v] <= threshold)
-            .collect();
-        if peel.is_empty() {
-            break;
+    // Round ℓ peels layer ℓ, and `w` is still alive in round ℓ iff
+    // `layer(w) ≥ ℓ`: UNASSIGNED sits above every layer, so no round peels it.
+    let mut layers = vec![Vec::new(); peeling.local_rounds as usize];
+    for v in 0..n {
+        if let Some(peeled) = layers.get_mut(layering.layer(v) as usize - 1) {
+            peeled.push(v);
         }
+    }
+    // The last round that counted `w`'s decrement record, and each
+    // machine's count of distinct records this round.
+    let mut counted = vec![0u32; n];
+    let mut records = vec![0usize; machines];
+    for (round, peeled) in (1u32..).zip(&layers) {
         // Phase A: removed vertices announce to the machines holding their
         // edges. Volume = sum of remaining degrees of peeled vertices; edge
         // copies are balanced round-robin, so per-machine load is the
         // balanced share (plus one announcement word per peeled vertex).
-        let mut announce_volume = peel.len();
-        let mut touched: Vec<HashSet<usize>> = vec![HashSet::new(); machines];
-        for &v in &peel {
+        let mut announce_volume = peeled.len();
+        records.fill(0);
+        for &v in peeled {
             for &w in graph.neighbors(v) {
                 let w = w as usize;
-                if alive[w] {
+                if layering.layer(w) >= round {
                     announce_volume += 1;
-                    touched[cluster.home(w as u64)].insert(w);
+                    if counted[w] != round {
+                        counted[w] = round;
+                        records[cluster.home(w as u64)] += 1;
+                    }
                 }
             }
         }
@@ -132,35 +123,19 @@ pub fn direct_peeling_mpc_on<B: ExecutionBackend>(
 
         // Phase B: aggregated decrements flow to vertex owners through the
         // tree; each alive touched vertex receives exactly one record.
-        let max_touched = touched.iter().map(HashSet::len).max().unwrap_or(0);
-        let decrement_volume: usize = touched.iter().map(HashSet::len).sum();
-        let tree_load = max_touched.max(decrement_volume.div_ceil(machines)).max(1);
+        let max_records = records.iter().copied().max().unwrap_or(0);
+        let decrement_volume: usize = records.iter().sum();
+        let tree_load = max_records.max(decrement_volume.div_ceil(machines)).max(1);
         cluster.charge_rounds(
             agg_rounds,
             decrement_volume * agg_rounds as usize,
             tree_load,
         )?;
-
-        // State update (local, free).
-        for &v in &peel {
-            layering.set_layer(v, layer);
-            alive[v] = false;
-        }
-        for &v in &peel {
-            for &w in graph.neighbors(v) {
-                let w = w as usize;
-                if alive[w] {
-                    degree[w] -= 1;
-                }
-            }
-        }
-        remaining -= peel.len();
     }
-    let _ = m;
     Ok(DirectMpcResult {
         layering,
         metrics: cluster.into_metrics(),
-        threshold,
+        threshold: peeling.threshold,
     })
 }
 

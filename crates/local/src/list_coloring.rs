@@ -7,8 +7,11 @@
 //! uniformly random color from its remaining list and keeps it unless a
 //! neighbor proposed the same color — which terminates in `O(log n)` rounds
 //! with high probability and produces an identical artifact (a proper
-//! coloring from the given lists). See DESIGN.md §5 for why this
-//! substitution preserves the reproduced behaviour.
+//! coloring from the given lists). The substitution leaves the reproduced
+//! behaviour intact: Theorem 1.2's pipeline runs it on neighbourhoods it
+//! has already gathered, so its rounds are local work reported apart from
+//! the metered MPC rounds, and any proper list coloring stays inside the
+//! `3d` palette the color count is measured by.
 
 use dgo_graph::Graph;
 use rand::rngs::StdRng;

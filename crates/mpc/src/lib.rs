@@ -47,12 +47,11 @@
 //!
 //! Algorithm compositions that the paper runs "in parallel" on disjoint
 //! cluster sections (the coreness guess ladder of footnote 2, Theorem 1.1's
-//! per-part layerings) execute host-parallel through
-//! [`InstanceGroup`](crate::instance::InstanceGroup): one backend per logical
-//! instance, a caller closure fanned across `jobs` host threads, and metrics
-//! composed with [`Metrics::merge_parallel`] plus an aggregate global-memory
-//! check. Outputs are bit-identical to a sequential host loop at any job
-//! count.
+//! per-part layerings) execute host-parallel through [`InstanceGroup`]: one
+//! backend per logical instance, a caller closure fanned across `jobs` host
+//! threads, and metrics composed with [`Metrics::merge_parallel`] plus an
+//! aggregate global-memory check. Outputs are bit-identical to a sequential
+//! host loop at any job count.
 //!
 //! # Example: a round of communication under metering
 //!

@@ -7,8 +7,9 @@
 //! * [`graph`] — graph substrate: [`Graph`], generators, density machinery,
 //!   and the output types [`Orientation`], [`Coloring`], [`LayerAssignment`];
 //! * [`mpc`] — the metering MPC cluster simulator;
-//! * [`local`] — LOCAL-model simulator and the baselines the paper compares
-//!   against;
+//! * [`local`] — the §1.4 baselines the paper compares against (\[BE08\]
+//!   peeling and its direct LOCAL→MPC simulation) and Theorem 1.2's degree+1
+//!   list-coloring subroutine;
 //! * [`core`] — the paper's algorithms: `orient` (Theorem 1.1) and `color`
 //!   (Theorem 1.2) with all their machinery.
 //!

@@ -8,35 +8,43 @@
 //! volume, the worst round load, the Lemma 4.1 bundle words, and a digest
 //! of the per-round log. The layering, orientation and coloring runs also
 //! pin every `LayeringStats` field and an output digest, so the Lemma 3.15
-//! stage loop and the λ̂ plumbing around it cannot drift unnoticed. Any
-//! change to them is a change to what the simulator certifies and must be
-//! deliberate.
+//! stage loop and the λ̂ plumbing around it cannot drift unnoticed. The
+//! direct LOCAL→MPC baseline of experiment E1 and the host-side min-degree
+//! peel behind λ̂ and exact coreness are pinned the same way. Any change to
+//! them is a change to what the simulator certifies and must be deliberate.
 
 use dgo::core::{
     approximate_coreness, color, complete_layering, orient, partial_layer_assignment,
     LayeringStats, Params,
 };
-use dgo::graph::generators::{gnm, planted_dense};
+use dgo::graph::generators::{barabasi_albert, gnm, planted_dense, random_tree, star};
+use dgo::graph::{coreness, degeneracy};
+use dgo::local::direct_peeling_mpc;
 use dgo::mpc::{Cluster, ClusterConfig, Metrics};
 use dgo::LayerAssignment;
 
+/// FNV-1a over the little-endian bytes of `words`, in order.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
 /// FNV-1a over every field of every round-log entry, in order.
 fn round_log_digest(metrics: &Metrics) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for entry in &metrics.round_log {
-        for word in [
+    fnv1a(metrics.round_log.iter().flat_map(|entry| {
+        [
             entry.round,
             entry.total_words as u64,
             entry.max_sent as u64,
             entry.max_received as u64,
-        ] {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-    }
-    hash
+        ]
+    }))
 }
 
 /// The pinned figures of one run, in a form `assert_eq!` prints whole.
@@ -226,5 +234,73 @@ fn color_single_graph_path_is_pinned() {
             round_log_len: 4,
             round_log_digest: 17_821_022_933_567_172_338,
         }
+    );
+}
+
+#[test]
+fn direct_peeling_mpc_is_pinned() {
+    // E1's Θ(log n) baseline: per BE08 layer, one announcement round plus an
+    // aggregation tree carrying the degree decrements.
+    let tree = random_tree(4000, 2);
+    let cfg = ClusterConfig::for_graph(tree.num_vertices(), tree.num_edges(), 0.6);
+    let r = direct_peeling_mpc(&tree, 1, 0.5, cfg).expect("fits");
+    assert_eq!(layer_sum(&r.layering), 4_287, "layering changed");
+    assert_eq!(
+        golden(&r.metrics),
+        Golden {
+            rounds: 6,
+            total_comm_words: 18_436,
+            max_round_load: 32,
+            bundle_wire_words: 0,
+            bundle_flat_words: 0,
+            round_log_len: 6,
+            round_log_digest: 1_066_088_911_025_988_819,
+        }
+    );
+
+    let g = gnm(1000, 2000, 7);
+    let cfg = ClusterConfig::for_graph(g.num_vertices(), g.num_edges(), 0.6);
+    let r = direct_peeling_mpc(&g, 4, 0.5, cfg).expect("fits");
+    assert_eq!(layer_sum(&r.layering), 1_004, "layering changed");
+    assert_eq!(
+        golden(&r.metrics),
+        Golden {
+            rounds: 6,
+            total_comm_words: 6_924,
+            max_round_load: 16,
+            bundle_wire_words: 0,
+            bundle_flat_words: 0,
+            round_log_len: 6,
+            round_log_digest: 7_026_151_544_184_869_321,
+        }
+    );
+
+    // Two 16-word machines can hold neither the star nor its centre's 499
+    // decrements; a relaxed cluster counts each violation strict mode would
+    // raise.
+    let cfg = ClusterConfig::new(2, 16).relaxed();
+    let r = direct_peeling_mpc(&star(500), 1, 0.5, cfg).expect("relaxed");
+    assert_eq!(r.metrics.violations, 3);
+}
+
+#[test]
+fn degeneracy_and_coreness_are_pinned() {
+    // The min-degree peel's tie order feeds λ̂ through the densest peeling
+    // suffix, so the whole order is pinned, not only the degeneracy.
+    let digest = |g: &dgo::Graph| {
+        let d = degeneracy(g);
+        (
+            d.value,
+            fnv1a(d.order.iter().map(|&v| v as u64)),
+            fnv1a(coreness(g).into_iter().map(u64::from)),
+        )
+    };
+    assert_eq!(
+        digest(&planted_dense(3000, 9000, 40, 5)),
+        (39, 258_658_135_846_995_285, 9_788_273_599_913_914_180)
+    );
+    assert_eq!(
+        digest(&barabasi_albert(2000, 4, 3)),
+        (4, 4_596_887_109_944_887_721, 16_658_179_998_097_379_621)
     );
 }

@@ -1,6 +1,8 @@
 //! Runs the pipeline under the *paper preset* — the proofs' parameter forms
 //! with constants clamped only where machine arithmetic forces it — to check
-//! that correctness is genuinely parameter-independent (DESIGN.md §5).
+//! that correctness is genuinely parameter-independent: the out-degree bound
+//! of any produced layering holds structurally (Claim 3.12; see "What the
+//! reproduction checks" in PAPER.md).
 
 use dgo::core::{color, orient, Params};
 use dgo::graph::generators::{gnm, random_tree};

@@ -6,15 +6,16 @@
 //! * Claims 3.3/3.4 — exponentiation preserves valid mappings within budget.
 //! * Claim 3.12 — Algorithm 4's out-degree cap.
 //! * Lemma 2.4 — path-count double counting and the `n·d^L` bound.
+//! * \[BE08\] — `be08_peeling` is exactly the synchronous threshold peel.
 //! * Generators — structural invariants of every workload family.
 
 use dgo::core::{
-    exponentiate_and_prune, local_prune, num_paths_in, num_paths_out, partial_layer_assignment,
-    partition_edges, partition_vertices, Params, ViewTree,
+    estimate_lambda, exponentiate_and_prune, local_prune, num_paths_in, num_paths_out,
+    partial_layer_assignment, partition_edges, partition_vertices, Params, ViewTree,
 };
-use dgo::graph::generators::{gnm, random_forest, random_tree};
+use dgo::graph::generators::{gnm, random_forest, random_tree, Family};
 use dgo::graph::{Graph, LayerAssignment, UNASSIGNED};
-use dgo::local::be08_peeling;
+use dgo::local::{be08_peeling, PeelingResult};
 use dgo::mpc::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 
@@ -39,6 +40,60 @@ fn derived_layering(n: usize, seed: u64) -> LayerAssignment {
         })
         .collect();
     LayerAssignment::new(layers).expect("1-based layers")
+}
+
+/// Checks that `r` is the synchronous \[BE08\] peel it claims to be: in
+/// round `ℓ` a vertex still alive (layer `≥ ℓ`, with `UNASSIGNED` above
+/// every layer) takes layer exactly `ℓ` iff at most `r.threshold` of its
+/// neighbours are still alive. The round after the last is checked too, so
+/// a stall must be genuine, unless the layer cap (`max_layers`, or the
+/// default `4·⌈log₂ n⌉ + 8`) stopped the run. Returns the first violating
+/// `(round, vertex)`.
+fn be08_peel_violation(g: &Graph, r: &PeelingResult, max_layers: u64) -> Option<(u32, usize)> {
+    let n = g.num_vertices();
+    let cap = match max_layers {
+        0 => 4 * (n.max(2) as f64).log2().ceil() as u64 + 8,
+        cap => cap,
+    };
+    let last = if r.local_rounds < cap {
+        r.local_rounds + 1
+    } else {
+        r.local_rounds
+    };
+    for round in 1..=last as u32 {
+        for v in 0..n {
+            let layer = r.layering.layer(v);
+            if layer < round {
+                continue;
+            }
+            let alive = g
+                .neighbors(v)
+                .iter()
+                .filter(|&&w| r.layering.layer(w as usize) >= round)
+                .count();
+            if (layer == round) != (alive <= r.threshold) {
+                return Some((round, v));
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn be08_layers_are_the_threshold_peel_on_every_family() {
+    // A stalling threshold (λ̂ = 1) and the estimated one on every family.
+    for family in Family::ALL {
+        let g = family.generate(3000, 7);
+        let estimated = estimate_lambda(&g, &Params::practical(g.num_vertices())).max(1);
+        for lambda_hat in [1, estimated] {
+            let r = be08_peeling(&g, lambda_hat, 0.5, 0);
+            assert_eq!(
+                be08_peel_violation(&g, &r, 0),
+                None,
+                "{family}, λ̂ = {lambda_hat}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -123,6 +178,18 @@ proptest! {
         let d = la.out_degree_bound(&g).unwrap();
         let layers = la.max_layer().unwrap();
         prop_assert!(sum_out <= dgo::core::lemma_2_4_bound(g.num_vertices(), d, layers));
+    }
+
+    #[test]
+    fn be08_layers_are_the_threshold_peel(
+        g in arb_graph(),
+        lambda_hat in 1usize..5,
+        eps_halves in 0u32..3,
+        max_layers in 0u64..4,
+    ) {
+        let r = be08_peeling(&g, lambda_hat, 0.5 * f64::from(eps_halves), max_layers);
+        let violation = be08_peel_violation(&g, &r, max_layers);
+        prop_assert!(violation.is_none(), "(round, vertex) = {violation:?}");
     }
 
     #[test]
