@@ -22,7 +22,11 @@
 //!
 //! Theorem 1.1 wraps the layering: when `k = Θ(λ) ≫ log n`, the edge set is
 //! first split by Lemma 2.1 so each part has arboricity `O(log n)`; parts
-//! run (conceptually in parallel) and their orientations union.
+//! run (conceptually in parallel), and their orientations union. The union
+//! is built in one [`Orientation::from_fn`] pass over the input graph: each
+//! edge `{u, v}` of part `p` points toward the larger of `(ℓ_p(u), u)` and
+//! `(ℓ_p(v), v)` ([`Orientation::ranked_direction`] on `ℓ_p`), exactly as
+//! part `p`'s own orientation would direct it.
 
 use crate::assign::partial_layer_assignment_staged;
 use crate::error::{CoreError, Result};
@@ -33,7 +37,6 @@ use dgo_graph::{arboricity_bounds, degeneracy, Graph, LayerAssignment, Orientati
 use dgo_mpc::{
     split_jobs, ClusterConfig, ExecutionBackend, InstanceGroup, Metrics, SequentialBackend,
 };
-use std::collections::HashMap; // dgo-lint: allow(R4) — lookup-only use below, never iterated
 
 /// Per-layering execution statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -473,47 +476,40 @@ pub fn orient_on<B: ExecutionBackend + Send>(
     // parallel. The thread budget splits between the two tiers: `outer`
     // threads fan the instances, each instance's vertex stages get the
     // remaining `inner` factor, so the tiers never oversubscribe the pool.
-    let parts = partition_edges(graph, parts_needed, params.seed);
-    let instances: Vec<&Graph> = parts.iter().filter(|part| part.num_edges() > 0).collect();
+    let (parts, part_of) = partition_edges(graph, parts_needed, params.seed);
+    let instances: Vec<usize> = (0..parts.len())
+        .filter(|&p| parts[p].num_edges() > 0)
+        .collect();
     let split = split_jobs(params.jobs, instances.len());
     // The cluster shape is λ-independent, so the per-part degeneracy (the
     // λ-hint) is computed inside each instance, host-parallel with the rest.
     let mut group = InstanceGroup::<B>::new(
-        instances.iter().map(|part| layering_config(part, params)),
+        instances
+            .iter()
+            .map(|&p| layering_config(&parts[p], params)),
         split.outer(),
     );
     let outcomes = group.run_all(|i, backend| {
-        let part = instances[i];
+        let part = &parts[instances[i]];
         let mut part_params = params.clone();
         part_params.jobs = split.inner(i);
         part_params.lambda_hint = degeneracy(part).value.max(1);
-        let (layering, stats) = complete_layering_in(part, &part_params, backend)?;
-        let orientation = layering.to_orientation(part)?;
-        let directions: Vec<((u32, u32), bool)> = part
-            .edges()
-            .map(|(u, v)| {
-                let toward_v = orientation.direction(u, v) == Some(true);
-                ((u as u32, v as u32), toward_v)
-            })
-            .collect();
-        Ok::<_, CoreError>((directions, stats))
+        complete_layering_in(part, &part_params, backend)
     })?;
     let metrics = group.into_metrics()?;
-    // A hash map is safe here because it is only ever probed by `get` in
-    // `Orientation::from_fn` — its iteration order is never observed — and
-    // at 10⁷-edge scale an ordered map would tax the hot merge path.
-    // dgo-lint: allow(R4)
-    let mut directions: HashMap<(u32, u32), bool> = HashMap::with_capacity(graph.num_edges());
-    let mut stats = Vec::with_capacity(outcomes.len());
-    for (part_directions, part_stats) in outcomes {
-        directions.extend(part_directions);
-        stats.push(part_stats);
+    // Part `p`'s layers; an edgeless part ran no instance and owns no edge.
+    let mut layers: Vec<&[u32]> = vec![&[]; parts.len()];
+    for (&p, (layering, _)) in instances.iter().zip(&outcomes) {
+        layers[p] = layering.as_slice();
     }
+    // `from_fn` visits the edges in `graph.edges()` order, the order of
+    // `part_of`.
+    let mut edge_parts = part_of.iter();
     let orientation = Orientation::from_fn(graph, |u, v| {
-        *directions
-            .get(&(u as u32, v as u32))
-            .expect("every edge was assigned to exactly one part")
+        let layer = layers[*edge_parts.next().expect("one part per edge") as usize];
+        Orientation::ranked_direction(layer, u, v)
     });
+    let stats = outcomes.into_iter().map(|(_, stats)| stats).collect();
     Ok(OrientResult {
         orientation,
         layering: None,

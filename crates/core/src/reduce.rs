@@ -4,23 +4,28 @@
 //! has arboricity `O(log n)`: Theorem 1.1 partitions the *edges* uniformly at
 //! random into `⌈k/log n⌉` parts (Lemma 2.1), Theorem 1.2 partitions the
 //! *vertices* (Lemma 2.2). The parts are processed in parallel on disjoint
-//! sections of the cluster and their outputs combine trivially (orientations
-//! union; colorings take disjoint palettes).
+//! sections of the cluster and their outputs combine trivially (each edge
+//! takes its direction from its own part's layering; colorings take disjoint
+//! palettes).
 
 use dgo_graph::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Random edge partitioning (Lemma 2.1): splits the edges of `graph`
-/// uniformly into `parts` graphs over the same vertex set. With
+/// uniformly into `parts` graphs over the same vertex set, and returns them
+/// with each edge's part, in [`Graph::edges`] order. With
 /// `parts = ⌈k/log n⌉` and `k ≥ λ(G)`, each part has arboricity `O(log n)`
 /// with high probability.
 ///
-/// Deterministic in `seed`.
+/// Every part is a subsequence of `graph.edges()`, so its bucket is already
+/// normalized and duplicate-free and goes straight to
+/// [`Graph::from_normalized_unsorted`], with no re-sort and no
+/// re-normalization. Deterministic in `seed`.
 ///
 /// # Panics
 ///
-/// Panics if `parts == 0`.
+/// Panics if `parts == 0` or `parts > u32::MAX`.
 ///
 /// # Examples
 ///
@@ -29,34 +34,34 @@ use rand::{Rng, SeedableRng};
 /// use dgo_graph::generators::clique;
 ///
 /// let g = clique(20);
-/// let parts = partition_edges(&g, 4, 7);
+/// let (parts, part_of) = partition_edges(&g, 4, 7);
 /// assert_eq!(parts.len(), 4);
 /// let total: usize = parts.iter().map(|p| p.num_edges()).sum();
 /// assert_eq!(total, g.num_edges());
+/// // Edge i of `g.edges()` lives in part `part_of[i]`.
+/// for ((u, v), &p) in g.edges().zip(&part_of) {
+///     assert!(parts[p as usize].has_edge(u, v));
+/// }
 /// ```
-pub fn partition_edges(graph: &Graph, parts: usize, seed: u64) -> Vec<Graph> {
+pub fn partition_edges(graph: &Graph, parts: usize, seed: u64) -> (Vec<Graph>, Vec<u32>) {
     assert!(parts > 0, "parts must be positive");
+    assert!(u32::try_from(parts).is_ok(), "parts must fit in u32");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); parts];
-    for (u, v) in graph.edges() {
-        let p = rng.random_range(0..parts);
-        buckets[p].push((u as u32, v as u32));
-    }
-    buckets
-        .into_iter()
-        .map(|edges| {
-            let mut edges = edges;
-            edges.sort_unstable();
-            Graph::from_edges(
-                graph.num_vertices(),
-                &edges
-                    .iter()
-                    .map(|&(u, v)| (u as usize, v as usize))
-                    .collect::<Vec<_>>(),
-            )
-            .expect("edges come from a valid graph")
+    let part_of = graph
+        .edges()
+        .map(|(u, v)| {
+            let p = rng.random_range(0..parts);
+            buckets[p].push((u as u32, v as u32));
+            p as u32
         })
-        .collect()
+        .collect();
+    let n = graph.num_vertices();
+    let graphs = buckets
+        .iter()
+        .map(|edges| Graph::from_normalized_unsorted(n, edges, 1))
+        .collect();
+    (graphs, part_of)
 }
 
 /// A vertex-partition part: the induced subgraph and its `new -> old` vertex
@@ -107,7 +112,8 @@ mod tests {
     #[test]
     fn edge_partition_preserves_edges() {
         let g = gnm(100, 400, 3);
-        let parts = partition_edges(&g, 5, 9);
+        let (parts, part_of) = partition_edges(&g, 5, 9);
+        assert_eq!(part_of.len(), 400);
         let total: usize = parts.iter().map(|p| p.num_edges()).sum();
         assert_eq!(total, 400);
         for p in &parts {
@@ -120,7 +126,7 @@ mod tests {
         // K40 has arboricity 20; 4 parts should each be far sparser.
         let g = clique(40);
         let before = arboricity_bounds(&g, 100).lower;
-        let parts = partition_edges(&g, 4, 5);
+        let (parts, _) = partition_edges(&g, 4, 5);
         for p in &parts {
             let after = arboricity_bounds(p, 100).upper;
             assert!(
@@ -141,8 +147,9 @@ mod tests {
     #[test]
     fn edge_partition_single_part_is_identity() {
         let g = gnm(30, 60, 2);
-        let parts = partition_edges(&g, 1, 0);
+        let (parts, part_of) = partition_edges(&g, 1, 0);
         assert_eq!(parts[0], g);
+        assert!(part_of.iter().all(|&p| p == 0));
     }
 
     #[test]

@@ -27,6 +27,15 @@ pub enum GraphError {
         /// Number of entries supplied.
         found: usize,
     },
+    /// An orientation was checked against a graph other than the one it was
+    /// built for, though the two have the same vertex and edge counts.
+    ForeignOrientation {
+        /// The first edge `(u, v)`, `u < v`, of the checked graph in
+        /// [`Graph::edges`](crate::Graph::edges) order that the orientation
+        /// directs both ways or neither way. `None` when every edge reads as
+        /// directed one way and only the graph fingerprint tells them apart.
+        edge: Option<(usize, usize)>,
+    },
     /// A generator was asked for an impossible configuration.
     InvalidParameter {
         /// Human-readable description of the violated requirement.
@@ -53,6 +62,18 @@ impl fmt::Display for GraphError {
                 write!(
                     f,
                     "annotation length {found} does not match expected {expected}"
+                )
+            }
+            GraphError::ForeignOrientation { edge: Some((u, v)) } => {
+                write!(
+                    f,
+                    "orientation belongs to another graph: edge ({u}, {v}) is not directed one way"
+                )
+            }
+            GraphError::ForeignOrientation { edge: None } => {
+                write!(
+                    f,
+                    "orientation belongs to another graph with the same vertex and edge counts"
                 )
             }
             GraphError::InvalidParameter { reason } => {

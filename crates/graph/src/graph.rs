@@ -264,6 +264,12 @@ impl Graph {
         }
     }
 
+    /// The CSR columns: `offsets` (length `n + 1`) and the concatenated
+    /// sorted neighbor lists, whose entry `s` is *slot* `s`.
+    pub(crate) fn csr(&self) -> (&[usize], &[u32]) {
+        (&self.offsets, &self.neighbors)
+    }
+
     /// Sorted neighbor list of `v`.
     ///
     /// # Panics

@@ -240,14 +240,7 @@ impl LayerAssignment {
     ///
     /// [`GraphError::LengthMismatch`] if lengths differ.
     pub fn to_orientation(&self, graph: &Graph) -> Result<Orientation> {
-        if self.layers.len() != graph.num_vertices() {
-            return Err(GraphError::LengthMismatch {
-                expected: graph.num_vertices(),
-                found: self.layers.len(),
-            });
-        }
-        let rank: Vec<u64> = self.layers.iter().map(|&l| u64::from(l)).collect();
-        Orientation::from_ranking(graph, &rank)
+        Orientation::from_ranking(graph, &self.layers)
     }
 }
 
@@ -330,8 +323,8 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let la = LayerAssignment::new(vec![1, 2, 1]).unwrap();
         let o = la.to_orientation(&g).unwrap();
-        assert_eq!(o.direction(0, 1), Some(true)); // toward layer 2
-        assert_eq!(o.direction(2, 1), Some(true));
+        assert_eq!(o.direction(&g, 0, 1), Some(true)); // toward layer 2
+        assert_eq!(o.direction(&g, 2, 1), Some(true));
         assert_eq!(o.max_out_degree(), 1);
         assert!(o.is_acyclic(&g));
     }

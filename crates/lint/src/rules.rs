@@ -8,7 +8,7 @@
 //! | R1 | no `std::thread::spawn`/`scope`/`Builder` outside the compat-rayon pool |
 //! | R2 | `std::env::var*` only in `dgo_mpc::tuning` and `dgo_bench::report` (knobs read once per process) |
 //! | R3 | no `Instant::now`/`SystemTime` in the deterministic crates (`dgo_core`, `dgo_graph`) |
-//! | R4 | no `HashMap`/`HashSet` in non-test `dgo_core`/`dgo_mpc` code (iteration-order nondeterminism on metered paths) |
+//! | R4 | no `HashMap`/`HashSet` in non-test `dgo_core`/`dgo_mpc`/`dgo_graph`/`dgo_local` code, `dgo_graph`'s generators excepted (iteration-order nondeterminism on metered or output paths) |
 //! | R5 | every `unsafe` is preceded by a `// SAFETY:` comment |
 //! | R7 | every atomic `.load(..)`/`.store(..)` names its `Ordering` in the call |
 //!

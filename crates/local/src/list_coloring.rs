@@ -110,10 +110,11 @@ pub fn randomized_list_coloring(
                 next_uncolored.push(v);
             }
         }
-        // Commit phase (two-phase so resolution is symmetric).
-        let survivors: std::collections::HashSet<usize> = next_uncolored.iter().copied().collect();
+        // Commit phase (two-phase so resolution is symmetric). The survivors
+        // are an in-order subsequence of `uncolored`, so one walk finds them.
+        let mut survivors = next_uncolored.iter().peekable();
         for &v in &uncolored {
-            if !survivors.contains(&v) {
+            if survivors.next_if_eq(&&v).is_none() {
                 colors[v] = proposals[v];
             }
         }

@@ -21,7 +21,7 @@ use dgo::graph::generators::{barabasi_albert, gnm, planted_dense, random_tree, s
 use dgo::graph::{coreness, degeneracy};
 use dgo::local::direct_peeling_mpc;
 use dgo::mpc::{Cluster, ClusterConfig, Metrics};
-use dgo::LayerAssignment;
+use dgo::{Graph, LayerAssignment, Orientation};
 
 /// FNV-1a over the little-endian bytes of `words`, in order.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -127,6 +127,20 @@ fn approximate_coreness_metrics_are_pinned() {
     );
 }
 
+/// FNV-1a over the direction of every edge of `graph`, in `graph.edges()`
+/// order: 1 for `u -> v`, 0 for `v -> u`, 2 for an edge left unoriented.
+fn direction_digest(graph: &Graph, orientation: &Orientation) -> u64 {
+    fnv1a(
+        graph
+            .edges()
+            .map(|(u, v)| match orientation.direction(graph, u, v) {
+                Some(true) => 1,
+                Some(false) => 0,
+                None => 2,
+            }),
+    )
+}
+
 fn layer_sum(layering: &LayerAssignment) -> u64 {
     (0..layering.len())
         .map(|v| u64::from(layering.layer(v)))
@@ -189,6 +203,11 @@ fn orient_edge_partition_path_is_pinned() {
     };
     assert_eq!(r.stats, vec![part(7), part(7), part(6), part(7)]);
     assert_eq!(
+        direction_digest(&g, &r.orientation),
+        1_444_104_092_522_987_908,
+        "orientation changed"
+    );
+    assert_eq!(
         golden(&r.metrics),
         Golden {
             rounds: 4,
@@ -198,6 +217,47 @@ fn orient_edge_partition_path_is_pinned() {
             bundle_flat_words: 0,
             round_log_len: 0,
             round_log_digest: 14_695_981_039_346_656_037,
+        }
+    );
+}
+
+#[test]
+fn orient_single_graph_path_with_stage_two_is_pinned() {
+    // λ-hint 1 on BA(2000, 4): k = 2 stays below log₂ n, so one part, and
+    // Stage 1 leaves the hubs to boosted Stage-2 stages.
+    let g = barabasi_albert(2000, 4, 3);
+    let mut params = Params::practical(g.num_vertices()).with_jobs(1);
+    params.lambda_hint = 1;
+    let r = orient(&g, &params).expect("orient");
+    assert_eq!(r.parts, 1);
+    assert_eq!(r.orientation.max_out_degree(), 6, "orientation changed");
+    assert_eq!(
+        direction_digest(&g, &r.orientation),
+        15_526_342_045_731_027_333,
+        "orientation changed"
+    );
+    assert_eq!(
+        r.stats,
+        vec![LayeringStats {
+            lambda_hat: 1,
+            k: 2,
+            initial_peel_rounds: 0,
+            stages: 4,
+            fallback_rounds: 0,
+            layers: 7,
+            final_budget: 16,
+        }]
+    );
+    assert_eq!(
+        golden(&r.metrics),
+        Golden {
+            rounds: 39,
+            total_comm_words: 20_024,
+            max_round_load: 12,
+            bundle_wire_words: 1_523,
+            bundle_flat_words: 5_568,
+            round_log_len: 39,
+            round_log_digest: 13_605_105_197_559_445_424,
         }
     );
 }

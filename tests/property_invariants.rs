@@ -7,14 +7,16 @@
 //! * Claim 3.12 — Algorithm 4's out-degree cap.
 //! * Lemma 2.4 — path-count double counting and the `n·d^L` bound.
 //! * \[BE08\] — `be08_peeling` is exactly the synchronous threshold peel.
+//! * `Orientation` — the CSR direction bits answer every query exactly as a
+//!   naive edge-list model does.
 //! * Generators — structural invariants of every workload family.
 
 use dgo::core::{
     estimate_lambda, exponentiate_and_prune, local_prune, num_paths_in, num_paths_out,
     partial_layer_assignment, partition_edges, partition_vertices, Params, ViewTree,
 };
-use dgo::graph::generators::{gnm, random_forest, random_tree, Family};
-use dgo::graph::{Graph, LayerAssignment, UNASSIGNED};
+use dgo::graph::generators::{clique, gnm, random_forest, random_tree, Family};
+use dgo::graph::{Graph, LayerAssignment, Orientation, UNASSIGNED};
 use dgo::local::{be08_peeling, PeelingResult};
 use dgo::mpc::{Cluster, ClusterConfig};
 use proptest::prelude::*;
@@ -23,6 +25,29 @@ use proptest::prelude::*;
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..60, 0usize..150, any::<u64>())
         .prop_map(|(n, m, seed)| gnm(n, m.min(n * (n - 1) / 2), seed))
+}
+
+/// A seed-derived pseudo-random word for index `i`.
+fn mix(seed: u64, i: u64) -> u64 {
+    let h = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(i)
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^ h >> 31
+}
+
+/// Whether the directed graph with out-neighbour lists `out` is acyclic, by
+/// repeatedly deleting a vertex with no remaining out-neighbour.
+fn model_is_acyclic(out: &[Vec<usize>]) -> bool {
+    let mut alive = vec![true; out.len()];
+    for _ in 0..out.len() {
+        let sink = (0..out.len()).find(|&v| alive[v] && out[v].iter().all(|&w| !alive[w]));
+        match sink {
+            Some(v) => alive[v] = false,
+            None => return false,
+        }
+    }
+    true
 }
 
 /// A seed-derived pseudo-random partial layering over `n` vertices.
@@ -198,7 +223,7 @@ proptest! {
         parts in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let pieces = partition_edges(&g, parts, seed);
+        let (pieces, part_of) = partition_edges(&g, parts, seed);
         prop_assert_eq!(pieces.len(), parts);
         let total: usize = pieces.iter().map(|p| p.num_edges()).sum();
         prop_assert_eq!(total, g.num_edges());
@@ -207,6 +232,65 @@ proptest! {
                 prop_assert!(g.has_edge(u, v));
             }
         }
+        prop_assert_eq!(part_of.len(), g.num_edges());
+        for ((u, v), &p) in g.edges().zip(&part_of) {
+            prop_assert!(pieces[p as usize].has_edge(u, v));
+        }
+    }
+
+    #[test]
+    fn orientation_bits_match_the_edge_list_model(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        flip in any::<u64>(),
+    ) {
+        let n = g.num_vertices();
+        let edges: Vec<(usize, usize)> = g.edges().collect();
+        let toward_v: Vec<bool> = (0..edges.len() as u64).map(|i| mix(seed, i) & 1 == 1).collect();
+        let build = |flipped: Option<usize>| {
+            let mut i = 0;
+            Orientation::from_fn(&g, |_, _| {
+                i += 1;
+                toward_v[i - 1] != (flipped == Some(i - 1))
+            })
+        };
+        let o = build(None);
+        // The model: each vertex's out-neighbours, from the edge list.
+        let mut out = vec![Vec::new(); n];
+        for (&(u, v), &t) in edges.iter().zip(&toward_v) {
+            let (tail, head) = if t { (u, v) } else { (v, u) };
+            out[tail].push(head);
+            prop_assert_eq!(o.direction(&g, tail, head), Some(true));
+            prop_assert_eq!(o.direction(&g, head, tail), Some(false));
+        }
+        prop_assert_eq!(o.num_vertices(), n);
+        prop_assert_eq!(o.num_edges(), edges.len());
+        for (v, heads) in out.iter_mut().enumerate() {
+            heads.sort_unstable();
+            prop_assert_eq!(o.out_degree(v), heads.len());
+            prop_assert_eq!(&o.out_neighbors(&g, v), heads);
+            for w in (0..n).filter(|&w| !g.has_edge(v, w)) {
+                prop_assert_eq!(o.direction(&g, v, w), None);
+            }
+        }
+        prop_assert_eq!(o.max_out_degree(), out.iter().map(Vec::len).max().unwrap_or(0));
+        prop_assert_eq!(o.is_acyclic(&g), model_is_acyclic(&out));
+        prop_assert!(o.validate(&g).is_ok());
+        prop_assert_eq!(&build(None), &o);
+        if !edges.is_empty() {
+            let flipped = build(Some((flip % edges.len() as u64) as usize));
+            prop_assert!(flipped != o);
+        }
+        let rank: Vec<u64> = (0..n as u64).map(|v| mix(seed, v) % 5).collect();
+        prop_assert!(Orientation::from_ranking(&g, &rank).unwrap().is_acyclic(&g));
+        // Beside `g`, a triangle directed n -> n+1 -> n+2 -> n is a cycle.
+        let h = g.disjoint_union(&clique(3));
+        let mut i = 0;
+        let cyclic = Orientation::from_fn(&h, |u, v| {
+            i += 1;
+            if u >= n { (u, v) != (n, n + 2) } else { toward_v[i - 1] }
+        });
+        prop_assert!(!cyclic.is_acyclic(&h));
     }
 
     #[test]
