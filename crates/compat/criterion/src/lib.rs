@@ -11,6 +11,8 @@
 //!
 //! Swapping the real crates-io `criterion` back in is a manifest-only change.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::hint;
 use std::sync::Mutex;

@@ -8,6 +8,8 @@
 //! so failures reproduce exactly; there is no shrinking — the failing case's
 //! index and seed are reported instead.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -7,6 +7,8 @@
 //! (no test pins exact streams), so swapping the real crates-io `rand` back
 //! in is a manifest-only change.
 
+#![forbid(unsafe_code)]
+
 use core::ops::Range;
 
 /// Low-level uniform-`u64` source (subset of `rand_core::RngCore`).

@@ -1,437 +1,105 @@
-//! Vendored stand-in for `rayon` (offline build), backed by a **persistent
-//! work-stealing thread pool**.
+//! Vendored stand-in for `rayon` (offline build): fork-join on
+//! `std::thread::scope`.
 //!
-//! Provides the fork-join subset the workspace's parallel execution substrate
-//! uses — [`join`], [`scope`], [`current_num_threads`], and the slice helpers
-//! [`chunk_map_reduce`] / [`chunk_map_collect`] / [`chunk_map_collect_with`] /
-//! [`chunk_map_collect_range`] / [`chunk_map_fill`]. The API signatures mirror
-//! the real crate where they overlap, so swapping crates-io `rayon` back in
-//! only requires replacing `chunk_map_reduce` call sites with
-//! `par_chunks().map().reduce(...)` and `chunk_map_collect` call sites with
-//! `par_iter().enumerate().map().collect()`.
+//! Provides the subset the workspace's parallel execution substrate uses —
+//! [`current_num_threads`], the fork-join primitive [`fork_join`], and the
+//! slice helpers built on it: [`chunk_map_reduce`] / [`chunk_map_collect`] /
+//! [`chunk_map_collect_with`] / [`chunk_map_collect_range`] /
+//! [`chunk_map_fill`]. The helper signatures mirror the real crate where they
+//! overlap, so swapping crates-io `rayon` back in only requires replacing
+//! `chunk_map_reduce` call sites with `par_chunks().map().reduce(...)` and
+//! `chunk_map_collect` call sites with `par_iter().enumerate().map().collect()`.
 //!
-//! # The pool
+//! # Fork-join
 //!
-//! Earlier revisions spawned fresh OS threads per call via
-//! `std::thread::scope`; every stage map and instance fan-out paid
-//! thread-spawn cost, and a slow chunk pinned its thread while siblings sat
-//! idle. This revision keeps the public API but executes everything on one
-//! lazily-initialized process-wide pool of long-lived workers:
+//! [`fork_join`] runs its first item on the calling thread and every other
+//! item on its own scoped thread, then joins them all, so tasks may borrow the
+//! caller's data. A panicking task is re-thrown in the caller with its
+//! original payload; when several panic, the lowest-index one wins, whatever
+//! order they finished in. Threads are spawned per call: there is no
+//! persistent pool, no task queue and no `unsafe`. Nested use (an instance
+//! fan-out whose instances run vertex-stage maps) nests scopes, and
+//! `dgo_mpc::split_jobs` keeps the two tiers' threads within one budget.
 //!
-//! * **per-worker deques + an injector queue** — workers push spawned tasks
-//!   onto their own deque (LIFO, cache-warm) and external threads submit
-//!   through the shared injector; idle workers steal from the injector and
-//!   from other workers' deques (FIFO), so uneven task costs rebalance;
-//! * **scoped borrowing tasks** — [`scope`] tasks may borrow stack data; a
-//!   per-scope latch guarantees every task finished before `scope` returns
-//!   (also on the panic path), which is what makes the internal
-//!   lifetime-erasure sound;
-//! * **cooperative waiting** — a thread waiting on a latch (a scope end, a
-//!   [`join`] arm, a spawned-task handle) executes queued tasks instead of
-//!   blocking, so nested use — an instance fan-out whose instances run
-//!   vertex-stage maps on the same pool — cannot deadlock, and the caller
-//!   participates in its own fork-join instead of sleeping;
-//! * **panic propagation** — a panicking task is caught where it ran and
-//!   re-thrown in program order: [`ScopedTaskHandle::join`] surfaces it to
-//!   the joining caller, unjoined panics resurface when the scope ends
-//!   (earliest spawn first), mirroring `std::thread::scope`.
-//!
-//! **Determinism contract:** the pool changes *where* work runs, never what
-//! it computes. Chunk boundaries of the `chunk_map_*` helpers depend only on
-//! `(items.len(), threads)`, outputs are collected by index, and per-chunk
-//! reductions fold left-to-right in chunk order — identical results at any
-//! worker count, steal schedule, or pool state. Work stealing only moves a
-//! chunk between workers; it never splits or reorders one.
-//!
-//! Steady-state parallel code spawns **zero** OS threads: the workers are
-//! spawned once, on first parallel use, and [`pool_thread_spawn_count`]
-//! exposes the lifetime spawn counter so tests can fence that claim.
+//! **Determinism contract:** chunk boundaries of the `chunk_map_*` helpers
+//! depend only on `(items.len(), threads)`, outputs are collected by index,
+//! and per-chunk reductions fold left-to-right in chunk order — identical
+//! results at any thread count and any schedule.
 
-use std::collections::VecDeque;
+#![forbid(unsafe_code)]
+
 use std::num::NonZeroUsize;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::panic;
+use std::sync::OnceLock;
 use std::thread;
-use std::time::Duration;
 
-/// Number of threads parallel operations fan out to: the persistent pool's
-/// worker count (the machine's available parallelism). Reading this does
-/// *not* start the pool.
+/// Number of threads parallel operations fan out to when asked for "all
+/// cores": the machine's available parallelism, read once per process.
 pub fn current_num_threads() -> usize {
-    pool_size()
-}
-
-/// The pool's worker count without touching the pool itself.
-fn pool_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
         thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
     })
 }
 
-/// Total OS threads the pool has ever spawned. After the first parallel call
-/// warms the pool this is exactly [`current_num_threads`] and never grows
-/// again — the spawn-count fence for "steady-state stage loops create zero
-/// new OS threads".
-pub fn pool_thread_spawn_count() -> usize {
-    POOL_SPAWNED.load(Ordering::Acquire)
-}
-
-static POOL_SPAWNED: AtomicUsize = AtomicUsize::new(0);
-
-/// A queued, type-erased task. Lifetimes are erased at the [`scope`]
-/// boundary; the scope latch guarantees the closure runs (and its borrows
-/// end) before the scope returns.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The process-wide worker pool.
-struct Pool {
-    /// `queues[0]` is the injector (submissions from non-pool threads);
-    /// `queues[1 + w]` is worker `w`'s deque. Owners pop LIFO from the back,
-    /// thieves steal FIFO from the front.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Approximate count of queued jobs, maintained for the sleep protocol:
-    /// incremented *before* a push, decremented after a successful pop, and
-    /// checked under `idle` before parking, so a push can never slip past a
-    /// parking thread unnoticed.
-    queued: AtomicUsize,
-    /// Parking lot for idle workers and cooperative waiters. Pushers and
-    /// task completions acquire this mutex briefly before notifying, which
-    /// closes the check-then-park race.
-    idle: Mutex<()>,
-    wake: Condvar,
-}
-
-impl Pool {
-    /// The global pool, spawning its workers on first use.
-    fn global() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            let workers = pool_size();
-            let pool = Pool {
-                queues: (0..=workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-                queued: AtomicUsize::new(0),
-                idle: Mutex::new(()),
-                wake: Condvar::new(),
-            };
-            for w in 0..workers {
-                POOL_SPAWNED.fetch_add(1, Ordering::AcqRel);
-                thread::Builder::new()
-                    .name(format!("dgo-pool-{w}"))
-                    .spawn(move || Pool::global().worker_loop(1 + w))
-                    .expect("pool worker spawn");
-            }
-            pool
-        })
-    }
-
-    /// Submits a job: onto the calling worker's own deque when called from
-    /// the pool (LIFO keeps nested forks cache-warm and deadlock-free), onto
-    /// the injector otherwise.
-    fn push(&self, job: Job) {
-        let slot = WORKER_SLOT.with(|s| s.get());
-        self.queued.fetch_add(1, Ordering::AcqRel);
-        self.queues[slot].lock().expect("pool queue").push_back(job);
-        self.notify();
-    }
-
-    /// Wakes parked threads. Acquiring `idle` first serializes with the
-    /// check-then-park sequence in [`Pool::wait_while`].
-    fn notify(&self) {
-        drop(self.idle.lock().expect("pool idle lock"));
-        self.wake.notify_all();
-    }
-
-    /// Takes one job: own deque back first (when on a worker), then the
-    /// injector front, then other workers' fronts — classic work stealing.
-    fn find_job(&self) -> Option<Job> {
-        let slot = WORKER_SLOT.with(|s| s.get());
-        if slot != 0 {
-            if let Some(job) = self.queues[slot].lock().expect("pool queue").pop_back() {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                return Some(job);
-            }
-        }
-        for offset in 0..self.queues.len() {
-            let victim = (slot + offset) % self.queues.len();
-            if let Some(job) = self.queues[victim].lock().expect("pool queue").pop_front() {
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Runs queued tasks until `done()` holds — the cooperative wait used by
-    /// scope latches, task-handle joins, and the workers' own idle loop.
-    /// Never blocks while work is queued, so a waiting thread always helps
-    /// drain the very tasks it is waiting on (deadlock freedom under
-    /// arbitrary nesting).
-    fn wait_while(&self, done: impl Fn() -> bool) {
-        loop {
-            if done() {
-                return;
-            }
-            if let Some(job) = self.find_job() {
-                job();
-                continue;
-            }
-            let guard = self.idle.lock().expect("pool idle lock");
-            if done() || self.queued.load(Ordering::Acquire) > 0 {
-                continue;
-            }
-            // The timeout is belt-and-braces; the notify protocol above makes
-            // lost wakeups impossible in the common paths.
-            let _ = self
-                .wake
-                .wait_timeout(guard, Duration::from_millis(50))
-                .expect("pool idle lock");
-        }
-    }
-
-    /// A worker's main loop: run jobs forever, parking when idle. Workers
-    /// are detached; they die with the process.
-    fn worker_loop(&self, slot: usize) {
-        WORKER_SLOT.with(|s| s.set(slot));
-        self.wait_while(|| false);
-    }
-}
-
-thread_local! {
-    /// This thread's queue slot: `1 + worker_index` on pool workers, unset
-    /// (treated as the injector, slot 0) on external threads.
-    static WORKER_SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// A captured panic payload, shared between the task that recorded it, the
-/// handle that may claim it, and the scope that re-throws unclaimed ones.
-type PanicSlot = Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>>;
-
-/// Shared state of one [`scope`]: the completion latch plus the panic
-/// registry (spawn-ordered, so re-throws are deterministic).
-#[derive(Default)]
-struct ScopeCore {
-    /// Tasks spawned but not yet completed.
-    pending: AtomicUsize,
-    /// Spawn-order index generator.
-    next_index: AtomicUsize,
-    /// `(spawn index, payload slot)` of every panicked task. A handle join
-    /// empties the slot, which un-registers the panic from the scope end.
-    panics: Mutex<Vec<(usize, PanicSlot)>>,
-}
-
-impl ScopeCore {
-    /// The first (by spawn order) panic payload not yet claimed by a
-    /// [`ScopedTaskHandle::join`], removed from the registry.
-    fn take_first_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        let mut panics = self.panics.lock().expect("scope panic registry");
-        panics.sort_by_key(|(index, _)| *index);
-        for (_, slot) in panics.iter() {
-            if let Some(payload) = slot.lock().expect("panic slot").take() {
-                return Some(payload);
-            }
-        }
-        None
-    }
-}
-
-/// A scope for spawning borrowing tasks; see [`scope`].
-pub struct Scope<'scope, 'env: 'scope> {
-    core: &'scope Arc<ScopeCore>,
-    scope: std::marker::PhantomData<&'scope mut &'scope ()>,
-    env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl std::fmt::Debug for Scope<'_, '_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope")
-            .field("pending", &self.core.pending.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-/// Completion state of one spawned task, shared with its handle.
-struct TaskState<T> {
-    done: AtomicBool,
-    result: Mutex<Option<T>>,
-}
-
-/// Handle to a task spawned on a [`Scope`]; join it to collect the result
-/// (and the panic, if the task panicked) before the scope ends. Mirrors
-/// `std::thread::ScopedJoinHandle`.
-pub struct ScopedTaskHandle<'scope, T> {
-    state: Arc<TaskState<T>>,
-    panic: PanicSlot,
-    _scope: std::marker::PhantomData<&'scope ()>,
-}
-
-impl<T> std::fmt::Debug for ScopedTaskHandle<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScopedTaskHandle")
-            .field("done", &self.state.done.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
-impl<T> ScopedTaskHandle<'_, T> {
-    /// Waits for the task (running other queued tasks meanwhile) and returns
-    /// its result, or `Err` with the panic payload if it panicked — in which
-    /// case the panic is *claimed* and will not re-throw at scope end.
-    pub fn join(self) -> thread::Result<T> {
-        Pool::global().wait_while(|| self.state.done.load(Ordering::Acquire));
-        match self.state.result.lock().expect("task result").take() {
-            Some(value) => Ok(value),
-            None => Err(self
-                .panic
-                .lock()
-                .expect("panic slot")
-                .take()
-                .expect("panicked task records its payload")),
-        }
-    }
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a task that may borrow from outside the scope onto the pool;
-    /// joined (and its panic propagated) when the scope ends or via the
-    /// returned handle.
-    pub fn spawn<F, T>(&self, f: F) -> ScopedTaskHandle<'scope, T>
-    where
-        F: FnOnce() -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        let state = Arc::new(TaskState {
-            done: AtomicBool::new(false),
-            result: Mutex::new(None),
-        });
-        let panic_slot: PanicSlot = Arc::new(Mutex::new(None));
-        let core = Arc::clone(self.core);
-        let index = core.next_index.fetch_add(1, Ordering::Relaxed);
-        core.pending.fetch_add(1, Ordering::AcqRel);
-        let task_state = Arc::clone(&state);
-        let task_panic = Arc::clone(&panic_slot);
-        let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            match panic::catch_unwind(AssertUnwindSafe(f)) {
-                Ok(value) => {
-                    *task_state.result.lock().expect("task result") = Some(value);
-                }
-                Err(payload) => {
-                    *task_panic.lock().expect("panic slot") = Some(payload);
-                    core.panics
-                        .lock()
-                        .expect("scope panic registry")
-                        .push((index, Arc::clone(&task_panic)));
-                }
-            }
-            task_state.done.store(true, Ordering::Release);
-            core.pending.fetch_sub(1, Ordering::AcqRel);
-            Pool::global().notify();
-        });
-        // SAFETY: the closure (and everything it borrows, bounded by 'scope)
-        // outlives its execution because `scope` waits on the pending latch —
-        // on both the normal and the panic path — before returning. Erasing
-        // the lifetime only lets the job sit in the 'static queue meanwhile.
-        let job: Job =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        Pool::global().push(job);
-        ScopedTaskHandle {
-            state,
-            panic: panic_slot,
-            _scope: std::marker::PhantomData,
-        }
-    }
-}
-
-/// Creates a fork-join scope: tasks spawned on it may borrow local data and
-/// all complete before `scope` returns. The calling thread cooperates in
-/// executing the scope's (and other) queued tasks while it waits.
+/// Runs `task` on every item and returns the results in item order.
 ///
-/// Panics from spawned tasks propagate when the scope ends (earliest spawn
-/// first) unless claimed by [`ScopedTaskHandle::join`]; a panic from `f`
-/// itself takes precedence. In every case all spawned tasks finish first.
-pub fn scope<'env, F, R>(f: F) -> R
+/// Item 0 runs on the calling thread and every other item on its own scoped
+/// thread, so `task` may borrow from the caller; every thread is joined
+/// before this returns. If tasks panic, the panic of the lowest-index one is
+/// re-thrown with its original payload once all threads have finished. This
+/// is the crate's one thread-creation site.
+pub fn fork_join<I, R, F>(items: I, task: F) -> Vec<R>
 where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
+    I: IntoIterator,
+    I::Item: Send,
     R: Send,
+    F: Fn(I::Item) -> R + Sync,
 {
-    let core = Arc::new(ScopeCore::default());
-    let result = {
-        let scope = Scope {
-            core: &core,
-            scope: std::marker::PhantomData,
-            env: std::marker::PhantomData,
-        };
-        panic::catch_unwind(AssertUnwindSafe(|| f(&scope)))
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
     };
-    // The latch: every spawned task must finish before borrows can end.
-    Pool::global().wait_while(|| core.pending.load(Ordering::Acquire) == 0);
-    match result {
-        Err(payload) => panic::resume_unwind(payload),
-        Ok(value) => {
-            if let Some(payload) = core.take_first_panic() {
-                panic::resume_unwind(payload);
-            }
-            value
+    let task = &task;
+    thread::scope(|s| {
+        let handles: Vec<_> = items.map(|item| s.spawn(move || task(item))).collect();
+        // A panic of item 0 unwinds out of the scope, which joins every
+        // thread first and then re-throws this lowest-index payload.
+        let mut results = Vec::with_capacity(1 + handles.len());
+        results.push(task(first));
+        // Joining in index order claims each payload; the first one found is
+        // re-thrown, again only after the scope has joined the rest.
+        for handle in handles {
+            results.push(handle.join().unwrap_or_else(|p| panic::resume_unwind(p)));
         }
-    }
-}
-
-/// Runs both closures, potentially in parallel, and returns both results.
-///
-/// `oper_b` is offered to the pool; the calling thread runs `oper_a` and then
-/// helps execute queued tasks until `oper_b` finishes. Panics from either
-/// closure propagate to the caller, as in rayon.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    scope(|s| {
-        let handle_b = s.spawn(oper_b);
-        let ra = oper_a();
-        let rb = match handle_b.join() {
-            Ok(rb) => rb,
-            Err(payload) => panic::resume_unwind(payload),
-        };
-        (ra, rb)
+        results
     })
 }
 
 /// The deterministic chunk split shared by every `chunk_map_*` helper:
 /// `threads` is clamped to `[1, len]` and chunks are `⌈len/threads⌉`-sized,
-/// so boundaries depend only on `(len, threads)` — never on the pool.
+/// so boundaries depend only on `(len, threads)`.
 fn chunk_len(len: usize, threads: usize) -> usize {
     len.div_ceil(threads.max(1).min(len))
 }
 
-/// Runs `task(t)` for every `t in 0..tasks` on the pool (caller included)
-/// and propagates the first panic by task index. The chunk-level fan-out
-/// under all `chunk_map_*` helpers: one task per chunk, work stealing moves
-/// whole chunks between workers.
-fn run_chunk_tasks<F>(tasks: usize, task: F)
-where
-    F: Fn(usize) + Sync,
-{
-    debug_assert!(tasks > 1, "single-chunk calls run inline");
-    scope(|s| {
-        let task = &task;
-        for t in 0..tasks {
-            s.spawn(move || task(t));
-        }
-    });
+/// Concatenates per-chunk outputs in chunk order.
+fn concat<R>(parts: Vec<Vec<R>>, len: usize) -> Vec<R> {
+    let mut out = Vec::with_capacity(len);
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// Maps `map` over near-equal contiguous chunks of `items` in parallel (one
-/// pool task per chunk) and folds the per-chunk results left-to-right with
-/// `reduce`. Chunk boundaries are deterministic in `(items.len(), threads)`,
-/// and the left-to-right fold keeps the result order-deterministic, so
-/// callers get identical outputs for identical inputs regardless of
-/// scheduling or stealing.
+/// [`fork_join`] task per chunk) and folds the per-chunk results
+/// left-to-right with `reduce`. Chunk boundaries are deterministic in
+/// `(items.len(), threads)`, and the left-to-right fold keeps the result
+/// order-deterministic, so callers get identical outputs for identical
+/// inputs regardless of scheduling.
 ///
 /// Stand-in for `items.par_chunks(n).map(map).reduce(...)`; falls back to a
 /// single inline call when `items` is small or one thread is requested.
@@ -449,30 +117,19 @@ where
     if chunk == items.len() {
         return Some(map(0, items));
     }
-    let tasks = items.len().div_ceil(chunk);
-    let slots: Vec<Mutex<Option<R>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    run_chunk_tasks(tasks, |t| {
-        let start = t * chunk;
-        let end = (start + chunk).min(items.len());
-        let out = map(start, &items[start..end]);
-        *slots[t].lock().expect("chunk slot") = Some(out);
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("chunk slot")
-                .expect("every chunk task completed")
-        })
-        .reduce(reduce)
+    fork_join(items.chunks(chunk).enumerate(), |(t, part)| {
+        map(t * chunk, part)
+    })
+    .into_iter()
+    .reduce(reduce)
 }
 
 /// Maps `map` over near-equal contiguous chunks of `items` in parallel (one
-/// pool task per chunk) and concatenates the per-chunk outputs in chunk
-/// order, so `result[i]` is `map`'s output for `items[i]`. The chunk
+/// [`fork_join`] task per chunk) and concatenates the per-chunk outputs in
+/// chunk order, so `result[i]` is `map`'s output for `items[i]`. The chunk
 /// boundaries are the same deterministic split as [`chunk_map_reduce`], and
 /// outputs are collected by index, so the result is identical at any thread
-/// count — stealing only moves where a chunk runs.
+/// count.
 ///
 /// Stand-in for `items.par_iter().enumerate().map(map).collect()`; falls back
 /// to a single inline pass when one thread suffices.
@@ -518,41 +175,16 @@ where
     if chunk == items.len() {
         return run_chunk(0, items);
     }
-    let tasks = items.len().div_ceil(chunk);
-    let slots: Vec<Mutex<Option<Vec<R>>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    run_chunk_tasks(tasks, |t| {
-        let start = t * chunk;
-        let end = (start + chunk).min(items.len());
-        let part = run_chunk(start, &items[start..end]);
-        *slots[t].lock().expect("chunk slot") = Some(part);
+    let parts = fork_join(items.chunks(chunk).enumerate(), |(t, part)| {
+        run_chunk(t * chunk, part)
     });
-    let mut out = Vec::with_capacity(items.len());
-    for slot in slots {
-        out.extend(
-            slot.into_inner()
-                .expect("chunk slot")
-                .expect("every chunk task completed"),
-        );
-    }
-    out
+    concat(parts, items.len())
 }
-
-/// Shared-pointer wrapper for the disjoint-range writes of
-/// [`chunk_map_fill`]: chunk tasks write non-overlapping index ranges of one
-/// buffer.
-struct SendPtr<T>(*mut T);
-// SAFETY: the wrapper is only handed to chunk tasks that write disjoint
-// index ranges of a buffer the spawning call keeps alive until every task
-// has finished, so moving the pointer across threads cannot race.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: shared references only copy the pointer; all writes through it go
-// to per-task disjoint ranges (see `chunk_map_fill`), never to shared cells.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// [`chunk_map_collect`] writing into a caller-provided buffer instead of
 /// returning a fresh `Vec`: `out` is cleared, resized to `items.len()`, and
 /// `out[i] = map(i, &items[i])` with the same deterministic chunk split —
-/// chunk tasks write disjoint regions of the buffer, so no intermediate
+/// each chunk task fills its own `out.chunks_mut` slice, so no intermediate
 /// per-chunk vectors are allocated and the buffer's capacity is reused across
 /// calls. Stand-in for collecting a `par_iter` into a recycled buffer.
 pub fn chunk_map_fill<T, R, M>(items: &[T], threads: usize, out: &mut Vec<R>, map: M)
@@ -566,27 +198,18 @@ where
     if items.is_empty() {
         return;
     }
+    let fill = |offset: usize, dst: &mut [R], src: &[T]| {
+        for (i, (slot, item)) in dst.iter_mut().zip(src).enumerate() {
+            *slot = map(offset + i, item);
+        }
+    };
     let chunk = chunk_len(items.len(), threads);
     if chunk == items.len() {
-        for (i, (slot, item)) in out.iter_mut().zip(items).enumerate() {
-            *slot = map(i, item);
-        }
+        fill(0, out, items);
         return;
     }
-    let tasks = items.len().div_ceil(chunk);
-    let base = SendPtr(out.as_mut_ptr());
-    run_chunk_tasks(tasks, |t| {
-        let start = t * chunk;
-        let end = (start + chunk).min(items.len());
-        let base = &base;
-        for (i, item) in items[start..end].iter().enumerate() {
-            // SAFETY: every element is initialized by the resize above,
-            // tasks write disjoint `[start, end)` ranges of a buffer that
-            // outlives the fork-join (run_chunk_tasks returns only after all
-            // tasks finish), and `&base` only captures the Send+Sync wrapper.
-            unsafe { *base.0.add(start + i) = map(start + i, item) };
-        }
-    });
+    let parts = out.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate();
+    fork_join(parts, |(t, (dst, src))| fill(t * chunk, dst, src));
 }
 
 /// [`chunk_map_collect`] over the index range `0..n` instead of a slice:
@@ -605,47 +228,36 @@ where
     if chunk == n {
         return (0..n).map(map).collect();
     }
-    let tasks = n.div_ceil(chunk);
-    let slots: Vec<Mutex<Option<Vec<R>>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    run_chunk_tasks(tasks, |t| {
-        let start = t * chunk;
-        let end = (start + chunk).min(n);
-        let part: Vec<R> = (start..end).map(&map).collect();
-        *slots[t].lock().expect("chunk slot") = Some(part);
+    let parts = fork_join((0..n).step_by(chunk), |start| {
+        (start..(start + chunk).min(n)).map(&map).collect()
     });
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        out.extend(
-            slot.into_inner()
-                .expect("chunk slot")
-                .expect("every chunk task completed"),
-        );
-    }
-    out
+    concat(parts, n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
+
+    /// How long a test thread waits for a sibling's signal before giving
+    /// up, so a broken fork-join fails the test instead of hanging it.
+    const WAIT: Duration = Duration::from_secs(10);
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
-
-    #[test]
-    fn scope_spawns_borrowing_tasks() {
-        let data = [1u64, 2, 3, 4];
-        let mut partial = (0u64, 0u64);
-        scope(|s| {
-            let (left, right) = data.split_at(2);
-            let h = s.spawn(|| left.iter().sum::<u64>());
-            let r: u64 = right.iter().sum();
-            partial = (h.join().unwrap(), r);
+    fn fork_join_returns_results_in_item_order() {
+        // Tasks borrow the caller's data; item 0 runs on the caller.
+        let data = [1u64, 2, 3, 4, 5];
+        let caller = thread::current().id();
+        let out = fork_join(data.chunks(2), |part| {
+            (part.iter().sum::<u64>(), thread::current().id())
         });
-        assert_eq!(partial, (3, 7));
+        let sums: Vec<u64> = out.iter().map(|&(sum, _)| sum).collect();
+        assert_eq!(sums, vec![3, 7, 5]);
+        assert_eq!(out[0].1, caller, "item 0 runs on the calling thread");
+        assert!(out[1..].iter().all(|&(_, id)| id != caller));
+        assert!(fork_join(Vec::<u8>::new(), |b| b).is_empty());
     }
 
     #[test]
@@ -756,29 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_spawns_workers_once() {
-        // Warm the pool, snapshot the lifetime spawn counter, then hammer
-        // every chunk_map_* entry point: steady state must not spawn.
-        let items: Vec<u64> = (0..4_000).collect();
-        let _ = chunk_map_collect(&items, 8, |_, &v| v);
-        let spawned = pool_thread_spawn_count();
-        assert!(spawned >= 1 && spawned <= current_num_threads());
-        let mut buf = Vec::new();
-        for _ in 0..25 {
-            let _ = chunk_map_collect(&items, 4, |_, &v| v + 1);
-            let _ = chunk_map_collect_range(items.len(), 3, |i| i);
-            let _ = chunk_map_reduce(&items, 5, |_, c| c.len(), |a, b| a + b);
-            chunk_map_fill(&items, 6, &mut buf, |_, &v| v);
-            let _ = join(|| 1, || 2);
-        }
-        assert_eq!(
-            pool_thread_spawn_count(),
-            spawned,
-            "steady-state parallel calls must not spawn OS threads"
-        );
-    }
-
-    #[test]
     fn panic_in_chunk_task_propagates() {
         let items: Vec<u64> = (0..2_000).collect();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -797,14 +386,35 @@ mod tests {
         assert!(msg.contains("chunk task panic"), "got: {msg}");
     }
 
+    /// Sends on its channel when dropped, so a waiting thread learns that
+    /// the owner has started unwinding from its panic.
+    struct SignalOnDrop(mpsc::Sender<()>);
+
+    impl Drop for SignalOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
     #[test]
     fn earliest_spawned_panic_wins_at_scope_end() {
+        // Items 1 and 3 panic; item 1 (spawned first) waits until item 3 is
+        // unwinding, yet its payload is the one re-thrown once every thread
+        // has joined.
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                // Spawn in reverse severity: the *first spawned* panic must
-                // be the one re-thrown, regardless of completion order.
-                s.spawn(|| panic!("first"));
-                s.spawn(|| panic!("second"));
+            fork_join(0..4, |i| {
+                if i == 1 {
+                    let unwinding = rx.lock().expect("receiver").recv_timeout(WAIT);
+                    assert!(unwinding.is_ok(), "item 3 never panicked");
+                    panic!("first");
+                }
+                if i == 3 {
+                    let _signal = SignalOnDrop(tx.clone());
+                    panic!("second");
+                }
+                i
             })
         }));
         let payload = caught.expect_err("panic must propagate");
@@ -813,19 +423,9 @@ mod tests {
     }
 
     #[test]
-    fn joined_panic_is_claimed_not_rethrown() {
-        // Claiming a panic through the handle must not re-panic the scope.
-        let outcome = scope(|s| {
-            let h = s.spawn(|| -> u32 { panic!("claimed") });
-            h.join().is_err()
-        });
-        assert!(outcome, "join must surface the panic payload");
-    }
-
-    #[test]
     fn nested_scopes_do_not_deadlock() {
-        // Every task forks again on the same pool — cooperative waiting must
-        // drain the nested tasks even when all workers are busy waiting.
+        // Every task forks again: nested scopes must join cleanly and keep
+        // outputs in index order.
         let totals: Vec<u64> = chunk_map_collect_range(16, 8, |i| {
             let inner: Vec<u64> = (0..512).collect();
             chunk_map_reduce(&inner, 4, |_, c| c.iter().sum::<u64>(), |a, b| a + b).unwrap_or(0)

@@ -5,4 +5,6 @@
 //! at runtime (no `serde_json` in the tree). The derives expand to nothing;
 //! swapping in the real crates-io `serde` is a manifest-only change.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};

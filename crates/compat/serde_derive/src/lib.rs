@@ -6,6 +6,8 @@
 //! the attribute positions stay valid and the real crate can be swapped back
 //! in by deleting `crates/compat` and the `[patch]`-free path deps.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// No-op `#[derive(Serialize)]`.

@@ -39,7 +39,7 @@ use dgo_mpc::{ClusterConfig, ExecutionBackend, Metrics, SequentialBackend};
 /// Execution statistics of the coloring pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColorStats {
-    /// Palette size used (per part): `palette_factor · d`.
+    /// Palette size used (per part): `3d`.
     pub palette: usize,
     /// Layering out-degree `d` the palette is based on.
     pub layering_out_degree: usize,
@@ -116,7 +116,7 @@ pub fn color_on<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
     // re-estimated on the sparser part), so parts fan across host threads;
     // only the palette-offset fold below is order-sensitive and runs on the
     // host in part order. The thread budget splits between the part fan-out
-    // and each part's vertex stages so the tiers share one pool. An empty
+    // and each part's vertex stages so the tiers share one budget. An empty
     // part colors nothing, so it is dropped before the fan-out and never
     // takes one of the inner budgets.
     let parts: Vec<VertexPart> = partition_vertices(graph, parts_needed, params.seed)
@@ -187,7 +187,7 @@ fn color_single<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
     let outcome = complete_layering_on::<B>(graph, params)?;
     let layering = &outcome.layering;
     let d = layering.out_degree_bound(graph)?.max(1);
-    let palette = params.palette_factor * d;
+    let palette = 3 * d;
     let total_layers = layering.max_layer().unwrap_or(0);
 
     // Batching: split 1..=L into `batches` contiguous ranges, processed from

@@ -116,7 +116,7 @@ pub fn approximate_coreness_on<B: ExecutionBackend + Send>(
     // Deterministic per-instance parameter derivation: guess i runs with its
     // ladder value as the λ-hint. The thread budget splits between the
     // ladder fan-out and each guess's vertex stages (the instances and the
-    // stages share one pool instead of multiplying).
+    // stages share one budget instead of multiplying).
     let split = split_jobs(params.jobs, guesses.len());
     let instance_params: Vec<Params> = guesses
         .iter()

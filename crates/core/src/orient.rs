@@ -475,7 +475,7 @@ pub fn orient_on<B: ExecutionBackend + Send>(
     // sections — host-parallel as an instance group, metrics merge in
     // parallel. The thread budget splits between the two tiers: `outer`
     // threads fan the instances, each instance's vertex stages get the
-    // remaining `inner` factor, so the tiers never oversubscribe the pool.
+    // remaining `inner` factor, so the tiers never oversubscribe the host.
     let (parts, part_of) = partition_edges(graph, parts_needed, params.seed);
     let instances: Vec<usize> = (0..parts.len())
         .filter(|&p| parts[p].num_edges() > 0)

@@ -28,21 +28,14 @@ pub struct Params {
     /// Exponentiation step count `s`; `0` selects `⌈log₂ L⌉ + 1`
     /// (paper: `⌈10 log log n⌉`).
     pub steps: u32,
-    /// View-tree budget `B`; `0` selects `min(n^δ, budget_cap)`.
+    /// View-tree budget `B`; `0` selects `n^δ`.
     pub budget: usize,
-    /// Hard cap on `B` regardless of `n^δ` (keeps simulation memory sane).
-    pub budget_cap: usize,
-    /// Layers per partial stage `L`; `0` selects `max(2, ⌈0.1·log_k B⌉)`.
-    pub layers_per_stage: u32,
     /// Maximum boosted stages before the drivers declare failure.
     pub max_stages: u32,
     /// Number of top-down layer batches in the coloring; `0` selects
     /// `⌈(log₂ log₂ n)²⌉` clamped to the layer count (paper:
     /// `O(log^{3.67} log n)` repetitions).
     pub color_batches: u32,
-    /// Palette multiplier: the coloring uses `palette_factor · d` colors where
-    /// `d` is the layering out-degree (paper's proof uses `3d`).
-    pub palette_factor: usize,
     /// Threshold (in vertices) up to which λ̂ is `⌈α⌉`, computed exactly via
     /// flows; above it λ̂ is `⌈density⌉` of the densest peeling suffix (at
     /// least `α/2`). The degeneracy only bounds `λ` from above and is never
@@ -93,11 +86,8 @@ impl Params {
             k_factor: 2.0,
             steps: 0,
             budget: 0,
-            budget_cap: 4096,
-            layers_per_stage: 0,
             max_stages: 64,
             color_batches: 0,
-            palette_factor: 3,
             exact_arboricity_threshold: 600,
             lambda_hint: 0,
             seed: 0xD60_C0DE,
@@ -114,11 +104,8 @@ impl Params {
             k_factor: 100.0,
             steps: 10 * loglog,
             budget: 0, // k^100 always clamps to n^δ at feasible n
-            budget_cap: usize::MAX,
-            layers_per_stage: 0,
             max_stages: 64,
             color_batches: 0,
-            palette_factor: 3,
             exact_arboricity_threshold: 600,
             lambda_hint: 0,
             seed: 0xD60_C0DE,
@@ -151,14 +138,6 @@ impl Params {
                 reason: format!("k_factor must be >= 1, got {}", self.k_factor),
             });
         }
-        if self.palette_factor < 3 {
-            return Err(CoreError::InvalidParams {
-                reason: format!(
-                    "palette_factor must be >= 3 for list-coloring feasibility, got {}",
-                    self.palette_factor
-                ),
-            });
-        }
         if self.max_stages == 0 {
             return Err(CoreError::InvalidParams {
                 reason: "max_stages must be positive".to_string(),
@@ -178,23 +157,20 @@ impl Params {
     }
 
     /// The view-tree budget `B` for instance size `n`: explicit `budget` if
-    /// set, else `min(S, budget_cap)`, but never below `k²` so at least one
-    /// expansion survives pruning, and never below 16.
+    /// set, else `S`, but never below `k²` so at least one expansion survives
+    /// pruning, and never below 16. The layering drivers cap it at `S/4`.
     pub fn effective_budget(&self, n: usize, k: usize) -> usize {
         let base = if self.budget > 0 {
             self.budget
         } else {
-            self.local_memory(n).min(self.budget_cap)
+            self.local_memory(n)
         };
         base.max(k * k).max(16)
     }
 
-    /// Layers per partial stage: explicit if set, else `max(2, ⌈0.1·log_k B⌉)`
-    /// (Lemma 3.13's `⌈0.1 log_k(B)⌉`, floored at 2 for practicality).
+    /// Layers per partial stage: `max(2, ⌈0.1·log_k B⌉)` (Lemma 3.13's
+    /// `⌈0.1 log_k(B)⌉`, floored at 2 for practicality).
     pub fn stage_layers(&self, budget: usize, k: usize) -> u32 {
-        if self.layers_per_stage > 0 {
-            return self.layers_per_stage;
-        }
         let lk = (budget.max(2) as f64).ln() / (k.max(2) as f64).ln();
         ((0.1 * lk).ceil() as u32).max(2)
     }
@@ -246,13 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_palette_rejected() {
-        let mut p = Params::practical(100);
-        p.palette_factor = 2;
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
     fn local_memory_scales() {
         let p = Params::practical(0);
         assert_eq!(p.local_memory(1_000_000), 1000);
@@ -271,13 +240,6 @@ mod tests {
         let p = Params::practical(100);
         let k = 50;
         assert!(p.effective_budget(100, k) >= k * k);
-    }
-
-    #[test]
-    fn budget_cap_applies() {
-        let mut p = Params::practical(1 << 20);
-        p.budget_cap = 100;
-        assert_eq!(p.effective_budget(1 << 20, 2), 100);
     }
 
     #[test]
@@ -305,11 +267,9 @@ mod tests {
     fn explicit_overrides_win() {
         let mut p = Params::practical(100);
         p.steps = 7;
-        p.layers_per_stage = 9;
         p.color_batches = 3;
         p.budget = 333;
         assert_eq!(p.effective_steps(100), 7);
-        assert_eq!(p.stage_layers(1 << 40, 2), 9);
         assert_eq!(p.effective_color_batches(1 << 30), 3);
         assert_eq!(p.effective_budget(1 << 30, 2), 333);
     }

@@ -30,8 +30,12 @@
 //! This is the second of the workspace's two parallelism tiers: instance
 //! fan-out (`dgo_mpc::InstanceGroup`), then vertex stages inside each
 //! instance. Both draw on the one [`Params::jobs`](crate::Params::jobs)
-//! budget and one thread pool: outer instance fan-outs subdivide their
-//! budget via [`dgo_mpc::split_jobs`] instead of oversubscribing the host.
+//! budget: outer instance fan-outs subdivide it via
+//! [`dgo_mpc::split_jobs`] instead of oversubscribing the host. A stage that
+//! fans out forks one scoped thread per chunk beyond the first, which runs
+//! on the calling thread (`rayon::fork_join`), and joins them before it
+//! returns; a panic in any chunk reaches the caller with its original
+//! payload, the lowest chunk's first.
 //!
 //! ```
 //! use dgo_core::stage::StageExecutor;
@@ -44,7 +48,7 @@
 
 use dgo_mpc::resolve_jobs;
 
-/// Minimum number of items before a stage fans out to the pool; smaller
+/// Minimum number of items before a stage fans out to other threads; smaller
 /// stages run inline on the calling thread.
 const INLINE_THRESHOLD: usize = 1024;
 

@@ -7,12 +7,7 @@
 
 use crate::error::{GraphError, Result};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Below this edge count the unsorted CSR builder always runs inline:
-/// pool-task bookkeeping would cost more than the build itself.
-const PARALLEL_BUILD_MIN_EDGES: usize = 1 << 16;
 
 /// The host-thread budget for graph ingestion and CSR construction, resolved
 /// once from `DGO_JOBS` (`0`, unset, or unparsable = all cores). Ingestion is
@@ -33,18 +28,6 @@ pub(crate) fn ingest_jobs() -> usize {
         }
     })
 }
-
-/// Shared-pointer wrapper for disjoint-range writes from pool tasks: every
-/// task writes a distinct set of indices, so no two writes alias.
-struct SendPtr<T>(*mut T);
-// SAFETY: the wrapper only crosses threads inside fork-joins whose tasks
-// write disjoint indices of a buffer the caller keeps alive until the join.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: shared references only copy the pointer; every write through it
-// targets a task-exclusive index, never a shared cell.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// A simple undirected graph in CSR (compressed sparse row) form.
 ///
@@ -123,11 +106,11 @@ impl Graph {
     /// `u32`) in **any order, duplicates allowed**: per-vertex degree tallies
     /// → prefix offsets → scatter of both endpoints → per-list
     /// `sort_unstable` + dedup + forward compaction. O(m + Σ deg·log deg)
-    /// instead of the full-list O(m log m), and the tally/scatter/sort phases
-    /// run chunk-parallel on the pool when `jobs` (0 = all cores) exceeds 1.
+    /// instead of the full-list O(m log m). The tally and scatter run on the
+    /// calling thread; the per-list sort + dedup splits the vertices into
+    /// `jobs` (0 = all cores) contiguous ranges, one thread each.
     ///
-    /// The per-list sort + dedup canonicalizes away both the input order and
-    /// any scatter-order nondeterminism of the parallel path, so the
+    /// The per-list sort + dedup canonicalizes away the input order, so the
     /// resulting `offsets`/`neighbors` columns are bit-identical to
     /// [`Graph::from_edges`]/[`Graph::from_edges_by_sort`] on the same edge
     /// set at any thread count.
@@ -142,21 +125,12 @@ impl Graph {
         debug_assert!(edges
             .iter()
             .all(|&(u, v)| u < v && (v as usize) < n && n <= u32::MAX as usize));
-        assert!(
-            edges.len() <= u32::MAX as usize / 2,
-            "edge list too large for u32 degree counters"
-        );
         let threads = if jobs == 0 {
             rayon::current_num_threads()
         } else {
             jobs
         };
-        let (mut offsets, mut neighbors) = if threads > 1 && edges.len() >= PARALLEL_BUILD_MIN_EDGES
-        {
-            scatter_parallel(n, edges, threads)
-        } else {
-            scatter_sequential(n, edges)
-        };
+        let (mut offsets, mut neighbors) = scatter(n, edges);
         let deduped = sort_dedup_lists(&offsets, &mut neighbors, threads);
         // Forward-compact the deduped lists, rewriting offsets in place.
         let mut write = 0usize;
@@ -183,24 +157,7 @@ impl Graph {
     ///
     /// Used internally by generators that produce canonical edge lists.
     pub(crate) fn from_normalized(n: usize, edges: &[(u32, u32)]) -> Self {
-        let mut degrees = vec![0usize; n];
-        for &(u, v) in edges {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for v in 0..n {
-            offsets.push(offsets[v] + degrees[v]);
-        }
-        let mut neighbors = vec![0u32; offsets[n]];
-        let mut cursor = offsets.clone();
-        for &(u, v) in edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
+        let (offsets, mut neighbors) = scatter(n, edges);
         for v in 0..n {
             neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
         }
@@ -428,10 +385,10 @@ fn normalize_edges(n: usize, edges: &[(usize, usize)]) -> Result<Vec<(u32, u32)>
     Ok(normalized)
 }
 
-/// Inline tally + scatter: degree counts into `offsets[v + 1]`, prefix sum,
-/// then both endpoints of every edge written at their vertices' cursors.
-/// Lists come out unsorted and possibly duplicated.
-fn scatter_sequential(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
+/// The CSR scatter: degree counts into `offsets[v + 1]`, prefix sum, then
+/// both endpoints of every edge written at their vertices' cursors. Lists
+/// come out in input order, so unsorted (and duplicated) if the input is.
+fn scatter(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
     let mut offsets = vec![0usize; n + 1];
     for &(u, v) in edges {
         offsets[u as usize + 1] += 1;
@@ -452,80 +409,41 @@ fn scatter_sequential(n: usize, edges: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) 
     (offsets, neighbors)
 }
 
-/// [`scatter_sequential`] with the tally and scatter fanned out over edge
-/// chunks: relaxed atomic degree counters, then atomic per-vertex cursors
-/// claiming unique slots. Slot order within a list depends on scheduling,
-/// which is fine — the per-list sort + dedup canonicalizes it away.
-#[allow(unsafe_code)]
-fn scatter_parallel(n: usize, edges: &[(u32, u32)], threads: usize) -> (Vec<usize>, Vec<u32>) {
-    let degrees: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    rayon::chunk_map_reduce(
-        edges,
-        threads,
-        |_, chunk| {
-            for &(u, v) in chunk {
-                degrees[u as usize].fetch_add(1, Ordering::Relaxed);
-                degrees[v as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        },
-        |(), ()| (),
-    );
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let mut acc = 0usize;
-    for d in &degrees {
-        acc += d.load(Ordering::Relaxed) as usize;
-        offsets.push(acc);
-    }
-    let cursor: Vec<AtomicUsize> = offsets[..n].iter().map(|&o| AtomicUsize::new(o)).collect();
-    let mut neighbors = vec![0u32; offsets[n]];
-    let base = SendPtr(neighbors.as_mut_ptr());
-    let base = &base;
-    rayon::chunk_map_reduce(
-        edges,
-        threads,
-        move |_, chunk| {
-            for &(u, v) in chunk {
-                let slot_u = cursor[u as usize].fetch_add(1, Ordering::Relaxed);
-                let slot_v = cursor[v as usize].fetch_add(1, Ordering::Relaxed);
-                // SAFETY: each fetch_add claims a unique slot inside the
-                // vertex's degree-sized range of a buffer that outlives the
-                // fork-join, so no two writes alias.
-                unsafe {
-                    *base.0.add(slot_u) = v;
-                    *base.0.add(slot_v) = u;
-                }
-            }
-        },
-        |(), ()| (),
-    );
-    (offsets, neighbors)
-}
-
-/// Sorts and dedups every vertex's list in place (vertex-chunk-parallel) and
-/// returns the per-vertex deduped length; the kept prefix of each range holds
-/// the canonical list, the caller compacts.
-#[allow(unsafe_code)]
+/// Sorts and dedups every vertex's list in place and returns the per-vertex
+/// deduped length; the kept prefix of each range holds the canonical list,
+/// the caller compacts. The vertices split into `threads` contiguous ranges,
+/// and each thread gets its range's lists as one disjoint `&mut` slice.
 fn sort_dedup_lists(offsets: &[usize], neighbors: &mut [u32], threads: usize) -> Vec<u32> {
     let n = offsets.len() - 1;
-    let base = SendPtr(neighbors.as_mut_ptr());
-    let base = &base;
-    rayon::chunk_map_collect_range(n, threads, move |v| {
-        // SAFETY: the ranges `[offsets[v], offsets[v + 1])` are disjoint
-        // across vertices and the buffer outlives the fork-join.
-        let list = unsafe {
-            std::slice::from_raw_parts_mut(base.0.add(offsets[v]), offsets[v + 1] - offsets[v])
-        };
-        list.sort_unstable();
-        let mut kept = 0usize;
-        for i in 0..list.len() {
-            if kept == 0 || list[kept - 1] != list[i] {
-                list[kept] = list[i];
-                kept += 1;
+    let mut kept = vec![0u32; n];
+    if n == 0 {
+        return kept;
+    }
+    let chunk = n.div_ceil(threads.clamp(1, n));
+    let mut parts = Vec::with_capacity(n.div_ceil(chunk));
+    let mut rest = neighbors;
+    for (c, lens) in kept.chunks_mut(chunk).enumerate() {
+        let (start, end) = (c * chunk, c * chunk + lens.len());
+        let (lists, tail) = std::mem::take(&mut rest).split_at_mut(offsets[end] - offsets[start]);
+        rest = tail;
+        parts.push((start, lens, lists));
+    }
+    rayon::fork_join(parts, |(start, lens, mut lists)| {
+        for (len, bounds) in lens.iter_mut().zip(offsets[start..].windows(2)) {
+            let (list, rest) = std::mem::take(&mut lists).split_at_mut(bounds[1] - bounds[0]);
+            lists = rest;
+            list.sort_unstable();
+            let mut distinct = 0usize;
+            for i in 0..list.len() {
+                if distinct == 0 || list[distinct - 1] != list[i] {
+                    list[distinct] = list[i];
+                    distinct += 1;
+                }
             }
+            *len = distinct as u32;
         }
-        kept as u32
-    })
+    });
+    kept
 }
 
 impl Default for Graph {
@@ -702,7 +620,8 @@ mod tests {
     #[test]
     fn unsorted_builder_identical_at_any_jobs() {
         // Unsorted input with duplicates in both orders of discovery; the
-        // canonical CSR must not depend on order or thread count.
+        // canonical CSR must not depend on order or thread count, including
+        // more threads than vertices.
         let edges: Vec<(u32, u32)> = vec![(2, 4), (0, 1), (1, 4), (0, 1), (2, 4), (0, 3)];
         let reference = Graph::from_edges_by_sort(
             5,
@@ -712,7 +631,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .unwrap();
-        for jobs in [1, 2, 0] {
+        for jobs in [1, 2, 3, 8, 0] {
             assert_eq!(
                 Graph::from_normalized_unsorted(5, &edges, jobs),
                 reference,

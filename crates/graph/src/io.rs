@@ -16,7 +16,7 @@ use std::io::{Read, Write};
 const NODES_TAG: &str = "nodes:";
 
 /// Below this buffer size the parser always runs as one inline chunk —
-/// splitting a few kilobytes across pool tasks costs more than parsing them.
+/// splitting a few kilobytes across threads costs more than parsing them.
 const MIN_CHUNK_BYTES: usize = 1 << 16;
 
 /// Reads a graph from an edge-list text stream.
@@ -29,10 +29,12 @@ const MIN_CHUNK_BYTES: usize = 1 << 16;
 /// trailing isolated vertices dropped. Duplicate edges collapse;
 /// self-loops are rejected like everywhere else in the crate.
 ///
-/// The stream is slurped once, then parsed chunk-parallel on the pool
-/// (`DGO_JOBS` thread budget, default all cores) directly into normalized
-/// `(u32, u32)` pairs — see [`parse_edge_list`] — and built with the
-/// counting-sort CSR path ([`Graph::from_normalized_unsorted`]). Errors,
+/// The stream is slurped once, then parsed chunk-parallel, one scoped
+/// thread per chunk (`DGO_JOBS` thread budget, default all cores), directly
+/// into normalized `(u32, u32)` pairs — see [`parse_edge_list`] — and built
+/// with the counting-sort CSR path ([`Graph::from_normalized_unsorted`]),
+/// whose scatter is sequential and whose per-list sort uses the same
+/// budget. Errors,
 /// messages, and line numbers are identical to a sequential line-by-line
 /// scan at any thread count; vertex ids are limited to `u32` (ids beyond
 /// `u32::MAX` are rejected as bad vertex ids instead of silently
@@ -72,7 +74,7 @@ pub fn read_edge_list<R: Read>(mut reader: R) -> Result<Graph> {
     Ok(Graph::from_normalized_unsorted(n, &edges, ingest_jobs()))
 }
 
-/// Classification of one chunk of the byte buffer, produced by one pool task.
+/// Classification of one chunk of the byte buffer, produced by one thread.
 struct ChunkParse {
     /// Normalized `(min, max)` pairs of the chunk's well-formed edges, in
     /// file order. Self-loops are tracked separately, not stored.

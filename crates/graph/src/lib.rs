@@ -34,10 +34,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Unsafe is denied crate-wide; the only sanctioned exceptions are the
-// disjoint-range CSR scatter kernels in `graph.rs`, each carrying a scoped
-// `#[allow(unsafe_code)]` and a `// SAFETY:` audit (enforced by dgo-lint R5).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 mod coloring;
 mod coreness;

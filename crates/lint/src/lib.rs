@@ -3,12 +3,12 @@
 //!
 //! The workspace's conformance bar (results, errors, and metrics
 //! bit-identical at every job count in both parallelism tiers) rests on
-//! contracts no compiler checks: parallelism only through the compat-rayon
-//! pool, knob reads only in `dgo_mpc::tuning`, no hash-ordered iteration on
-//! metered paths, audited `unsafe`, and explicit atomic orderings. This
-//! crate enforces them statically: a hand-rolled lexer ([`lexer`]) feeds a
-//! token-sequence rule engine ([`rules`]) scoped by a checked-in config
-//! ([`config`], `lint.toml`).
+//! contracts no compiler checks: parallelism only through compat-rayon's
+//! fork-join, knob reads only in `dgo_mpc::tuning`, no hash-ordered
+//! iteration on metered paths, audited `unsafe`, and explicit atomic
+//! orderings. This crate enforces them statically: a hand-rolled lexer
+//! ([`lexer`]) feeds a token-sequence rule engine ([`rules`]) scoped by a
+//! checked-in config ([`config`], `lint.toml`).
 //!
 //! Run it as `cargo run -p dgo-lint`, or through the workspace-clean gate
 //! in `tests/lint_clean.rs`.

@@ -5,7 +5,7 @@
 //!
 //! | id | invariant |
 //! |----|-----------|
-//! | R1 | no `std::thread::spawn`/`scope`/`Builder` outside the compat-rayon pool |
+//! | R1 | no `std::thread::spawn`/`scope`/`Builder` outside compat-rayon's fork-join |
 //! | R2 | `std::env::var*` only in `dgo_mpc::tuning` and `dgo_bench::report` (knobs read once per process) |
 //! | R3 | no `Instant::now`/`SystemTime` in the deterministic crates (`dgo_core`, `dgo_graph`) |
 //! | R4 | no `HashMap`/`HashSet` in non-test `dgo_core`/`dgo_mpc`/`dgo_graph`/`dgo_local` code, `dgo_graph`'s generators excepted (iteration-order nondeterminism on metered or output paths) |

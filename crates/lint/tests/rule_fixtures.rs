@@ -35,12 +35,12 @@ pub fn run() {
 
 #[test]
 fn r1_quiet_on_pool_spawn_and_excluded_path() {
-    // The compat pool's own API is not `thread::` and never matches...
+    // The compat fork-join's own API is not `thread::` and never matches...
     let quiet = run(
         "R1",
         "",
         "crates/core/src/x.rs",
-        "pub fn run() { rayon::scope(|s| s.spawn(|| ())); }",
+        "pub fn run() { rayon::fork_join(0..2, |i| i); }",
     );
     assert!(quiet.is_empty());
     // ...and the sanctioned site is excluded by scope.

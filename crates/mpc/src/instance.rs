@@ -22,9 +22,11 @@
 //! wall-clock decision.
 //!
 //! The backend itself is single-threaded, so the group's threads are the
-//! only host parallelism it adds. The vertex stages running inside each
-//! instance take their share of the same budget through [`split_jobs`]
-//! instead of multiplying into oversubscription.
+//! only host parallelism it adds: each fan-out forks scoped threads for its
+//! call, with the calling thread running one of the workers, and joins them
+//! before returning. The vertex stages running inside each instance take
+//! their share of the same budget through [`split_jobs`] instead of
+//! multiplying into oversubscription.
 //!
 //! ```
 //! use dgo_mpc::{ClusterConfig, ExecutionBackend, InstanceGroup, PerMachine, SequentialBackend};
@@ -52,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Resolves a caller-facing `jobs` knob to a concrete host thread count:
-/// `0` selects all available cores (rayon's pool size), any other value is
+/// `0` selects all available cores, any other value is
 /// taken literally. The result never affects computed outputs — only
 /// wall-clock.
 pub fn resolve_jobs(jobs: usize) -> usize {
@@ -65,7 +67,7 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 
 /// Divides one host-thread budget between an outer instance fan-out and the
 /// data-parallel stages running *inside* each instance, so the two tiers
-/// share the pool instead of multiplying into oversubscription: with
+/// share one budget instead of multiplying into oversubscription: with
 /// `instances` independent instances, the outer tier gets
 /// `min(resolve_jobs(jobs), max(instances, 1))` threads and the remaining
 /// budget factor goes to each instance's inner stages.
@@ -165,9 +167,12 @@ impl Drop for AbortOnPanic<'_> {
 /// under [`InstanceGroup::run_all`], usable directly by compositions whose
 /// instances manage their own backends internally.
 ///
-/// Workers claim indices dynamically (next unclaimed, via one shared
-/// counter), so skewed per-index costs balance across threads without
-/// affecting outputs.
+/// The calling thread runs one of the worker loops and scoped threads run
+/// the others (`rayon::fork_join`). Workers claim indices dynamically (next
+/// unclaimed, via one shared counter), so skewed per-index costs balance
+/// across threads without affecting outputs. A panic in `run` stops further
+/// claims and is re-thrown with its original payload after every worker has
+/// finished.
 ///
 /// # Errors
 ///
@@ -198,28 +203,24 @@ where
             slots.iter_mut().map(Mutex::new).collect();
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        rayon::scope(|s| {
-            for _ in 0..threads {
-                let (run, cells, next, abort) = (&run, &cells, &next, &abort);
-                s.spawn(move || loop {
-                    if abort.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    // A panicking `run` must also stop the siblings; the
-                    // panic itself resurfaces when the scope joins.
-                    let panic_guard = AbortOnPanic(abort);
-                    let result = run(i);
-                    std::mem::forget(panic_guard);
-                    if result.is_err() {
-                        abort.store(true, Ordering::Release);
-                    }
-                    **cells[i].lock().expect("slot claimed by one worker") = Some(result);
-                });
+        // One worker loop per thread; the calling thread runs the first.
+        rayon::fork_join(0..threads, |_| loop {
+            if abort.load(Ordering::Acquire) {
+                break;
             }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= cells.len() {
+                break;
+            }
+            // A panicking `run` must also stop the siblings; the panic
+            // itself resurfaces once `fork_join` has joined them.
+            let panic_guard = AbortOnPanic(&abort);
+            let result = run(i);
+            std::mem::forget(panic_guard);
+            if result.is_err() {
+                abort.store(true, Ordering::Release);
+            }
+            **cells[i].lock().expect("slot claimed by one worker") = Some(result);
         });
     }
     let mut outputs = Vec::with_capacity(len);

@@ -32,6 +32,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dgo_core as core;
 pub use dgo_graph as graph;
 pub use dgo_local as local;

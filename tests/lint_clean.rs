@@ -56,3 +56,41 @@ fn seeded_violation_trips_the_gate() {
         assert!(rule.enabled, "{id} must stay enabled");
     }
 }
+
+/// Every library crate root carries `#![forbid(unsafe_code)]`, so the
+/// compiler rejects any `unsafe` block, `unsafe fn` or `unsafe impl` in
+/// library code. Test code (the counting allocator of
+/// `tests/alloc_profile.rs`) stays under lint R5's `// SAFETY:` audit instead.
+#[test]
+fn every_library_crate_forbids_unsafe_code() {
+    let mut roots = vec![root().join("src/lib.rs")];
+    for dir in ["crates", "crates/compat"] {
+        for entry in std::fs::read_dir(root().join(dir)).expect("crate directory lists") {
+            let lib = entry.expect("directory entry").path().join("src/lib.rs");
+            if lib.is_file() {
+                roots.push(lib);
+            }
+        }
+    }
+    for expected in ["crates/graph/src/lib.rs", "crates/compat/rayon/src/lib.rs"] {
+        assert!(
+            roots.contains(&root().join(expected)),
+            "the walk must cover {expected} (saw {} crate roots)",
+            roots.len()
+        );
+    }
+    let missing: Vec<String> = roots
+        .iter()
+        .filter(|lib| {
+            let source = std::fs::read_to_string(lib).expect("crate root reads");
+            !source
+                .lines()
+                .any(|line| line.trim() == "#![forbid(unsafe_code)]")
+        })
+        .map(|lib| lib.display().to_string())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "library crate roots without #![forbid(unsafe_code)]: {missing:?}"
+    );
+}

@@ -1,12 +1,19 @@
-//! Conformance tests for the persistent work-stealing pool under the full
+//! Conformance tests for compat-rayon's scoped fork-join under the full
 //! parallelism stack: nested tier-1 (instance fan-out) → tier-2 (vertex
-//! stages) use on one pool, panic propagation through stolen tasks,
-//! `chunk_map_*` determinism across job counts, and the spawn-count fence
-//! proving steady-state stage loops create zero new OS threads.
+//! stages) use, `chunk_map_*` determinism across job counts, and panic
+//! propagation — a panicking chunk or instance reaches the caller with its
+//! original payload, the lowest-index one first.
 
 use dgo_core::stage::StageExecutor;
 use dgo_mpc::instance::InstanceGroup;
 use dgo_mpc::{ClusterConfig, MpcError, PerMachine, SequentialBackend};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Barrier, Mutex};
+use std::time::Duration;
+
+/// How long a test thread waits for a sibling's signal before giving up, so
+/// a broken fan-out fails the test instead of hanging it.
+const WAIT: Duration = Duration::from_secs(10);
 
 /// A small per-instance workload that exercises tier-2 stages inside a
 /// tier-1 instance: one metered exchange plus a vertex-stage map and
@@ -30,10 +37,10 @@ fn staged_workload(
 
 #[test]
 fn nested_instance_and_stage_tiers_share_one_pool() {
-    // Tier-1 fans instances across the pool; each instance runs tier-2
-    // stage maps on the same pool. Cooperative waiting must drain the
-    // nested stage tasks even when every worker is inside an instance —
-    // this test hanging (not failing) is the deadlock regression signal.
+    // Tier-1 fans instances across scoped threads; each instance forks its
+    // tier-2 stage maps from inside its own thread. Outputs must match the
+    // sequential loop at every job count, and this test hanging (not
+    // failing) is the deadlock regression signal.
     let config = ClusterConfig::new(4, 1 << 16);
     let reference: Vec<(Vec<u64>, usize)> = {
         let mut group = InstanceGroup::<SequentialBackend>::uniform(config, 6, 1);
@@ -105,6 +112,8 @@ fn chunk_map_family_is_deterministic_across_job_counts() {
     }
 }
 
+/// A panic in any chunk of a stage, not only the one the calling thread
+/// runs, reaches the caller; later stages run normally.
 #[test]
 fn panics_in_stolen_tasks_propagate_to_the_caller() {
     let items: Vec<u64> = (0..4_000).collect();
@@ -126,40 +135,97 @@ fn panics_in_stolen_tasks_propagate_to_the_caller() {
         message.contains("vertex stage panic"),
         "unexpected payload: {message}"
     );
-    // The pool must stay healthy after a panicked task.
+    // Later fork-joins must run normally after a panicked one.
     assert_eq!(
         StageExecutor::new(0).sum_by(&items, |_, &v| v as usize),
         items.iter().map(|&v| v as usize).sum::<usize>()
     );
 }
 
+/// The message of a caught panic payload (`panic!` with arguments yields a
+/// `String`, a bare literal a `&str`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Sends on its channel when dropped, so a waiting thread learns that the
+/// owner has started unwinding from its panic.
+struct SignalOnDrop(mpsc::Sender<()>);
+
+impl Drop for SignalOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.send(());
+    }
+}
+
 #[test]
-fn steady_state_stage_loops_spawn_no_os_threads() {
-    // Warm the pool (first parallel call spawns the workers), snapshot the
-    // lifetime spawn counter, then run many stage loops at several job
-    // counts: the counter must not move — steady-state parallel execution
-    // reuses the persistent workers instead of spawning per call.
-    let items: Vec<u64> = (0..5_000).collect();
-    let warm_stage = StageExecutor::new(0);
-    let _ = warm_stage.map(&items, |_, &v| v);
-    let spawned = rayon::pool_thread_spawn_count();
-    assert!(
-        spawned <= rayon::current_num_threads(),
-        "pool spawns at most one worker per hardware thread"
-    );
-    let mut buffer = Vec::new();
-    for round in 0..50 {
-        for jobs in [2usize, 7, 0] {
-            let stage = StageExecutor::new(jobs);
-            let _ = stage.map(&items, |i, &v| v + i as u64 + round);
-            let _ = stage.map_indices(items.len(), |i| i * 2);
-            stage.map_into(&items, &mut buffer, |_, &v| v);
-            let _ = stage.sum_by(&items, |_, &v| v as usize);
+fn lowest_chunk_panic_wins_in_one_stage() {
+    // Two chunks of one stage map panic with different messages. The lower
+    // chunk waits until the higher one is unwinding before it panics, so the
+    // re-thrown payload is chosen by chunk index, not by completion order.
+    // Item 600 sits in the calling thread's chunk at jobs 2 and in a spawned
+    // thread's chunk at jobs 8.
+    let items: Vec<u64> = (0..4_096).collect();
+    let last = items.len() - 1;
+    for jobs in [2usize, 8] {
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            StageExecutor::new(jobs).map(&items, |i, &v| {
+                if i == 600 {
+                    let unwinding = rx.lock().expect("receiver").recv_timeout(WAIT);
+                    assert!(unwinding.is_ok(), "the high chunk never panicked");
+                    panic!("low chunk panic at {i}");
+                }
+                if i == last {
+                    let _signal = SignalOnDrop(tx.clone());
+                    panic!("high chunk panic at {i}");
+                }
+                v
+            })
+        }));
+        let payload = caught.expect_err("stage panic must reach the caller");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "low chunk panic at 600",
+            "jobs = {jobs}"
+        );
+    }
+}
+
+#[test]
+fn instance_panic_keeps_its_payload() {
+    // A panicking instance surfaces its own message, never a generic
+    // "a scoped thread panicked" from the fan-out machinery. Instances 0 and
+    // 1 meet at a barrier, so they run on two different threads, and each
+    // takes a turn as the panicking one: one of the two runs is a spawned
+    // thread's panic.
+    let config = ClusterConfig::new(2, 64);
+    for jobs in [2usize, 4] {
+        for bad in [0usize, 1] {
+            let barrier = Barrier::new(2);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut group = InstanceGroup::<SequentialBackend>::uniform(config, 6, jobs);
+                group.run_all(|i, _| {
+                    if i < 2 {
+                        barrier.wait();
+                    }
+                    if i == bad {
+                        panic!("instance {i} panicked");
+                    }
+                    Ok::<usize, MpcError>(i)
+                })
+            }));
+            let payload = caught.expect_err("instance panic must reach the caller");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                format!("instance {bad} panicked"),
+                "jobs = {jobs}"
+            );
         }
     }
-    assert_eq!(
-        rayon::pool_thread_spawn_count(),
-        spawned,
-        "steady-state stage loops must not spawn OS threads"
-    );
 }
