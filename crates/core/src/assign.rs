@@ -105,10 +105,10 @@ pub fn partial_layer_assignment<B: ExecutionBackend>(
 
 /// [`partial_layer_assignment`] with the per-vertex passes — Algorithm 2's
 /// steps, Algorithm 3's per-tree peeling, and the proposal collection —
-/// running as data-parallel [`StageExecutor`] stages. The per-tree proposals
-/// are computed in parallel over the exponentiated trees and flattened in
-/// vertex order before the min-combine charges the backend, so layerings and
-/// metrics are bit-identical at any thread count.
+/// running as data-parallel [`StageExecutor`] stages. The proposals are
+/// peeled in parallel over the exponentiated trees into flat per-chunk
+/// buffers, concatenated in vertex order before the min-combine charges the
+/// backend, so layerings and metrics are bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -125,15 +125,10 @@ pub fn partial_layer_assignment_staged<B: ExecutionBackend>(
     let n = graph.num_vertices();
     let exponentiation = exponentiate_and_prune_staged(graph, budget, k, steps, cluster, stage)?;
     let a = (steps as usize + 1) * k;
-    // Algorithm 3 peel over all trees (one stage) yielding each tree's
-    // finite-layer proposals directly, then flatten in vertex order into one
-    // exactly-sized buffer — the per-node layer vectors are never
-    // materialized outside the workers' scratch.
-    let per_tree = tree_layer_proposals(graph, &exponentiation.trees, a, layers, stage);
-    let mut proposals: Vec<(u64, u32)> = Vec::with_capacity(per_tree.iter().map(Vec::len).sum());
-    for tree_proposals in per_tree {
-        proposals.extend(tree_proposals);
-    }
+    // Algorithm 3 peel over all trees (one stage) yielding the finite-layer
+    // proposals in vertex order, one flat buffer per chunk — the per-node
+    // layer vectors are never materialized outside the chunks' scratch.
+    let proposals = tree_layer_proposals(graph, &exponentiation.trees, a, layers, stage);
     let layering = combine_tree_layers(n, proposals, cluster)?;
     Ok(PartialAssignmentResult {
         layering,

@@ -11,7 +11,8 @@
 //! arena: the per-round "selected" set is never collected (round `j` marks
 //! into the output, then compacts the survivor list in place), so peeling a
 //! tree allocates nothing beyond its output. Batch stages hand one scratch
-//! to each worker via [`StageExecutor::map_with`].
+//! to each worker via [`StageExecutor::map_with`], or to each chunk of
+//! [`StageExecutor::map_chunks`] when the chunk peels into one flat buffer.
 
 use crate::stage::StageExecutor;
 use crate::vtree::ViewTree;
@@ -177,36 +178,43 @@ pub fn partial_layer_assignment_trees(
     })
 }
 
-/// Peels every tree and returns, per tree, the Algorithm 4 layer proposals
-/// `(image vertex, layer)` for its finite-layer nodes in node order —
-/// exactly the records the min-combine aggregates, without materializing the
-/// per-node layer vectors. The per-node layers live only in each worker's
-/// scratch.
+/// Peels every tree and returns the Algorithm 4 layer proposals
+/// `(image vertex, layer)` for the finite-layer nodes of every tree, in tree
+/// order and node order within a tree — exactly the records the min-combine
+/// aggregates. The per-node layer vectors live only in each chunk's scratch,
+/// and each chunk peels into one flat buffer, not one per tree.
 pub(crate) fn tree_layer_proposals(
     graph: &Graph,
     trees: &[ViewTree],
     a: usize,
     layers: u32,
     stage: &StageExecutor,
-) -> Vec<Vec<(u64, u32)>> {
-    stage.map_with(
+) -> Vec<(u64, u32)> {
+    stage.map_chunks(
         trees,
-        || (PeelScratch::new(), Vec::new()),
-        |(scratch, layer), _, tree| {
-            scratch.peel_into(graph, tree, a, layers, layer);
-            // Compact the finite-layer records with a predicated write index:
-            // every node stores a candidate record, only assigned ones
-            // advance the cursor (and survive the truncate) — same node
-            // order, no per-node push branch.
-            let vertex = tree.vertex_col();
-            let mut proposals = vec![(0u64, 0u32); tree.len()];
-            let mut w = 0usize;
-            for (&img, &l) in vertex.iter().zip(layer.iter()) {
-                proposals[w] = (img as u64, l);
-                w += (l != UNASSIGNED) as usize;
+        |_, chunk| {
+            let mut scratch = PeelScratch::new();
+            let mut layer = Vec::new();
+            let mut proposals = Vec::new();
+            for tree in chunk {
+                scratch.peel_into(graph, tree, a, layers, &mut layer);
+                // Compact the finite-layer records with a predicated write
+                // index: every node stores a candidate record, only assigned
+                // ones advance the cursor (and survive the truncate) — same
+                // node order, no per-node push branch.
+                let mut w = proposals.len();
+                proposals.resize(w + tree.len(), (0u64, 0u32));
+                for (&img, &l) in tree.vertex_col().iter().zip(layer.iter()) {
+                    proposals[w] = (img as u64, l);
+                    w += (l != UNASSIGNED) as usize;
+                }
+                proposals.truncate(w);
             }
-            proposals.truncate(w);
             proposals
+        },
+        |mut earlier, later| {
+            earlier.extend(later);
+            earlier
         },
     )
 }
@@ -337,19 +345,21 @@ mod tests {
 
     #[test]
     fn proposals_match_per_node_layers() {
-        let g = gnm(90, 360, 8);
+        // Above the stage engine's inline floor (1,024 trees), so jobs > 1
+        // peels in several chunks whose flat buffers must concatenate in
+        // tree order.
+        let g = gnm(1500, 6000, 8);
         let mut cluster = Cluster::new(ClusterConfig::new(2048, 8192));
         let r = exponentiate_and_prune(&g, 144, 2, 3, &mut cluster).unwrap();
         let (a, layers) = (8usize, 4u32);
         let stage = StageExecutor::sequential();
         let per_node = partial_layer_assignment_trees(&g, &r.trees, a, layers, &stage);
-        let mut expected: Vec<Vec<(u64, u32)>> = Vec::new();
+        let mut expected: Vec<(u64, u32)> = Vec::new();
         for (tree, node_layers) in r.trees.iter().zip(&per_node) {
-            expected.push(
+            expected.extend(
                 tree.node_ids()
                     .filter(|&x| node_layers[x as usize] != UNASSIGNED)
-                    .map(|x| (tree.vertex(x) as u64, node_layers[x as usize]))
-                    .collect(),
+                    .map(|x| (tree.vertex(x) as u64, node_layers[x as usize])),
             );
         }
         for jobs in [1usize, 2, 8, 0] {

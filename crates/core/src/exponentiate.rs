@@ -24,8 +24,11 @@
 //! in by index). The double buffer is also what makes providers borrowable at
 //! all: consumers never mutate the snapshot, so no provider tree is ever
 //! cloned — each consumer splices the borrowed providers into one
-//! exactly-sized destination arena ([`ViewTree::attached_with`]): six column
-//! allocations per consumer, zero per spliced node.
+//! exactly-sized destination block ([`ViewTree::attached_with`]): one heap
+//! allocation per consumer, none per spliced node. The attachment plan that
+//! drives it is flat too ([`AttachPlan`]): one request list and one leaf
+//! list per stage chunk, concatenated in vertex order, not two buffers per
+//! requesting vertex.
 
 use crate::error::Result;
 use crate::prune::local_prune_batch;
@@ -151,30 +154,32 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
 
         // ---- Exponentiation / attachment step. ----
         let frontier_depth = 1u32 << (i - 1);
-        // Collect requests per vertex — (consumer v, provider u) for every
-        // qualifying leaf — as a stage over the pruned snapshot, then flatten
-        // in vertex order (the exact order the sequential loop produced).
-        type VertexPlan = (Vec<(u64, u64)>, Vec<NodeId>);
-        let plans: Vec<VertexPlan> = stage.map(&trees, |v, tree| {
-            let mut requests = Vec::new();
-            let mut leaves = Vec::new();
-            if active[v] {
-                for leaf in tree.leaves_at_depth(frontier_depth) {
-                    let u = tree.vertex(leaf);
-                    if active[u] {
-                        requests.push((v as u64, u as u64));
-                        leaves.push(leaf);
+        // Collect the plan — (consumer v, provider u) for every qualifying
+        // leaf — as a stage over the pruned snapshot, one flat plan per
+        // chunk, concatenated in vertex order (the exact order the
+        // sequential loop produces).
+        let plan = stage.map_chunks(
+            &trees,
+            |offset, chunk| {
+                let mut plan = AttachPlan::default();
+                plan.ends.reserve(chunk.len());
+                for (v, tree) in (offset..).zip(chunk) {
+                    if active[v] {
+                        for leaf in tree.leaves_at_depth(frontier_depth) {
+                            let u = tree.vertex(leaf);
+                            if active[u] {
+                                plan.requests.push((v as u64, u as u64));
+                                plan.leaves.push(leaf);
+                            }
+                        }
                     }
+                    plan.ends.push(plan.leaves.len());
                 }
-            }
-            (requests, leaves)
-        });
-        let mut requests: Vec<(u64, u64)> = Vec::new();
-        let mut leaf_plan: Vec<Vec<NodeId>> = Vec::with_capacity(n);
-        for (vertex_requests, leaves) in plans {
-            requests.extend(vertex_requests);
-            leaf_plan.push(leaves);
-        }
+                plan
+            },
+            AttachPlan::append,
+        );
+        let requests = &plan.requests;
         // Meter the tree transfer as a Lemma 4.1 gather: a bundle is the
         // provider's tree at its encoded size (`ViewTree::wire_words`),
         // computed as a stage over the deduplicated provider ids and looked
@@ -206,7 +211,7 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
                 .metrics_mut()
                 .record_bundle_words(bundle_wire, bundle_flat);
         }
-        gather_bundles(cluster, &requests, |u| Some(wire_words[u as usize]))?;
+        gather_bundles(cluster, requests, |u| Some(wire_words[u as usize]))?;
 
         // Materialize the attachments (inactive vertices keep pruned trees)
         // as a double-buffered stage: every attaching vertex splices its own
@@ -215,11 +220,11 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
         // use this step's pruned versions even when provider == consumer, and
         // the snapshot is exactly that.
         let attached: Vec<Option<ViewTree>> = stage.map(&trees, |v, source| {
-            if leaf_plan[v].is_empty() {
+            let leaves = plan.leaves_of(v);
+            if leaves.is_empty() {
                 return None;
             }
-            let tree =
-                ViewTree::attached_with(source, &leaf_plan[v], |leaf| &trees[source.vertex(leaf)]);
+            let tree = ViewTree::attached_with(source, leaves, |leaf| &trees[source.vertex(leaf)]);
             debug_assert!(
                 tree.len() <= budget,
                 "Claim 3.4 violated: tree of {v} has {} nodes > B = {budget}",
@@ -239,6 +244,36 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
         active,
         steps,
     })
+}
+
+/// One step's attachment plan, flat over all vertices in vertex order:
+/// vertex `v` attaches at `leaves[ends[v − 1]..ends[v]]` (from 0 for
+/// `v = 0`), and `requests` holds the matching `(v, image of the leaf)`
+/// pairs the bundle gather meters.
+#[derive(Debug, Default)]
+struct AttachPlan {
+    requests: Vec<(u64, u64)>,
+    leaves: Vec<NodeId>,
+    ends: Vec<usize>,
+}
+
+impl AttachPlan {
+    /// The frontier leaves vertex `v` attaches at.
+    fn leaves_of(&self, v: usize) -> &[NodeId] {
+        let start = if v == 0 { 0 } else { self.ends[v - 1] };
+        &self.leaves[start..self.ends[v]]
+    }
+
+    /// `self` followed by `later`, the plan of the next vertices (the chunk
+    /// combine of [`StageExecutor::map_chunks`]): `later`'s offsets rebase
+    /// past `self`'s leaves.
+    fn append(mut self, later: AttachPlan) -> AttachPlan {
+        let base = self.leaves.len();
+        self.requests.extend(later.requests);
+        self.leaves.extend(later.leaves);
+        self.ends.extend(later.ends.iter().map(|&end| base + end));
+        self
+    }
 }
 
 /// Residency checkpoint: trees are balanced over machines (one tree is never

@@ -172,8 +172,10 @@ pub fn local_prune_batch(
     })
 }
 
-/// Size the pruned tree would have, without materializing it. Used by the
-/// exponentiation driver's budget check.
+/// Size the pruned tree would have, without materializing it: the sizing pass
+/// of [`local_prune`] alone. No driver calls it — [`local_prune_batch`] reads
+/// the size off its own plan — so it serves callers that only need the
+/// count, such as tests checking [`local_prune`]'s output size.
 pub fn pruned_size(tree: &ViewTree, k: usize) -> u64 {
     assert!(k >= 1, "pruning parameter k must be at least 1");
     PruneScratch::new().plan(tree, k)

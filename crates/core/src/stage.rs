@@ -19,7 +19,10 @@
 //!   the sequential loop would have produced;
 //! * metering totals (communication words, loads) are computed as a
 //!   **deterministic parallel reduction** ([`StageExecutor::sum_by`]) and
-//!   charged once on the backend by the caller.
+//!   charged once on the backend by the caller;
+//! * outputs of varying length per vertex (attachment plans, Algorithm 3
+//!   proposals) go into **one flat buffer per chunk**, concatenated in chunk
+//!   order ([`StageExecutor::map_chunks`]), not one heap buffer per vertex.
 //!
 //! Chunk boundaries depend only on `(len, threads)` and per-chunk results are
 //! combined in index order, so stage outputs — and therefore trees, layers,
@@ -159,19 +162,39 @@ impl StageExecutor {
         T: Sync,
         F: Fn(usize, &T) -> usize + Sync,
     {
-        rayon::chunk_map_reduce(
+        self.map_chunks(
             items,
-            self.threads_for(items.len()),
             |offset, chunk| {
                 chunk
                     .iter()
                     .enumerate()
                     .map(|(i, item)| f(offset + i, item))
-                    .sum::<usize>()
+                    .sum()
             },
             |a, b| a + b,
         )
-        .unwrap_or(0)
+    }
+
+    /// Maps `f(offset, chunk)` over the contiguous chunks a stage splits
+    /// `items` into (`offset` is the index of the chunk's first item) and
+    /// folds the per-chunk results left to right with `combine`; an empty
+    /// `items` is one empty chunk, `f(0, &[])`.
+    ///
+    /// This is the stage form for per-item outputs of varying length: each
+    /// chunk appends its items' outputs to one flat buffer instead of
+    /// allocating a buffer per item, and `combine` concatenates the buffers
+    /// in chunk order. Whenever `combine(f(0, a), f(a.len(), b))` equals
+    /// `f(0, ab)` for adjacent chunks `a` and `b` (concatenation, exact
+    /// sums), the result is the inline one at any thread count.
+    pub fn map_chunks<T, R, F, C>(&self, items: &[T], f: F, combine: C) -> R
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &[T]) -> R + Sync,
+        C: Fn(R, R) -> R,
+    {
+        rayon::chunk_map_reduce(items, self.threads_for(items.len()), &f, combine)
+            .unwrap_or_else(|| f(0, items))
     }
 }
 
@@ -252,6 +275,42 @@ mod tests {
             assert_eq!(stage.sum_by(&items, |_, &v| 2 * v + 1), expected);
         }
         assert_eq!(StageExecutor::new(4).sum_by(&[] as &[usize], |_, &v| v), 0);
+    }
+
+    #[test]
+    fn map_chunks_concatenates_flat_outputs_at_any_thread_count() {
+        // Item i emits i % 4 copies of itself; per-item end offsets rebase
+        // when chunks concatenate. Above the inline floor, so jobs > 1 fans
+        // out.
+        let items: Vec<u32> = (0..5_000).collect();
+        let flat = |offset: usize, chunk: &[u32]| {
+            let mut out = (Vec::new(), Vec::new());
+            for (i, &v) in chunk.iter().enumerate() {
+                out.0.extend(std::iter::repeat_n(v, (offset + i) % 4));
+                out.1.push(out.0.len());
+            }
+            out
+        };
+        let concat = |mut a: (Vec<u32>, Vec<usize>), b: (Vec<u32>, Vec<usize>)| {
+            let base = a.0.len();
+            a.0.extend(b.0);
+            a.1.extend(b.1.iter().map(|&end| base + end));
+            a
+        };
+        let reference = flat(0, &items);
+        for jobs in [1usize, 2, 3, 8, 0] {
+            let stage = StageExecutor::new(jobs);
+            assert_eq!(
+                stage.map_chunks(&items, flat, concat),
+                reference,
+                "jobs = {jobs}"
+            );
+        }
+        // Items 0..=5 emit 0, 1, 2, 3, 0 and 1 copies.
+        assert_eq!(reference.1[5], 7);
+        // An empty input is one empty chunk.
+        let empty = StageExecutor::new(4).map_chunks(&[] as &[u32], flat, concat);
+        assert_eq!(empty, (Vec::new(), Vec::new()));
     }
 
     #[test]

@@ -11,34 +11,38 @@
 //!
 //! # Arena layout
 //!
-//! The tree is a flat struct-of-arrays arena: `vertex`, `parent`, and `depth`
-//! are parallel `u32` columns indexed by [`NodeId`], and the children of every
-//! node are one contiguous run in a shared `pool`, addressed CSR-style by
-//! `(child_start, child_len)`. There is no per-node heap allocation — a tree
-//! is exactly six `Vec`s, so cloning is six `memcpy`s and the wire content
-//! is just the `vertex` and `parent` columns (depths and children runs are
-//! reconstructible from parents in arena order). On the wire those two
-//! columns ship delta/varint-compressed by [`crate::wire`] — the topological
-//! order makes `parent` near-sorted, so the encoded stream is far smaller
-//! than the flat two words per node.
+//! The tree is a flat struct-of-arrays arena in **one exactly-sized heap
+//! block** of `u32`s: five node columns indexed by [`NodeId`] — `vertex`,
+//! `parent`, `depth`, `child_start`, `child_len`, each `len` long — followed
+//! by the `len − 1` slots of the children `pool`. The children of every node
+//! are one contiguous run of the pool, addressed CSR-style by
+//! `(child_start, child_len)`. Every constructor knows its final node count
+//! before it writes a node, so a tree costs one heap allocation whatever its
+//! size, cloning is one `memcpy`, and [`ViewTree::arena_bytes`] is exactly
+//! `4·(6·len − 1)` bytes. The wire content is just the `vertex` and `parent`
+//! columns (depths and children runs are reconstructible from parents in
+//! arena order); on the wire those two columns ship delta/varint-compressed
+//! by [`crate::wire`] — the topological order makes `parent` near-sorted, so
+//! the encoded stream is far smaller than the flat two words per node.
 //!
 //! Invariants maintained by every constructor ([`ViewTree::star`],
-//! [`ViewTree::attach`], and the pruning projection):
+//! [`ViewTree::attached_with`] and [`ViewTree::attach`], the pruning
+//! projection, and the wire decoder):
 //!
 //! * **Topological node order**: a parent's id is smaller than all of its
 //!   children's ids, so reverse index scans are bottom-up traversals
 //!   ([`ViewTree::subtree_sizes`]) and forward scans are top-down.
 //! * **Contiguous sibling blocks**: the children of a node occupy one
-//!   contiguous id range *and* one contiguous pool run, appended in
+//!   contiguous id range *and* one contiguous pool run, laid out in
 //!   construction order. Linear scans over the arena therefore visit whole
 //!   sibling groups in cache order — no pointer chasing.
-//! * **Live pool**: pool runs are written once per node and never shrunk in
-//!   place; `pool.len()` equals the total child count (`len() - 1` plus
-//!   nothing, since every non-root node is exactly one parent's child).
+//! * **Live pool**: every pool slot belongs to exactly one node's run; the
+//!   pool holds exactly the `len − 1` non-root nodes, once each.
 //!
-//! Mutating operations only ever append (splicing replaces a leaf's *empty*
-//! run with a fresh run at the pool tail), which is what keeps the hot
-//! attach/prune/peel loops allocation-free apart from O(1) buffer growth.
+//! Attachment never grows a block in place: it sizes the result first and
+//! builds it into a fresh block (an attachment target is a leaf, whose run
+//! is empty, so the source's runs copy over unchanged and the spliced runs
+//! fill the pool tail).
 
 use dgo_graph::Graph;
 
@@ -47,6 +51,22 @@ pub type NodeId = u32;
 
 /// Sentinel parent for the root.
 const NO_PARENT: u32 = u32::MAX;
+
+/// Block position of each node column (in units of `len`); the pool follows
+/// the last one.
+const VERTEX: usize = 0;
+const PARENT: usize = 1;
+const DEPTH: usize = 2;
+const CHILD_START: usize = 3;
+const CHILD_LEN: usize = 4;
+/// Number of node columns before the pool.
+const NODE_COLUMNS: usize = 5;
+
+/// Block length of a tree with `len ≥ 1` nodes: five node columns plus the
+/// `len − 1` pool slots.
+fn block_len(len: usize) -> usize {
+    (NODE_COLUMNS + 1) * len - 1
+}
 
 /// A rooted tree with a valid mapping into a graph (Definition 2.3).
 ///
@@ -69,20 +89,23 @@ const NO_PARENT: u32 = u32::MAX;
 /// t.assert_valid(&g);
 /// # Ok::<(), dgo_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, Eq)]
+#[derive(Clone, Eq)]
 pub struct ViewTree {
-    /// Image of each node under the valid mapping (a graph vertex).
-    vertex: Vec<u32>,
-    /// Parent node id (`NO_PARENT` for the root).
-    parent: Vec<u32>,
-    /// Depth of each node (root is 0).
-    depth: Vec<u32>,
-    /// First pool index of each node's children run.
-    child_start: Vec<u32>,
-    /// Length of each node's children run.
-    child_len: Vec<u32>,
-    /// Concatenated children runs (node ids).
-    pool: Vec<u32>,
+    /// `vertex | parent | depth | child_start | child_len | pool`: the five
+    /// node columns, `len` entries each (`parent` is `NO_PARENT` at the
+    /// root), then the `len − 1` pool slots holding the concatenated
+    /// children runs. Its length is always `6·len − 1`.
+    block: Box<[u32]>,
+}
+
+/// Mutable views of a block's six columns, for the constructors.
+struct Columns<'a> {
+    vertex: &'a mut [u32],
+    parent: &'a mut [u32],
+    depth: &'a mut [u32],
+    child_start: &'a mut [u32],
+    child_len: &'a mut [u32],
+    pool: &'a mut [u32],
 }
 
 /// Trees compare by logical structure — per-node images, parents, depths, and
@@ -90,13 +113,27 @@ pub struct ViewTree {
 /// equal trees built through different operation sequences compare equal.
 impl PartialEq for ViewTree {
     fn eq(&self, other: &Self) -> bool {
-        self.vertex == other.vertex
-            && self.parent == other.parent
-            && self.depth == other.depth
-            && self.child_len == other.child_len
+        let n = self.len();
+        // vertex | parent | depth are the block's first three columns.
+        n == other.len()
+            && self.block[..CHILD_START * n] == other.block[..CHILD_START * n]
+            && self.column(CHILD_LEN) == other.column(CHILD_LEN)
             && self
                 .node_ids()
                 .all(|x| self.children(x) == other.children(x))
+    }
+}
+
+impl std::fmt::Debug for ViewTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ViewTree")
+            .field("vertex", &self.column(VERTEX))
+            .field("parent", &self.column(PARENT))
+            .field("depth", &self.column(DEPTH))
+            .field("child_start", &self.column(CHILD_START))
+            .field("child_len", &self.column(CHILD_LEN))
+            .field("pool", &self.pool())
+            .finish()
     }
 }
 
@@ -104,45 +141,50 @@ impl ViewTree {
     /// The root's node id.
     pub const ROOT: NodeId = 0;
 
-    /// An empty arena with capacity for `nodes` nodes and `pool` child slots:
-    /// exactly six heap allocations, regardless of the tree size.
-    pub(crate) fn with_capacity(nodes: usize, pool: usize) -> Self {
+    /// A zero-filled tree of `len ≥ 1` nodes: the one heap allocation every
+    /// constructor makes, sized before any node is written.
+    fn zeroed(len: usize) -> Self {
+        debug_assert!(len >= 1, "a tree always has its root");
         ViewTree {
-            vertex: Vec::with_capacity(nodes),
-            parent: Vec::with_capacity(nodes),
-            depth: Vec::with_capacity(nodes),
-            child_start: Vec::with_capacity(nodes),
-            child_len: Vec::with_capacity(nodes),
-            pool: Vec::with_capacity(pool),
+            block: vec![0; block_len(len)].into_boxed_slice(),
         }
     }
 
-    /// Appends a childless node, returning its id. The children run can be
-    /// claimed later with [`ViewTree::set_run`]; until then the node is a
-    /// leaf with an empty run at the current pool tail.
-    fn push_node(&mut self, vertex: u32, parent: u32, depth: u32) -> NodeId {
-        let id = self.vertex.len() as u32;
-        self.vertex.push(vertex);
-        self.parent.push(parent);
-        self.depth.push(depth);
-        self.child_start.push(self.pool.len() as u32);
-        self.child_len.push(0);
-        id
+    /// Node column `c` (one of the column constants), `len` entries.
+    fn column(&self, c: usize) -> &[u32] {
+        let n = self.len();
+        &self.block[c * n..(c + 1) * n]
     }
 
-    /// Points node `x`'s children run at the pool tail, ready for `len`
-    /// subsequent `pool` pushes. Only valid while `x`'s run is empty (leaves
-    /// never shrink, so no pool slot ever goes dead).
-    fn set_run(&mut self, x: NodeId, len: u32) {
-        debug_assert_eq!(self.child_len[x as usize], 0, "run of {x} already set");
-        self.child_start[x as usize] = self.pool.len() as u32;
-        self.child_len[x as usize] = len;
+    /// The children pool: the `len − 1` slots after the node columns.
+    fn pool(&self) -> &[u32] {
+        &self.block[NODE_COLUMNS * self.len()..]
+    }
+
+    /// All six columns, mutably.
+    fn columns_mut(&mut self) -> Columns<'_> {
+        let n = self.len();
+        let (vertex, rest) = self.block.split_at_mut(n);
+        let (parent, rest) = rest.split_at_mut(n);
+        let (depth, rest) = rest.split_at_mut(n);
+        let (child_start, rest) = rest.split_at_mut(n);
+        let (child_len, pool) = rest.split_at_mut(n);
+        Columns {
+            vertex,
+            parent,
+            depth,
+            child_start,
+            child_len,
+            pool,
+        }
     }
 
     /// Single-node tree mapping the root to `vertex`.
     pub fn singleton(vertex: usize) -> Self {
-        let mut t = ViewTree::with_capacity(1, 0);
-        t.push_node(vertex as u32, NO_PARENT, 0);
+        let mut t = ViewTree::zeroed(1);
+        let c = t.columns_mut();
+        c.vertex[0] = vertex as u32;
+        c.parent[0] = NO_PARENT;
         t
     }
 
@@ -151,35 +193,34 @@ impl ViewTree {
     /// caller's adjacency slice — no intermediate buffers.
     pub fn star(vertex: usize, neighbors: &[u32]) -> Self {
         let deg = neighbors.len();
-        let mut t = ViewTree::with_capacity(deg + 1, deg);
-        t.vertex.push(vertex as u32);
-        t.vertex.extend_from_slice(neighbors);
-        t.parent.push(NO_PARENT);
-        t.parent.resize(deg + 1, 0);
-        t.depth.push(0);
-        t.depth.resize(deg + 1, 1);
-        t.pool.extend(1..=deg as u32);
-        t.child_start.push(0);
-        t.child_len.push(deg as u32);
+        let mut t = ViewTree::zeroed(deg + 1);
+        let c = t.columns_mut();
+        c.vertex[0] = vertex as u32;
+        c.vertex[1..].copy_from_slice(neighbors);
+        c.parent[0] = NO_PARENT; // the leaves' parent, 0, is the zero fill
+        c.depth[1..].fill(1);
+        c.child_len[0] = deg as u32;
         // Leaves: empty runs at the pool tail.
-        t.child_start.resize(deg + 1, deg as u32);
-        t.child_len.resize(deg + 1, 0);
+        c.child_start[1..].fill(deg as u32);
+        for (slot, id) in c.pool.iter_mut().zip(1..) {
+            *slot = id;
+        }
         t
     }
 
     /// Number of tree nodes.
     pub fn len(&self) -> usize {
-        self.vertex.len()
+        (self.block.len() + 1) / (NODE_COLUMNS + 1)
     }
 
     /// Whether the tree is empty (never true: a tree always has its root).
     pub fn is_empty(&self) -> bool {
-        self.vertex.is_empty()
+        self.len() == 0
     }
 
     /// Graph vertex the root maps to.
     pub fn root_vertex(&self) -> usize {
-        self.vertex[0] as usize
+        self.block[0] as usize
     }
 
     /// Graph vertex that node `x` maps to (the valid mapping).
@@ -188,35 +229,35 @@ impl ViewTree {
     ///
     /// Panics if `x` is out of range.
     pub fn vertex(&self, x: NodeId) -> usize {
-        self.vertex[x as usize] as usize
+        self.column(VERTEX)[x as usize] as usize
     }
 
     /// Children of node `x`: one contiguous run of the shared pool.
     pub fn children(&self, x: NodeId) -> &[u32] {
-        let start = self.child_start[x as usize] as usize;
-        &self.pool[start..start + self.child_len[x as usize] as usize]
+        let start = self.column(CHILD_START)[x as usize] as usize;
+        &self.pool()[start..start + self.num_children(x)]
     }
 
     /// Number of children of node `x`, without touching the pool.
     pub fn num_children(&self, x: NodeId) -> usize {
-        self.child_len[x as usize] as usize
+        self.column(CHILD_LEN)[x as usize] as usize
     }
 
     /// Parent of node `x`, or `None` for the root.
     pub fn parent(&self, x: NodeId) -> Option<NodeId> {
-        let p = self.parent[x as usize];
+        let p = self.column(PARENT)[x as usize];
         (p != NO_PARENT).then_some(p)
     }
 
     /// Depth of node `x` (root has depth 0).
     pub fn depth(&self, x: NodeId) -> u32 {
-        self.depth[x as usize]
+        self.column(DEPTH)[x as usize]
     }
 
     /// Ids of all nodes, root first, in topological (parents-first) order —
     /// the arena order all constructors maintain.
     pub fn node_ids(&self) -> std::ops::Range<NodeId> {
-        0..self.vertex.len() as u32
+        0..self.len() as u32
     }
 
     /// Leaves (childless nodes) whose depth is exactly `d`, in id order, as a
@@ -224,9 +265,9 @@ impl ViewTree {
     /// allocation. Collect into a reusable buffer when a materialized list is
     /// needed.
     pub fn leaves_at_depth(&self, d: u32) -> impl Iterator<Item = NodeId> + '_ {
-        self.depth
+        self.column(DEPTH)
             .iter()
-            .zip(&self.child_len)
+            .zip(self.column(CHILD_LEN))
             .enumerate()
             .filter(move |&(_, (&depth, &nc))| depth == d && nc == 0)
             .map(|(x, _)| x as u32)
@@ -240,7 +281,7 @@ impl ViewTree {
     ///
     /// Panics if `x` or its image is out of range for `graph`.
     pub fn missing_count(&self, x: NodeId, graph: &Graph) -> usize {
-        graph.degree(self.vertex[x as usize] as usize) - self.num_children(x)
+        graph.degree(self.vertex(x)) - self.num_children(x)
     }
 
     /// Sizes of all subtrees: `sizes[x]` = number of nodes in the subtree
@@ -262,21 +303,25 @@ impl ViewTree {
     /// arena (topological) order. Crate-internal raw view for the wire codec
     /// and the branch-light stage kernels.
     pub(crate) fn vertex_col(&self) -> &[u32] {
-        &self.vertex
+        self.column(VERTEX)
     }
 
     /// The `parent` column in arena order (`NO_PARENT` at index 0).
     /// Topological order makes every entry past the root smaller than its
     /// index — the near-sorted shape the delta codec exploits.
     pub(crate) fn parent_col(&self) -> &[u32] {
-        &self.parent
+        self.column(PARENT)
     }
 
     /// The CSR children structure `(child_start, child_len, pool)` as raw
     /// columns, for kernels that scan whole sibling groups without the
     /// per-node [`ViewTree::children`] slice construction.
     pub(crate) fn child_cols(&self) -> (&[u32], &[u32], &[u32]) {
-        (&self.child_start, &self.child_len, &self.pool)
+        (
+            self.column(CHILD_START),
+            self.column(CHILD_LEN),
+            self.pool(),
+        )
     }
 
     /// Rebuilds a full arena from the two wire columns. `parent[0]` must be
@@ -287,40 +332,36 @@ impl ViewTree {
     /// exactly the run content every constructor produces (sibling blocks are
     /// contiguous ascending id ranges), so the result compares equal to the
     /// originally encoded tree.
-    pub(crate) fn from_wire_columns(vertex: Vec<u32>, parent: Vec<u32>) -> ViewTree {
+    pub(crate) fn from_wire_columns(vertex: &[u32], parent: &[u32]) -> ViewTree {
         let n = vertex.len();
-        debug_assert!(n >= 1, "a tree always has its root");
         debug_assert_eq!(parent.len(), n);
         debug_assert_eq!(parent[0], NO_PARENT);
-        let mut depth = vec![0u32; n];
-        let mut child_len = vec![0u32; n];
-        for i in 1..n {
-            let p = parent[i] as usize;
-            debug_assert!(p < i, "topological order violated at node {i}");
-            depth[i] = depth[p] + 1;
-            child_len[p] += 1;
-        }
-        let mut child_start = vec![0u32; n];
-        let mut acc = 0u32;
-        for x in 0..n {
-            child_start[x] = acc;
-            acc += child_len[x];
-        }
-        let mut pool = vec![0u32; n - 1];
-        let mut cursor = child_start.clone();
+        let mut t = ViewTree::zeroed(n);
+        let c = t.columns_mut();
+        c.vertex.copy_from_slice(vertex);
+        c.parent.copy_from_slice(parent);
         for (i, &p) in parent.iter().enumerate().skip(1) {
             let p = p as usize;
-            pool[cursor[p] as usize] = i as u32;
-            cursor[p] += 1;
+            debug_assert!(p < i, "topological order violated at node {i}");
+            c.depth[i] = c.depth[p] + 1;
+            c.child_len[p] += 1;
         }
-        ViewTree {
-            vertex,
-            parent,
-            depth,
-            child_start,
-            child_len,
-            pool,
+        let mut acc = 0u32;
+        for (start, &len) in c.child_start.iter_mut().zip(c.child_len.iter()) {
+            *start = acc;
+            acc += len;
         }
+        // Fill the runs with `child_start` as the write cursor, then step
+        // every cursor back over its run.
+        for (i, &p) in parent.iter().enumerate().skip(1) {
+            let cursor = &mut c.child_start[p as usize];
+            c.pool[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        for (start, &len) in c.child_start.iter_mut().zip(c.child_len.iter()) {
+            *start -= len;
+        }
+        t
     }
 
     /// Words this tree costs on the wire under the *flat* model: two per node
@@ -341,48 +382,36 @@ impl ViewTree {
         crate::wire::encoded_words(self)
     }
 
-    /// Resident heap bytes of the arena (by length, not capacity, so the
-    /// figure is deterministic across allocator behavior): five `u32` columns
-    /// per node plus one `u32` pool slot per child.
+    /// Resident heap bytes of the arena (by length, so the figure is
+    /// deterministic across allocator behavior): five `u32` columns per node
+    /// plus one `u32` pool slot per child — the whole block, `20·len +
+    /// 4·(len − 1)`.
     pub fn arena_bytes(&self) -> usize {
-        5 * std::mem::size_of::<u32>() * self.len() + std::mem::size_of::<u32>() * self.pool.len()
+        std::mem::size_of::<u32>() * self.block.len()
     }
 
     /// Attaches pruned subtrees at the given leaves (Definition 2.5): each
     /// `leaf` is *replaced* by a fresh copy of the corresponding tree, whose
     /// root must map to the same graph vertex as the leaf did.
     ///
-    /// The arena grows by exactly the spliced node and child counts in one
-    /// reservation — O(1) heap allocations per call, never per node.
+    /// The tree is rebuilt into one exactly-sized block, splicing in the
+    /// order of `replacements` — one heap allocation per call, never per
+    /// node.
     ///
     /// # Panics
     ///
     /// Panics (debug) if a designated node is not a leaf or maps to a
     /// different vertex than the replacement's root.
     pub fn attach(&mut self, replacements: &[(NodeId, &ViewTree)]) {
-        let mut extra_nodes = 0usize;
-        let mut extra_pool = 0usize;
-        for &(_, subtree) in replacements {
-            extra_nodes += subtree.len() - 1;
-            extra_pool += subtree.pool.len();
-        }
-        self.vertex.reserve(extra_nodes);
-        self.parent.reserve(extra_nodes);
-        self.depth.reserve(extra_nodes);
-        self.child_start.reserve(extra_nodes);
-        self.child_len.reserve(extra_nodes);
-        self.pool.reserve(extra_pool);
-        for &(leaf, subtree) in replacements {
-            self.splice(leaf, subtree);
-        }
+        *self = ViewTree::attached(self, replacements.iter().copied());
     }
 
     /// Builds `source` with `provider(leaf)`'s tree attached at every node in
-    /// `leaves`, into a single exactly-sized fresh arena: the six columns are
-    /// allocated once, `source` is block-copied, and the providers splice in
-    /// borrowed — the O(1)-allocations form of `clone` + [`ViewTree::attach`]
-    /// the exponentiation hot loop uses (providers live in the read-only
-    /// current buffer of the double-buffered step, so they are never cloned).
+    /// `leaves`, into a single exactly-sized fresh block: `source` is
+    /// block-copied and the providers splice in borrowed — the
+    /// one-allocation form of `clone` + [`ViewTree::attach`] the
+    /// exponentiation hot loop uses (providers live in the read-only current
+    /// buffer of the double-buffered step, so they are never cloned).
     ///
     /// Equivalent to `source.clone()` followed by
     /// `attach(&[(leaf, provider(leaf)), ...])`, including the Def 2.5 debug
@@ -396,74 +425,43 @@ impl ViewTree {
     where
         F: Fn(NodeId) -> &'t ViewTree,
     {
-        let mut nodes = source.len();
-        let mut pool = source.pool.len();
-        for &leaf in leaves {
-            let subtree = provider(leaf);
-            nodes += subtree.len() - 1;
-            pool += subtree.pool.len();
-        }
-        let mut out = ViewTree::with_capacity(nodes, pool);
-        out.vertex.extend_from_slice(&source.vertex);
-        out.parent.extend_from_slice(&source.parent);
-        out.depth.extend_from_slice(&source.depth);
-        out.child_start.extend_from_slice(&source.child_start);
-        out.child_len.extend_from_slice(&source.child_len);
-        out.pool.extend_from_slice(&source.pool);
-        for &leaf in leaves {
-            out.splice(leaf, provider(leaf));
-        }
-        out
+        let provider = &provider;
+        ViewTree::attached(source, leaves.iter().map(|&leaf| (leaf, provider(leaf))))
     }
 
-    /// Splices `subtree` onto `leaf` (which is the copy of the subtree's
-    /// root: same image, same parent edge): appends the subtree's nodes in
-    /// arena order with ids remapped by a fixed offset, then points the leaf
-    /// at the remapped run of the subtree root. Append-only — no per-node
-    /// allocation, no pool slot goes dead (the leaf's run was empty).
-    fn splice(&mut self, leaf: NodeId, subtree: &ViewTree) {
-        debug_assert_eq!(
-            self.child_len[leaf as usize], 0,
-            "attachment target {leaf} is not a leaf"
-        );
-        debug_assert_eq!(
-            self.vertex[leaf as usize], subtree.vertex[0],
-            "replacement root must map to the leaf's vertex (Def 2.5)"
-        );
-        let base = self.vertex.len() as u32;
-        let base_depth = self.depth[leaf as usize];
-        // Subtree ids are topological (parents first) and remap affinely:
-        // subtree node i (i >= 1) becomes arena node `base + i - 1`; the
-        // subtree root is the leaf itself.
-        let remap = |x: u32| if x == 0 { leaf } else { base + x - 1 };
-        self.vertex.extend_from_slice(&subtree.vertex[1..]);
-        for i in 1..subtree.len() {
-            self.parent.push(remap(subtree.parent[i]));
-            self.depth.push(base_depth + subtree.depth[i]);
+    /// The shared body of [`ViewTree::attach`] and
+    /// [`ViewTree::attached_with`]: one sizing pass over `replacements`, one
+    /// block, `source` copied column by column, then every replacement
+    /// spliced in order.
+    fn attached<'t, I>(source: &ViewTree, replacements: I) -> Self
+    where
+        I: Iterator<Item = (NodeId, &'t ViewTree)> + Clone,
+    {
+        let n = source.len();
+        let grown: usize = replacements.clone().map(|(_, t)| t.len() - 1).sum();
+        let mut out = ViewTree::zeroed(n + grown);
+        let mut c = out.columns_mut();
+        for (dst, c_id) in [
+            (&mut *c.vertex, VERTEX),
+            (&mut *c.parent, PARENT),
+            (&mut *c.depth, DEPTH),
+            (&mut *c.child_start, CHILD_START),
+            (&mut *c.child_len, CHILD_LEN),
+        ] {
+            dst[..n].copy_from_slice(source.column(c_id));
         }
-        // Run columns for the new nodes; every entry is assigned below.
-        let grown = self.vertex.len();
-        self.child_start.resize(grown, 0);
-        self.child_len.resize(grown, 0);
-        // Children runs, in subtree node order: the root's run lands on the
-        // leaf, every other node gets a fresh run at the pool tail.
-        self.set_run(leaf, subtree.child_len[0]);
-        for &c in subtree.children(0) {
-            self.pool.push(remap(c));
+        c.pool[..n - 1].copy_from_slice(source.pool());
+        let mut next = n as u32;
+        for (leaf, subtree) in replacements {
+            next = c.splice(next, leaf, subtree);
         }
-        for i in 1..subtree.len() as u32 {
-            let id = remap(i);
-            self.child_start[id as usize] = self.pool.len() as u32;
-            self.child_len[id as usize] = subtree.child_len[i as usize];
-            for &c in subtree.children(i) {
-                self.pool.push(remap(c));
-            }
-        }
+        debug_assert_eq!(next as usize, n + grown, "sizing pass and splices disagree");
+        out
     }
 
     /// Builds the subtree rooted at `keep_root`, retaining only the child
     /// edges in `kept`'s run for every node. Used by the pruning algorithm to
-    /// materialize its result in one pass into an exactly-sized arena
+    /// materialize its result in one pass into an exactly-sized block
     /// (`total` nodes — the pruned size the caller already computed);
     /// `stack` is caller-provided scratch, cleared here.
     pub(crate) fn project_csr(
@@ -473,8 +471,15 @@ impl ViewTree {
         total: usize,
         stack: &mut Vec<(NodeId, NodeId)>,
     ) -> ViewTree {
-        let mut out = ViewTree::with_capacity(total, total.saturating_sub(1));
-        out.push_node(self.vertex[keep_root as usize], NO_PARENT, 0);
+        let vertex = self.vertex_col();
+        let mut out = ViewTree::zeroed(total);
+        let c = out.columns_mut();
+        c.vertex[0] = vertex[keep_root as usize];
+        c.parent[0] = NO_PARENT;
+        // Nodes are numbered in expansion order; each expansion fills the
+        // next ids and the matching pool slots, so the pool tail is always
+        // one behind the node count.
+        let mut next = 1u32;
         stack.clear();
         stack.push((keep_root, 0)); // (old id, new id)
         while let Some((old, new)) = stack.pop() {
@@ -482,18 +487,23 @@ impl ViewTree {
             if run.is_empty() {
                 continue;
             }
-            let depth = out.depth[new as usize] + 1;
-            let first = out.len() as u32;
-            out.set_run(new, run.len() as u32);
-            for (offset, &c) in run.iter().enumerate() {
-                let new_child = first + offset as u32;
-                out.pool.push(new_child);
-                stack.push((c, new_child));
-            }
-            for &c in run {
-                out.push_node(self.vertex[c as usize], new, depth);
+            let depth = c.depth[new as usize] + 1;
+            let first = next;
+            next += run.len() as u32;
+            c.child_start[new as usize] = first - 1;
+            c.child_len[new as usize] = run.len() as u32;
+            for (new_child, &old_child) in (first..next).zip(run) {
+                let i = new_child as usize;
+                c.pool[i - 1] = new_child;
+                c.vertex[i] = vertex[old_child as usize];
+                c.parent[i] = new;
+                c.depth[i] = depth;
+                // Leaves: empty runs at the pool tail.
+                c.child_start[i] = next - 1;
+                stack.push((old_child, new_child));
             }
         }
+        debug_assert_eq!(next as usize, total, "pruned size and projection disagree");
         out
     }
 
@@ -506,16 +516,21 @@ impl ViewTree {
     /// Panics with a description of the first violated invariant.
     pub fn assert_valid(&self, graph: &Graph) {
         assert!(!self.is_empty(), "tree must have a root");
-        assert_eq!(self.parent[0], NO_PARENT, "root has no parent");
-        assert_eq!(self.depth[0], 0, "root depth is 0");
-        let total_children: usize = self.child_len.iter().map(|&c| c as usize).sum();
+        assert_eq!(
+            self.block.len(),
+            block_len(self.len()),
+            "the block holds five node columns and the pool"
+        );
+        assert_eq!(self.column(PARENT)[0], NO_PARENT, "root has no parent");
+        assert_eq!(self.depth(ViewTree::ROOT), 0, "root depth is 0");
+        let total_children: usize = self.column(CHILD_LEN).iter().map(|&c| c as usize).sum();
         assert_eq!(
             total_children,
             self.len() - 1,
             "every non-root node is exactly one parent's child"
         );
         assert_eq!(
-            self.pool.len(),
+            self.pool().len(),
             total_children,
             "pool must hold exactly the live children runs"
         );
@@ -526,24 +541,17 @@ impl ViewTree {
             images.clear();
             for &c in self.children(x) {
                 assert!(c > x, "child {c} must follow its parent {x}");
-                assert_eq!(self.parent[c as usize], x, "parent/child symmetry at {c}");
-                assert_eq!(
-                    self.depth[c as usize],
-                    self.depth[x as usize] + 1,
-                    "depth bookkeeping at {c}"
-                );
+                assert_eq!(self.parent(c), Some(x), "parent/child symmetry at {c}");
+                assert_eq!(self.depth(c), self.depth(x) + 1, "depth bookkeeping at {c}");
                 assert!(
-                    graph.has_edge(
-                        self.vertex[x as usize] as usize,
-                        self.vertex[c as usize] as usize
-                    ),
+                    graph.has_edge(self.vertex(x), self.vertex(c)),
                     "tree edge ({}, {}) maps to a non-edge ({}, {})",
                     x,
                     c,
-                    self.vertex[x as usize],
-                    self.vertex[c as usize]
+                    self.vertex(x),
+                    self.vertex(c)
                 );
-                images.push(self.vertex[c as usize]);
+                images.push(self.vertex(c) as u32);
             }
             images.sort_unstable();
             let len_before = images.len();
@@ -554,6 +562,56 @@ impl ViewTree {
                 "children of {x} map to duplicate vertices"
             );
         }
+    }
+}
+
+impl Columns<'_> {
+    /// Splices `subtree` onto `leaf` (which is the copy of the subtree's
+    /// root: same image, same parent edge), writing the subtree's non-root
+    /// nodes at ids `next..` in arena order and their runs at the pool tail
+    /// (`next − 1`), then points the leaf at the remapped run of the subtree
+    /// root. Returns the next free node id. No pool slot goes dead: the
+    /// leaf's run was empty.
+    fn splice(&mut self, next: u32, leaf: NodeId, subtree: &ViewTree) -> u32 {
+        debug_assert_eq!(
+            self.child_len[leaf as usize], 0,
+            "attachment target {leaf} is not a leaf"
+        );
+        debug_assert_eq!(
+            self.vertex[leaf as usize] as usize,
+            subtree.root_vertex(),
+            "replacement root must map to the leaf's vertex (Def 2.5)"
+        );
+        let base = next as usize;
+        let added = subtree.len() - 1;
+        let base_depth = self.depth[leaf as usize];
+        // Subtree ids are topological (parents first) and remap affinely:
+        // subtree node i (i >= 1) becomes arena node `base + i - 1`; the
+        // subtree root is the leaf itself. Children are never the root, so
+        // pool entries remap without the root case.
+        let remap = |x: u32| if x == 0 { leaf } else { next + x - 1 };
+        self.vertex[base..base + added].copy_from_slice(&subtree.vertex_col()[1..]);
+        let parents = &subtree.parent_col()[1..];
+        let depths = &subtree.column(DEPTH)[1..];
+        for (i, (&p, &d)) in parents.iter().zip(depths).enumerate() {
+            self.parent[base + i] = remap(p);
+            self.depth[base + i] = base_depth + d;
+        }
+        // Children runs, in subtree node order: the root's run lands on the
+        // leaf, every other node gets a fresh run at the pool tail.
+        let (starts, lens, pool) = subtree.child_cols();
+        let mut tail = base - 1;
+        for (x, (&start, &len)) in (0..).zip(starts.iter().zip(lens)) {
+            let id = remap(x) as usize;
+            let run = &pool[start as usize..(start + len) as usize];
+            self.child_start[id] = tail as u32;
+            self.child_len[id] = len;
+            for (slot, &child) in self.pool[tail..tail + run.len()].iter_mut().zip(run) {
+                *slot = next + child - 1;
+            }
+            tail += run.len();
+        }
+        next + added as u32
     }
 }
 
@@ -747,7 +805,7 @@ mod tests {
         let mut t = ViewTree::star(1, &[0, 2]);
         let leaf_for_2 = t.leaves_at_depth(1).find(|&x| t.vertex(x) == 2).unwrap();
         t.attach(&[(leaf_for_2, &ViewTree::star(2, &[1, 3]))]);
-        let rebuilt = ViewTree::from_wire_columns(t.vertex_col().to_vec(), t.parent_col().to_vec());
+        let rebuilt = ViewTree::from_wire_columns(t.vertex_col(), t.parent_col());
         assert_eq!(rebuilt, t);
         rebuilt.assert_valid(&g);
     }

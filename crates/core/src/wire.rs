@@ -197,10 +197,12 @@ pub fn decode(words: &[u64]) -> Result<ViewTree, WireError> {
     parent.push(NO_PARENT);
     let mut prev = 0i64;
     for i in 1..n {
-        let p = prev + unzigzag(r.read_varint()?);
-        if p < 0 || p >= i as i64 {
-            return Err(WireError::Malformed("parent out of topological order"));
-        }
+        // A delta the stream controls may overflow `i64`; that is a parent
+        // out of range like any other.
+        let p = prev
+            .checked_add(unzigzag(r.read_varint()?))
+            .filter(|&p| (0..i as i64).contains(&p))
+            .ok_or(WireError::Malformed("parent out of topological order"))?;
         prev = p;
         parent.push(p as u32);
     }
@@ -213,7 +215,7 @@ pub fn decode(words: &[u64]) -> Result<ViewTree, WireError> {
             return Err(WireError::Malformed("nonzero padding past the payload"));
         }
     }
-    Ok(ViewTree::from_wire_columns(vertex, parent))
+    Ok(ViewTree::from_wire_columns(&vertex, &parent))
 }
 
 #[cfg(test)]

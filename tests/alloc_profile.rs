@@ -3,14 +3,17 @@
 //!
 //! A counting global allocator wraps `System` and tallies every
 //! allocation/reallocation. The assertions pin the arena's allocation
-//! discipline: constructing a star is O(1) allocations regardless of degree,
-//! and the Algorithm 2 attachment performs O(1) heap allocations per
-//! consumed provider tree *amortized* — never per spliced node. Before the
-//! arena refactor every spliced internal node allocated its own `children`
-//! vector, so these bounds are the regression fence for the CSR layout.
-//! Algorithm 4's min-combine makes a constant number of allocations however
-//! many machines and proposals it has: its rounds are flat per-machine
-//! buffers, not a heap buffer per machine.
+//! discipline: every tree a star, an attachment or a prune builds is one
+//! heap block, whatever its degree, its node count or the number of
+//! provider trees spliced into it. Before the arena refactor every spliced
+//! internal node allocated its own `children` vector, and before the
+//! one-block layout every tree took six column allocations, so these bounds
+//! are the regression fence for both. A whole Algorithm 2–4 stage makes one
+//! acquisition per tree it builds plus a constant per step: its attachment
+//! plans and Algorithm 3 proposals are flat buffers, not one per vertex or
+//! per tree. Algorithm 4's min-combine makes a constant number of
+//! allocations however many machines and proposals it has: its rounds are
+//! flat per-machine buffers, not a heap buffer per machine.
 //!
 //! Everything runs in one `#[test]` (the harness would otherwise interleave
 //! allocations of concurrently running tests into the measured windows) and
@@ -18,7 +21,10 @@
 
 #![cfg(target_has_atomic = "ptr")] // the counter is an atomic
 
-use dgo::core::{combine_tree_layers, local_prune_with, PruneScratch, StageExecutor, ViewTree};
+use dgo::core::{
+    combine_tree_layers, local_prune_with, partial_layer_assignment_staged, PruneScratch,
+    StageExecutor, ViewTree,
+};
 use dgo::graph::generators::Family;
 use dgo::mpc::{ClusterConfig, ExecutionBackend, SequentialBackend};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,7 +85,7 @@ fn attach_is_o1_allocations_per_consumed_tree() {
     let g = Family::RingOfCliques.generate(512, 7);
     let n = g.num_vertices();
 
-    // --- Star construction: O(1) allocations per star, any degree. ---
+    // --- Star construction: one block per star, any degree. ---
     let (star_allocs, trees): (usize, Vec<ViewTree>) = measure(|| {
         let mut trees = Vec::with_capacity(n);
         for v in 0..n {
@@ -87,10 +93,10 @@ fn attach_is_o1_allocations_per_consumed_tree() {
         }
         trees
     });
-    // Six columns per arena (the pool may be lazily absent for leaves-only
-    // trees); anything per-node would blow far past this.
+    // One block per arena plus the collecting vector's growth; anything
+    // per-node or per-column would blow far past this.
     assert!(
-        star_allocs <= 8 * n + 16,
+        star_allocs <= n + 16,
         "star construction allocated {star_allocs} times for {n} trees"
     );
 
@@ -120,12 +126,12 @@ fn attach_is_o1_allocations_per_consumed_tree() {
         total_spliced_nodes >= 4 * consumed,
         "fence needs multi-node providers to distinguish per-node allocation"
     );
-    // O(1) amortized per consumed provider tree: six column allocations per
-    // *consumer* plus the collecting vector — nowhere near one per spliced
-    // node (the pre-arena layout paid >= one per internal node, i.e. more
-    // than `total_spliced_nodes / 2` here).
+    // One block per *consumer* plus the collecting vector, however many
+    // providers it consumes — nowhere near one per spliced node (the
+    // pre-arena layout paid >= one per internal node, i.e. more than
+    // `total_spliced_nodes / 2` here).
     assert!(
-        attach_allocs <= 8 * n + 16,
+        attach_allocs <= n + 16,
         "attachment allocated {attach_allocs} times for {consumed} consumed trees \
          ({total_spliced_nodes} spliced nodes) — not O(1) per tree"
     );
@@ -136,8 +142,7 @@ fn attach_is_o1_allocations_per_consumed_tree() {
     );
 
     // --- LocalPrune through a reused scratch: allocations only for the
-    // returned trees' own arenas (<= 6 columns each), not per node or per
-    // scratch rebuild. ---
+    // returned trees' own blocks, not per node or per scratch rebuild. ---
     let (prune_allocs, pruned): (usize, Vec<ViewTree>) = measure(|| {
         let mut scratch = PruneScratch::new();
         attached
@@ -147,20 +152,43 @@ fn attach_is_o1_allocations_per_consumed_tree() {
     });
     let scratch_warmup = 16; // the scratch's own buffers, acquired once
     assert!(
-        prune_allocs <= 8 * n + scratch_warmup,
+        prune_allocs <= n + scratch_warmup,
         "pruning allocated {prune_allocs} times for {n} trees"
     );
     assert_eq!(pruned.len(), n);
 
     // Sanity: the batch entry point (sequential executor) stays within the
-    // same discipline — one scratch per worker, O(1) per materialized tree.
+    // same discipline — one scratch per worker, one block per materialized
+    // tree.
     let stage = StageExecutor::sequential();
     let (batch_allocs, batch) = measure(|| dgo::core::local_prune_batch(&attached, 3, &stage));
     assert!(
-        batch_allocs <= 10 * n + scratch_warmup,
+        batch_allocs <= n + scratch_warmup,
         "batch pruning allocated {batch_allocs} times for {n} trees"
     );
     assert_eq!(batch.len(), n);
+
+    // --- A whole Algorithm 2–4 stage: the initial stars, then per step at
+    // most one pruned and one attached tree per vertex, plus a constant per
+    // step for the plan, metering and checkpoint buffers and for the
+    // proposals and the min-combine. One buffer per vertex or per tree
+    // anywhere in the stage would add `n` per step and break the bound. ---
+    let (budget, k, layers, steps) = (256, 3, 4, 3);
+    let mut cluster = SequentialBackend::from_config(ClusterConfig::new(4 * n, 1 << 16));
+    let (stage_allocs, assigned) = measure(|| {
+        partial_layer_assignment_staged(&g, budget, k, layers, steps, &mut cluster, &stage)
+    });
+    let assigned = assigned.expect("the stage fits the cluster");
+    assert!(
+        assigned.layering.num_assigned() > 0,
+        "fence needs a real stage"
+    );
+    let stage_bound = (2 * steps as usize + 1) * n + 64;
+    assert!(
+        stage_allocs <= stage_bound,
+        "one Algorithm 2–4 stage allocated {stage_allocs} times for {n} vertices \
+         and {steps} steps (bound {stage_bound})"
+    );
 
     // --- Algorithm 4's min-combine: a constant number of acquisitions,
     // independent of the machine count and the proposal count. Vertex

@@ -9,11 +9,15 @@
 //! * \[BE08\] — `be08_peeling` is exactly the synchronous threshold peel.
 //! * `Orientation` — the CSR direction bits answer every query exactly as a
 //!   naive edge-list model does.
+//! * `ViewTree` layout — every constructor yields a valid one-block arena
+//!   that clones, round-trips the wire codec, and matches the same tree
+//!   built another way.
 //! * Generators — structural invariants of every workload family.
 
 use dgo::core::{
-    estimate_lambda, exponentiate_and_prune, local_prune, num_paths_in, num_paths_out,
-    partial_layer_assignment, partition_edges, partition_vertices, Params, ViewTree,
+    estimate_lambda, exponentiate_and_prune, local_prune, local_prune_with, num_paths_in,
+    num_paths_out, partial_layer_assignment, partition_edges, partition_vertices, wire, NodeId,
+    Params, PruneScratch, ViewTree,
 };
 use dgo::graph::generators::{clique, gnm, random_forest, random_tree, Family};
 use dgo::graph::{Graph, LayerAssignment, Orientation, UNASSIGNED};
@@ -104,6 +108,45 @@ fn be08_peel_violation(g: &Graph, r: &PeelingResult, max_layers: u64) -> Option<
     None
 }
 
+/// The layout contract every `ViewTree` constructor keeps: a valid mapping
+/// and valid arena, one block of `20·len + 4·(len − 1)` bytes, a clone equal
+/// to the original, and a lossless wire round trip whose decoded tree keeps
+/// the same contract.
+fn assert_layout_contract(t: &ViewTree, g: &Graph) {
+    t.assert_valid(g);
+    let len = t.len();
+    assert_eq!(t.arena_bytes(), 20 * len + 4 * (len - 1), "arena bytes");
+    assert_eq!(&t.clone(), t, "clone");
+    let decoded = wire::decode(&wire::encode(t)).expect("a canonical stream decodes");
+    decoded.assert_valid(g);
+    assert_eq!(
+        decoded.arena_bytes(),
+        t.arena_bytes(),
+        "decoded arena bytes"
+    );
+    assert_eq!(&decoded, t, "wire round trip");
+}
+
+/// Builds `source` with `provider(leaf)` attached at every leaf in `leaves`
+/// both through `ViewTree::attached_with` and through an in-place
+/// `ViewTree::attach` on a clone, checks that the two agree and keep the
+/// layout contract, and returns the result.
+fn attach_both_ways<'t>(
+    source: &ViewTree,
+    leaves: &[NodeId],
+    provider: impl Fn(NodeId) -> &'t ViewTree,
+    g: &Graph,
+) -> ViewTree {
+    let built = ViewTree::attached_with(source, leaves, &provider);
+    let replacements: Vec<(NodeId, &ViewTree)> =
+        leaves.iter().map(|&leaf| (leaf, provider(leaf))).collect();
+    let mut in_place = source.clone();
+    in_place.attach(&replacements);
+    assert_eq!(built, in_place, "attached_with and attach disagree");
+    assert_layout_contract(&built, g);
+    built
+}
+
 #[test]
 fn be08_layers_are_the_threshold_peel_on_every_family() {
     // A stalling threshold (λ̂ = 1) and the estimated one on every family.
@@ -161,6 +204,33 @@ proptest! {
             prop_assert!(after <= before + k);
         }
         prop_assert!(p.len() <= t.len());
+    }
+
+    /// The `ViewTree` layout contract over every constructor: `singleton`,
+    /// `star`, `attached_with`, `attach`, `local_prune_with` and
+    /// `wire::decode` (inside [`assert_layout_contract`]). Two levels of
+    /// attachment, the second onto pruned trees, reach the deep sibling
+    /// blocks an exponentiation step builds.
+    #[test]
+    fn view_tree_layout_contract(g in arb_graph(), k in 1usize..4) {
+        let n = g.num_vertices();
+        let stars: Vec<ViewTree> = (0..n).map(|v| ViewTree::star(v, g.neighbors(v))).collect();
+        let mut scratch = PruneScratch::new();
+        let mut pruned = Vec::with_capacity(n);
+        for (v, star) in stars.iter().enumerate() {
+            assert_layout_contract(&ViewTree::singleton(v), &g);
+            assert_layout_contract(star, &g);
+            let leaves: Vec<NodeId> = star.leaves_at_depth(1).collect();
+            let attached = attach_both_ways(star, &leaves, |leaf| &stars[star.vertex(leaf)], &g);
+            let p = local_prune_with(&attached, k, &mut scratch);
+            assert_layout_contract(&p, &g);
+            pruned.push(p);
+        }
+        for p in &pruned {
+            let leaves: Vec<NodeId> =
+                p.node_ids().filter(|&x| x != ViewTree::ROOT && p.num_children(x) == 0).collect();
+            attach_both_ways(p, &leaves, |leaf| &pruned[p.vertex(leaf)], &g);
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! collection, the per-layer path counts — produces **bit-identical trees,
 //! layers, colors, and metrics at any `jobs` count**: per-vertex closures are
 //! pure over a read-only snapshot, outputs land in index-ordered slots, and
-//! metering reductions are exact. These tests pin that promise end-to-end,
+//! metering reductions are exact, and flat per-chunk buffers concatenate in
+//! chunk order. These tests pin that promise end-to-end,
 //! from the raw Algorithm 2 kernel up through the full Theorem 1.1/1.2
 //! drivers and the coreness application (which also exercises the
 //! `split_jobs` budget sharing between the instance tier and the stage tier).
@@ -57,6 +58,38 @@ proptest! {
         }
     }
 
+    /// The flat-buffer stage form (`StageExecutor::map_chunks`): items emit
+    /// outputs of varying length into one buffer per chunk, with per-item end
+    /// offsets, and the concatenation in chunk order is the inline result at
+    /// every job count, on either side of the inline floor.
+    #[test]
+    fn flat_chunk_stages_bit_identical(len in 0usize..4000, seed in any::<u64>()) {
+        let items: Vec<u64> = (0..len as u64)
+            .map(|i| (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59)
+            .collect();
+        let flat = |offset: usize, chunk: &[u64]| {
+            let (mut out, mut ends) = (Vec::new(), Vec::new());
+            for (i, &copies) in (offset..).zip(chunk) {
+                out.extend((0..copies).map(|c| (i, c)));
+                ends.push(out.len());
+            }
+            (out, ends)
+        };
+        let concat = |(mut out, mut ends): (Vec<(usize, u64)>, Vec<usize>),
+                      (later, later_ends): (Vec<(usize, u64)>, Vec<usize>)| {
+            let base = out.len();
+            out.extend(later);
+            ends.extend(later_ends.iter().map(|&end| base + end));
+            (out, ends)
+        };
+        let reference = StageExecutor::sequential().map_chunks(&items, flat, concat);
+        prop_assert_eq!(reference.1.len(), len);
+        for jobs in [1usize, 2, 8, 0] {
+            let got = StageExecutor::new(jobs).map_chunks(&items, flat, concat);
+            prop_assert_eq!(&got, &reference);
+        }
+    }
+
     /// Path counts per Definition 2.2: the per-layer stage decomposition
     /// matches the sequential scan on arbitrary complete layerings.
     #[test]
@@ -77,11 +110,15 @@ proptest! {
 #[test]
 fn algorithm_4_stages_bit_identical_across_families() {
     // Algorithm 4 end-to-end (exponentiate + per-tree peel + min-combine) on
-    // scenario-diverse workloads, including the two new families.
+    // scenario-diverse workloads, including the two new families. The last
+    // one is above the stage engine's inline floor (1,024 items), so at
+    // jobs > 1 the attachment plans and proposals really are built per chunk
+    // and concatenated.
     let workloads: Vec<(&str, Graph)> = vec![
         ("gnm", gnm(300, 1200, 5)),
         ("ring-of-cliques", ring_of_cliques(24, 6)),
         ("core-onion", Family::CoreOnion.generate(300, 5)),
+        ("gnm-above-inline-floor", gnm(3000, 9000, 5)),
     ];
     for (label, g) in &workloads {
         let n = g.num_vertices();

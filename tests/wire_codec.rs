@@ -42,6 +42,28 @@ fn derived_tree(seed: u64, growth: usize) -> ViewTree {
     tree
 }
 
+/// Appends the LEB128 varint of `x` — the codec's integer format.
+fn push_varint(bytes: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        bytes.push((x & 0x7f) as u8 | 0x80);
+        x >>= 7;
+    }
+    bytes.push(x as u8);
+}
+
+/// Packs a byte stream eight bytes per word, little-endian, zero-padding the
+/// last word — the codec's word format.
+fn pack(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks(8)
+        .map(|word| {
+            word.iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &b)| w | (b as u64) << (8 * i))
+        })
+        .collect()
+}
+
 /// Round-trips `tree` through the codec and checks the size claims.
 fn assert_round_trip(tree: &ViewTree) {
     let words = wire::encode(tree);
@@ -82,8 +104,57 @@ fn deep_chain_round_trips() {
     assert_round_trip(&tree);
 }
 
+/// A parent delta whose zigzag decodes to `i64::MAX` overflows the running
+/// parent sum: a typed error in every build profile, not an arithmetic
+/// panic in debug builds.
+#[test]
+fn overflowing_parent_delta_is_malformed() {
+    // n = 4, four zero images, parent deltas 0 and +1, then zigzag(i64::MAX).
+    let mut bytes = vec![4u8, 0, 0, 0, 0, 0, 2];
+    push_varint(&mut bytes, u64::MAX - 1);
+    let words = pack(&bytes);
+    assert_eq!(words.len(), 3);
+    assert_eq!(
+        wire::decode(&words),
+        Err(wire::WireError::Malformed(
+            "parent out of topological order"
+        ))
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Overwriting one parent delta of a valid stream with an arbitrary
+    /// `u64` never makes `decode` panic: it returns an error, or a tree that
+    /// re-encodes to exactly the corrupted stream (the codec is canonical).
+    #[test]
+    fn corrupted_parent_delta_never_panics(
+        seed in any::<u64>(),
+        growth in 1usize..16,
+        slot in any::<usize>(),
+        delta in any::<u64>(),
+    ) {
+        let tree = derived_tree(seed, growth);
+        let n = tree.len();
+        let slot = 1 + slot % (n - 1);
+        let mut bytes = Vec::new();
+        push_varint(&mut bytes, n as u64);
+        for x in tree.node_ids() {
+            push_varint(&mut bytes, tree.vertex(x) as u64);
+        }
+        let mut prev = 0i64;
+        for x in 1..n as u32 {
+            let parent = tree.parent(x).expect("only the root has no parent") as i64;
+            let zigzag = ((parent - prev) << 1 ^ (parent - prev) >> 63) as u64;
+            push_varint(&mut bytes, if x as usize == slot { delta } else { zigzag });
+            prev = parent;
+        }
+        let words = pack(&bytes);
+        if let Ok(decoded) = wire::decode(&words) {
+            prop_assert_eq!(wire::encode(&decoded), words);
+        }
+    }
 
     #[test]
     fn arbitrary_trees_round_trip(seed in any::<u64>(), growth in 0usize..24) {
