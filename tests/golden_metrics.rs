@@ -5,8 +5,10 @@
 //! each other, so a metering drift in the algorithm layer — the Algorithm 4
 //! min-combine, the Lemma 4.1 gather cost model — would pass them all.
 //! These runs pin the absolute figures instead: rounds, communication
-//! volume, the worst round load, the Lemma 4.1 bundle words, and a digest
-//! of the per-round log. The layering, orientation and coloring runs also
+//! volume, the worst round load, the Lemma 4.1 bundle words, a digest of
+//! the per-round log, and the residency the checkpoints record — the peak
+//! machine and global memory, the peak tree-arena bytes, and the violation
+//! count of relaxed clusters. The layering, orientation and coloring runs also
 //! pin every `LayeringStats` field and an output digest, so the Lemma 3.15
 //! stage loop and the λ̂ plumbing around it cannot drift unnoticed. The
 //! direct LOCAL→MPC baseline of experiment E1 and the host-side min-degree
@@ -57,6 +59,10 @@ struct Golden {
     bundle_flat_words: usize,
     round_log_len: usize,
     round_log_digest: u64,
+    peak_machine_memory: usize,
+    peak_global_memory: usize,
+    peak_tree_bytes: usize,
+    violations: u64,
 }
 
 fn golden(metrics: &Metrics) -> Golden {
@@ -68,6 +74,10 @@ fn golden(metrics: &Metrics) -> Golden {
         bundle_flat_words: metrics.bundle_flat_words,
         round_log_len: metrics.round_log.len(),
         round_log_digest: round_log_digest(metrics),
+        peak_machine_memory: metrics.peak_machine_memory,
+        peak_global_memory: metrics.peak_global_memory,
+        peak_tree_bytes: metrics.peak_tree_bytes,
+        violations: metrics.violations,
     }
 }
 
@@ -97,6 +107,10 @@ fn partial_layer_assignment_metrics_are_pinned() {
             bundle_flat_words: 49_294,
             round_log_len: 15,
             round_log_digest: 16_141_075_492_424_634_349,
+            peak_machine_memory: 133,
+            peak_global_memory: 61_190,
+            peak_tree_bytes: 1_556,
+            violations: 0,
         }
     );
 }
@@ -123,6 +137,10 @@ fn approximate_coreness_metrics_are_pinned() {
             bundle_flat_words: 12_380,
             round_log_len: 0,
             round_log_digest: 14_695_981_039_346_656_037,
+            peak_machine_memory: 34,
+            peak_global_memory: 279_630,
+            peak_tree_bytes: 356,
+            violations: 0,
         }
     );
 }
@@ -179,6 +197,10 @@ fn complete_layering_with_fallback_is_pinned() {
             bundle_flat_words: 6_344,
             round_log_len: 71,
             round_log_digest: 606_813_836_435_427_324,
+            peak_machine_memory: 34,
+            peak_global_memory: 63_324,
+            peak_tree_bytes: 356,
+            violations: 0,
         }
     );
 }
@@ -217,6 +239,10 @@ fn orient_edge_partition_path_is_pinned() {
             bundle_flat_words: 0,
             round_log_len: 0,
             round_log_digest: 14_695_981_039_346_656_037,
+            peak_machine_memory: 2,
+            peak_global_memory: 39_956,
+            peak_tree_bytes: 0,
+            violations: 0,
         }
     );
 }
@@ -258,6 +284,10 @@ fn orient_single_graph_path_with_stage_two_is_pinned() {
             bundle_flat_words: 5_568,
             round_log_len: 39,
             round_log_digest: 13_605_105_197_559_445_424,
+            peak_machine_memory: 37,
+            peak_global_memory: 47_139,
+            peak_tree_bytes: 380,
+            violations: 0,
         }
     );
 }
@@ -293,6 +323,10 @@ fn color_single_graph_path_is_pinned() {
             bundle_flat_words: 0,
             round_log_len: 4,
             round_log_digest: 17_821_022_933_567_172_338,
+            peak_machine_memory: 4,
+            peak_global_memory: 11_632,
+            peak_tree_bytes: 0,
+            violations: 0,
         }
     );
 }
@@ -315,6 +349,10 @@ fn direct_peeling_mpc_is_pinned() {
             bundle_flat_words: 0,
             round_log_len: 6,
             round_log_digest: 1_066_088_911_025_988_819,
+            peak_machine_memory: 52,
+            peak_global_memory: 15_998,
+            peak_tree_bytes: 0,
+            violations: 0,
         }
     );
 
@@ -332,6 +370,10 @@ fn direct_peeling_mpc_is_pinned() {
             bundle_flat_words: 0,
             round_log_len: 6,
             round_log_digest: 7_026_151_544_184_869_321,
+            peak_machine_memory: 22,
+            peak_global_memory: 6_000,
+            peak_tree_bytes: 0,
+            violations: 0,
         }
     );
 
@@ -340,7 +382,74 @@ fn direct_peeling_mpc_is_pinned() {
     // raise.
     let cfg = ClusterConfig::new(2, 16).relaxed();
     let r = direct_peeling_mpc(&star(500), 1, 0.5, cfg).expect("relaxed");
-    assert_eq!(r.metrics.violations, 3);
+    assert_eq!(
+        golden(&r.metrics),
+        Golden {
+            rounds: 4,
+            total_comm_words: 1_000,
+            max_round_load: 499,
+            bundle_wire_words: 0,
+            bundle_flat_words: 0,
+            round_log_len: 4,
+            round_log_digest: 438_083_282_099_755_090,
+            peak_machine_memory: 1_000,
+            peak_global_memory: 1_998,
+            peak_tree_bytes: 0,
+            violations: 3,
+        }
+    );
+}
+
+#[test]
+fn partial_layer_assignment_on_narrow_relaxed_clusters_is_pinned() {
+    // Algorithm 4 on clusters with fewer machines than vertices: the tree
+    // checkpoints deal more than one tree to each machine, and with 7
+    // machines the residency and the rounds overflow `S`, so the relaxed
+    // cluster counts violations instead of failing.
+    let g = gnm(600, 1800, 23);
+    let mut pinned = Vec::new();
+    for (machines, memory) in [(64, 4096), (7, 1024)] {
+        let mut cluster = Cluster::new(ClusterConfig::new(machines, memory).relaxed());
+        let r = partial_layer_assignment(&g, 256, 3, 4, 3, &mut cluster).expect("relaxed");
+        pinned.push((layer_sum(&r.layering), golden(cluster.metrics())));
+    }
+    assert_eq!(
+        pinned,
+        [
+            (
+                606,
+                Golden {
+                    rounds: 15,
+                    total_comm_words: 26_920,
+                    max_round_load: 97,
+                    bundle_wire_words: 4_705,
+                    bundle_flat_words: 19_998,
+                    round_log_len: 15,
+                    round_log_digest: 5_711_466_140_278_851_155,
+                    peak_machine_memory: 456,
+                    peak_global_memory: 23_992,
+                    peak_tree_bytes: 4_640,
+                    violations: 0,
+                }
+            ),
+            (
+                606,
+                Golden {
+                    rounds: 15,
+                    total_comm_words: 26_894,
+                    max_round_load: 885,
+                    bundle_wire_words: 4_705,
+                    bundle_flat_words: 19_998,
+                    round_log_len: 15,
+                    round_log_digest: 13_786_699_049_205_869_251,
+                    peak_machine_memory: 3_478,
+                    peak_global_memory: 23_968,
+                    peak_tree_bytes: 34_192,
+                    violations: 21,
+                }
+            ),
+        ]
+    );
 }
 
 #[test]
