@@ -8,10 +8,10 @@
 //! Lemma 3.13 shows the layer tails decay geometrically.
 
 use crate::assign_tree::tree_layer_proposals;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::exponentiate::{exponentiate_and_prune_staged, ExponentiationResult};
 use crate::stage::StageExecutor;
-use dgo_graph::{Graph, LayerAssignment};
+use dgo_graph::{Graph, LayerAssignment, UNASSIGNED};
 use dgo_mpc::primitives::aggregate_by_key;
 use dgo_mpc::{ExecutionBackend, PerMachine};
 
@@ -19,22 +19,40 @@ use dgo_mpc::{ExecutionBackend, PerMachine};
 /// assignment (the final step of Algorithm 4), metered as one MPC
 /// aggregation round.
 ///
-/// `proposals` holds `(vertex, layer)` pairs with finite layers only.
+/// `proposals` holds `(vertex, layer)` pairs: vertices below `n`, finite
+/// layers `1..UNASSIGNED`. Proposal `i` starts on machine `i mod M`, so only
+/// the first `min(P, M)` machines hold any, and the round's host cost
+/// follows the `P` proposals rather than the machine count.
 ///
 /// # Errors
 ///
-/// Propagates MPC capacity violations.
+/// * [`CoreError::InvalidProposal`] for the first proposal with a vertex
+///   outside the graph or a layer that is 0 or
+///   [`UNASSIGNED`](dgo_graph::UNASSIGNED); nothing is charged then.
+/// * Propagates MPC capacity violations.
 pub fn combine_tree_layers<B: ExecutionBackend>(
     n: usize,
     proposals: Vec<(u64, u32)>,
     cluster: &mut B,
 ) -> Result<LayerAssignment> {
+    let bad = proposals
+        .iter()
+        .position(|&(v, layer)| v >= n as u64 || layer == 0 || layer == UNASSIGNED);
+    if let Some(index) = bad {
+        let (vertex, layer) = proposals[index];
+        return Err(CoreError::InvalidProposal {
+            index,
+            vertex,
+            layer,
+            vertices: n,
+        });
+    }
     let machines = cluster.num_machines();
     // Proposals originate wherever the owning tree lives; spread them
     // round-robin, proposal `i` on machine `i mod M`, straight into the flat
-    // per-machine buffer.
+    // per-machine buffer. The machines past the first `P` stay implicit.
     let mut per_machine = PerMachine::with_capacity(machines, proposals.len());
-    for machine in 0..machines {
+    for machine in 0..machines.min(proposals.len()) {
         per_machine.push_machine(
             proposals
                 .iter()
@@ -260,6 +278,51 @@ mod tests {
         assert_eq!(
             (round.total_words, round.max_sent, round.max_received),
             (14, 6, 8)
+        );
+    }
+
+    #[test]
+    fn combine_rejects_hostile_proposals_before_charging() {
+        // A vertex outside the graph, a zero layer and the UNASSIGNED
+        // sentinel each name the first bad proposal, and no round is
+        // charged.
+        let u = dgo_graph::UNASSIGNED;
+        for (proposals, index, vertex, layer) in [
+            (vec![(7u64, 1u32)], 0, 7, 1),
+            (vec![(0, 2), (1, 0)], 1, 1, 0),
+            (vec![(3, 1), (2, u), (9, 0)], 1, 2, u),
+            (vec![(0, 1), (u64::MAX, 3)], 1, u64::MAX, 3),
+        ] {
+            let mut cluster = cluster_for(4);
+            let err = combine_tree_layers(4, proposals, &mut cluster).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::InvalidProposal {
+                    index,
+                    vertex,
+                    layer,
+                    vertices: 4
+                }
+            );
+            assert_eq!(cluster.metrics().rounds, 0);
+        }
+    }
+
+    #[test]
+    fn combine_on_a_wide_cluster_stores_only_the_proposing_machines() {
+        // More machines than proposals: with every vertex homed on the same
+        // machine either way, the result and the metering match a cluster
+        // exactly as wide as the proposal count.
+        let proposals = vec![(3u64, 5u32), (2, 3), (3, 2), (0, 1)];
+        let mut wide = Cluster::new(ClusterConfig::new(1 << 20, 64));
+        let mut exact = Cluster::new(ClusterConfig::new(4, 64));
+        let la = combine_tree_layers(4, proposals.clone(), &mut wide).unwrap();
+        assert_eq!(la, combine_tree_layers(4, proposals, &mut exact).unwrap());
+        assert_eq!(la.layer(3), 2);
+        let (w, e) = (wide.metrics().round_log[0], exact.metrics().round_log[0]);
+        assert_eq!(
+            (w.total_words, w.max_sent, w.max_received),
+            (e.total_words, e.max_sent, e.max_received)
         );
     }
 

@@ -228,7 +228,7 @@ fn color_single<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
             }
         }
         // Every requested bundle is one neighbor's color: one word.
-        gather_bundles(&mut cluster, &requests, |_| Some(1))?;
+        gather_bundles(&mut cluster, &requests, n, |_| Some(1))?;
         // --- Directed exponentiation cost: learning the within-batch
         // reachable sets costs O(log(batch depth)) additional rounds. ---
         let batch_depth = (hi - lo) as usize;

@@ -19,6 +19,18 @@ pub enum CoreError {
         /// Stages executed.
         stages: u32,
     },
+    /// A layer proposal handed to Algorithm 4's min-combine names a vertex
+    /// outside the graph or a layer that is not finite and positive.
+    InvalidProposal {
+        /// Position of the first bad proposal in the input.
+        index: usize,
+        /// The proposed vertex.
+        vertex: u64,
+        /// The proposed layer.
+        layer: u32,
+        /// Vertices in the graph: valid vertices are `0..vertices`.
+        vertices: usize,
+    },
     /// Invalid algorithm parameters.
     InvalidParams {
         /// Human-readable description of the violated requirement.
@@ -35,6 +47,19 @@ impl fmt::Display for CoreError {
                 f,
                 "layering left {unassigned} vertices unassigned after {stages} stages"
             ),
+            CoreError::InvalidProposal {
+                index,
+                vertex,
+                layer,
+                vertices,
+            } => {
+                write!(f, "layer proposal {index} ({vertex}, {layer}) is invalid: ")?;
+                if *vertex >= *vertices as u64 {
+                    write!(f, "vertex {vertex} is outside the {vertices}-vertex graph")
+                } else {
+                    write!(f, "layer {layer} is not a finite layer (1..{})", u32::MAX)
+                }
+            }
             CoreError::InvalidParams { reason } => write!(f, "invalid parameters: {reason}"),
         }
     }
@@ -81,6 +106,26 @@ mod tests {
         };
         assert!(e.to_string().contains("5 vertices"));
         assert!(StdError::source(&e).is_none());
+
+        let e = CoreError::InvalidProposal {
+            index: 2,
+            vertex: 7,
+            layer: 1,
+            vertices: 4,
+        };
+        assert_eq!(
+            e.to_string(),
+            "layer proposal 2 (7, 1) is invalid: vertex 7 is outside the 4-vertex graph"
+        );
+        let e = CoreError::InvalidProposal {
+            index: 0,
+            vertex: 1,
+            layer: 0,
+            vertices: 4,
+        };
+        assert!(e
+            .to_string()
+            .ends_with("layer 0 is not a finite layer (1..4294967295)"));
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
         trees.push(tree);
         active.push(is_active);
     }
-    checkpoint(graph, cluster, &trees, stage)?;
+    checkpoint(graph, cluster, &trees)?;
 
     for i in 1..=steps {
         // ---- Local prune step (free: no communication). ----
@@ -182,15 +182,15 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
         let requests = &plan.requests;
         // Meter the tree transfer as a Lemma 4.1 gather: a bundle is the
         // provider's tree at its encoded size (`ViewTree::wire_words`),
-        // computed as a stage over the deduplicated provider ids and looked
-        // up per request through a per-vertex table.
-        let provider_ids: Vec<usize> = {
-            let mut ids: Vec<usize> = requests.iter().map(|&(_, u)| u as usize).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        };
+        // computed as a stage over the distinct provider ids and looked up
+        // per request through a per-vertex table. Marking the table first
+        // deduplicates the providers, and scanning it lists them in
+        // ascending order, without sorting the requests.
         let mut wire_words = vec![0usize; n];
+        for &(_, u) in requests {
+            wire_words[u as usize] = 1;
+        }
+        let provider_ids: Vec<usize> = (0..n).filter(|&u| wire_words[u] != 0).collect();
         let provider_words = stage.map(&provider_ids, |_, &u| trees[u].wire_words());
         for (&u, words) in provider_ids.iter().zip(provider_words) {
             wire_words[u] = words;
@@ -211,7 +211,7 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
                 .metrics_mut()
                 .record_bundle_words(bundle_wire, bundle_flat);
         }
-        gather_bundles(cluster, requests, |u| Some(wire_words[u as usize]))?;
+        gather_bundles(cluster, requests, n, |u| Some(wire_words[u as usize]))?;
 
         // Materialize the attachments (inactive vertices keep pruned trees)
         // as a double-buffered stage: every attaching vertex splices its own
@@ -237,7 +237,7 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
                 trees[v] = tree;
             }
         }
-        checkpoint(graph, cluster, &trees, stage)?;
+        checkpoint(graph, cluster, &trees)?;
     }
     Ok(ExponentiationResult {
         trees,
@@ -278,32 +278,50 @@ impl AttachPlan {
 
 /// Residency checkpoint: trees are balanced over machines (one tree is never
 /// split — Claim 3.5's `O(n^δ + B)` local memory), the graph's edge share is
-/// uniform. Tree sizes are collected as a stage; the balancing itself is a
-/// cheap host-side sort. Alongside the word-accounting the checkpoint also
-/// meters the *host* footprint of the tree arenas
-/// ([`ViewTree::arena_bytes`]) per machine — the `peak_tree_bytes` component
-/// the experiment tables report next to the certified words.
+/// uniform. Alongside the word-accounting the checkpoint also meters the
+/// *host* footprint of the tree arenas ([`ViewTree::arena_bytes`]) per
+/// machine — the `peak_tree_bytes` component the experiment tables report
+/// next to the certified words.
+///
+/// The balance deals the trees round-robin in size-descending order, which
+/// is within 2x of optimal (largest-first onto the lightest machine would
+/// be `O(n log n)`). Each slot's load then depends only on the sorted
+/// sizes, so a counting sort over the sizes (each at most the tree budget)
+/// replaces a sort of the trees, and only the first `min(n, M)` machines —
+/// the ones that receive a tree — are listed on top of the uniform share:
+/// `O(n + B)`, whatever the machine count.
 fn checkpoint<B: ExecutionBackend>(
     graph: &Graph,
     cluster: &mut B,
     trees: &[ViewTree],
-    stage: &StageExecutor,
 ) -> Result<()> {
     let machines = cluster.num_machines();
     let graph_share = (2 * graph.num_edges() + graph.num_vertices()).div_ceil(machines);
-    let mut load = vec![graph_share; machines];
-    let mut tree_bytes = vec![0usize; machines];
-    let sizes: Vec<(usize, usize)> = stage.map(trees, |_, tree| (tree.len(), tree.arena_bytes()));
-    // Greedy balance: largest trees first onto the lightest machine would be
-    // O(n log n); round-robin over a size-sorted order is within 2x of
-    // optimal and cheaper.
-    let mut order: Vec<usize> = (0..trees.len()).collect();
-    order.sort_unstable_by_key(|&v| std::cmp::Reverse(sizes[v].0));
-    for (slot, &v) in order.iter().enumerate() {
-        load[slot % machines] += 2 * sizes[v].0;
-        tree_bytes[slot % machines] += sizes[v].1;
+    let largest = trees.iter().map(ViewTree::len).max().unwrap_or(0);
+    let mut trees_of_len = vec![0usize; largest + 1];
+    for tree in trees {
+        trees_of_len[tree.len()] += 1;
     }
-    cluster.checkpoint_residency(&load)?;
+    let dealt = trees.len().min(machines);
+    let mut load = vec![0usize; dealt];
+    let mut tree_bytes = vec![0usize; dealt];
+    let mut slot = 0;
+    for (len, &count) in trees_of_len.iter().enumerate().rev() {
+        let bytes = if count > 0 {
+            ViewTree::arena_bytes_of_len(len)
+        } else {
+            0
+        };
+        for _ in 0..count {
+            load[slot] += 2 * len;
+            tree_bytes[slot] += bytes;
+            slot += 1;
+            if slot == dealt {
+                slot = 0;
+            }
+        }
+    }
+    cluster.checkpoint_residency(graph_share, &load)?;
     cluster.metrics_mut().record_tree_bytes(&tree_bytes);
     Ok(())
 }

@@ -284,9 +284,10 @@ impl<'a, B: ExecutionBackend> LayeringState<'a, B> {
         let budget_cap = budget_cap(params.local_memory(n));
         let budget = params.effective_budget(n, k).min(budget_cap);
         // Input residency: the graph (2m edge-endpoint words + n vertex
-        // records) spread evenly, as §1.1 allows arbitrary initial distribution.
+        // records) spread evenly, as §1.1 allows arbitrary initial
+        // distribution — a uniform share with no per-machine prefix.
         let machines = cluster.num_machines();
-        cluster.checkpoint_residency(&vec![(2 * m + n).div_ceil(machines); machines])?;
+        cluster.checkpoint_residency((2 * m + n).div_ceil(machines), &[])?;
         let mut state = LayeringState {
             graph,
             params,

@@ -390,6 +390,12 @@ impl ViewTree {
         std::mem::size_of::<u32>() * self.block.len()
     }
 
+    /// [`arena_bytes`](ViewTree::arena_bytes) of any tree with `len ≥ 1`
+    /// nodes: the figure depends on the node count alone.
+    pub(crate) fn arena_bytes_of_len(len: usize) -> usize {
+        std::mem::size_of::<u32>() * block_len(len)
+    }
+
     /// Attaches pruned subtrees at the given leaves (Definition 2.5): each
     /// `leaf` is *replaced* by a fresh copy of the corresponding tree, whose
     /// root must map to the same graph vertex as the leaf did.

@@ -76,7 +76,7 @@ pub fn direct_peeling_mpc(
     for i in 0..graph.num_edges() {
         residency[i % machines] += 2;
     }
-    cluster.checkpoint_residency(&residency)?;
+    cluster.checkpoint_residency(0, &residency)?;
 
     // Aggregation-tree depth for fan-in S over M machines.
     let agg_rounds = if machines <= 1 {

@@ -56,8 +56,10 @@ pub trait ExecutionBackend {
     /// `outbox[src]` holds the `(destination, message)` pairs machine `src`
     /// produced. Returns the inbox: `inbox[dst]` holds the messages delivered
     /// to machine `dst`, in deterministic `(source, production)` order. Both
-    /// sides are flat [`PerMachine`] buffers, so a round costs one offset per
-    /// machine and a constant number of moves per message.
+    /// sides are flat [`PerMachine`] buffers whose lists past the last stored
+    /// one are implicitly empty, so a round costs one offset per machine up
+    /// to the last that sends or receives and a constant number of moves per
+    /// message — not one integer per machine of the cluster.
     ///
     /// # Errors
     ///
@@ -117,7 +119,7 @@ pub trait ExecutionBackend {
                     direction: "send",
                 });
             }
-            self.metrics_mut().record_violation();
+            self.metrics_mut().record_violations(1);
         }
         let spread = rounds.max(1) as usize;
         let base = total_words / spread;
@@ -129,25 +131,40 @@ pub trait ExecutionBackend {
         Ok(())
     }
 
-    /// Residency checkpoint: asserts that `per_machine[i]` words fit in `S`
-    /// on every machine, and records peaks in the metrics.
+    /// Residency checkpoint: every machine holds `base` words and machine
+    /// `i < head.len()` holds `head[i]` more, and the peaks go into the
+    /// metrics — machine peak `base + max(head)`, global total
+    /// `base·M + Σ head`. A uniform share (the input graph spread evenly)
+    /// plus a short per-machine prefix (trees dealt to the first machines)
+    /// is what the algorithm layer holds, and this form costs `O(head)`
+    /// instead of `O(M)`; a fully per-machine layout passes `(0, &loads)`.
     ///
     /// # Errors
     ///
-    /// [`MpcError::MemoryExceeded`] in strict mode on the first over-budget
-    /// machine; [`MpcError::WrongClusterWidth`] on a mis-sized slice.
-    fn checkpoint_residency(&mut self, per_machine: &[usize]) -> Result<()> {
+    /// * [`MpcError::WrongClusterWidth`] if `head` is longer than `M`.
+    /// * [`MpcError::MemoryExceeded`] in strict mode for the first machine,
+    ///   in index order, over `S`. Relaxed mode records one violation per
+    ///   machine over `S`, the uniform tail's in one step.
+    fn checkpoint_residency(&mut self, base: usize, head: &[usize]) -> Result<()> {
         let machines = self.config().num_machines;
-        if per_machine.len() != machines {
+        if head.len() > machines {
             return Err(MpcError::WrongClusterWidth {
                 expected: machines,
-                found: per_machine.len(),
+                found: head.len(),
             });
         }
-        self.metrics_mut().record_residency(per_machine);
+        let head_max = head.iter().copied().max().unwrap_or(0);
+        let head_total = head
+            .iter()
+            .fold(0usize, |sum, &words| sum.saturating_add(words));
+        let total = base.saturating_mul(machines).saturating_add(head_total);
+        self.metrics_mut()
+            .record_residency(base.saturating_add(head_max), total);
         let capacity = self.config().local_memory;
         let strict = self.config().strict;
-        for (machine, &words) in per_machine.iter().enumerate() {
+        let mut over = 0u64;
+        for (machine, &words) in head.iter().enumerate() {
+            let words = base.saturating_add(words);
             if words > capacity {
                 if strict {
                     return Err(MpcError::MemoryExceeded {
@@ -156,8 +173,21 @@ pub trait ExecutionBackend {
                         capacity,
                     });
                 }
-                self.metrics_mut().record_violation();
+                over += 1;
             }
+        }
+        if base > capacity && head.len() < machines {
+            if strict {
+                return Err(MpcError::MemoryExceeded {
+                    machine: head.len(),
+                    words: base,
+                    capacity,
+                });
+            }
+            over += (machines - head.len()) as u64;
+        }
+        if over > 0 {
+            self.metrics_mut().record_violations(over);
         }
         Ok(())
     }

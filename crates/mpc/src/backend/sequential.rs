@@ -88,10 +88,13 @@ impl SequentialBackend {
     }
 
     /// Executes one synchronous communication round; see
-    /// [`ExecutionBackend::exchange`]. One pass tallies what every machine
-    /// sends (checking each destination), one counting sort routes the
-    /// messages, one pass tallies what every machine receives; then the
-    /// capacity is enforced and the round recorded.
+    /// [`ExecutionBackend::exchange`]. One pass tallies what every stored
+    /// source list sends (checking each destination), one counting sort
+    /// routes the messages, one pass tallies what every stored destination
+    /// list receives; then the capacity is enforced and the round recorded.
+    /// Machines past the stored lists send and receive nothing, and a
+    /// 0-word load changes no total, maximum or offender, so neither pass
+    /// visits them.
     ///
     /// # Errors
     ///
@@ -114,7 +117,7 @@ impl SequentialBackend {
         }
         let capacity = self.config.local_memory;
         let mut sent = Tally::default();
-        for (src, messages) in outbox.iter().enumerate() {
+        for (src, messages) in outbox.stored_lists().enumerate() {
             let mut words = 0;
             for (dst, payload) in messages {
                 if *dst >= machines {
@@ -129,7 +132,7 @@ impl SequentialBackend {
         }
         let inbox = outbox.route(machines);
         let mut received = Tally::default();
-        for (dst, messages) in inbox.iter().enumerate() {
+        for (dst, messages) in inbox.stored_lists().enumerate() {
             received.add(dst, messages.iter().map(WordSized::words).sum(), capacity);
         }
         // Machines are checked in index order, each one's send before its
@@ -151,9 +154,7 @@ impl SequentialBackend {
                     direction,
                 });
             }
-            for _ in 0..sent.over + received.over {
-                self.metrics.record_violation();
-            }
+            self.metrics.record_violations(sent.over + received.over);
         }
         self.metrics
             .record_round(sent.total, sent.max, received.max);
@@ -175,14 +176,17 @@ impl SequentialBackend {
         ExecutionBackend::charge_rounds(self, rounds, total_words, max_load)
     }
 
-    /// Residency checkpoint; see [`ExecutionBackend::checkpoint_residency`].
+    /// Residency checkpoint: every machine holds `base` words and machine
+    /// `i < head.len()` holds `head[i]` more; see
+    /// [`ExecutionBackend::checkpoint_residency`].
     ///
     /// # Errors
     ///
     /// [`MpcError::MemoryExceeded`] in strict mode on the first over-budget
-    /// machine.
-    pub fn checkpoint_residency(&mut self, per_machine: &[usize]) -> Result<()> {
-        ExecutionBackend::checkpoint_residency(self, per_machine)
+    /// machine; [`MpcError::WrongClusterWidth`] if `head` is longer than the
+    /// cluster.
+    pub fn checkpoint_residency(&mut self, base: usize, head: &[usize]) -> Result<()> {
+        ExecutionBackend::checkpoint_residency(self, base, head)
     }
 }
 
@@ -339,9 +343,14 @@ mod tests {
     #[test]
     fn residency_checkpoint() {
         let mut c = small();
-        c.checkpoint_residency(&[1, 8, 0]).unwrap();
+        c.checkpoint_residency(0, &[1, 8, 0]).unwrap();
         assert_eq!(c.metrics().peak_machine_memory, 8);
-        let err = c.checkpoint_residency(&[9, 0, 0]).unwrap_err();
+        assert_eq!(c.metrics().peak_global_memory, 9);
+        // A uniform share plus a prefix: machines 0..3 hold 3 + [4, 1, 0].
+        c.checkpoint_residency(3, &[4, 1]).unwrap();
+        assert_eq!(c.metrics().peak_machine_memory, 8);
+        assert_eq!(c.metrics().peak_global_memory, 14);
+        let err = c.checkpoint_residency(0, &[9, 0, 0]).unwrap_err();
         assert!(matches!(
             err,
             MpcError::MemoryExceeded {
@@ -350,12 +359,69 @@ mod tests {
                 capacity: 8
             }
         ));
+        // The first offender may lie in the uniform tail.
+        let err = c.checkpoint_residency(9, &[]).unwrap_err();
+        assert!(matches!(
+            err,
+            MpcError::MemoryExceeded {
+                machine: 0,
+                words: 9,
+                ..
+            }
+        ));
+        let err = c.checkpoint_residency(5, &[1, 4]).unwrap_err();
+        assert!(matches!(
+            err,
+            MpcError::MemoryExceeded {
+                machine: 1,
+                words: 9,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn relaxed_residency_counts_every_offender() {
+        let mut c = SequentialBackend::new(ClusterConfig::new(5, 8).relaxed());
+        // Machines 0 and 2 of the head offend.
+        c.checkpoint_residency(2, &[7, 0, 9]).unwrap();
+        assert_eq!(c.metrics().violations, 2);
+        // A base over capacity: every one of the five machines offends.
+        c.checkpoint_residency(9, &[1]).unwrap();
+        assert_eq!(c.metrics().violations, 7);
+        assert_eq!(c.metrics().peak_machine_memory, 11);
+        assert_eq!(c.metrics().peak_global_memory, 46);
     }
 
     #[test]
     fn residency_wrong_width() {
         let mut c = small();
-        assert!(c.checkpoint_residency(&[1, 2]).is_err());
+        assert!(matches!(
+            c.checkpoint_residency(0, &[1, 2, 3, 4]),
+            Err(MpcError::WrongClusterWidth {
+                expected: 3,
+                found: 4
+            })
+        ));
+        // A short head is a prefix, not a width error.
+        c.checkpoint_residency(0, &[1, 2]).unwrap();
+    }
+
+    #[test]
+    fn exchange_with_implicit_trailing_machines() {
+        // Three sources declared, only the first stored; the inbox stores
+        // destinations up to the largest one used.
+        let mut c = small();
+        let mut outbox = PerMachine::with_capacity(3, 2);
+        outbox.push_machine([(1usize, 7u32), (0, 8)]);
+        let inbox = c.exchange(outbox).unwrap();
+        assert_eq!(inbox.num_machines(), 3);
+        assert_eq!(inbox, PerMachine::from(vec![vec![8], vec![7], vec![]]));
+        assert_eq!(c.metrics().round_log[0].max_received, 1);
+        assert!(c
+            .exchange(PerMachine::<(usize, u32)>::with_capacity(3, 0))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -41,6 +41,16 @@ pub enum MpcError {
         /// Number of machines in the cluster.
         num_machines: usize,
     },
+    /// A primitive was handed a key or consumer id outside the key range it
+    /// was sized for.
+    UnknownKey {
+        /// `"consumer"` or `"bundle key"`.
+        role: &'static str,
+        /// The out-of-range id.
+        key: u64,
+        /// The declared key range: valid ids are `0..keys`.
+        keys: usize,
+    },
     /// An operation received per-machine input of the wrong width.
     WrongClusterWidth {
         /// Expected number of machines.
@@ -78,6 +88,9 @@ impl fmt::Display for MpcError {
             ),
             MpcError::UnknownMachine { machine, num_machines } => {
                 write!(f, "destination machine {machine} out of range (cluster has {num_machines})")
+            }
+            MpcError::UnknownKey { role, key, keys } => {
+                write!(f, "{role} {key} out of range (keys are below {keys})")
             }
             MpcError::WrongClusterWidth { expected, found } => {
                 write!(f, "per-machine input has {found} entries, cluster has {expected} machines")
@@ -147,6 +160,19 @@ mod tests {
     fn error_is_send_sync_static() {
         fn check<T: Send + Sync + 'static>() {}
         check::<MpcError>();
+    }
+
+    #[test]
+    fn display_unknown_key() {
+        let e = MpcError::UnknownKey {
+            role: "consumer",
+            key: 70,
+            keys: 64,
+        };
+        assert_eq!(
+            e.to_string(),
+            "consumer 70 out of range (keys are below 64)"
+        );
     }
 
     #[test]

@@ -147,7 +147,7 @@ pub fn check_group_capacity(
                 capacity,
             });
         }
-        metrics.record_violation();
+        metrics.record_violations(1);
     }
     Ok(())
 }
@@ -402,7 +402,7 @@ mod tests {
 
     fn ping_any(i: usize, backend: &mut SequentialBackend) -> Result<()> {
         backend.charge_rounds(1 + i as u64 % 3, 4 * (i + 1), 2)?;
-        backend.checkpoint_residency(&vec![3; backend.num_machines()])?;
+        backend.checkpoint_residency(3, &[])?;
         Ok(())
     }
 
@@ -482,7 +482,7 @@ mod tests {
         let configs = vec![ClusterConfig::new(1, 8).relaxed(), ClusterConfig::new(1, 8)];
         let mut group = InstanceGroup::<SequentialBackend>::new(configs, 1);
         group
-            .run_all(|i, backend| backend.checkpoint_residency(&[if i == 0 { 100 } else { 1 }]))
+            .run_all(|i, backend| backend.checkpoint_residency(0, &[if i == 0 { 100 } else { 1 }]))
             .unwrap();
         let err = group.into_metrics().unwrap_err();
         assert!(matches!(
@@ -503,7 +503,7 @@ mod tests {
         ];
         let mut group = InstanceGroup::<SequentialBackend>::new(configs, 2);
         group
-            .run_all(|_, backend| backend.checkpoint_residency(&[100]))
+            .run_all(|_, backend| backend.checkpoint_residency(0, &[100]))
             .unwrap();
         let metrics = group.into_metrics().unwrap();
         assert_eq!(metrics.peak_global_memory, 200);

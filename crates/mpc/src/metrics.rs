@@ -89,18 +89,17 @@ impl Metrics {
         }
     }
 
-    /// Records a residency checkpoint (`per_machine[i]` = words resident on
-    /// machine `i`). Backend-implementor API, like
+    /// Records a residency checkpoint: `peak` words on the fullest machine
+    /// and `total` words over all machines. Backend-implementor API, like
     /// [`record_round`](Metrics::record_round).
-    pub fn record_residency(&mut self, per_machine: &[usize]) {
-        let peak = per_machine.iter().copied().max().unwrap_or(0);
-        let total: usize = per_machine.iter().sum();
+    pub fn record_residency(&mut self, peak: usize, total: usize) {
         self.peak_machine_memory = self.peak_machine_memory.max(peak);
         self.peak_global_memory = self.peak_global_memory.max(total);
     }
 
     /// Records the per-machine resident tree-arena bytes at a checkpoint
-    /// (`per_machine[i]` = arena bytes held by machine `i`). Unlike
+    /// (`per_machine[i]` = arena bytes held by machine `i`; machines past
+    /// the slice hold none, so a prefix suffices). Unlike
     /// [`record_residency`](Metrics::record_residency) this is pure
     /// observability — arena bytes are a host-footprint figure, not words,
     /// so no capacity constraint applies.
@@ -119,10 +118,10 @@ impl Metrics {
         self.bundle_flat_words += flat;
     }
 
-    /// Records a soft constraint violation (relaxed mode).
+    /// Records `count` soft constraint violations (relaxed mode).
     /// Backend-implementor API, like [`record_round`](Metrics::record_round).
-    pub fn record_violation(&mut self) {
-        self.violations += 1;
+    pub fn record_violations(&mut self, count: u64) {
+        self.violations += count;
     }
 
     /// Merges another metrics object into this one, summing rounds and
@@ -176,17 +175,12 @@ mod tests {
     #[test]
     fn residency_tracks_peaks() {
         let mut m = Metrics::new();
-        m.record_residency(&[10, 20, 5]);
-        m.record_residency(&[1, 1, 1]);
+        m.record_residency(20, 35);
+        m.record_residency(1, 3);
         assert_eq!(m.peak_machine_memory, 20);
         assert_eq!(m.peak_global_memory, 35);
-    }
-
-    #[test]
-    fn residency_empty_is_noop() {
-        let mut m = Metrics::new();
-        m.record_residency(&[]);
-        assert_eq!(m.peak_machine_memory, 0);
+        m.record_residency(0, 0);
+        assert_eq!(m.peak_machine_memory, 20);
     }
 
     #[test]
@@ -253,8 +247,8 @@ mod tests {
     #[test]
     fn violations_count() {
         let mut m = Metrics::new();
-        m.record_violation();
-        m.record_violation();
-        assert_eq!(m.violations, 2);
+        m.record_violations(1);
+        m.record_violations(2);
+        assert_eq!(m.violations, 3);
     }
 }

@@ -2,64 +2,81 @@
 //!
 //! A round's traffic is a list per machine, and a cluster sized for the
 //! paper's `Θ(n·B + m)` global memory at `S = n^δ` words per machine has
-//! more machines than most rounds have messages. [`PerMachine`] keeps every
-//! list in one array plus one offset per machine (compressed sparse rows),
-//! so building, routing and reading a round costs one integer per machine
-//! and a constant number of moves per item — never a heap buffer per
-//! machine.
+//! more machines than most rounds have messages. [`PerMachine`] keeps the
+//! lists in one array plus one offset per *materialized* machine
+//! (compressed sparse rows) under a declared width: the lists after the
+//! last one pushed are implicitly empty. Building, routing and tallying a
+//! round therefore touches only the machines up to the last one that sends
+//! or receives, plus a constant number of moves per item — never an integer
+//! per machine of the cluster, nor a heap buffer per machine.
 
 use std::ops::Index;
 
-/// Per-machine lists stored flat: machine `i`'s list is
-/// `items[offsets[i]..offsets[i + 1]]`.
+/// Per-machine lists stored flat under a declared width: machine `i`'s list
+/// is `items[offsets[i]..offsets[i + 1]]` for the materialized machines
+/// `i < offsets.len() − 1`, and empty for the rest of the width.
 ///
 /// An exchange takes its outbox as `PerMachine<(destination, payload)>`,
 /// one list per source in production order, and returns its inbox as
 /// `PerMachine<payload>`, one list per destination in `(source,
-/// production)` order.
+/// production)` order. Equality compares the logical lists, so an empty
+/// list pushed explicitly equals an implicit one.
 ///
 /// # Examples
 ///
 /// ```
 /// use dgo_mpc::PerMachine;
 ///
-/// let mut lists = PerMachine::with_capacity(3, 3);
+/// let mut lists = PerMachine::with_capacity(4, 3);
 /// lists.push_machine([10u64, 11]);
 /// lists.push_machine([]);
 /// lists.push_machine([30]);
-/// assert_eq!(lists.num_machines(), 3);
+/// // Machine 3 was never pushed: its list is empty.
+/// assert_eq!(lists.num_machines(), 4);
 /// assert_eq!(lists[0], [10, 11]);
-/// assert!(lists[1].is_empty());
-/// assert_eq!(lists, PerMachine::from(vec![vec![10, 11], vec![], vec![30]]));
+/// assert!(lists[1].is_empty() && lists[3].is_empty());
+/// assert_eq!(lists, PerMachine::from(vec![vec![10, 11], vec![], vec![30], vec![]]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PerMachine<T> {
-    /// `num_machines() + 1` nondecreasing offsets, from 0 to `items.len()`.
+    /// The declared number of machines, at least the materialized ones.
+    width: usize,
+    /// One more than the materialized machines: nondecreasing offsets from
+    /// 0 to `items.len()`.
     offsets: Vec<usize>,
     items: Vec<T>,
 }
 
 impl<T> PerMachine<T> {
-    /// No lists yet, with room for `machines` lists holding `items` entries
-    /// in total; append the lists in machine order with
-    /// [`push_machine`](PerMachine::push_machine).
+    /// `machines` empty lists, with room for `items` entries in total;
+    /// append lists in machine order with
+    /// [`push_machine`](PerMachine::push_machine). Only the pushed lists
+    /// take memory, so a wide cluster costs nothing up front.
     pub fn with_capacity(machines: usize, items: usize) -> Self {
-        let mut offsets = Vec::with_capacity(machines + 1);
+        let mut offsets = Vec::with_capacity(machines.min(items) + 1);
         offsets.push(0);
         PerMachine {
+            width: machines,
             offsets,
             items: Vec::with_capacity(items),
         }
     }
 
-    /// Appends the next machine's list.
+    /// Sets the next machine's list: the first call fills machine 0, the
+    /// next machine 1, and so on. Pushing past the declared width widens it.
     pub fn push_machine(&mut self, list: impl IntoIterator<Item = T>) {
         self.items.extend(list);
         self.offsets.push(self.items.len());
+        self.width = self.width.max(self.materialized());
     }
 
-    /// Number of machines (lists).
+    /// Number of machines (lists), the declared width.
     pub fn num_machines(&self) -> usize {
+        self.width
+    }
+
+    /// Machines whose lists are stored; every later list is empty.
+    fn materialized(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -78,8 +95,16 @@ impl<T> PerMachine<T> {
         &self.items
     }
 
-    /// The lists in machine order.
+    /// The lists of all [`num_machines`](PerMachine::num_machines)
+    /// machines, in machine order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
+        (0..self.width).map(move |machine| &self[machine])
+    }
+
+    /// The stored lists, in machine order: a prefix of
+    /// [`iter`](PerMachine::iter) after which every list is empty. Metering
+    /// walks this, so its cost follows the machines that hold something.
+    pub(crate) fn stored_lists(&self) -> impl ExactSizeIterator<Item = &[T]> + '_ {
         self.offsets
             .windows(2)
             .map(|bounds| &self.items[bounds[0]..bounds[1]])
@@ -88,14 +113,16 @@ impl<T> PerMachine<T> {
     /// Applies `f` to every entry, keeping each in its machine's list.
     pub fn map<U>(self, f: impl FnMut(T) -> U) -> PerMachine<U> {
         PerMachine {
+            width: self.width,
             offsets: self.offsets,
             items: self.items.into_iter().map(f).collect(),
         }
     }
 
-    /// Rewrites every list in place: `f` may reorder or overwrite the list
-    /// and returns how many leading entries to keep. The rest are dropped
-    /// and the kept entries close up, so no list is reallocated.
+    /// Rewrites every stored list in place: `f` may reorder or overwrite the
+    /// list and returns how many leading entries to keep. The rest are
+    /// dropped and the kept entries close up, so no list is reallocated.
+    /// Implicitly empty lists are not visited.
     pub(crate) fn retain_prefixes(&mut self, mut f: impl FnMut(&mut [T]) -> usize) {
         let (mut start, mut write) = (0, 0);
         for machine in 1..self.offsets.len() {
@@ -118,10 +145,12 @@ impl<T> PerMachine<T> {
 }
 
 impl<T> PerMachine<(usize, T)> {
-    /// Regroups `(destination, payload)` messages by destination: a stable
-    /// counting sort, so each destination's list keeps `(source,
-    /// production)` order. Costs `destinations + 1` offsets, one slot per
-    /// message, and two moves per message: each pass is sequential but for
+    /// Regroups `(destination, payload)` messages by destination into
+    /// `destinations` lists: a stable counting sort, so each destination's
+    /// list keeps `(source, production)` order. Only the destinations up to
+    /// the largest one used are materialized: it costs one pass for that
+    /// maximum, one offset per materialized destination, one slot per
+    /// message, and two moves per message. Each pass is sequential but for
     /// the scatter's writes, so no chain of dependent cache misses forms.
     ///
     /// # Panics
@@ -129,13 +158,20 @@ impl<T> PerMachine<(usize, T)> {
     /// If a destination is `destinations` or more; exchanges validate
     /// destinations first.
     pub(crate) fn route(self, destinations: usize) -> PerMachine<T> {
+        let used = self
+            .items
+            .iter()
+            .map(|&(dst, _)| dst + 1)
+            .max()
+            .unwrap_or(0);
+        assert!(used <= destinations, "destination out of range");
         // offsets[d + 1] counts the messages to d; the prefix sums then make
         // offsets[d] the first slot of d's list.
-        let mut offsets = vec![0usize; destinations + 1];
+        let mut offsets = vec![0usize; used + 1];
         for &(dst, _) in &self.items {
             offsets[dst + 1] += 1;
         }
-        for d in 0..destinations {
+        for d in 0..used {
             offsets[d + 1] += offsets[d];
         }
         // Scatter in (source, production) order with offsets[d] as d's
@@ -147,28 +183,59 @@ impl<T> PerMachine<(usize, T)> {
             slots[*cursor] = Some(payload);
             *cursor += 1;
         }
-        offsets.copy_within(0..destinations, 1);
+        offsets.copy_within(0..used, 1);
         offsets[0] = 0;
         let items = slots
             .into_iter()
             .map(|slot| slot.expect("the counting sort fills every slot once"))
             .collect();
-        PerMachine { offsets, items }
+        PerMachine {
+            width: destinations,
+            offsets,
+            items,
+        }
     }
 }
 
 impl<T> Index<usize> for PerMachine<T> {
     type Output = [T];
 
+    /// Machine `machine`'s list.
+    ///
+    /// # Panics
+    ///
+    /// If `machine` is not below [`num_machines`](PerMachine::num_machines).
     fn index(&self, machine: usize) -> &[T] {
-        &self.items[self.offsets[machine]..self.offsets[machine + 1]]
+        if machine < self.materialized() {
+            &self.items[self.offsets[machine]..self.offsets[machine + 1]]
+        } else {
+            assert!(
+                machine < self.width,
+                "machine {machine} out of range for {} machines",
+                self.width
+            );
+            &[]
+        }
     }
 }
 
+impl<T: PartialEq> PartialEq for PerMachine<T> {
+    /// Equal widths and equal lists, however many of them are stored.
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Eq> Eq for PerMachine<T> {}
+
 impl<T> From<Vec<Vec<T>>> for PerMachine<T> {
     fn from(lists: Vec<Vec<T>>) -> Self {
-        let total = lists.iter().map(Vec::len).sum();
-        let mut out = PerMachine::with_capacity(lists.len(), total);
+        let mut out = PerMachine {
+            width: lists.len(),
+            offsets: Vec::with_capacity(lists.len() + 1),
+            items: Vec::with_capacity(lists.iter().map(Vec::len).sum()),
+        };
+        out.offsets.push(0);
         for list in lists {
             out.push_machine(list);
         }

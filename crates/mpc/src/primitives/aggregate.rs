@@ -18,9 +18,11 @@ use crate::word::WordSized;
 /// for determinism).
 ///
 /// Costs one exchange round (after free local pre-combining). Both combines
-/// work on each machine's list in place — a stable sort by key, then one
-/// fold over each run of equal keys in list order — instead of building a
-/// map per machine.
+/// work on each stored list in place — a stable sort by key, then one fold
+/// over each run of equal keys in list order — instead of building a map
+/// per machine; machines past the last stored list hold nothing and are
+/// not visited, so the host cost follows the items and the machines they
+/// occupy, not `M`.
 ///
 /// # Errors
 ///

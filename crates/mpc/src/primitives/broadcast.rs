@@ -11,7 +11,7 @@
 //! host-side, so only their sizes enter the charge.
 
 use crate::backend::ExecutionBackend;
-use crate::error::Result;
+use crate::error::{MpcError, Result};
 
 /// Rounds charged per distributed sort: the constant-round sample sort of
 /// Goodrich–Sitchinava–Zhang \[GSZ11\] (sample, partition, route, local
@@ -47,19 +47,25 @@ pub fn broadcast_tree_rounds(copies: usize, fanout: usize) -> u64 {
 /// Charges the delivery of requested bundles to their consumers
 /// (Lemma 4.1).
 ///
-/// * `requests`: `(consumer, bundle_key)` pairs.
+/// * `requests`: `(consumer, bundle_key)` pairs, both ids below `keys`.
 /// * `bundle_words(key)`: the payload words of `key`'s bundle, or `None`
 ///   when `key` has no bundle; such requests enter the copy-counting sort
 ///   but deliver nothing.
 ///
 /// Cost charged: one sort (copy counting), a broadcast tree of depth
 /// `log_{√S}(max copies)`, and one delivery round. Every delivered copy
-/// costs its key word plus the payload.
+/// costs its key word plus the payload. The host side counts the copies
+/// per key and the words per consumer in two `keys`-long tables, so it
+/// costs `O(requests + keys)`: no sort, and nothing per machine.
 ///
 /// # Errors
 ///
-/// Capacity errors if the per-consumer volume or balanced per-machine volume
-/// exceeds `S` (the preconditions (A)/(B) of Lemma 4.1 are violated).
+/// * [`MpcError::UnknownKey`](crate::MpcError::UnknownKey) for the first
+///   request, in order, whose consumer or key is `keys` or more (its
+///   consumer checked first); nothing is charged then.
+/// * Capacity errors if the per-consumer volume or balanced per-machine
+///   volume exceeds `S` (the preconditions (A)/(B) of Lemma 4.1 are
+///   violated).
 ///
 /// # Examples
 ///
@@ -74,7 +80,7 @@ pub fn broadcast_tree_rounds(copies: usize, fanout: usize) -> u64 {
 ///     20 => Some(1),
 ///     _ => None,
 /// };
-/// gather_bundles(&mut cluster, &[(0, 20), (0, 10), (1, 10)], words)?;
+/// gather_bundles(&mut cluster, &[(0, 20), (0, 10), (1, 10)], 21, words)?;
 /// // The sort, a one-round broadcast tree for bundle 10's two copies, and
 /// // the delivery of 2 + 3 + 3 words.
 /// assert_eq!(cluster.metrics().rounds, SORT_ROUNDS + 2);
@@ -84,21 +90,40 @@ pub fn broadcast_tree_rounds(copies: usize, fanout: usize) -> u64 {
 pub fn gather_bundles<B: ExecutionBackend>(
     cluster: &mut B,
     requests: &[(u64, u64)],
+    keys: usize,
     bundle_words: impl Fn(u64) -> Option<usize>,
 ) -> Result<()> {
     let m = cluster.num_machines();
     let s = cluster.local_memory();
 
-    // Phase 1: count copies per bundle (sorting-based, SORT_ROUNDS).
-    let mut copies: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
-    let mut consumer_words: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
+    // Phase 1: count copies per bundle (sorting-based, SORT_ROUNDS). The
+    // host tallies copies per key and delivered words per consumer in
+    // place, keeping the largest of each as it goes.
+    let mut copies = vec![0usize; keys];
+    let mut consumer_words = vec![0usize; keys];
+    let (mut max_copies, mut max_consumer, mut total_delivered) = (0, 0, 0usize);
+    let in_range = |role, id: u64| {
+        if id < keys as u64 {
+            Ok(id as usize)
+        } else {
+            Err(MpcError::UnknownKey {
+                role,
+                key: id,
+                keys,
+            })
+        }
+    };
     for &(consumer, key) in requests {
+        let consumer = in_range("consumer", consumer)?;
+        let slot = in_range("bundle key", key)?;
         if let Some(words) = bundle_words(key) {
-            copies.push((key, 1));
-            consumer_words.push((consumer, 1 + words));
+            copies[slot] += 1;
+            max_copies = max_copies.max(copies[slot]);
+            consumer_words[consumer] += 1 + words;
+            max_consumer = max_consumer.max(consumer_words[consumer]);
+            total_delivered += 1 + words;
         }
     }
-    let total_delivered: usize = consumer_words.iter().map(|&(_, w)| w).sum();
     let count_volume = 2 * requests.len(); // (key, consumer) pairs
     let count_load = count_volume.div_ceil(m).max(1).min(count_volume.max(1));
     cluster.charge_rounds(SORT_ROUNDS, count_volume * SORT_ROUNDS as usize, count_load)?;
@@ -106,7 +131,6 @@ pub fn gather_bundles<B: ExecutionBackend>(
     // Phase 2: broadcast-tree replication with fan-out sqrt(S) (the paper's
     // n^{δ/2} growth factor).
     let fanout = ((s as f64).sqrt().floor() as usize).max(2);
-    let max_copies = largest_group_sum(&mut copies);
     let tree_rounds = broadcast_tree_rounds(max_copies, fanout);
     if tree_rounds > 0 {
         let per_round_load = total_delivered.div_ceil(m).max(1);
@@ -115,20 +139,8 @@ pub fn gather_bundles<B: ExecutionBackend>(
 
     // Phase 3: rank-matched delivery; the binding constraint is each
     // consumer's own inbox volume (precondition (A) of Lemma 4.1).
-    let max_consumer = largest_group_sum(&mut consumer_words);
     let delivery_load = max_consumer.max(total_delivered.div_ceil(m)).max(1);
     cluster.charge_rounds(1, total_delivered, delivery_load)
-}
-
-/// The largest per-key total of `(key, amount)` pairs, grouping by sorting
-/// the pairs in place (already grouped input sorts in linear time).
-fn largest_group_sum(pairs: &mut [(u64, usize)]) -> usize {
-    pairs.sort_unstable_by_key(|&(key, _)| key);
-    pairs
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|group| group.iter().map(|&(_, amount)| amount).sum())
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -168,7 +180,7 @@ mod tests {
         // is consumer 0's inbox, the tree replicates bundle 10 twice.
         let mut c = cluster(2, 1024);
         let requests = [(0u64, 20u64), (1, 10), (0, 10)];
-        gather_bundles(&mut c, &requests, two_bundles).unwrap();
+        gather_bundles(&mut c, &requests, 21, two_bundles).unwrap();
         let log = &c.metrics().round_log;
         assert_eq!(log.len() as u64, SORT_ROUNDS + 2);
         assert!(log[..SORT_ROUNDS as usize]
@@ -184,7 +196,7 @@ mod tests {
     fn missing_keys_ignored() {
         // The request is sorted, but nothing is replicated or delivered.
         let mut c = cluster(2, 1024);
-        gather_bundles(&mut c, &[(0, 99)], two_bundles).unwrap();
+        gather_bundles(&mut c, &[(0, 99)], 100, two_bundles).unwrap();
         assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
         assert_eq!(c.metrics().total_comm_words, 2 * SORT_ROUNDS as usize);
     }
@@ -193,7 +205,7 @@ mod tests {
     fn consumer_overload_errors() {
         let mut c = cluster(2, 8);
         // A 20-word bundle > S = 8.
-        let err = gather_bundles(&mut c, &[(1, 0)], |_| Some(20)).unwrap_err();
+        let err = gather_bundles(&mut c, &[(1, 0)], 2, |_| Some(20)).unwrap_err();
         assert!(err.to_string().contains("capacity"));
     }
 
@@ -203,17 +215,42 @@ mod tests {
         // broadcast tree than a single copy.
         let mut single = cluster(4, 64);
         let mut many = cluster(4, 64);
-        gather_bundles(&mut single, &[(1, 0)], |_| Some(1)).unwrap();
+        gather_bundles(&mut single, &[(1, 0)], 40, |_| Some(1)).unwrap();
         let reqs: Vec<(u64, u64)> = (0..40).map(|i| (i, 0)).collect();
-        gather_bundles(&mut many, &reqs, |_| Some(1)).unwrap();
+        gather_bundles(&mut many, &reqs, 40, |_| Some(1)).unwrap();
         assert!(many.metrics().rounds > single.metrics().rounds);
     }
 
     #[test]
     fn empty_requests() {
         let mut c = cluster(2, 64);
-        gather_bundles(&mut c, &[], two_bundles).unwrap();
+        gather_bundles(&mut c, &[], 0, two_bundles).unwrap();
         assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
         assert_eq!(c.metrics().total_comm_words, 0);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_typed_errors() {
+        // The first bad request wins, its consumer checked before its key,
+        // and nothing is charged.
+        let mut c = cluster(2, 64);
+        let requests = [(0u64, 10u64), (3, 99), (21, 10)];
+        assert_eq!(
+            gather_bundles(&mut c, &requests, 21, two_bundles),
+            Err(MpcError::UnknownKey {
+                role: "bundle key",
+                key: 99,
+                keys: 21
+            })
+        );
+        assert_eq!(
+            gather_bundles(&mut c, &[(u64::MAX, u64::MAX)], 21, two_bundles),
+            Err(MpcError::UnknownKey {
+                role: "consumer",
+                key: u64::MAX,
+                keys: 21
+            })
+        );
+        assert_eq!(c.metrics().rounds, 0);
     }
 }

@@ -31,10 +31,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Counts every heap acquisition (alloc, alloc_zeroed, and realloc — a
-/// realloc may move, so it is an acquisition for this fence's purposes).
+/// realloc may move, so it is an acquisition for this fence's purposes) and
+/// the bytes each one requests (a realloc requests its new size).
 struct CountingAlloc;
 
 static ACQUISITIONS: AtomicUsize = AtomicUsize::new(0);
+static REQUESTED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
 // GlobalAlloc contract obligation (layout validity, pointer provenance) is
@@ -43,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds GlobalAlloc's contract; forwarded verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -56,6 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds GlobalAlloc's contract; forwarded verbatim.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -63,6 +67,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds GlobalAlloc's contract; forwarded verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED_BYTES.fetch_add(new_size, Ordering::Relaxed);
         // SAFETY: same pointer/layout/size triple the caller vouched for.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,6 +80,13 @@ fn measure<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ACQUISITIONS.load(Ordering::Relaxed);
     let result = f();
     (ACQUISITIONS.load(Ordering::Relaxed) - before, result)
+}
+
+/// The bytes `f` requests from the allocator, summed over its acquisitions.
+fn measure_bytes<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = REQUESTED_BYTES.load(Ordering::Relaxed);
+    let result = f();
+    (REQUESTED_BYTES.load(Ordering::Relaxed) - before, result)
 }
 
 #[test]
@@ -211,4 +223,37 @@ fn attach_is_o1_allocations_per_consumed_tree() {
              allocated {combine_allocs} times — not a constant"
         );
     }
+
+    // --- Machine-count independence: on a 2^20-machine cluster, metering
+    // a small instance touches only the machines that hold something. A
+    // min-combine of 64 proposals, Algorithm 2 on a 64-vertex graph and
+    // the Lemma 3.15 prelude (input checkpoint and Stage 1) each request
+    // well under 1 MiB; one word per machine would be 8 MiB. ---
+    let machines = 1usize << 20;
+    let wide = || SequentialBackend::from_config(ClusterConfig::new(machines, 1 << 16));
+    let small = dgo::graph::generators::gnm(64, 192, 3);
+    let proposals: Vec<(u64, u32)> = (0..64).map(|i| (i % 48, (i % 5 + 1) as u32)).collect();
+    let mut cluster = wide();
+    let (combine_bytes, combined) =
+        measure_bytes(|| combine_tree_layers(48, proposals, &mut cluster));
+    assert!(combined.expect("the min-combine fits").is_complete());
+    let mut cluster = wide();
+    let (expo_bytes, expo) =
+        measure_bytes(|| dgo::core::exponentiate_and_prune(&small, 256, 2, 3, &mut cluster));
+    assert!(expo.expect("Algorithm 2 fits").steps == 3 && cluster.metrics().rounds > 0);
+    let params = dgo::core::Params::practical(small.num_vertices()).with_jobs(1);
+    let mut cluster = wide();
+    let (prelude_bytes, prelude) =
+        measure_bytes(|| dgo::core::partial_layering_bounded_in(&small, &params, 0, &mut cluster));
+    assert_eq!(prelude.expect("the prelude fits").1.stages, 0);
+    assert!(cluster.metrics().peak_global_memory > 0);
+    let measured = [
+        ("combine_tree_layers", combine_bytes),
+        ("exponentiate_and_prune", expo_bytes),
+        ("partial_layering_bounded_in", prelude_bytes),
+    ];
+    assert!(
+        measured.iter().all(|&(_, bytes)| bytes < 1 << 20),
+        "requested bytes on {machines} machines: {measured:?}"
+    );
 }
