@@ -209,6 +209,14 @@ fn color_single<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
     for v in 0..n {
         layer_members[layering.layer(v) as usize].push(v);
     }
+    // Per-layer scratch, allocated once: activity flags and color lists
+    // (set for a layer's members, reset after its run), and a palette-sized
+    // table marking the colors a vertex's neighbours hold, stamped per
+    // vertex so it is never cleared.
+    let mut active = vec![false; n];
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut held = vec![0usize; palette];
+    let mut stamp = 0usize;
 
     let mut hi = total_layers;
     for b in 0..batches {
@@ -247,25 +255,25 @@ fn color_single<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
             if members.is_empty() {
                 continue;
             }
-            let mut active = vec![false; n];
-            let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
             for &v in members {
                 active[v] = true;
-                let forbidden: Vec<u32> = graph
-                    .neighbors(v)
-                    .iter()
-                    .filter_map(|&w| {
-                        let c = colors[w as usize];
-                        (c != u32::MAX).then_some(c)
-                    })
-                    .collect();
-                lists[v] = (0..palette as u32)
-                    .filter(|c| !forbidden.contains(c))
-                    .collect();
+                // Colors come from the palette, so they index the table.
+                stamp += 1;
+                let mut taken = 0;
+                for &w in graph.neighbors(v) {
+                    let c = colors[w as usize];
+                    if c != u32::MAX && held[c as usize] != stamp {
+                        held[c as usize] = stamp;
+                        taken += 1;
+                    }
+                }
+                let mut list = Vec::with_capacity(palette - taken);
+                list.extend((0..palette as u32).filter(|&c| held[c as usize] != stamp));
                 debug_assert!(
-                    !lists[v].is_empty(),
+                    !list.is_empty(),
                     "palette 3d must leave free colors (vertex {v})"
                 );
+                lists[v] = list;
             }
             seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let run = randomized_list_coloring(graph, &lists, &active, seed, 0);
@@ -273,6 +281,8 @@ fn color_single<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
             for &v in members {
                 debug_assert_ne!(run.colors[v], u32::MAX, "list coloring must complete");
                 colors[v] = run.colors[v];
+                active[v] = false;
+                lists[v] = Vec::new();
             }
         }
         hi = lo;

@@ -79,24 +79,53 @@ pub fn randomized_list_coloring(
     for &v in &uncolored {
         assert!(!lists[v].is_empty(), "vertex {v} has an empty color list");
     }
+    // The colors fixed neighbours hold are marked in a table indexed by
+    // color and stamped per (vertex, round), so it is never cleared. The
+    // table covers the list colors up to the largest one, but never more
+    // entries than the lists have: a color past it (lists sparse in a huge
+    // color range) is checked against the neighbours directly.
+    let (mut entries, mut largest) = (0usize, 0usize);
+    for &v in &uncolored {
+        entries += lists[v].len();
+        largest = largest.max(lists[v].iter().map(|&c| c as usize + 1).max().unwrap_or(0));
+    }
+    let marked = largest.min(entries);
+    let mut held = vec![0usize; marked];
+    let mut stamp = 0usize;
     let mut rounds = 0u64;
     let mut proposals = vec![UNCOLORED; n];
     while !uncolored.is_empty() && rounds < cap {
         rounds += 1;
         // Propose phase: pick a random color from the list that no *already
-        // fixed* neighbor holds.
+        // fixed* neighbor holds — count the free colors, draw a rank, take
+        // the free color of that rank in list order.
         for &v in &uncolored {
-            let available: Vec<u32> = lists[v]
-                .iter()
-                .copied()
-                .filter(|&c| graph.neighbors(v).iter().all(|&w| colors[w as usize] != c))
-                .collect();
+            stamp += 1;
+            for &w in graph.neighbors(v) {
+                let c = colors[w as usize] as usize;
+                if c < marked {
+                    held[c] = stamp;
+                }
+            }
+            let free = |&c: &u32| {
+                if (c as usize) < marked {
+                    held[c as usize] != stamp
+                } else {
+                    graph.neighbors(v).iter().all(|&w| colors[w as usize] != c)
+                }
+            };
+            let available = lists[v].iter().filter(|c| free(c)).count();
             // Degree+1 lists guarantee availability.
             debug_assert!(
-                !available.is_empty(),
+                available > 0,
                 "list of vertex {v} exhausted; degree+1 precondition violated"
             );
-            proposals[v] = available[rng.random_range(0..available.len())];
+            let rank = rng.random_range(0..available);
+            proposals[v] = *lists[v]
+                .iter()
+                .filter(|c| free(c))
+                .nth(rank)
+                .expect("the rank is below the free count");
         }
         // Resolve phase: keep the proposal unless an uncolored neighbor
         // proposed the same color.
@@ -197,6 +226,24 @@ mod tests {
     fn empty_graph_zero_rounds() {
         let r = randomized_list_coloring(&Graph::empty(0), &[], &[], 0, 0);
         assert_eq!(r.local_rounds, 0);
+    }
+
+    #[test]
+    fn huge_colors_need_no_color_sized_scratch() {
+        // Colors near u32::MAX take the direct neighbour check instead of a
+        // table indexed by color; the result is still a proper coloring
+        // from the lists.
+        let g = clique(5);
+        let lists: Vec<Vec<u32>> = (0..5)
+            .map(|v| vec![u32::MAX - 1 - v, 3, u32::MAX - 7, 1, 0, 2])
+            .collect();
+        let r = randomized_list_coloring(&g, &lists, &[true; 5], 4, 0);
+        for (u, v) in g.edges() {
+            assert_ne!(r.colors[u], r.colors[v]);
+        }
+        for (v, list) in lists.iter().enumerate() {
+            assert!(list.contains(&r.colors[v]));
+        }
     }
 
     #[test]
