@@ -102,7 +102,9 @@ fn bench_color(c: &mut Criterion, report: &mut BenchReport) {
 }
 
 /// All-to-all traffic isolating the exchange path itself: routing plus
-/// per-message word metering, no algorithm work.
+/// per-message word metering, no algorithm work. The `sparse` leg moves a
+/// few dozen messages on a 2²⁰-machine cluster: only the machines that send
+/// or receive are stored, so its round costs what it moves, not `M`.
 fn bench_raw_exchange(c: &mut Criterion, report: &mut BenchReport) {
     let mut group = c.benchmark_group("engine_exchange");
     group.sample_size(if quick() { 3 } else { 10 });
@@ -139,6 +141,23 @@ fn bench_raw_exchange(c: &mut Criterion, report: &mut BenchReport) {
         };
         record_leg(report, &metrics);
     }
+
+    let machines = 1 << 20;
+    let senders = 48;
+    let mut sparse: PerMachine<(usize, (u64, u64))> = PerMachine::with_capacity(machines, senders);
+    for src in 0..senders {
+        sparse.push_machine([((src * 7) % senders, (src as u64, 1))]);
+    }
+    let config = ClusterConfig::new(machines, 1 << 10);
+    let run = |outbox: &PerMachine<(usize, (u64, u64))>| {
+        let mut backend = SequentialBackend::new(config);
+        for _ in 0..8 {
+            backend.exchange(outbox.clone()).expect("fits");
+        }
+        backend.into_metrics()
+    };
+    group.bench_function("sparse", |b| b.iter(|| run(&sparse)));
+    record_leg(report, &run(&sparse));
     group.finish();
 }
 

@@ -339,11 +339,12 @@ mod tests {
     #[test]
     fn staged_matches_sequential_bit_for_bit() {
         use crate::stage::StageExecutor;
-        let g = gnm(200, 700, 12);
-        let mut reference_cluster = cluster_for(200);
+        // Above the stage engine's inline floor, so jobs > 1 splits chunks.
+        let g = gnm(1500, 5250, 12);
+        let mut reference_cluster = cluster_for(1500);
         let reference = partial_layer_assignment(&g, 256, 3, 4, 3, &mut reference_cluster).unwrap();
         for jobs in [2usize, 8, 0] {
-            let mut cluster = cluster_for(200);
+            let mut cluster = cluster_for(1500);
             let r = partial_layer_assignment_staged(
                 &g,
                 256,

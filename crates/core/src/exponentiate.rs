@@ -436,11 +436,12 @@ mod tests {
 
     #[test]
     fn staged_matches_sequential_bit_for_bit() {
-        let g = gnm(150, 600, 6);
-        let mut reference_cluster = big_cluster(150, 100);
+        // Above the stage engine's inline floor, so jobs > 1 splits chunks.
+        let g = gnm(1500, 6000, 6);
+        let mut reference_cluster = big_cluster(1500, 100);
         let reference = exponentiate_and_prune(&g, 100, 2, 3, &mut reference_cluster).unwrap();
         for jobs in [2usize, 8, 0] {
-            let mut cluster = big_cluster(150, 100);
+            let mut cluster = big_cluster(1500, 100);
             let r = exponentiate_and_prune_staged(
                 &g,
                 100,

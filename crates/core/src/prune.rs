@@ -376,7 +376,8 @@ mod tests {
     #[test]
     fn batch_matches_per_tree_loop_at_any_thread_count() {
         use crate::stage::StageExecutor;
-        let g = gnm(120, 480, 4);
+        // Above the stage engine's inline floor, so jobs > 1 splits chunks.
+        let g = gnm(1500, 6000, 4);
         let trees: Vec<ViewTree> = (0..g.num_vertices()).map(|v| star_of(&g, v)).collect();
         for k in [1usize, 3, 7] {
             let reference: Vec<Option<ViewTree>> = trees

@@ -117,6 +117,8 @@ impl SequentialBackend {
         }
         let capacity = self.config.local_memory;
         let mut sent = Tally::default();
+        // One more than the largest destination: the inbox stores that many.
+        let mut used = 0;
         for (src, messages) in outbox.stored_lists().enumerate() {
             let mut words = 0;
             for (dst, payload) in messages {
@@ -126,11 +128,12 @@ impl SequentialBackend {
                         num_machines: machines,
                     });
                 }
+                used = used.max(dst + 1);
                 words += payload.words();
             }
             sent.add(src, words, capacity);
         }
-        let inbox = outbox.route(machines);
+        let inbox = outbox.route(machines, used);
         let mut received = Tally::default();
         for (dst, messages) in inbox.stored_lists().enumerate() {
             received.add(dst, messages.iter().map(WordSized::words).sum(), capacity);

@@ -22,12 +22,17 @@
 //! implementation is [`SequentialBackend`] ([`Cluster`] is an alias): the
 //! deterministic single-threaded reference simulator.
 //!
-//! A round's outbox and inbox are flat [`PerMachine`] buffers: one offset per
-//! machine plus one array of messages, routed by one counting sort. A round
-//! therefore costs `O(M)` integers and a constant number of moves per
-//! message, never a heap buffer per machine — the §1.1 clusters sized for
-//! `Θ(n·B + m)` global memory have more machines than a typical round has
-//! messages.
+//! A round's outbox and inbox are flat [`PerMachine`] buffers: one array of
+//! messages plus one offset per machine up to the last one that holds any —
+//! the rest of the declared width is implicitly empty — routed by one
+//! counting sort. The §1.1 clusters sized for `Θ(n·B + m)` global memory
+//! have more machines than a typical round has messages, so every metering
+//! step costs what it meters, not `M`: a round costs a constant number of
+//! moves per message plus one integer per machine that sends or receives, a
+//! residency checkpoint takes a uniform share plus a per-machine prefix
+//! ([`ExecutionBackend::checkpoint_residency`]), and the Lemma 4.1 gather
+//! counts in tables over its key range
+//! ([`primitives::gather_bundles`]).
 //!
 //! Algorithms are written once against the trait and handed a backend:
 //!

@@ -147,24 +147,19 @@ impl<T> PerMachine<T> {
 impl<T> PerMachine<(usize, T)> {
     /// Regroups `(destination, payload)` messages by destination into
     /// `destinations` lists: a stable counting sort, so each destination's
-    /// list keeps `(source, production)` order. Only the destinations up to
-    /// the largest one used are materialized: it costs one pass for that
-    /// maximum, one offset per materialized destination, one slot per
+    /// list keeps `(source, production)` order. Only the first `used`
+    /// destinations are stored — `used` is one more than the largest
+    /// destination, which the exchange's validation pass already knows — so
+    /// routing costs one offset per stored destination, one slot per
     /// message, and two moves per message. Each pass is sequential but for
     /// the scatter's writes, so no chain of dependent cache misses forms.
     ///
     /// # Panics
     ///
-    /// If a destination is `destinations` or more; exchanges validate
-    /// destinations first.
-    pub(crate) fn route(self, destinations: usize) -> PerMachine<T> {
-        let used = self
-            .items
-            .iter()
-            .map(|&(dst, _)| dst + 1)
-            .max()
-            .unwrap_or(0);
-        assert!(used <= destinations, "destination out of range");
+    /// If `used > destinations` or a destination is `used` or more;
+    /// exchanges validate destinations first.
+    pub(crate) fn route(self, destinations: usize, used: usize) -> PerMachine<T> {
+        assert!(used <= destinations, "more destinations used than exist");
         // offsets[d + 1] counts the messages to d; the prefix sums then make
         // offsets[d] the first slot of d's list.
         let mut offsets = vec![0usize; used + 1];
@@ -254,10 +249,16 @@ mod tests {
             vec![],
             vec![(1, 'd'), (2, 'e'), (0, 'f')],
         ]);
-        let inbox = outbox.route(4);
+        let inbox = outbox.route(5, 3);
         assert_eq!(
             inbox,
-            PerMachine::from(vec![vec!['b', 'f'], vec!['d'], vec!['a', 'c', 'e'], vec![]])
+            PerMachine::from(vec![
+                vec!['b', 'f'],
+                vec!['d'],
+                vec!['a', 'c', 'e'],
+                vec![],
+                vec![]
+            ])
         );
     }
 

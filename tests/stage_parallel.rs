@@ -12,6 +12,12 @@
 //! from the raw Algorithm 2 kernel up through the full Theorem 1.1/1.2
 //! drivers and the coreness application (which also exercises the
 //! `split_jobs` budget sharing between the instance tier and the stage tier).
+//!
+//! Every workload here is above the stage engine's inline floor (1,024
+//! items): below it a stage runs as one inline chunk at any `jobs`, so a
+//! comparison across job counts would only compare the inline path with
+//! itself and could not see a chunk that is split, ordered or rebased
+//! wrongly.
 
 use dgo::core::stage::StageExecutor;
 use dgo::core::{
@@ -20,7 +26,9 @@ use dgo::core::{
     num_paths_out_staged, orient_on, partial_layer_assignment, partial_layer_assignment_staged,
     Params,
 };
-use dgo::graph::generators::{core_onion_with_truth, gnm, ring_of_cliques, Family};
+use dgo::graph::generators::{
+    barabasi_albert, core_onion_with_truth, gnm, ring_of_cliques, Family,
+};
 use dgo::graph::Graph;
 use dgo::mpc::{Cluster, ClusterConfig, SequentialBackend};
 use proptest::prelude::*;
@@ -41,7 +49,7 @@ proptest! {
     /// arbitrary sparse instances.
     #[test]
     fn exponentiation_stages_bit_identical(seed in 0u64..500, density in 2usize..5) {
-        let n = 150;
+        let n = 1500;
         let g = gnm(n, density * n, seed);
         let mut reference_cluster = kernel_cluster(n);
         let reference =
@@ -94,7 +102,7 @@ proptest! {
     /// matches the sequential scan on arbitrary complete layerings.
     #[test]
     fn path_count_stages_bit_identical(seed in 0u64..500) {
-        let g = gnm(250, 900, seed);
+        let g = gnm(3000, 9000, seed);
         let peel = dgo::local::be08_peeling(&g, 3, 0.5, 0);
         let la = peel.layering;
         let reference_in = num_paths_in(&g, &la);
@@ -150,9 +158,10 @@ fn algorithm_4_stages_bit_identical_across_families() {
     }
 }
 
-fn assert_driver_bit_identical(graph: &Graph, label: &str) {
+fn assert_driver_bit_identical(graph: &Graph, label: &str, lambda_hint: usize) {
     // Single-instance drivers: Params::jobs goes entirely to vertex stages.
-    let params = Params::practical(graph.num_vertices()).with_jobs(1);
+    let mut params = Params::practical(graph.num_vertices()).with_jobs(1);
+    params.lambda_hint = lambda_hint;
     let layering_reference =
         complete_layering_on::<SequentialBackend>(graph, &params).expect("layering succeeds");
     let orient_reference = orient_on::<SequentialBackend>(graph, &params).expect("orient succeeds");
@@ -197,8 +206,13 @@ fn assert_driver_bit_identical(graph: &Graph, label: &str) {
 
 #[test]
 fn drivers_bit_identical_across_jobs() {
-    assert_driver_bit_identical(&gnm(400, 1600, 7), "gnm");
-    assert_driver_bit_identical(&ring_of_cliques(40, 6), "ring-of-cliques");
+    // λ̂ estimated on G(n, m): Stage 1 peels everything in rounds of more
+    // than a thousand vertices. λ-hint 1 (k = 2) on the other two leaves
+    // every vertex to boosted Stage-2 stages, so Algorithms 1–4 and the
+    // coloring batches run on more than a thousand vertices.
+    assert_driver_bit_identical(&gnm(3000, 12000, 7), "gnm", 0);
+    assert_driver_bit_identical(&barabasi_albert(3000, 4, 7), "power-law", 1);
+    assert_driver_bit_identical(&ring_of_cliques(200, 6), "ring-of-cliques", 1);
 }
 
 #[test]
@@ -207,8 +221,8 @@ fn two_tier_jobs_split_bit_identical_on_core_onion() {
     // guess's vertex stages use the inner budget (split_jobs); the estimate
     // must not depend on the split, and must stay sound against the onion's
     // exact ground truth.
-    let (g, truth) = core_onion_with_truth(400, 6, 3);
-    let params = Params::practical(400).with_jobs(1);
+    let (g, truth) = core_onion_with_truth(3000, 6, 3);
+    let params = Params::practical(3000).with_jobs(1);
     let reference =
         approximate_coreness_on::<SequentialBackend>(&g, 0.5, &params).expect("coreness succeeds");
     for (v, &t) in truth.iter().enumerate() {
@@ -218,7 +232,10 @@ fn two_tier_jobs_split_bit_identical_on_core_onion() {
             reference.estimate[v]
         );
     }
-    for jobs in JOB_COUNTS {
+    // Up to `jobs = guesses` every guess gets one inner thread; beyond it the
+    // guesses' vertex stages fan out too.
+    let beyond = 3 * reference.guesses.len();
+    for jobs in JOB_COUNTS.into_iter().chain([beyond]) {
         let r =
             approximate_coreness_on::<SequentialBackend>(&g, 0.5, &params.clone().with_jobs(jobs))
                 .expect("coreness succeeds");
