@@ -307,11 +307,10 @@ fn checkpoint<B: ExecutionBackend>(
     let mut tree_bytes = vec![0usize; dealt];
     let mut slot = 0;
     for (len, &count) in trees_of_len.iter().enumerate().rev() {
-        let bytes = if count > 0 {
-            ViewTree::arena_bytes_of_len(len)
-        } else {
-            0
-        };
+        if count == 0 {
+            continue;
+        }
+        let bytes = ViewTree::arena_bytes_of_len(len);
         for _ in 0..count {
             load[slot] += 2 * len;
             tree_bytes[slot] += bytes;

@@ -179,8 +179,14 @@ mod tests {
         m.record_residency(1, 3);
         assert_eq!(m.peak_machine_memory, 20);
         assert_eq!(m.peak_global_memory, 35);
+    }
+
+    #[test]
+    fn residency_empty_is_noop() {
+        let mut m = Metrics::new();
         m.record_residency(0, 0);
-        assert_eq!(m.peak_machine_memory, 20);
+        assert_eq!(m.peak_machine_memory, 0);
+        assert_eq!(m.peak_global_memory, 0);
     }
 
     #[test]

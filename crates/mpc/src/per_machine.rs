@@ -3,9 +3,9 @@
 //! A round's traffic is a list per machine, and a cluster sized for the
 //! paper's `Θ(n·B + m)` global memory at `S = n^δ` words per machine has
 //! more machines than most rounds have messages. [`PerMachine`] keeps the
-//! lists in one array plus one offset per *materialized* machine
-//! (compressed sparse rows) under a declared width: the lists after the
-//! last one pushed are implicitly empty. Building, routing and tallying a
+//! lists in one array plus one offset per *stored* machine (compressed
+//! sparse rows) under a declared width: the lists after the last one pushed
+//! are implicitly empty. Building, routing and tallying a
 //! round therefore touches only the machines up to the last one that sends
 //! or receives, plus a constant number of moves per item — never an integer
 //! per machine of the cluster, nor a heap buffer per machine.
@@ -13,7 +13,7 @@
 use std::ops::Index;
 
 /// Per-machine lists stored flat under a declared width: machine `i`'s list
-/// is `items[offsets[i]..offsets[i + 1]]` for the materialized machines
+/// is `items[offsets[i]..offsets[i + 1]]` for the stored machines
 /// `i < offsets.len() − 1`, and empty for the rest of the width.
 ///
 /// An exchange takes its outbox as `PerMachine<(destination, payload)>`,
@@ -39,10 +39,10 @@ use std::ops::Index;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PerMachine<T> {
-    /// The declared number of machines, at least the materialized ones.
+    /// The declared number of machines, at least the stored ones.
     width: usize,
-    /// One more than the materialized machines: nondecreasing offsets from
-    /// 0 to `items.len()`.
+    /// One more than the stored machines: nondecreasing offsets from 0 to
+    /// `items.len()`.
     offsets: Vec<usize>,
     items: Vec<T>,
 }
@@ -67,7 +67,7 @@ impl<T> PerMachine<T> {
     pub fn push_machine(&mut self, list: impl IntoIterator<Item = T>) {
         self.items.extend(list);
         self.offsets.push(self.items.len());
-        self.width = self.width.max(self.materialized());
+        self.width = self.width.max(self.stored());
     }
 
     /// Number of machines (lists), the declared width.
@@ -76,7 +76,7 @@ impl<T> PerMachine<T> {
     }
 
     /// Machines whose lists are stored; every later list is empty.
-    fn materialized(&self) -> usize {
+    fn stored(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -201,7 +201,7 @@ impl<T> Index<usize> for PerMachine<T> {
     ///
     /// If `machine` is not below [`num_machines`](PerMachine::num_machines).
     fn index(&self, machine: usize) -> &[T] {
-        if machine < self.materialized() {
+        if machine < self.stored() {
             &self.items[self.offsets[machine]..self.offsets[machine + 1]]
         } else {
             assert!(
@@ -225,12 +225,8 @@ impl<T: Eq> Eq for PerMachine<T> {}
 
 impl<T> From<Vec<Vec<T>>> for PerMachine<T> {
     fn from(lists: Vec<Vec<T>>) -> Self {
-        let mut out = PerMachine {
-            width: lists.len(),
-            offsets: Vec::with_capacity(lists.len() + 1),
-            items: Vec::with_capacity(lists.iter().map(Vec::len).sum()),
-        };
-        out.offsets.push(0);
+        let total = lists.iter().map(Vec::len).sum();
+        let mut out = PerMachine::with_capacity(lists.len(), total);
         for list in lists {
             out.push_machine(list);
         }
