@@ -27,8 +27,8 @@ use dgo_mpc::{ExecutionBackend, PerMachine};
 /// # Errors
 ///
 /// * [`CoreError::InvalidProposal`] for the first proposal with a vertex
-///   outside the graph or a layer that is 0 or
-///   [`UNASSIGNED`](dgo_graph::UNASSIGNED); nothing is charged then.
+///   outside the graph or a layer that is 0 or [`UNASSIGNED`]; nothing is
+///   charged then.
 /// * Propagates MPC capacity violations.
 pub fn combine_tree_layers<B: ExecutionBackend>(
     n: usize,
@@ -286,7 +286,7 @@ mod tests {
         // A vertex outside the graph, a zero layer and the UNASSIGNED
         // sentinel each name the first bad proposal, and no round is
         // charged.
-        let u = dgo_graph::UNASSIGNED;
+        let u = UNASSIGNED;
         for (proposals, index, vertex, layer) in [
             (vec![(7u64, 1u32)], 0, 7, 1),
             (vec![(0, 2), (1, 0)], 1, 1, 0),
