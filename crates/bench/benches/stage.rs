@@ -17,7 +17,7 @@ use dgo_bench::report::{peak_rss_bytes, quick_mode, BenchLeg, BenchReport};
 use dgo_core::stage::StageExecutor;
 use dgo_core::{
     exponentiate_and_prune_staged, local_prune_batch, num_paths_in_staged,
-    partial_layer_assignment_staged, partial_layer_assignment_trees, wire, ViewTree,
+    partial_layer_assignment_staged, partial_layer_assignment_trees, ViewTree,
 };
 use dgo_graph::generators::gnm;
 use dgo_mpc::{Cluster, ClusterConfig};
@@ -50,7 +50,7 @@ fn record_leg(report: &mut BenchReport, stage: &StageExecutor, metrics: &dgo_mpc
 }
 
 /// [`record_leg`] for communication-free kernel legs (explicit word charge —
-/// zero for pure host kernels, the encoded total for the wire codec legs).
+/// zero for pure host kernels, the encoded total for the wire-size leg).
 fn record_kernel_leg(
     report: &mut BenchReport,
     jobs: usize,
@@ -134,8 +134,8 @@ fn bench_stage(c: &mut Criterion, report: &mut BenchReport) {
 
 /// The branch-light stage kernels in isolation — `LocalPrune` plan/project,
 /// the Algorithm 3 peel, the per-layer path-count refill — plus the wire
-/// codec itself (sizing, encode, decode), so codec overhead is metered as its
-/// own leg instead of hiding inside the exponentiation step.
+/// size of a bundle (`ViewTree::wire_words`), so its overhead is metered as
+/// its own leg instead of hiding inside the exponentiation step.
 fn bench_kernels(c: &mut Criterion, report: &mut BenchReport) {
     let n: usize = if quick() { 2_000 } else { 12_000 };
     let g = gnm(n, 5 * n, 17);
@@ -180,42 +180,16 @@ fn bench_kernels(c: &mut Criterion, report: &mut BenchReport) {
         record_kernel_leg(report, stage.threads(), 0, 0);
     }
 
-    // Codec legs: single-threaded per-tree passes (the codec runs inside
+    // Wire-size leg: a single-threaded per-tree pass (it runs inside
     // per-vertex stages in production; here its raw cost stands alone).
-    let wire_total: usize = trees.iter().map(wire::encoded_words).sum();
+    let wire_total: usize = trees.iter().map(ViewTree::wire_words).sum();
     group.bench_with_input(
         BenchmarkId::new("wire_words", "jobs1"),
         &trees,
-        |b, trees| b.iter(|| -> usize { trees.iter().map(wire::encoded_words).sum() }),
-    );
-    record_kernel_leg(report, 1, wire_total, 0);
-    group.bench_with_input(
-        BenchmarkId::new("wire_encode", "jobs1"),
-        &trees,
-        |b, trees| b.iter(|| -> usize { trees.iter().map(|t| wire::encode(t).len()).sum() }),
-    );
-    record_kernel_leg(report, 1, wire_total, 0);
-    let encoded: Vec<Vec<u64>> = trees.iter().map(wire::encode).collect();
-    group.bench_with_input(
-        BenchmarkId::new("wire_decode", "jobs1"),
-        &encoded,
-        |b, encoded| {
-            b.iter(|| -> Vec<ViewTree> {
-                encoded
-                    .iter()
-                    .map(|w| wire::decode(w).expect("canonical"))
-                    .collect()
-            })
-        },
+        |b, trees| b.iter(|| -> usize { trees.iter().map(ViewTree::wire_words).sum() }),
     );
     record_kernel_leg(report, 1, wire_total, 0);
     group.finish();
-
-    // The decoded trees must be the encoded ones — guard the bench inputs.
-    assert!(encoded
-        .iter()
-        .zip(&trees)
-        .all(|(w, t)| wire::decode(w).as_ref() == Ok(t)));
 }
 
 fn main() {

@@ -74,63 +74,44 @@ pub fn combine_tree_layers<B: ExecutionBackend>(
 pub struct PartialAssignmentResult {
     /// The partial layer assignment (out-degree `≤ (s+1)·k` by Claim 3.12).
     pub layering: LayerAssignment,
-    /// The out-degree bound `a = (s+1)·k` that Claim 3.12 certifies.
+    /// The out-degree bound `a = (s+1)·k` (saturating) that Claim 3.12
+    /// certifies.
     pub out_degree_cap: usize,
     /// The exponentiation artifacts (exposed for analysis/experiments).
     pub exponentiation: ExponentiationResult,
 }
 
 /// Runs Algorithm 4 (`PartialLayerAssignment(G, B, k, L, s)`) under the
-/// metering of any [`ExecutionBackend`].
+/// metering of any [`ExecutionBackend`], with the per-vertex passes —
+/// Algorithm 2's steps, Algorithm 3's per-tree peeling, and the proposal
+/// collection — running as data-parallel [`StageExecutor`] stages. The
+/// proposals are peeled in parallel over the exponentiated trees into flat
+/// per-chunk buffers, concatenated in vertex order before the min-combine
+/// charges the backend, so layerings and metrics are bit-identical at any
+/// thread count.
 ///
 /// # Errors
 ///
-/// Propagates MPC capacity violations.
+/// * [`CoreError::InvalidParams`] if `k == 0` or `budget < 4` (checked by
+///   Algorithm 2 before anything is charged).
+/// * Propagates MPC capacity violations.
 ///
 /// # Examples
 ///
 /// ```
-/// use dgo_core::partial_layer_assignment;
+/// use dgo_core::{partial_layer_assignment_staged, StageExecutor};
 /// use dgo_graph::generators::random_tree;
 /// use dgo_mpc::{Cluster, ClusterConfig};
 ///
 /// let g = random_tree(128, 3);
 /// let mut cluster = Cluster::new(ClusterConfig::new(512, 4096));
-/// let r = partial_layer_assignment(&g, 256, 2, 4, 3, &mut cluster)?;
+/// let stage = StageExecutor::sequential();
+/// let r = partial_layer_assignment_staged(&g, 256, 2, 4, 3, &mut cluster, &stage)?;
 /// // Claim 3.12: out-degree at most (s+1)*k = 8.
 /// assert!(r.layering.out_degree_bound(&g)? <= 8);
 /// assert!(r.layering.num_assigned() > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn partial_layer_assignment<B: ExecutionBackend>(
-    graph: &Graph,
-    budget: usize,
-    k: usize,
-    layers: u32,
-    steps: u32,
-    cluster: &mut B,
-) -> Result<PartialAssignmentResult> {
-    partial_layer_assignment_staged(
-        graph,
-        budget,
-        k,
-        layers,
-        steps,
-        cluster,
-        &StageExecutor::sequential(),
-    )
-}
-
-/// [`partial_layer_assignment`] with the per-vertex passes — Algorithm 2's
-/// steps, Algorithm 3's per-tree peeling, and the proposal collection —
-/// running as data-parallel [`StageExecutor`] stages. The proposals are
-/// peeled in parallel over the exponentiated trees into flat per-chunk
-/// buffers, concatenated in vertex order before the min-combine charges the
-/// backend, so layerings and metrics are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates MPC capacity violations.
 pub fn partial_layer_assignment_staged<B: ExecutionBackend>(
     graph: &Graph,
     budget: usize,
@@ -142,7 +123,7 @@ pub fn partial_layer_assignment_staged<B: ExecutionBackend>(
 ) -> Result<PartialAssignmentResult> {
     let n = graph.num_vertices();
     let exponentiation = exponentiate_and_prune_staged(graph, budget, k, steps, cluster, stage)?;
-    let a = (steps as usize + 1) * k;
+    let a = (steps as usize + 1).saturating_mul(k);
     // Algorithm 3 peel over all trees (one stage) yielding the finite-layer
     // proposals in vertex order, one flat buffer per chunk — the per-node
     // layer vectors are never materialized outside the chunks' scratch.
@@ -165,13 +146,26 @@ mod tests {
         Cluster::new(ClusterConfig::new((n * 8).max(64), 8192))
     }
 
+    /// Algorithm 4 with the per-vertex passes inline.
+    fn assign(
+        graph: &Graph,
+        budget: usize,
+        k: usize,
+        layers: u32,
+        steps: u32,
+        cluster: &mut Cluster,
+    ) -> Result<PartialAssignmentResult> {
+        let stage = StageExecutor::sequential();
+        partial_layer_assignment_staged(graph, budget, k, layers, steps, cluster, &stage)
+    }
+
     #[test]
     fn claim_3_12_out_degree_bound() {
         for seed in 0..3 {
             let g = gnm(150, 450, seed);
             let mut cluster = cluster_for(150);
             let (k, layers, steps) = (4usize, 4u32, 3u32);
-            let r = partial_layer_assignment(&g, 256, k, layers, steps, &mut cluster).unwrap();
+            let r = assign(&g, 256, k, layers, steps, &mut cluster).unwrap();
             let cap = (steps as usize + 1) * k;
             assert_eq!(r.out_degree_cap, cap);
             assert!(
@@ -185,7 +179,7 @@ mod tests {
     fn trees_get_fully_assigned() {
         let g = random_tree(300, 5);
         let mut cluster = cluster_for(300);
-        let r = partial_layer_assignment(&g, 256, 2, 6, 4, &mut cluster).unwrap();
+        let r = assign(&g, 256, 2, 6, 4, &mut cluster).unwrap();
         // Forests are so sparse that nearly everything lands in early layers;
         // at minimum, a large fraction must be assigned.
         assert!(
@@ -200,7 +194,7 @@ mod tests {
     fn layer_tails_decay_lemma_3_13() {
         let g = gnm(400, 800, 6);
         let mut cluster = cluster_for(400);
-        let r = partial_layer_assignment(&g, 400, 4, 4, 3, &mut cluster).unwrap();
+        let r = assign(&g, 400, 4, 4, 3, &mut cluster).unwrap();
         let tails = r.layering.tail_sizes();
         if tails.len() >= 3 {
             // Later tails must be (weakly) under half the earlier tails,
@@ -219,17 +213,28 @@ mod tests {
         // has missing = n-1 > a, so only leaves get layers.
         let g = star(200);
         let mut cluster = cluster_for(200);
-        let r = partial_layer_assignment(&g, 64, 2, 3, 2, &mut cluster).unwrap();
+        let r = assign(&g, 64, 2, 3, 2, &mut cluster).unwrap();
         assert!(!r.layering.is_assigned(0));
         assert!(r.layering.is_assigned(1));
         assert!(r.layering.validate(&g, r.out_degree_cap).is_ok());
     }
 
     #[test]
+    fn huge_k_saturates_the_cap() {
+        // `(s+1)·k` would overflow `usize`: the cap saturates instead. Every
+        // tree prunes to its root, which peels in layer 1.
+        let g = gnm(100, 250, 9);
+        let mut cluster = cluster_for(100);
+        let r = assign(&g, 128, usize::MAX / 2, 3, 3, &mut cluster).unwrap();
+        assert_eq!(r.out_degree_cap, usize::MAX);
+        assert!(r.layering.is_complete());
+    }
+
+    #[test]
     fn grid_assigns_everything() {
         let g = grid_2d(15, 15);
         let mut cluster = cluster_for(225);
-        let r = partial_layer_assignment(&g, 256, 4, 4, 3, &mut cluster).unwrap();
+        let r = assign(&g, 256, 4, 4, 3, &mut cluster).unwrap();
         // Grids have degeneracy 2 << a: one stage should cover everything.
         assert!(r.layering.is_complete(), "grid should assign all vertices");
     }
@@ -331,18 +336,17 @@ mod tests {
         let g = gnm(100, 250, 9);
         let mut a = cluster_for(100);
         let mut b = cluster_for(100);
-        let ra = partial_layer_assignment(&g, 128, 3, 3, 2, &mut a).unwrap();
-        let rb = partial_layer_assignment(&g, 128, 3, 3, 2, &mut b).unwrap();
+        let ra = assign(&g, 128, 3, 3, 2, &mut a).unwrap();
+        let rb = assign(&g, 128, 3, 3, 2, &mut b).unwrap();
         assert_eq!(ra.layering, rb.layering);
     }
 
     #[test]
     fn staged_matches_sequential_bit_for_bit() {
-        use crate::stage::StageExecutor;
         // Above the stage engine's inline floor, so jobs > 1 splits chunks.
         let g = gnm(1500, 5250, 12);
         let mut reference_cluster = cluster_for(1500);
-        let reference = partial_layer_assignment(&g, 256, 3, 4, 3, &mut reference_cluster).unwrap();
+        let reference = assign(&g, 256, 3, 4, 3, &mut reference_cluster).unwrap();
         for jobs in [2usize, 8, 0] {
             let mut cluster = cluster_for(1500);
             let r = partial_layer_assignment_staged(

@@ -22,7 +22,7 @@ use dgo_graph::{Graph, UNASSIGNED};
 /// survivor worklist. One scratch serves any number of peels; workers of a
 /// batch stage each own one.
 #[derive(Debug, Default)]
-pub struct PeelScratch {
+pub(crate) struct PeelScratch {
     /// `count[x]` = surviving children of `x` + missing neighbors of `x`
     /// (the two always sum to `deg(map(x))` minus selected children), plus
     /// one sentinel slot at index `len` absorbing the root's decrements.
@@ -37,7 +37,7 @@ pub struct PeelScratch {
 impl PeelScratch {
     /// A fresh scratch (buffers grow to the largest tree peeled through them
     /// and are then reused).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PeelScratch::default()
     }
 
@@ -113,41 +113,10 @@ impl PeelScratch {
     }
 }
 
-/// Runs Algorithm 3: returns the layer of every tree node (`1..=layers`, or
-/// [`UNASSIGNED`] for the paper's `∞`).
-///
-/// Entirely local — executed per tree on the machine holding it; the MPC
-/// driver combines results with [`crate::combine_tree_layers`].
-///
-/// # Examples
-///
-/// ```
-/// use dgo_core::{partial_layer_assignment_tree, ViewTree};
-/// use dgo_graph::Graph;
-///
-/// // A star center with all 3 neighbors present: Missing = 0, children = 3.
-/// let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)])?;
-/// let t = ViewTree::star(0, &[1, 2, 3]);
-/// let layers = partial_layer_assignment_tree(&g, &t, 3, 4);
-/// // Leaves have 0 children and deg-1... leaf "1" maps to vertex 1 whose
-/// // degree is 1 and which has 0 children in the tree: missing = 1 <= 3,
-/// // so every node lands in layer 1.
-/// assert!(layers.iter().all(|&l| l == 1));
-/// # Ok::<(), dgo_graph::GraphError>(())
-/// ```
-pub fn partial_layer_assignment_tree(
-    graph: &Graph,
-    tree: &ViewTree,
-    a: usize,
-    layers: u32,
-) -> Vec<u32> {
-    partial_layer_assignment_tree_with(graph, tree, a, layers, &mut PeelScratch::new())
-}
-
-/// [`partial_layer_assignment_tree`] through a caller-owned [`PeelScratch`]:
-/// repeated calls allocate nothing beyond each returned layer vector. This is
-/// the form the batch stages use with one scratch per worker.
-pub fn partial_layer_assignment_tree_with(
+/// Algorithm 3 on one tree through a caller-owned [`PeelScratch`]: the
+/// layer of every tree node. Repeated calls allocate nothing beyond each
+/// returned layer vector.
+pub(crate) fn partial_layer_assignment_tree_with(
     graph: &Graph,
     tree: &ViewTree,
     a: usize,
@@ -160,12 +129,31 @@ pub fn partial_layer_assignment_tree_with(
 }
 
 /// Runs Algorithm 3 over a whole batch of trees as one vertex-parallel
-/// stage: `result[v]` is the per-node layer vector of `trees[v]`.
+/// stage: `result[v]` is the layer of every node of `trees[v]` (`1..=layers`,
+/// or [`UNASSIGNED`] for the paper's `∞`).
 ///
-/// Each tree peels independently on the machine holding it (the driver's
-/// per-vertex map), reading only the shared graph, so the stage is
-/// bit-identical to the sequential per-tree loop at any thread count; each
-/// worker reuses one [`PeelScratch`].
+/// Entirely local: each tree peels independently on the machine holding it
+/// (the driver's per-vertex map), reading only the shared graph, so the
+/// stage is bit-identical to the sequential per-tree loop at any thread
+/// count; each worker reuses one scratch. The MPC driver combines the
+/// results with [`crate::combine_tree_layers`].
+///
+/// # Examples
+///
+/// ```
+/// use dgo_core::{partial_layer_assignment_trees, StageExecutor, ViewTree};
+/// use dgo_graph::Graph;
+///
+/// // A star center with all 3 neighbors present: Missing = 0, children = 3.
+/// let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)])?;
+/// let trees = [ViewTree::star(0, &[1, 2, 3])];
+/// let layers = partial_layer_assignment_trees(&g, &trees, 3, 4, &StageExecutor::sequential());
+/// // Leaf "1" maps to vertex 1, whose degree is 1 and which has 0 children
+/// // in the tree: missing = 1 <= 3. The root has 3 children and missing 0,
+/// // so every node lands in layer 1.
+/// assert!(layers[0].iter().all(|&l| l == 1));
+/// # Ok::<(), dgo_graph::GraphError>(())
+/// ```
 pub fn partial_layer_assignment_trees(
     graph: &Graph,
     trees: &[ViewTree],
@@ -223,20 +211,29 @@ pub(crate) fn tree_layer_proposals(
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
-    use crate::exponentiate::exponentiate_and_prune;
+    use crate::exponentiate::{exponentiate_and_prune_staged, ExponentiationResult};
     use dgo_graph::generators::gnm;
     use dgo_mpc::{Cluster, ClusterConfig};
+
+    /// Algorithm 3 on one tree.
+    fn peel(graph: &Graph, tree: &ViewTree, a: usize, layers: u32) -> Vec<u32> {
+        partial_layer_assignment_tree_with(graph, tree, a, layers, &mut PeelScratch::new())
+    }
+
+    /// Algorithm 2 on a cluster that fits every test instance.
+    fn exponentiate(graph: &Graph, budget: usize, k: usize, steps: u32) -> ExponentiationResult {
+        let mut cluster = Cluster::new(ClusterConfig::new(2048, 8192));
+        let stage = StageExecutor::sequential();
+        exponentiate_and_prune_staged(graph, budget, k, steps, &mut cluster, &stage).unwrap()
+    }
 
     #[test]
     fn singleton_with_small_degree_gets_layer_one() {
         let g = Graph::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
         let t = ViewTree::singleton(0); // missing = deg(0) = 2
-        assert_eq!(partial_layer_assignment_tree(&g, &t, 2, 3), vec![1]);
+        assert_eq!(peel(&g, &t, 2, 3), vec![1]);
         // With a = 1 the root can never be selected.
-        assert_eq!(
-            partial_layer_assignment_tree(&g, &t, 1, 3),
-            vec![UNASSIGNED]
-        );
+        assert_eq!(peel(&g, &t, 1, 3), vec![UNASSIGNED]);
     }
 
     #[test]
@@ -248,7 +245,7 @@ mod tests {
         // 1 and no children: missing = 1 <= 1 -> layer 1. Root has 2
         // children initially (> a counting missing 0), layer 2 after leaves
         // drop out.
-        let layers = partial_layer_assignment_tree(&g, &t, 1, 5);
+        let layers = peel(&g, &t, 1, 5);
         assert_eq!(layers[0], 2);
         assert_eq!(layers[1], 1);
         assert_eq!(layers[2], 1);
@@ -273,7 +270,7 @@ mod tests {
         t.assert_valid(&g);
         // With a = 1... each internal tree node has 1-2 children. Use a = 1
         // and 2 layers: deepest nodes get 1, then their parents 2, rest inf.
-        let layers = partial_layer_assignment_tree(&g, &t, 1, 2);
+        let layers = peel(&g, &t, 1, 2);
         assert!(layers.contains(&UNASSIGNED));
         assert!(layers.contains(&1));
     }
@@ -285,8 +282,7 @@ mod tests {
         // exponentiated tree receives a layer no larger than the vertex's
         // layer in the reference assignment.
         let g = gnm(60, 180, 4);
-        let peel = dgo_local::be08_peeling(&g, 3, 0.5, 0);
-        let ref_layering = peel.layering;
+        let ref_layering = dgo_local::be08_peeling(&g, 3, 0.5, 0).layering;
         assert!(ref_layering.is_complete());
         let d = ref_layering.out_degree_bound(&g).unwrap();
         let k = d.max(1);
@@ -294,9 +290,9 @@ mod tests {
         let steps = 32 - u32::leading_zeros(layers_l.max(1)) + 1; // s > log2 L
         let budget = 1024usize;
         let sqrt_b = (budget as f64).sqrt() as u64;
-        let paths_in = crate::paths::num_paths_in(&g, &ref_layering);
-        let mut cluster = Cluster::new(ClusterConfig::new(2048, 8192));
-        let r = exponentiate_and_prune(&g, budget, k, steps, &mut cluster).unwrap();
+        let paths_in =
+            crate::paths::num_paths_in_staged(&g, &ref_layering, &StageExecutor::sequential());
+        let r = exponentiate(&g, budget, k, steps);
         let a = (steps as usize + 1) * k;
         let mut checked = 0;
         for v in 0..g.num_vertices() {
@@ -304,7 +300,7 @@ mod tests {
                 continue;
             }
             checked += 1;
-            let layers = partial_layer_assignment_tree(&g, &r.trees[v], a, layers_l);
+            let layers = peel(&g, &r.trees[v], a, layers_l);
             let root_layer = layers[ViewTree::ROOT as usize];
             assert_ne!(root_layer, UNASSIGNED, "v={v} must be assigned (Lemma 3.9)");
             assert!(
@@ -321,21 +317,15 @@ mod tests {
         let g = gnm(30, 90, 2);
         let t = ViewTree::star(5, g.neighbors(5));
         let a = g.max_degree() + 1;
-        let layers = partial_layer_assignment_tree(&g, &t, a, 1);
+        let layers = peel(&g, &t, a, 1);
         assert!(layers.iter().all(|&l| l == 1));
     }
 
     #[test]
     fn batch_matches_per_tree_loop_at_any_thread_count() {
-        use crate::stage::StageExecutor;
         let g = gnm(100, 400, 2);
-        let mut cluster = Cluster::new(ClusterConfig::new(2048, 8192));
-        let r = exponentiate_and_prune(&g, 144, 3, 3, &mut cluster).unwrap();
-        let reference: Vec<Vec<u32>> = r
-            .trees
-            .iter()
-            .map(|t| partial_layer_assignment_tree(&g, t, 12, 4))
-            .collect();
+        let r = exponentiate(&g, 144, 3, 3);
+        let reference: Vec<Vec<u32>> = r.trees.iter().map(|t| peel(&g, t, 12, 4)).collect();
         for jobs in [1usize, 2, 8, 0] {
             let batch =
                 partial_layer_assignment_trees(&g, &r.trees, 12, 4, &StageExecutor::new(jobs));
@@ -349,8 +339,7 @@ mod tests {
         // peels in several chunks whose flat buffers must concatenate in
         // tree order.
         let g = gnm(1500, 6000, 8);
-        let mut cluster = Cluster::new(ClusterConfig::new(2048, 8192));
-        let r = exponentiate_and_prune(&g, 144, 2, 3, &mut cluster).unwrap();
+        let r = exponentiate(&g, 144, 2, 3);
         let (a, layers) = (8usize, 4u32);
         let stage = StageExecutor::sequential();
         let per_node = partial_layer_assignment_trees(&g, &r.trees, a, layers, &stage);
@@ -372,7 +361,7 @@ mod tests {
     fn zero_a_assigns_nothing_on_connected_graph() {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let t = ViewTree::star(0, &[1]);
-        let layers = partial_layer_assignment_tree(&g, &t, 0, 5);
+        let layers = peel(&g, &t, 0, 5);
         assert!(layers.iter().all(|&l| l == UNASSIGNED));
     }
 }

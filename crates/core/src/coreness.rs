@@ -50,11 +50,8 @@ pub struct CorenessResult {
 ///
 /// # Errors
 ///
-/// Propagates layering errors.
-///
-/// # Panics
-///
-/// Panics if `eps <= 0`.
+/// * [`CoreError::InvalidParams`] if `eps` is not finite and positive.
+/// * Propagates layering errors.
 ///
 /// # Examples
 ///
@@ -85,33 +82,20 @@ pub fn approximate_coreness(graph: &Graph, eps: f64, params: &Params) -> Result<
 /// # Errors
 ///
 /// See [`approximate_coreness`].
-///
-/// # Panics
-///
-/// Panics if `eps <= 0`.
 pub fn approximate_coreness_on<B: ExecutionBackend + Send>(
     graph: &Graph,
     eps: f64,
     params: &Params,
 ) -> Result<CorenessResult> {
-    assert!(eps > 0.0, "eps must be positive, got {eps}");
+    if !(eps.is_finite() && eps > 0.0) {
+        return Err(CoreError::InvalidParams {
+            reason: format!("eps must be finite and positive, got {eps}"),
+        });
+    }
     params.validate()?;
     let n = graph.num_vertices();
     let max_core = degeneracy(graph).value.max(1);
-
-    // The guess ladder: 1, ⌈(1+ε)⌉, ⌈(1+ε)²⌉, …, first value ≥ degeneracy.
-    let mut guesses: Vec<usize> = Vec::new();
-    let mut g = 1.0f64;
-    loop {
-        let guess = g.ceil() as usize;
-        if guesses.last() != Some(&guess) {
-            guesses.push(guess);
-        }
-        if guess >= max_core {
-            break;
-        }
-        g *= 1.0 + eps;
-    }
+    let guesses = guess_ladder(max_core, eps);
 
     // Deterministic per-instance parameter derivation: guess i runs with its
     // ladder value as the λ-hint. The thread budget splits between the
@@ -171,6 +155,37 @@ pub fn approximate_coreness_on<B: ExecutionBackend + Send>(
         metrics,
         stats,
     })
+}
+
+/// The guess ladder `1, ⌈(1+ε)⌉, ⌈(1+ε)²⌉, …` up to its first value
+/// `≥ max_core`, without repeats, for a finite `eps > 0`.
+///
+/// While a guess is below `max_core`, one step adds less than
+/// `eps · max_core` to it. At `eps · max_core ≤ 1/2` the ceiling therefore
+/// never skips an integer, and the ladder is exactly `1..=max_core`. That
+/// range is built directly, because the multiplication stalls where
+/// `1 + eps` rounds to 1 and crawls where it barely exceeds it.
+fn guess_ladder(max_core: usize, eps: f64) -> Vec<usize> {
+    if eps * max_core as f64 <= 0.5 {
+        return (1..=max_core).collect();
+    }
+    geometric_ladder(max_core, eps)
+}
+
+/// The ladder by repeated multiplication with `1 + eps`.
+fn geometric_ladder(max_core: usize, eps: f64) -> Vec<usize> {
+    let mut guesses: Vec<usize> = Vec::new();
+    let mut g = 1.0f64;
+    loop {
+        let guess = g.ceil() as usize;
+        if guesses.last() != Some(&guess) {
+            guesses.push(guess);
+        }
+        if guess >= max_core {
+            return guesses;
+        }
+        g *= 1.0 + eps;
+    }
 }
 
 #[cfg(test)]
@@ -286,10 +301,60 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_eps_panics() {
+    fn invalid_eps_is_invalid_params() {
         let g = Graph::empty(2);
-        let _ = approximate_coreness(&g, 0.0, &Params::practical(2));
+        for eps in [0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = approximate_coreness(&g, eps, &Params::practical(2)).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidParams { .. }),
+                "eps {eps}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn guess_ladder_matches_the_loop() {
+        // The direct range must be the loop's ladder wherever it is taken
+        // (`eps · max_core ≤ 1/2`, the boundary included at (5, 0.1)), at
+        // eps values the loop finishes quickly. Above it the ladder is the
+        // loop itself.
+        let mut shortcuts = 0;
+        for max_core in [1usize, 2, 3, 5, 8, 39, 64, 100, 1000] {
+            for eps in [1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5] {
+                if eps * max_core as f64 <= 0.5 {
+                    shortcuts += 1;
+                    assert_eq!(
+                        guess_ladder(max_core, eps),
+                        geometric_ladder(max_core, eps),
+                        "max_core {max_core}, eps {eps}"
+                    );
+                }
+            }
+        }
+        assert!(shortcuts >= 20, "only {shortcuts} pairs take the range");
+    }
+
+    #[test]
+    fn tiny_eps_ladder_is_every_integer() {
+        // `1 + 1e-17 == 1` in f64, so `geometric_ladder` never advances; at
+        // 1e-9 it takes about 1.6·10⁹ steps to reach 5.
+        for eps in [1e-17, 1e-9] {
+            assert_eq!(guess_ladder(5, eps), vec![1, 2, 3, 4, 5]);
+        }
+        let g = clique(6); // degeneracy 5
+        let r = approximate_coreness(&g, 1e-17, &Params::practical(6)).unwrap();
+        assert_eq!(r.guesses, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn huge_eps_runs_a_two_guess_ladder() {
+        // eps = 1e10 makes the top guess's `k²` overflow `usize`, and
+        // eps = 2³² − 1 makes its `k` 2³³, past `u32`.
+        let g = gnm(200, 800, 4);
+        for eps in [1e10, f64::from(u32::MAX)] {
+            let r = check_upper_bound(&g, eps);
+            assert_eq!(r.guesses, vec![1, (1.0 + eps) as usize], "eps {eps}");
+        }
     }
 
     use dgo_graph::Graph;

@@ -30,7 +30,7 @@
 //! list per stage chunk, concatenated in vertex order, not two buffers per
 //! requesting vertex.
 
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::prune::local_prune_batch;
 use crate::stage::StageExecutor;
 use crate::vtree::{NodeId, ViewTree};
@@ -38,8 +38,8 @@ use dgo_graph::Graph;
 use dgo_mpc::primitives::gather_bundles;
 use dgo_mpc::ExecutionBackend;
 
-/// Output of [`exponentiate_and_prune`]: the per-vertex view trees after `s`
-/// steps, with their final activity flags.
+/// Output of [`exponentiate_and_prune_staged`]: the per-vertex view trees
+/// after `s` steps, with their final activity flags.
 #[derive(Debug, Clone)]
 pub struct ExponentiationResult {
     /// `trees[v]` is `T_v^{(s)}` with its valid mapping.
@@ -52,28 +52,29 @@ pub struct ExponentiationResult {
 }
 
 /// Runs Algorithm 2 on `graph` under the metering of any
-/// [`ExecutionBackend`], executing the per-vertex stages inline (the
-/// [`StageExecutor::sequential`] form of [`exponentiate_and_prune_staged`]).
+/// [`ExecutionBackend`], with the per-vertex passes (prune, request
+/// collection, attachment, residency sizing) running as data-parallel
+/// [`StageExecutor`] stages. Trees, activity flags, and metrics are
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
-/// Propagates MPC capacity violations (the strict cluster rejects steps whose
-/// communication or residency exceeds `S`).
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `budget < 4`.
+/// * [`CoreError::InvalidParams`] if `k == 0` or `budget < 4`; nothing is
+///   charged then.
+/// * Propagates MPC capacity violations (the strict cluster rejects steps
+///   whose communication or residency exceeds `S`).
 ///
 /// # Examples
 ///
 /// ```
-/// use dgo_core::exponentiate_and_prune;
+/// use dgo_core::{exponentiate_and_prune_staged, StageExecutor};
 /// use dgo_graph::generators::random_tree;
 /// use dgo_mpc::{Cluster, ClusterConfig};
 ///
 /// let g = random_tree(64, 1);
 /// let mut cluster = Cluster::new(ClusterConfig::new(64, 4096));
-/// let r = exponentiate_and_prune(&g, 256, 2, 3, &mut cluster)?;
+/// let stage = StageExecutor::sequential();
+/// let r = exponentiate_and_prune_staged(&g, 256, 2, 3, &mut cluster, &stage)?;
 /// assert_eq!(r.trees.len(), 64);
 /// for (v, t) in r.trees.iter().enumerate() {
 ///     assert_eq!(t.root_vertex(), v);
@@ -81,35 +82,6 @@ pub struct ExponentiationResult {
 /// }
 /// # Ok::<(), dgo_core::CoreError>(())
 /// ```
-pub fn exponentiate_and_prune<B: ExecutionBackend>(
-    graph: &Graph,
-    budget: usize,
-    k: usize,
-    steps: u32,
-    cluster: &mut B,
-) -> Result<ExponentiationResult> {
-    exponentiate_and_prune_staged(
-        graph,
-        budget,
-        k,
-        steps,
-        cluster,
-        &StageExecutor::sequential(),
-    )
-}
-
-/// [`exponentiate_and_prune`] with the per-vertex passes (prune, request
-/// collection, attachment, residency sizing) running as data-parallel
-/// [`StageExecutor`] stages. Trees, activity flags, and metrics are
-/// bit-identical at any thread count.
-///
-/// # Errors
-///
-/// See [`exponentiate_and_prune`].
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `budget < 4`.
 pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
     graph: &Graph,
     budget: usize,
@@ -118,8 +90,13 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
     cluster: &mut B,
     stage: &StageExecutor,
 ) -> Result<ExponentiationResult> {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(budget >= 4, "budget must be at least 4");
+    if k == 0 || budget < 4 {
+        return Err(CoreError::InvalidParams {
+            reason: format!(
+                "Algorithm 2 needs k >= 1 and budget >= 4, got k = {k}, budget = {budget}"
+            ),
+        });
+    }
     let n = graph.num_vertices();
     let sqrt_budget = (budget as f64).sqrt().floor() as u64;
 
@@ -337,12 +314,24 @@ mod tests {
         Cluster::new(ClusterConfig::new((n * budget / 64).max(8), 4096))
     }
 
+    /// Algorithm 2 with the per-vertex passes inline.
+    fn exponentiate(
+        graph: &Graph,
+        budget: usize,
+        k: usize,
+        steps: u32,
+        cluster: &mut Cluster,
+    ) -> Result<ExponentiationResult> {
+        let stage = StageExecutor::sequential();
+        exponentiate_and_prune_staged(graph, budget, k, steps, cluster, &stage)
+    }
+
     #[test]
     fn claim_3_4_budget_respected() {
         let g = gnm(200, 800, 3);
         let budget = 144;
         let mut cluster = big_cluster(200, budget);
-        let r = exponentiate_and_prune(&g, budget, 3, 3, &mut cluster).unwrap();
+        let r = exponentiate(&g, budget, 3, 3, &mut cluster).unwrap();
         for t in &r.trees {
             assert!(t.len() <= budget);
         }
@@ -352,7 +341,7 @@ mod tests {
     fn claim_3_3_valid_mappings_preserved() {
         let g = gnm(80, 240, 5);
         let mut cluster = big_cluster(80, 100);
-        let r = exponentiate_and_prune(&g, 100, 2, 3, &mut cluster).unwrap();
+        let r = exponentiate(&g, 100, 2, 3, &mut cluster).unwrap();
         for (v, t) in r.trees.iter().enumerate() {
             t.assert_valid(&g);
             assert_eq!(t.root_vertex(), v);
@@ -363,7 +352,7 @@ mod tests {
     fn high_degree_vertices_start_inactive() {
         let g = star(100); // center has degree 99
         let mut cluster = big_cluster(100, 50);
-        let r = exponentiate_and_prune(&g, 50, 2, 2, &mut cluster).unwrap();
+        let r = exponentiate(&g, 50, 2, 2, &mut cluster).unwrap();
         assert!(!r.active[0]);
         assert_eq!(r.trees[0].len(), 1); // singleton, pruned each step
     }
@@ -377,7 +366,7 @@ mod tests {
         // verify trees stay small instead.
         let g = random_tree(64, 9);
         let mut cluster = big_cluster(64, 256);
-        let r = exponentiate_and_prune(&g, 256, 1, 3, &mut cluster).unwrap();
+        let r = exponentiate(&g, 256, 1, 3, &mut cluster).unwrap();
         for t in &r.trees {
             assert!(t.len() <= 256);
         }
@@ -388,8 +377,8 @@ mod tests {
         let g = gnm(50, 150, 7);
         let mut a = big_cluster(50, 64);
         let mut b = big_cluster(50, 64);
-        exponentiate_and_prune(&g, 64, 2, 1, &mut a).unwrap();
-        exponentiate_and_prune(&g, 64, 2, 4, &mut b).unwrap();
+        exponentiate(&g, 64, 2, 1, &mut a).unwrap();
+        exponentiate(&g, 64, 2, 4, &mut b).unwrap();
         assert!(b.metrics().rounds > a.metrics().rounds);
         // O(s) scaling: 4 steps cost at most ~6x one step (constant-round
         // primitives per step, plus tree-depth-dependent gathers).
@@ -400,7 +389,7 @@ mod tests {
     fn zero_steps_returns_initial_views() {
         let g = gnm(30, 60, 1);
         let mut cluster = big_cluster(30, 64);
-        let r = exponentiate_and_prune(&g, 64, 2, 0, &mut cluster).unwrap();
+        let r = exponentiate(&g, 64, 2, 0, &mut cluster).unwrap();
         for (v, t) in r.trees.iter().enumerate() {
             assert_eq!(t.len(), 1 + g.degree(v));
         }
@@ -413,7 +402,7 @@ mod tests {
         // keep trees under 4 nodes... unless k >= 11 collapses to singleton.
         let g = clique(12);
         let mut cluster = big_cluster(12, 16);
-        let r = exponentiate_and_prune(&g, 16, 2, 2, &mut cluster).unwrap();
+        let r = exponentiate(&g, 16, 2, 2, &mut cluster).unwrap();
         for t in &r.trees {
             assert!(t.len() <= 16);
         }
@@ -427,8 +416,8 @@ mod tests {
         let g = gnm(40, 120, 2);
         let mut a = big_cluster(40, 64);
         let mut b = big_cluster(40, 64);
-        let ra = exponentiate_and_prune(&g, 64, 2, 3, &mut a).unwrap();
-        let rb = exponentiate_and_prune(&g, 64, 2, 3, &mut b).unwrap();
+        let ra = exponentiate(&g, 64, 2, 3, &mut a).unwrap();
+        let rb = exponentiate(&g, 64, 2, 3, &mut b).unwrap();
         assert_eq!(ra.trees, rb.trees);
         assert_eq!(ra.active, rb.active);
     }
@@ -438,7 +427,7 @@ mod tests {
         // Above the stage engine's inline floor, so jobs > 1 splits chunks.
         let g = gnm(1500, 6000, 6);
         let mut reference_cluster = big_cluster(1500, 100);
-        let reference = exponentiate_and_prune(&g, 100, 2, 3, &mut reference_cluster).unwrap();
+        let reference = exponentiate(&g, 100, 2, 3, &mut reference_cluster).unwrap();
         for jobs in [2usize, 8, 0] {
             let mut cluster = big_cluster(1500, 100);
             let r = exponentiate_and_prune_staged(
@@ -464,7 +453,7 @@ mod tests {
     fn bundle_words_metered_against_flat_baseline() {
         let g = gnm(150, 600, 6);
         let mut cluster = big_cluster(150, 100);
-        exponentiate_and_prune(&g, 100, 2, 3, &mut cluster).unwrap();
+        exponentiate(&g, 100, 2, 3, &mut cluster).unwrap();
         let m = cluster.metrics();
         assert!(m.bundle_flat_words > 0, "expected shipped bundles");
         assert!(m.bundle_wire_words > 0);
@@ -476,11 +465,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "budget")]
-    fn tiny_budget_panics() {
+    fn tiny_budget_and_zero_k_are_invalid_params() {
         let g = Graph::empty(1);
-        let mut cluster = big_cluster(1, 4);
-        let _ = exponentiate_and_prune(&g, 2, 1, 1, &mut cluster);
+        for (budget, k) in [(2, 1), (3, 2), (16, 0)] {
+            let mut cluster = big_cluster(1, 4);
+            let err = exponentiate(&g, budget, k, 1, &mut cluster).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidParams { .. }),
+                "budget {budget}, k {k}: {err}"
+            );
+            assert_eq!(
+                cluster.metrics(),
+                big_cluster(1, 4).metrics(),
+                "nothing is charged"
+            );
+        }
     }
 
     use dgo_graph::Graph;

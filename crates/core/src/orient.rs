@@ -126,10 +126,10 @@ fn budget_cap(s: usize) -> usize {
     (s / 4).max(16)
 }
 
-/// The cluster configuration [`complete_layering_in`] /
-/// [`partial_layering_bounded_in`] expect their backend to be sized for.
-/// Callers composing several layering instances (e.g. via
-/// [`InstanceGroup`]) build one backend per instance from this.
+/// The cluster configuration a layering backend is sized for, such as the
+/// one [`partial_layering_bounded_in`] runs on. Callers composing several
+/// layering instances (e.g. via [`InstanceGroup`]) build one backend per
+/// instance from this.
 pub fn layering_config(graph: &Graph, params: &Params) -> ClusterConfig {
     let n = graph.num_vertices();
     let s = params.local_memory(n);
@@ -194,7 +194,7 @@ pub fn complete_layering_on<B: ExecutionBackend>(
 /// # Errors
 ///
 /// See [`complete_layering`].
-pub fn complete_layering_in<B: ExecutionBackend>(
+pub(crate) fn complete_layering_in<B: ExecutionBackend>(
     graph: &Graph,
     params: &Params,
     cluster: &mut B,
@@ -224,7 +224,7 @@ pub fn complete_layering_in<B: ExecutionBackend>(
 
 /// Bounded layering for *certificate generation* (the coreness
 /// application), on a caller-*managed* backend sized via
-/// [`layering_config`]: the stage loop of [`complete_layering_in`] without
+/// [`layering_config`]: the stage loop of [`complete_layering`] without
 /// the guaranteed-progress fallback. It stops at the first stage that
 /// assigns nothing or after `stages_cap` stages (`0` leaves Stage 1 alone),
 /// returning a (possibly partial) layering whose measured out-degree bound
@@ -310,7 +310,8 @@ impl<'a, B: ExecutionBackend> LayeringState<'a, B> {
                 final_budget: budget,
             },
         };
-        let peel_target = 2 * (32 - u32::leading_zeros(k.max(2) as u32 - 1)).max(1);
+        // `2·⌈log₂ k⌉` rounds, in `usize` so no `k` wraps.
+        let peel_target = 2 * (usize::BITS - (k.max(2) - 1).leading_zeros());
         while state.stats.initial_peel_rounds < peel_target && state.peel_round(k)? {
             state.stats.initial_peel_rounds += 1;
         }
@@ -641,6 +642,19 @@ mod tests {
         assert!(out.layering.is_complete());
         let r = orient(&Graph::empty(0), &Params::practical(0)).unwrap();
         assert_eq!(r.orientation.num_edges(), 0);
+    }
+
+    #[test]
+    fn non_finite_k_factor_is_invalid_params() {
+        let g = gnm(200, 800, 1);
+        for k_factor in [f64::NAN, f64::INFINITY] {
+            let mut params = Params::practical(200);
+            params.k_factor = k_factor;
+            assert!(
+                matches!(orient(&g, &params), Err(CoreError::InvalidParams { .. })),
+                "k_factor {k_factor} must be rejected"
+            );
+        }
     }
 
     #[test]

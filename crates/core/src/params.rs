@@ -133,9 +133,9 @@ impl Params {
                 reason: format!("delta must be in (0,1), got {}", self.delta),
             });
         }
-        if self.k_factor < 1.0 {
+        if !(self.k_factor.is_finite() && self.k_factor >= 1.0) {
             return Err(CoreError::InvalidParams {
-                reason: format!("k_factor must be >= 1, got {}", self.k_factor),
+                reason: format!("k_factor must be finite and >= 1, got {}", self.k_factor),
             });
         }
         if self.max_stages == 0 {
@@ -157,15 +157,16 @@ impl Params {
     }
 
     /// The view-tree budget `B` for instance size `n`: explicit `budget` if
-    /// set, else `S`, but never below `k²` so at least one expansion survives
-    /// pruning, and never below 16. The layering drivers cap it at `S/4`.
+    /// set, else `S`, but never below `k²` (saturating) so at least one
+    /// expansion survives pruning, and never below 16. The layering drivers
+    /// cap it at `S/4`.
     pub fn effective_budget(&self, n: usize, k: usize) -> usize {
         let base = if self.budget > 0 {
             self.budget
         } else {
             self.local_memory(n)
         };
-        base.max(k * k).max(16)
+        base.max(k.saturating_mul(k)).max(16)
     }
 
     /// Layers per partial stage: `max(2, ⌈0.1·log_k B⌉)` (Lemma 3.13's
@@ -240,6 +241,8 @@ mod tests {
         let p = Params::practical(100);
         let k = 50;
         assert!(p.effective_budget(100, k) >= k * k);
+        // `k²` saturates instead of overflowing.
+        assert_eq!(p.effective_budget(100, usize::MAX), usize::MAX);
     }
 
     #[test]

@@ -18,6 +18,12 @@ use dgo_graph::{Graph, LayerAssignment, UNASSIGNED};
 /// `v`. Unassigned vertices (`ℓ = ∞`) have count 0 by Definition 2.2 (the
 /// final vertex must have a finite layer).
 ///
+/// Each layer's vertices are counted as one data-parallel [`StageExecutor`]
+/// stage. Strict monotonicity means same-layer vertices never read each
+/// other's counts — a layer is a pure per-vertex map over the counts of
+/// strictly lower layers — so results are bit-identical to the sequential
+/// scan at any thread count.
+///
 /// # Panics
 ///
 /// Panics if the assignment does not cover `graph`'s vertex set.
@@ -25,40 +31,17 @@ use dgo_graph::{Graph, LayerAssignment, UNASSIGNED};
 /// # Examples
 ///
 /// ```
-/// use dgo_core::num_paths_in;
+/// use dgo_core::{num_paths_in_staged, StageExecutor};
 /// use dgo_graph::{Graph, LayerAssignment};
 ///
 /// // Path 0-1-2 with layers 1 < 2 < 3: vertex 2 collects paths
 /// // (2), (1,2), (0,1,2).
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)])?;
 /// let la = LayerAssignment::new(vec![1, 2, 3])?;
-/// assert_eq!(num_paths_in(&g, &la), vec![1, 2, 3]);
+/// let stage = StageExecutor::sequential();
+/// assert_eq!(num_paths_in_staged(&g, &la, &stage), vec![1, 2, 3]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn num_paths_in(graph: &Graph, layering: &LayerAssignment) -> Vec<u64> {
-    counts(graph, layering, Direction::In, &StageExecutor::sequential())
-}
-
-/// `NumPathsOut(v)` for every vertex: strictly increasing paths *starting*
-/// at `v` (0 for unassigned vertices).
-pub fn num_paths_out(graph: &Graph, layering: &LayerAssignment) -> Vec<u64> {
-    counts(
-        graph,
-        layering,
-        Direction::Out,
-        &StageExecutor::sequential(),
-    )
-}
-
-/// [`num_paths_in`] with each layer's vertices counted as one data-parallel
-/// [`StageExecutor`] stage. Strict monotonicity means same-layer vertices
-/// never read each other's counts — a layer is a pure per-vertex map over
-/// the counts of strictly lower layers — so results are bit-identical to the
-/// sequential scan at any thread count.
-///
-/// # Panics
-///
-/// Panics if the assignment does not cover `graph`'s vertex set.
 pub fn num_paths_in_staged(
     graph: &Graph,
     layering: &LayerAssignment,
@@ -67,8 +50,9 @@ pub fn num_paths_in_staged(
     counts(graph, layering, Direction::In, stage)
 }
 
-/// [`num_paths_out`] with per-layer vertex-parallel stages; see
-/// [`num_paths_in_staged`].
+/// `NumPathsOut(v)` for every vertex: strictly increasing paths *starting*
+/// at `v` (0 for unassigned vertices), with per-layer vertex-parallel
+/// stages; see [`num_paths_in_staged`].
 ///
 /// # Panics
 ///
@@ -171,27 +155,37 @@ mod tests {
     use super::*;
     use dgo_graph::generators::gnm;
 
+    /// `NumPathsIn` on the inline executor.
+    fn paths_in(graph: &Graph, layering: &LayerAssignment) -> Vec<u64> {
+        num_paths_in_staged(graph, layering, &StageExecutor::sequential())
+    }
+
+    /// `NumPathsOut` on the inline executor.
+    fn paths_out(graph: &Graph, layering: &LayerAssignment) -> Vec<u64> {
+        num_paths_out_staged(graph, layering, &StageExecutor::sequential())
+    }
+
     #[test]
     fn single_vertex_paths() {
         let g = Graph::empty(3);
         let la = LayerAssignment::new(vec![1, 2, 3]).unwrap();
-        assert_eq!(num_paths_in(&g, &la), vec![1, 1, 1]);
-        assert_eq!(num_paths_out(&g, &la), vec![1, 1, 1]);
+        assert_eq!(paths_in(&g, &la), vec![1, 1, 1]);
+        assert_eq!(paths_out(&g, &la), vec![1, 1, 1]);
     }
 
     #[test]
     fn unassigned_vertices_count_zero() {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let la = LayerAssignment::new(vec![1, UNASSIGNED]).unwrap();
-        assert_eq!(num_paths_in(&g, &la), vec![1, 0]);
-        assert_eq!(num_paths_out(&g, &la), vec![1, 0]);
+        assert_eq!(paths_in(&g, &la), vec![1, 0]);
+        assert_eq!(paths_out(&g, &la), vec![1, 0]);
     }
 
     #[test]
     fn same_layer_edges_do_not_extend_paths() {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let la = LayerAssignment::new(vec![4, 4]).unwrap();
-        assert_eq!(num_paths_in(&g, &la), vec![1, 1]);
+        assert_eq!(paths_in(&g, &la), vec![1, 1]);
     }
 
     #[test]
@@ -201,8 +195,8 @@ mod tests {
         let peel = dgo_local::be08_peeling(&g, 3, 0.5, 0);
         let la = peel.layering;
         assert!(la.is_complete());
-        let sum_in: u64 = num_paths_in(&g, &la).iter().sum();
-        let sum_out: u64 = num_paths_out(&g, &la).iter().sum();
+        let sum_in: u64 = paths_in(&g, &la).iter().sum();
+        let sum_out: u64 = paths_out(&g, &la).iter().sum();
         assert_eq!(sum_in, sum_out);
     }
 
@@ -215,7 +209,7 @@ mod tests {
         let d = la.out_degree_bound(&g).unwrap();
         let layers = la.max_layer().unwrap();
         let bound = lemma_2_4_bound(g.num_vertices(), d, layers);
-        let sum_out: u64 = num_paths_out(&g, &la).iter().sum();
+        let sum_out: u64 = paths_out(&g, &la).iter().sum();
         assert!(sum_out <= bound, "{sum_out} > {bound}");
     }
 
@@ -228,10 +222,10 @@ mod tests {
         //   3 (layer 3)
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
         let la = LayerAssignment::new(vec![1, 2, 2, 3]).unwrap();
-        let inn = num_paths_in(&g, &la);
+        let inn = paths_in(&g, &la);
         // v3: (3), (1,3), (2,3), (0,1,3), (0,2,3) = 5.
         assert_eq!(inn, vec![1, 2, 2, 5]);
-        let out = num_paths_out(&g, &la);
+        let out = paths_out(&g, &la);
         // v0: (0), (0,1), (0,2), (0,1,3), (0,2,3) = 5.
         assert_eq!(out, vec![5, 2, 2, 1]);
     }
@@ -241,8 +235,8 @@ mod tests {
         let g = gnm(300, 1200, 13);
         let peel = dgo_local::be08_peeling(&g, 4, 0.5, 0);
         let la = peel.layering;
-        let reference_in = num_paths_in(&g, &la);
-        let reference_out = num_paths_out(&g, &la);
+        let reference_in = paths_in(&g, &la);
+        let reference_out = paths_out(&g, &la);
         for jobs in [1usize, 2, 8, 0] {
             let stage = StageExecutor::new(jobs);
             assert_eq!(num_paths_in_staged(&g, &la, &stage), reference_in);
@@ -260,6 +254,6 @@ mod tests {
     fn length_mismatch_panics() {
         let g = Graph::empty(3);
         let la = LayerAssignment::new(vec![1]).unwrap();
-        num_paths_in(&g, &la);
+        paths_in(&g, &la);
     }
 }

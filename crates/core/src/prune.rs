@@ -26,7 +26,7 @@ use crate::vtree::{CsrRuns, NodeId, ViewTree};
 /// projection buffers. One scratch serves any number of [`local_prune_with`]
 /// calls; workers of a batch stage each own one.
 #[derive(Debug, Default)]
-pub struct PruneScratch {
+pub(crate) struct PruneScratch {
     /// Bottom-up pruned-subtree sizes.
     size: Vec<u64>,
     /// CSR runs over `kept_pool`: the children each node keeps.
@@ -42,7 +42,7 @@ pub struct PruneScratch {
 impl PruneScratch {
     /// A fresh scratch (all buffers empty; they grow to the largest tree
     /// pruned through them and are then reused).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PruneScratch::default()
     }
 
@@ -104,13 +104,34 @@ impl PruneScratch {
     }
 }
 
-/// Runs `LocalPrune(tree, k)` (Algorithm 1) and returns the pruned tree.
+/// Runs `LocalPrune(tree, k)` (Algorithm 1) through a caller-owned
+/// [`PruneScratch`]: the pruned tree, or `None` when `tree` is already a
+/// fixed point. The sizing pass of the plan decides, so an unchanged tree is
+/// never materialized, and the plan is computed once, not once for sizing
+/// and again for materialization. Repeated calls allocate nothing beyond
+/// each returned tree's own arena. `k ≥ 1` is checked by the caller.
+pub(crate) fn local_prune_with(
+    tree: &ViewTree,
+    k: usize,
+    scratch: &mut PruneScratch,
+) -> Option<ViewTree> {
+    let total = scratch.plan(tree, k);
+    (total != tree.len() as u64).then(|| scratch.materialize(tree, total))
+}
+
+/// Runs `LocalPrune` (Algorithm 1) over a whole batch of trees as one
+/// vertex-parallel stage: `result[v]` is `Some` of the pruned `trees[v]`
+/// when pruning actually removes nodes, `None` when `trees[v]` is already a
+/// fixed point.
 ///
-/// Entirely local — no communication; the MPC driver calls this on every
-/// machine between exponentiation rounds.
+/// Entirely local — no communication; Algorithm 2 runs this stage on every
+/// machine between exponentiation rounds. Ties among equal-size subtrees are
+/// broken deterministically by arena id (the algorithm permits arbitrary
+/// tie-breaking).
 ///
-/// Ties among equal-size subtrees are broken deterministically by arena id
-/// (the algorithm permits arbitrary tie-breaking).
+/// Each tree's pruning is an independent pure computation over the read-only
+/// batch, so the stage is bit-identical to the sequential per-vertex loop at
+/// any thread count; each worker reuses one scratch.
 ///
 /// # Panics
 ///
@@ -119,47 +140,18 @@ impl PruneScratch {
 /// # Examples
 ///
 /// ```
-/// use dgo_core::{local_prune, ViewTree};
+/// use dgo_core::{local_prune_batch, StageExecutor, ViewTree};
 ///
-/// // A root with 3 children, k = 2: the root keeps ≤ k children? No —
 /// // Algorithm 1 collapses a node with ≤ k children to a leaf, and a node
 /// // with more than k children loses exactly the k largest subtrees.
-/// let t = ViewTree::star(0, &[1, 2, 3]);
-/// let pruned = local_prune(&t, 2);
-/// // Children had subtree size 1 each; the 2 largest are removed, 1 kept.
-/// assert_eq!(pruned.len(), 2);
+/// let trees = [ViewTree::star(0, &[1, 2, 3]), ViewTree::star(4, &[5, 6])];
+/// let pruned = local_prune_batch(&trees, 2, &StageExecutor::sequential());
+/// // Root 0's children had subtree size 1 each; the 2 largest are removed,
+/// // 1 kept.
+/// assert_eq!(pruned[0].as_ref().map(ViewTree::len), Some(2));
+/// // Root 4 has k = 2 children, so it collapses to a leaf.
+/// assert_eq!(pruned[1].as_ref().map(ViewTree::len), Some(1));
 /// ```
-pub fn local_prune(tree: &ViewTree, k: usize) -> ViewTree {
-    local_prune_with(tree, k, &mut PruneScratch::new())
-}
-
-/// [`local_prune`] through a caller-owned [`PruneScratch`]: repeated calls
-/// allocate nothing beyond each returned tree's own arena. This is the form
-/// the per-step stages use with one scratch per worker.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn local_prune_with(tree: &ViewTree, k: usize, scratch: &mut PruneScratch) -> ViewTree {
-    assert!(k >= 1, "pruning parameter k must be at least 1");
-    let total = scratch.plan(tree, k);
-    scratch.materialize(tree, total)
-}
-
-/// Runs `LocalPrune` over a whole batch of trees as one vertex-parallel
-/// stage: `result[v]` is `Some(local_prune(&trees[v], k))` when pruning
-/// actually removes nodes, `None` when `trees[v]` is already a fixed point
-/// (the sizing pass of the shared plan decides, so unchanged trees are never
-/// materialized — and the plan is computed once, not once for sizing and
-/// again for materialization).
-///
-/// Each tree's pruning is an independent pure computation over the read-only
-/// batch, so the stage is bit-identical to the sequential per-vertex loop at
-/// any thread count; each worker reuses one [`PruneScratch`].
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
 pub fn local_prune_batch(
     trees: &[ViewTree],
     k: usize,
@@ -167,18 +159,8 @@ pub fn local_prune_batch(
 ) -> Vec<Option<ViewTree>> {
     assert!(k >= 1, "pruning parameter k must be at least 1");
     stage.map_with(trees, PruneScratch::new, |scratch, _, tree| {
-        let total = scratch.plan(tree, k);
-        (total != tree.len() as u64).then(|| scratch.materialize(tree, total))
+        local_prune_with(tree, k, scratch)
     })
-}
-
-/// Size the pruned tree would have, without materializing it: the sizing pass
-/// of [`local_prune`] alone. No driver calls it — [`local_prune_batch`] reads
-/// the size off its own plan — so it serves callers that only need the
-/// count, such as tests checking [`local_prune`]'s output size.
-pub fn pruned_size(tree: &ViewTree, k: usize) -> u64 {
-    assert!(k >= 1, "pruning parameter k must be at least 1");
-    PruneScratch::new().plan(tree, k)
 }
 
 #[cfg(test)]
@@ -194,10 +176,15 @@ mod tests {
         ViewTree::star(v, g.neighbors(v))
     }
 
+    /// Algorithm 1 on one tree: the pruned tree, or a copy of a fixed point.
+    fn prune(tree: &ViewTree, k: usize) -> ViewTree {
+        local_prune_with(tree, k, &mut PruneScratch::new()).unwrap_or_else(|| tree.clone())
+    }
+
     #[test]
     fn few_children_collapse_to_leaf() {
         let t = ViewTree::star(0, &[1, 2]);
-        let p = local_prune(&t, 2);
+        let p = prune(&t, 2);
         assert_eq!(p.len(), 1);
         assert_eq!(p.root_vertex(), 0);
     }
@@ -205,7 +192,7 @@ mod tests {
     #[test]
     fn many_children_lose_exactly_k() {
         let t = ViewTree::star(0, &[1, 2, 3, 4, 5]);
-        let p = local_prune(&t, 2);
+        let p = prune(&t, 2);
         // 5 children of size 1 each; 2 removed, 3 kept.
         assert_eq!(p.len(), 4);
     }
@@ -222,7 +209,7 @@ mod tests {
         // children (0,4,5) > k=1, so it drops the largest (all size 1 → tie
         // by id drops one) keeping 2 → size 3. Children 1, 2 stay size 1.
         // Root drops the largest = the subtree at 3.
-        let p = local_prune(&t, 1);
+        let p = prune(&t, 1);
         let images: Vec<usize> = p.node_ids().map(|x| p.vertex(x)).collect();
         assert!(
             !images.contains(&3),
@@ -243,8 +230,8 @@ mod tests {
             t.attach(&reps);
             for k in [1usize, 2, 3, 5] {
                 assert_eq!(
-                    pruned_size(&t, k),
-                    local_prune(&t, k).len() as u64,
+                    PruneScratch::new().plan(&t, k),
+                    prune(&t, k).len() as u64,
                     "v={v} k={k}"
                 );
             }
@@ -266,7 +253,7 @@ mod tests {
             for k in [1usize, 3, 6] {
                 assert_eq!(
                     local_prune_with(&t, k, &mut scratch),
-                    local_prune(&t, k),
+                    local_prune_with(&t, k, &mut PruneScratch::new()),
                     "v={v} k={k}"
                 );
             }
@@ -287,7 +274,7 @@ mod tests {
             let reps: Vec<(NodeId, &ViewTree)> = leaves.iter().copied().zip(subs.iter()).collect();
             t.attach(&reps);
             for k in [2usize, 4] {
-                let p = local_prune(&t, k);
+                let p = prune(&t, k);
                 // Walk both trees in parallel from the root.
                 let mut stack = vec![(ViewTree::ROOT, ViewTree::ROOT)];
                 while let Some((orig, pruned)) = stack.pop() {
@@ -317,7 +304,7 @@ mod tests {
     fn lemma_3_2_size_bounded_by_numpaths() {
         // Build a layered graph, a valid partial layer assignment with
         // out-degree d, and check |pruned| <= NumPathsIn(map(root)).
-        use crate::paths::num_paths_in;
+        use crate::paths::num_paths_in_staged;
         use dgo_graph::LayerAssignment;
 
         let g = gnm(50, 150, 5);
@@ -329,7 +316,7 @@ mod tests {
         }
         let d = layering.out_degree_bound(&g).unwrap();
         let k = d.max(1);
-        let paths_in = num_paths_in(&g, layering);
+        let paths_in = num_paths_in_staged(&g, layering, &StageExecutor::sequential());
         for v in 0..g.num_vertices().min(12) {
             let mut t = star_of(&g, v);
             for _ in 0..2 {
@@ -341,7 +328,7 @@ mod tests {
                     leaves.iter().copied().zip(subs.iter()).collect();
                 t.attach(&reps);
             }
-            let p = local_prune(&t, k);
+            let p = prune(&t, k);
             assert!(
                 (p.len() as u64) <= paths_in[v].max(1),
                 "v={v}: pruned size {} > NumPathsIn {}",
@@ -360,7 +347,7 @@ mod tests {
         let reps: Vec<(NodeId, &ViewTree)> = leaves.iter().copied().zip(subs.iter()).collect();
         t.attach(&reps);
         for k in 1..6 {
-            let p = local_prune(&t, k);
+            let p = prune(&t, k);
             p.assert_valid(&g);
             assert_eq!(p.root_vertex(), 0);
         }
@@ -370,19 +357,18 @@ mod tests {
     fn deterministic() {
         let g = gnm(30, 90, 1);
         let t = star_of(&g, 0);
-        assert_eq!(local_prune(&t, 2), local_prune(&t, 2));
+        assert_eq!(prune(&t, 2), prune(&t, 2));
     }
 
     #[test]
     fn batch_matches_per_tree_loop_at_any_thread_count() {
-        use crate::stage::StageExecutor;
         // Above the stage engine's inline floor, so jobs > 1 splits chunks.
         let g = gnm(1500, 6000, 4);
         let trees: Vec<ViewTree> = (0..g.num_vertices()).map(|v| star_of(&g, v)).collect();
         for k in [1usize, 3, 7] {
             let reference: Vec<Option<ViewTree>> = trees
                 .iter()
-                .map(|t| (pruned_size(t, k) != t.len() as u64).then(|| local_prune(t, k)))
+                .map(|t| Some(prune(t, k)).filter(|p| p.len() != t.len()))
                 .collect();
             for jobs in [1usize, 2, 8, 0] {
                 let batch = local_prune_batch(&trees, k, &StageExecutor::new(jobs));
@@ -393,7 +379,6 @@ mod tests {
 
     #[test]
     fn batch_skips_fixed_points() {
-        use crate::stage::StageExecutor;
         // Singletons are prune fixed points: the batch must not materialize
         // them.
         let trees = vec![ViewTree::singleton(0), ViewTree::star(1, &[0, 2, 3, 4])];
@@ -405,14 +390,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_k_panics() {
-        local_prune(&ViewTree::singleton(0), 0);
+        local_prune_batch(&[ViewTree::singleton(0)], 0, &StageExecutor::sequential());
     }
 
     #[test]
     fn singleton_is_fixed_point() {
         let t = ViewTree::singleton(3);
-        let p = local_prune(&t, 1);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.root_vertex(), 3);
+        assert_eq!(local_prune_with(&t, 1, &mut PruneScratch::new()), None);
     }
 }

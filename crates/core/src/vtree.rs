@@ -22,12 +22,13 @@
 //! `4·(6·len − 1)` bytes. The wire content is just the `vertex` and `parent`
 //! columns (depths and children runs are reconstructible from parents in
 //! arena order); on the wire those two columns ship delta/varint-compressed
-//! by [`crate::wire`] — the topological order makes `parent` near-sorted, so
-//! the encoded stream is far smaller than the flat two words per node.
+//! ([`ViewTree::wire_words`]) — the topological order makes `parent`
+//! near-sorted, so the encoded stream is far smaller than the flat two words
+//! per node.
 //!
 //! Invariants maintained by every constructor ([`ViewTree::star`],
-//! [`ViewTree::attached_with`] and [`ViewTree::attach`], the pruning
-//! projection, and the wire decoder):
+//! [`ViewTree::attached_with`] and [`ViewTree::attach`], and the pruning
+//! projection):
 //!
 //! * **Topological node order**: a parent's id is smaller than all of its
 //!   children's ids, so reverse index scans are bottom-up traversals
@@ -300,7 +301,7 @@ impl ViewTree {
     }
 
     /// The `vertex` column: image of each node under the valid mapping, in
-    /// arena (topological) order. Crate-internal raw view for the wire codec
+    /// arena (topological) order. Crate-internal raw view for the wire size
     /// and the branch-light stage kernels.
     pub(crate) fn vertex_col(&self) -> &[u32] {
         self.column(VERTEX)
@@ -324,46 +325,6 @@ impl ViewTree {
         )
     }
 
-    /// Rebuilds a full arena from the two wire columns. `parent[0]` must be
-    /// `NO_PARENT` and every later entry must point at a smaller index (the
-    /// topological invariant — the decoder validates before calling). Depths
-    /// come from one forward pass; the children CSR from a count/prefix-sum/
-    /// fill sequence that lays sibling runs in ascending id order, which is
-    /// exactly the run content every constructor produces (sibling blocks are
-    /// contiguous ascending id ranges), so the result compares equal to the
-    /// originally encoded tree.
-    pub(crate) fn from_wire_columns(vertex: &[u32], parent: &[u32]) -> ViewTree {
-        let n = vertex.len();
-        debug_assert_eq!(parent.len(), n);
-        debug_assert_eq!(parent[0], NO_PARENT);
-        let mut t = ViewTree::zeroed(n);
-        let c = t.columns_mut();
-        c.vertex.copy_from_slice(vertex);
-        c.parent.copy_from_slice(parent);
-        for (i, &p) in parent.iter().enumerate().skip(1) {
-            let p = p as usize;
-            debug_assert!(p < i, "topological order violated at node {i}");
-            c.depth[i] = c.depth[p] + 1;
-            c.child_len[p] += 1;
-        }
-        let mut acc = 0u32;
-        for (start, &len) in c.child_start.iter_mut().zip(c.child_len.iter()) {
-            *start = acc;
-            acc += len;
-        }
-        // Fill the runs with `child_start` as the write cursor, then step
-        // every cursor back over its run.
-        for (i, &p) in parent.iter().enumerate().skip(1) {
-            let cursor = &mut c.child_start[p as usize];
-            c.pool[*cursor as usize] = i as u32;
-            *cursor += 1;
-        }
-        for (start, &len) in c.child_start.iter_mut().zip(c.child_len.iter()) {
-            *start -= len;
-        }
-        t
-    }
-
     /// Words this tree costs on the wire under the *flat* model: two per node
     /// (vertex image + parent pointer — the `vertex` and `parent` columns
     /// verbatim; depths and children runs are reconstructible from parents in
@@ -373,11 +334,13 @@ impl ViewTree {
         2 * self.len()
     }
 
-    /// Words this tree actually costs on the wire: the exact encoded length
-    /// of the delta/varint codec ([`crate::wire::encode`]). Everything that
-    /// meters tree shipment (bundle payload charging, capacity checks) goes
-    /// through this single point, so the certified communication reflects
-    /// what the encoded representation really moves.
+    /// Words this tree actually costs on the wire: the exact length of its
+    /// delta/varint encoding — `varint(len)`, the `vertex` column as
+    /// varints, then the zigzag-varint deltas of the `parent` column past
+    /// the root, packed eight bytes per word. Everything that meters tree
+    /// shipment (bundle payload charging, capacity checks) goes through this
+    /// single point, so the certified communication reflects what the
+    /// encoded representation really moves.
     pub fn wire_words(&self) -> usize {
         crate::wire::encoded_words(self)
     }
@@ -803,16 +766,5 @@ mod tests {
         assert_eq!(t.arena_bytes(), 4 * 5 * 4 + 3 * 4);
         assert_eq!(t.num_children(ViewTree::ROOT), 3);
         assert_eq!(t.num_children(1), 0);
-    }
-
-    #[test]
-    fn from_wire_columns_reconstructs() {
-        let g = path_graph(4);
-        let mut t = ViewTree::star(1, &[0, 2]);
-        let leaf_for_2 = t.leaves_at_depth(1).find(|&x| t.vertex(x) == 2).unwrap();
-        t.attach(&[(leaf_for_2, &ViewTree::star(2, &[1, 3]))]);
-        let rebuilt = ViewTree::from_wire_columns(t.vertex_col(), t.parent_col());
-        assert_eq!(rebuilt, t);
-        rebuilt.assert_valid(&g);
     }
 }

@@ -43,8 +43,8 @@ pub struct Metrics {
     /// that never hold trees.
     pub peak_tree_bytes: usize,
     /// Words the Lemma 4.1 view-tree bundles actually cost on the wire —
-    /// their `dgo_core::wire` delta/varint-encoded lengths — summed over
-    /// every delivered copy. A volume-like counter: a subset of
+    /// their delta/varint-encoded lengths (`dgo_core::ViewTree::wire_words`)
+    /// — summed over every delivered copy. A volume-like counter: a subset of
     /// [`total_comm_words`](Metrics::total_comm_words) that both merge
     /// directions sum. Zero for algorithms that never ship trees.
     pub bundle_wire_words: usize,

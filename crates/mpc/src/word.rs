@@ -77,9 +77,10 @@ pub fn total_words<T: WordSized>(items: &[T]) -> usize {
     items.iter().map(WordSized::words).sum()
 }
 
-/// Bytes one MPC word carries when a byte-granular stream (e.g. the
-/// `dgo_core::wire` varint codec) is packed into the word model: the model's
-/// `O(log n)` words are realized as `u64` here, so eight bytes ride per word.
+/// Bytes one MPC word carries when a byte-granular stream (e.g. the view-tree
+/// varint encoding `dgo_core::ViewTree::wire_words` sizes) is packed into the
+/// word model: the model's `O(log n)` words are realized as `u64` here, so
+/// eight bytes ride per word.
 pub const BYTES_PER_WORD: usize = 8;
 
 /// Words a packed byte stream of `bytes` bytes occupies: the stream is laid

@@ -16,8 +16,8 @@
 //! them is a change to what the simulator certifies and must be deliberate.
 
 use dgo::core::{
-    approximate_coreness, color, complete_layering, orient, partial_layer_assignment,
-    LayeringStats, Params,
+    approximate_coreness, color, complete_layering, orient, partial_layer_assignment_staged,
+    LayeringStats, Params, StageExecutor,
 };
 use dgo::graph::generators::{barabasi_albert, gnm, planted_dense, random_tree, star};
 use dgo::graph::{coreness, degeneracy};
@@ -88,7 +88,8 @@ fn partial_layer_assignment_metrics_are_pinned() {
     // count.
     let g = gnm(1500, 4500, 17);
     let mut cluster = Cluster::new(ClusterConfig::new(4096, 8192));
-    let r = partial_layer_assignment(&g, 256, 3, 4, 3, &mut cluster).expect("fits");
+    let stage = StageExecutor::sequential();
+    let r = partial_layer_assignment_staged(&g, 256, 3, 4, 3, &mut cluster, &stage).expect("fits");
     let layer_sum: u64 = (0..g.num_vertices())
         .map(|v| u64::from(r.layering.layer(v)))
         .sum();
@@ -407,10 +408,12 @@ fn partial_layer_assignment_on_narrow_relaxed_clusters_is_pinned() {
     // machines the residency and the rounds overflow `S`, so the relaxed
     // cluster counts violations instead of failing.
     let g = gnm(600, 1800, 23);
+    let stage = StageExecutor::sequential();
     let mut pinned = Vec::new();
     for (machines, memory) in [(64, 4096), (7, 1024)] {
         let mut cluster = Cluster::new(ClusterConfig::new(machines, memory).relaxed());
-        let r = partial_layer_assignment(&g, 256, 3, 4, 3, &mut cluster).expect("relaxed");
+        let r = partial_layer_assignment_staged(&g, 256, 3, 4, 3, &mut cluster, &stage)
+            .expect("relaxed");
         pinned.push((layer_sum(&r.layering), golden(cluster.metrics())));
     }
     assert_eq!(

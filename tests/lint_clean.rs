@@ -94,3 +94,76 @@ fn every_library_crate_forbids_unsafe_code() {
         "library crate roots without #![forbid(unsafe_code)]: {missing:?}"
     );
 }
+
+/// Every `dgo_core::<name>` and `dgo_mpc::<name>` that PAPER.md's claims→code
+/// map cites is exported by that crate's root (`pub use` or `pub mod`), so
+/// the map cannot keep naming an item that was deleted or made private.
+/// rustdoc's `-D warnings` catches dangling intra-doc links in Rust sources,
+/// but not in Markdown.
+#[test]
+fn paper_map_cites_only_exported_names() {
+    let paper = std::fs::read_to_string(root().join("PAPER.md")).expect("PAPER.md reads");
+    let map = paper
+        .split("## Claims → code map")
+        .nth(1)
+        .expect("PAPER.md has a claims→code map")
+        .split("\n## ")
+        .next()
+        .expect("split yields a first part");
+    let mut cited = 0;
+    let mut missing = Vec::new();
+    for (krate, lib) in [
+        ("dgo_core", "crates/core/src/lib.rs"),
+        ("dgo_mpc", "crates/mpc/src/lib.rs"),
+    ] {
+        let source = std::fs::read_to_string(root().join(lib)).expect("crate root reads");
+        let exports = root_exports(&source);
+        let prefix = format!("{krate}::");
+        for (at, _) in map.match_indices(&prefix) {
+            let name: String = map[at + prefix.len()..]
+                .chars()
+                .take_while(|&c| c.is_alphanumeric() || c == '_')
+                .collect();
+            cited += 1;
+            if !exports.contains(&name) {
+                missing.push(format!("{krate}::{name}"));
+            }
+        }
+    }
+    assert!(
+        cited >= 10,
+        "the scan must find the map's citations (found {cited})"
+    );
+    assert!(
+        missing.is_empty(),
+        "PAPER.md's claims→code map cites names its crate root does not export: {missing:?}"
+    );
+}
+
+/// The names a crate root exports: each `pub mod` and each item of a
+/// `pub use` (its last path segment, or its `as` alias).
+fn root_exports(source: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for (at, _) in source.match_indices("pub ") {
+        if at > 0 && !source[..at].ends_with('\n') {
+            continue;
+        }
+        let rest = &source[at..];
+        let statement = &rest[..rest.find(';').unwrap_or(rest.len())];
+        if let Some(module) = statement.strip_prefix("pub mod ") {
+            names.push(module.trim().to_string());
+        } else if let Some(items) = statement.strip_prefix("pub use ") {
+            for item in items.split([',', '{', '}']) {
+                let item = item.trim();
+                let name = match item.split_once(" as ") {
+                    Some((_, alias)) => alias,
+                    None => item.rsplit("::").next().unwrap_or(item),
+                };
+                if !name.is_empty() {
+                    names.push(name.to_string());
+                }
+            }
+        }
+    }
+    names
+}

@@ -10,14 +10,14 @@
 //! * `Orientation` — the CSR direction bits answer every query exactly as a
 //!   naive edge-list model does.
 //! * `ViewTree` layout — every constructor yields a valid one-block arena
-//!   that clones, round-trips the wire codec, and matches the same tree
-//!   built another way.
+//!   that clones, is determined by its two wire columns, and matches the
+//!   same tree built another way.
 //! * Generators — structural invariants of every workload family.
 
 use dgo::core::{
-    estimate_lambda, exponentiate_and_prune, local_prune, local_prune_with, num_paths_in,
-    num_paths_out, partial_layer_assignment, partition_edges, partition_vertices, wire, NodeId,
-    Params, PruneScratch, ViewTree,
+    estimate_lambda, exponentiate_and_prune_staged, local_prune_batch, num_paths_in_staged,
+    num_paths_out_staged, partial_layer_assignment_staged, partition_edges, partition_vertices,
+    NodeId, Params, StageExecutor, ViewTree,
 };
 use dgo::graph::generators::{clique, gnm, random_forest, random_tree, Family};
 use dgo::graph::{Graph, LayerAssignment, Orientation, UNASSIGNED};
@@ -110,21 +110,32 @@ fn be08_peel_violation(g: &Graph, r: &PeelingResult, max_layers: u64) -> Option<
 
 /// The layout contract every `ViewTree` constructor keeps: a valid mapping
 /// and valid arena, one block of `20·len + 4·(len − 1)` bytes, a clone equal
-/// to the original, and a lossless wire round trip whose decoded tree keeps
-/// the same contract.
+/// to the original, and a shape that the two wire columns (`vertex` and
+/// `parent`) determine: every depth is its parent's plus one, and every
+/// children run is the ascending list of the ids whose parent it is.
 fn assert_layout_contract(t: &ViewTree, g: &Graph) {
     t.assert_valid(g);
     let len = t.len();
     assert_eq!(t.arena_bytes(), 20 * len + 4 * (len - 1), "arena bytes");
     assert_eq!(&t.clone(), t, "clone");
-    let decoded = wire::decode(&wire::encode(t)).expect("a canonical stream decodes");
-    decoded.assert_valid(g);
-    assert_eq!(
-        decoded.arena_bytes(),
-        t.arena_bytes(),
-        "decoded arena bytes"
-    );
-    assert_eq!(&decoded, t, "wire round trip");
+    let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); len];
+    for x in t.node_ids().skip(1) {
+        let p = t.parent(x).expect("only the root has no parent");
+        assert!(p < x, "parent {p} of node {x} out of topological order");
+        assert_eq!(t.depth(x), t.depth(p) + 1, "depth of node {x}");
+        children[p as usize].push(x);
+    }
+    assert_eq!(t.depth(ViewTree::ROOT), 0, "root depth");
+    for x in t.node_ids() {
+        assert_eq!(t.children(x), children[x as usize], "children of node {x}");
+    }
+}
+
+/// Algorithm 1 on one tree, on the inline executor: the pruned tree, or a
+/// copy of a fixed point.
+fn prune(t: &ViewTree, k: usize) -> ViewTree {
+    let mut pruned = local_prune_batch(std::slice::from_ref(t), k, &StageExecutor::sequential());
+    pruned.pop().flatten().unwrap_or_else(|| t.clone())
 }
 
 /// Builds `source` with `provider(leaf)` attached at every leaf in `leaves`
@@ -194,7 +205,7 @@ proptest! {
     ) {
         let root = root % g.num_vertices();
         let t = ViewTree::star(root, g.neighbors(root));
-        let p = local_prune(&t, k);
+        let p = prune(&t, k);
         p.assert_valid(&g);
         // Root missing grows by at most k... unless the root collapsed to a
         // singleton, in which case missing = deg(root) trivially.
@@ -207,22 +218,20 @@ proptest! {
     }
 
     /// The `ViewTree` layout contract over every constructor: `singleton`,
-    /// `star`, `attached_with`, `attach`, `local_prune_with` and
-    /// `wire::decode` (inside [`assert_layout_contract`]). Two levels of
-    /// attachment, the second onto pruned trees, reach the deep sibling
-    /// blocks an exponentiation step builds.
+    /// `star`, `attached_with`, `attach` and the pruning projection of
+    /// `local_prune_batch`. Two levels of attachment, the second onto pruned
+    /// trees, reach the deep sibling blocks an exponentiation step builds.
     #[test]
     fn view_tree_layout_contract(g in arb_graph(), k in 1usize..4) {
         let n = g.num_vertices();
         let stars: Vec<ViewTree> = (0..n).map(|v| ViewTree::star(v, g.neighbors(v))).collect();
-        let mut scratch = PruneScratch::new();
         let mut pruned = Vec::with_capacity(n);
         for (v, star) in stars.iter().enumerate() {
             assert_layout_contract(&ViewTree::singleton(v), &g);
             assert_layout_contract(star, &g);
             let leaves: Vec<NodeId> = star.leaves_at_depth(1).collect();
             let attached = attach_both_ways(star, &leaves, |leaf| &stars[star.vertex(leaf)], &g);
-            let p = local_prune_with(&attached, k, &mut scratch);
+            let p = prune(&attached, k);
             assert_layout_contract(&p, &g);
             pruned.push(p);
         }
@@ -241,7 +250,8 @@ proptest! {
     ) {
         let budget = 64usize;
         let mut cluster = Cluster::new(ClusterConfig::new(512, 4096));
-        let r = exponentiate_and_prune(&g, budget, k, steps, &mut cluster).unwrap();
+        let stage = StageExecutor::sequential();
+        let r = exponentiate_and_prune_staged(&g, budget, k, steps, &mut cluster, &stage).unwrap();
         for (v, t) in r.trees.iter().enumerate() {
             t.assert_valid(&g);                 // Claim 3.3
             prop_assert!(t.len() <= budget);    // Claim 3.4
@@ -257,7 +267,9 @@ proptest! {
         steps in 1u32..4,
     ) {
         let mut cluster = Cluster::new(ClusterConfig::new(512, 4096));
-        let r = partial_layer_assignment(&g, 64, k, layers, steps, &mut cluster).unwrap();
+        let stage = StageExecutor::sequential();
+        let r = partial_layer_assignment_staged(&g, 64, k, layers, steps, &mut cluster, &stage)
+            .unwrap();
         let cap = (steps as usize + 1) * k;
         prop_assert!(r.layering.out_degree_bound(&g).unwrap() <= cap);
     }
@@ -267,8 +279,9 @@ proptest! {
         let peel = be08_peeling(&g, t, 0.5, 0);
         let la = peel.layering;
         prop_assume!(la.is_complete());
-        let sum_in: u64 = num_paths_in(&g, &la).iter().sum();
-        let sum_out: u64 = num_paths_out(&g, &la).iter().sum();
+        let stage = StageExecutor::sequential();
+        let sum_in: u64 = num_paths_in_staged(&g, &la, &stage).iter().sum();
+        let sum_out: u64 = num_paths_out_staged(&g, &la, &stage).iter().sum();
         prop_assert_eq!(sum_in, sum_out);
         let d = la.out_degree_bound(&g).unwrap();
         let layers = la.max_layer().unwrap();

@@ -21,10 +21,8 @@
 
 use dgo::core::stage::StageExecutor;
 use dgo::core::{
-    approximate_coreness_on, color_on, complete_layering_on, exponentiate_and_prune,
-    exponentiate_and_prune_staged, num_paths_in, num_paths_in_staged, num_paths_out,
-    num_paths_out_staged, orient_on, partial_layer_assignment, partial_layer_assignment_staged,
-    Params,
+    approximate_coreness_on, color_on, complete_layering_on, exponentiate_and_prune_staged,
+    num_paths_in_staged, num_paths_out_staged, orient_on, partial_layer_assignment_staged, Params,
 };
 use dgo::graph::generators::{
     barabasi_albert, core_onion_with_truth, gnm, ring_of_cliques, Family,
@@ -52,8 +50,10 @@ proptest! {
         let n = 1500;
         let g = gnm(n, density * n, seed);
         let mut reference_cluster = kernel_cluster(n);
-        let reference =
-            exponentiate_and_prune(&g, 144, 2, 3, &mut reference_cluster).unwrap();
+        let reference = exponentiate_and_prune_staged(
+            &g, 144, 2, 3, &mut reference_cluster, &StageExecutor::sequential(),
+        )
+        .unwrap();
         for jobs in JOB_COUNTS {
             let mut cluster = kernel_cluster(n);
             let r = exponentiate_and_prune_staged(
@@ -105,8 +105,9 @@ proptest! {
         let g = gnm(3000, 9000, seed);
         let peel = dgo::local::be08_peeling(&g, 3, 0.5, 0);
         let la = peel.layering;
-        let reference_in = num_paths_in(&g, &la);
-        let reference_out = num_paths_out(&g, &la);
+        let sequential = StageExecutor::sequential();
+        let reference_in = num_paths_in_staged(&g, &la, &sequential);
+        let reference_out = num_paths_out_staged(&g, &la, &sequential);
         for jobs in JOB_COUNTS {
             let stage = StageExecutor::new(jobs);
             prop_assert_eq!(num_paths_in_staged(&g, &la, &stage), reference_in.clone());
@@ -131,7 +132,10 @@ fn algorithm_4_stages_bit_identical_across_families() {
     for (label, g) in &workloads {
         let n = g.num_vertices();
         let mut reference_cluster = kernel_cluster(n);
-        let reference = partial_layer_assignment(g, 256, 3, 4, 3, &mut reference_cluster).unwrap();
+        let sequential = StageExecutor::sequential();
+        let reference =
+            partial_layer_assignment_staged(g, 256, 3, 4, 3, &mut reference_cluster, &sequential)
+                .unwrap();
         for jobs in JOB_COUNTS {
             let mut cluster = kernel_cluster(n);
             let r = partial_layer_assignment_staged(
