@@ -30,7 +30,10 @@ fn record_leg(report: &mut BenchReport, metrics: &Metrics) {
         .expect("bench call leaves a record");
     report.push(BenchLeg {
         name: record.label,
-        wall_seconds: record.mean_seconds,
+        wall_seconds: record.median_seconds,
+        wall_min_seconds: record.min_seconds,
+        wall_max_seconds: record.max_seconds,
+        passes: criterion::PASSES as u64,
         samples: record.samples,
         jobs: resolved_jobs(Params::practical(0).jobs),
         backend: "sequential".to_string(),

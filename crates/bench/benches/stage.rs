@@ -62,7 +62,10 @@ fn record_kernel_leg(
         .expect("bench call leaves a record");
     report.push(BenchLeg {
         name: record.label,
-        wall_seconds: record.mean_seconds,
+        wall_seconds: record.median_seconds,
+        wall_min_seconds: record.min_seconds,
+        wall_max_seconds: record.max_seconds,
+        passes: criterion::PASSES as u64,
         samples: record.samples,
         jobs,
         backend: "stage".to_string(),

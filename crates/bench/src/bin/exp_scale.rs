@@ -59,7 +59,8 @@ fn flag_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
 }
 
 /// Times one closure and pushes its leg; returns the closure's output.
-/// `samples: 1` — at this scale a single end-to-end run is the measurement.
+/// `passes: 1`, `samples: 1` — at this scale a single end-to-end run is the
+/// measurement, so its spread is the run itself.
 fn leg<T>(
     report: &mut BenchReport,
     name: &str,
@@ -76,6 +77,9 @@ fn leg<T>(
     report.push(BenchLeg {
         name: name.to_string(),
         wall_seconds: wall,
+        wall_min_seconds: wall,
+        wall_max_seconds: wall,
+        passes: 1,
         samples: 1,
         jobs,
         backend: backend.to_string(),

@@ -17,9 +17,17 @@ use std::path::PathBuf;
 pub struct BenchLeg {
     /// The criterion label (`group/function/param`).
     pub name: String,
-    /// Mean wall-clock seconds per iteration.
+    /// Wall-clock seconds per iteration: the median of the timed passes,
+    /// each read as its mean per iteration.
     pub wall_seconds: f64,
-    /// Timed iterations averaged over.
+    /// The fastest timed pass, in seconds per iteration.
+    pub wall_min_seconds: f64,
+    /// The slowest timed pass, in seconds per iteration.
+    pub wall_max_seconds: f64,
+    /// Timed passes (`criterion::PASSES` for criterion legs, 1 for a
+    /// single end-to-end run).
+    pub passes: u64,
+    /// Timed iterations per pass.
     pub samples: u64,
     /// Host-thread budget the leg ran with (resolved; 1 = sequential host).
     pub jobs: usize,
@@ -82,10 +90,14 @@ impl BenchReport {
         for (i, leg) in self.legs.iter().enumerate() {
             out.push_str("    {");
             out.push_str(&format!("\"name\": {}, ", json_string(&leg.name)));
-            out.push_str(&format!(
-                "\"wall_seconds\": {}, ",
-                json_f64(leg.wall_seconds)
-            ));
+            for (key, seconds) in [
+                ("wall_seconds", leg.wall_seconds),
+                ("wall_min_seconds", leg.wall_min_seconds),
+                ("wall_max_seconds", leg.wall_max_seconds),
+            ] {
+                out.push_str(&format!("\"{key}\": {}, ", json_f64(seconds)));
+            }
+            out.push_str(&format!("\"passes\": {}, ", leg.passes));
             out.push_str(&format!("\"samples\": {}, ", leg.samples));
             out.push_str(&format!("\"jobs\": {}, ", leg.jobs));
             out.push_str(&format!("\"backend\": {}, ", json_string(&leg.backend)));
@@ -193,6 +205,9 @@ mod tests {
         BenchLeg {
             name: name.to_string(),
             wall_seconds: 0.25,
+            wall_min_seconds: 0.125,
+            wall_max_seconds: 0.5,
+            passes: 7,
             samples: 10,
             jobs: 2,
             backend: "sequential".to_string(),
@@ -210,6 +225,9 @@ mod tests {
         let json = report.to_json();
         assert!(json.starts_with("{\n  \"name\": \"engine\""));
         assert!(json.contains("\"wall_seconds\": 0.25"));
+        assert!(json.contains("\"wall_min_seconds\": 0.125"));
+        assert!(json.contains("\"wall_max_seconds\": 0.5"));
+        assert!(json.contains("\"passes\": 7"));
         assert!(json.contains("\"comm_words\": 1234"));
         assert!(json.contains("\"peak_tree_bytes\": 5678"));
         assert!(json.contains("\"peak_rss_bytes\": 9999"));

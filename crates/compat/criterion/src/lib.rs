@@ -2,11 +2,15 @@
 //!
 //! Implements the API subset the workspace's benches use — benchmark groups,
 //! [`BenchmarkId`], `bench_function` / `bench_with_input`, `Bencher::iter` —
-//! with a simple mean-of-N timing loop instead of criterion's statistical
-//! machinery. Output is one line per benchmark:
+//! with a simple timing loop instead of criterion's statistical machinery:
+//! one warm-up pass, then [`PASSES`] timed passes of `n` iterations each.
+//! A pass reads as its mean time per iteration, and a benchmark reports the
+//! median pass with the fastest and the slowest, so one preempted pass
+//! widens the spread instead of moving the figure. Output is one line per
+//! benchmark:
 //!
 //! ```text
-//! group/id  time: 12.345 ms  (n = 10)
+//! group/id  time: 12.345 ms  [12.001 ms .. 13.210 ms]  (n = 10 x 7)
 //! ```
 //!
 //! Swapping the real crates-io `criterion` back in is a manifest-only change.
@@ -18,14 +22,23 @@ use std::hint;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// One completed benchmark measurement, as recorded by the driver.
+/// Timed passes per benchmark after the warm-up. A constant, not a knob: an
+/// odd count makes the median one of the passes.
+pub const PASSES: usize = 7;
+
+/// One completed benchmark measurement, as recorded by the driver. Each
+/// figure is a pass's mean wall-clock seconds per iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// The full benchmark label (`group/id`).
     pub label: String,
-    /// Mean wall-clock seconds per iteration over the timed pass.
-    pub mean_seconds: f64,
-    /// Number of timed iterations averaged over.
+    /// The median of the [`PASSES`] timed passes.
+    pub median_seconds: f64,
+    /// The fastest timed pass.
+    pub min_seconds: f64,
+    /// The slowest timed pass.
+    pub max_seconds: f64,
+    /// Timed iterations per pass.
     pub samples: u64,
 }
 
@@ -164,24 +177,37 @@ impl Criterion {
     }
 
     fn run_one(&mut self, label: &str, samples: u64, routine: &mut dyn FnMut(&mut Bencher)) {
-        // One warm-up pass, then a single timed pass of `samples` iterations.
+        // One warm-up iteration, then PASSES timed passes of `samples`
+        // iterations each, every pass read as its mean per iteration.
         let mut warmup = Bencher {
             iters: 1,
             elapsed: Duration::ZERO,
         };
         routine(&mut warmup);
-        let mut bench = Bencher {
-            iters: samples,
-            elapsed: Duration::ZERO,
-        };
-        routine(&mut bench);
-        let mean = bench.elapsed.as_secs_f64() / samples as f64;
-        println!("{label}  time: {}  (n = {samples})", format_duration(mean));
-        RECORDS.lock().expect("criterion records").push(Record {
+        let mut passes = [0f64; PASSES];
+        for pass in &mut passes {
+            let mut bench = Bencher {
+                iters: samples,
+                elapsed: Duration::ZERO,
+            };
+            routine(&mut bench);
+            *pass = bench.elapsed.as_secs_f64() / samples as f64;
+        }
+        passes.sort_by(f64::total_cmp);
+        let record = Record {
             label: label.to_string(),
-            mean_seconds: mean,
+            median_seconds: passes[PASSES / 2],
+            min_seconds: passes[0],
+            max_seconds: passes[PASSES - 1],
             samples,
-        });
+        };
+        println!(
+            "{label}  time: {}  [{} .. {}]  (n = {samples} x {PASSES})",
+            format_duration(record.median_seconds),
+            format_duration(record.min_seconds),
+            format_duration(record.max_seconds),
+        );
+        RECORDS.lock().expect("criterion records").push(record);
     }
 }
 
@@ -232,8 +258,8 @@ mod tests {
             group.bench_function("count", |b| b.iter(|| calls += 1));
             group.finish();
         }
-        // One warm-up iteration + five timed.
-        assert_eq!(calls, 6);
+        // One warm-up iteration + PASSES timed passes of five.
+        assert_eq!(calls, 1 + PASSES as u64 * 5);
     }
 
     #[test]
@@ -259,7 +285,36 @@ mod tests {
             .find(|r| r.label == "record-capture-probe")
             .expect("bench run must leave a record");
         assert_eq!(probe.samples, 10);
-        assert!(probe.mean_seconds >= 0.0);
+        assert!(probe.min_seconds >= 0.0);
+        assert!(probe.min_seconds <= probe.median_seconds);
+        assert!(probe.median_seconds <= probe.max_seconds);
+    }
+
+    #[test]
+    fn one_slow_pass_widens_the_spread_not_the_median() {
+        // The third timed pass (the fourth call, after the warm-up) sleeps
+        // 20 ms, the others return at once: the slowest pass carries it, the
+        // median stays with the fast ones.
+        let mut c = Criterion::default();
+        let mut calls = 0u32;
+        c.bench_function("slow-pass-probe", |b| {
+            calls += 1;
+            let slow = calls == 4;
+            b.iter(|| {
+                if slow {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            })
+        });
+        let records = take_records();
+        let probe = records
+            .iter()
+            .find(|r| r.label == "slow-pass-probe")
+            .expect("bench run must leave a record");
+        assert_eq!(calls as usize, 1 + PASSES);
+        // 20 ms over 10 iterations: at least 2 ms per iteration.
+        assert!(probe.max_seconds >= 2e-3, "{probe:?}");
+        assert!(probe.median_seconds < 1e-3, "{probe:?}");
     }
 
     #[test]

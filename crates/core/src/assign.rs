@@ -6,10 +6,17 @@
 //! min-combination is a constant-round MPC aggregation; Claim 3.12 guarantees
 //! the result is a partial layer assignment with out-degree `≤ (s+1)·k`, and
 //! Lemma 3.13 shows the layer tails decay geometrically.
+//!
+//! Algorithm 2's final trees are read only by this peel, so they are never
+//! built: Algorithm 2 stops in its pending state (the step-`s` pruned trees
+//! plus step `s`'s attachment plan, already metered), and the peel splices
+//! each attaching vertex's `vertex` and `parent` columns into reusable stage
+//! scratch in the materialized tree's node order. Layerings, proposal order
+//! and metrics are those of peeling the materialized trees.
 
-use crate::assign_tree::tree_layer_proposals;
+use crate::assign_tree::layer_proposals;
 use crate::error::{CoreError, Result};
-use crate::exponentiate::{exponentiate_and_prune_staged, ExponentiationResult};
+use crate::exponentiate::exponentiate_pending;
 use crate::stage::StageExecutor;
 use dgo_graph::{Graph, LayerAssignment, UNASSIGNED};
 use dgo_mpc::primitives::aggregate_by_key;
@@ -77,8 +84,6 @@ pub struct PartialAssignmentResult {
     /// The out-degree bound `a = (s+1)·k` (saturating) that Claim 3.12
     /// certifies.
     pub out_degree_cap: usize,
-    /// The exponentiation artifacts (exposed for analysis/experiments).
-    pub exponentiation: ExponentiationResult,
 }
 
 /// Runs Algorithm 4 (`PartialLayerAssignment(G, B, k, L, s)`) under the
@@ -88,7 +93,11 @@ pub struct PartialAssignmentResult {
 /// proposals are peeled in parallel over the exponentiated trees into flat
 /// per-chunk buffers, concatenated in vertex order before the min-combine
 /// charges the backend, so layerings and metrics are bit-identical at any
-/// thread count.
+/// thread count. The trees of Algorithm 2's last step are peeled in place
+/// and never built (see the module docs); the result equals running
+/// [`exponentiate_and_prune_staged`](crate::exponentiate_and_prune_staged),
+/// [`partial_layer_assignment_trees`](crate::partial_layer_assignment_trees)
+/// and [`combine_tree_layers`] in turn on one backend.
 ///
 /// # Errors
 ///
@@ -122,23 +131,26 @@ pub fn partial_layer_assignment_staged<B: ExecutionBackend>(
     stage: &StageExecutor,
 ) -> Result<PartialAssignmentResult> {
     let n = graph.num_vertices();
-    let exponentiation = exponentiate_and_prune_staged(graph, budget, k, steps, cluster, stage)?;
+    let pending = exponentiate_pending(graph, budget, k, steps, cluster, stage)?;
     let a = (steps as usize + 1).saturating_mul(k);
     // Algorithm 3 peel over all trees (one stage) yielding the finite-layer
     // proposals in vertex order, one flat buffer per chunk — the per-node
-    // layer vectors are never materialized outside the chunks' scratch.
-    let proposals = tree_layer_proposals(graph, &exponentiation.trees, a, layers, stage);
+    // layer vectors and the last attachments are never materialized outside
+    // the chunks' scratch.
+    let proposals = layer_proposals(graph, &pending, a, layers, stage);
+    // The trees are done with: free them before the min-combine allocates.
+    drop(pending);
     let layering = combine_tree_layers(n, proposals, cluster)?;
     Ok(PartialAssignmentResult {
         layering,
         out_degree_cap: a,
-        exponentiation,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exponentiate::exponentiate_pending;
     use dgo_graph::generators::{gnm, grid_2d, random_tree, star};
     use dgo_mpc::{Cluster, ClusterConfig};
 
@@ -344,31 +356,86 @@ mod tests {
     #[test]
     fn staged_matches_sequential_bit_for_bit() {
         // Above the stage engine's inline floor, so jobs > 1 splits chunks.
+        // Besides the layering and the metering, the proposals the in-place
+        // peel sends to the min-combine match record for record. On this
+        // graph step 2 attaches at 458 vertices and step 3 at none, so both
+        // peel paths run.
         let g = gnm(1500, 5250, 12);
-        let mut reference_cluster = cluster_for(1500);
-        let reference = assign(&g, 256, 3, 4, 3, &mut reference_cluster).unwrap();
-        for jobs in [2usize, 8, 0] {
-            let mut cluster = cluster_for(1500);
-            let r = partial_layer_assignment_staged(
-                &g,
-                256,
-                3,
-                4,
-                3,
-                &mut cluster,
-                &StageExecutor::new(jobs),
-            )
-            .unwrap();
-            assert_eq!(r.layering, reference.layering, "jobs = {jobs}");
-            assert_eq!(
-                r.exponentiation.trees, reference.exponentiation.trees,
-                "jobs = {jobs}"
-            );
-            assert_eq!(
-                cluster.metrics(),
-                reference_cluster.metrics(),
-                "jobs = {jobs}"
-            );
+        let (budget, k, layers) = (256, 3, 4);
+        for steps in [2u32, 3] {
+            let a = (steps as usize + 1) * k;
+            let proposals = |jobs: usize| {
+                let stage = StageExecutor::new(jobs);
+                let mut cluster = cluster_for(1500);
+                let pending =
+                    exponentiate_pending(&g, budget, k, steps, &mut cluster, &stage).unwrap();
+                let attaching = (0..g.num_vertices())
+                    .filter(|&v| !pending.last_leaves(v).is_empty())
+                    .count();
+                (layer_proposals(&g, &pending, a, layers, &stage), attaching)
+            };
+            let reference_proposals = proposals(1);
+            assert!(!reference_proposals.0.is_empty());
+            assert_eq!(reference_proposals.1 > 0, steps == 2, "steps = {steps}");
+            let mut reference_cluster = cluster_for(1500);
+            let reference = assign(&g, budget, k, layers, steps, &mut reference_cluster).unwrap();
+            for jobs in [2usize, 8, 0] {
+                let context = format!("steps = {steps}, jobs = {jobs}");
+                let mut cluster = cluster_for(1500);
+                let r = partial_layer_assignment_staged(
+                    &g,
+                    budget,
+                    k,
+                    layers,
+                    steps,
+                    &mut cluster,
+                    &StageExecutor::new(jobs),
+                )
+                .unwrap();
+                assert_eq!(r.layering, reference.layering, "{context}");
+                assert_eq!(proposals(jobs), reference_proposals, "{context}");
+                assert_eq!(cluster.metrics(), reference_cluster.metrics(), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_separate_pipeline_on_one_cluster() {
+        // Algorithm 4 peels Algorithm 2's last attachments in place. Running
+        // the three public pieces in turn on one cluster — Algorithm 2 with
+        // its trees materialized, Algorithm 3 per tree flattened in node
+        // order, then the min-combine — gives the same layering and the
+        // same metering, at every step count (s = 0 builds the stars).
+        let g = gnm(400, 1400, 3);
+        let (budget, k, layers) = (256, 3, 4);
+        let stage = StageExecutor::sequential();
+        for steps in [0u32, 1, 2, 3] {
+            let mut cluster = cluster_for(400);
+            let r = assign(&g, budget, k, layers, steps, &mut cluster).unwrap();
+
+            let mut separate = cluster_for(400);
+            let expo =
+                crate::exponentiate_and_prune_staged(&g, budget, k, steps, &mut separate, &stage)
+                    .unwrap();
+            let a = (steps as usize + 1) * k;
+            let per_node =
+                crate::partial_layer_assignment_trees(&g, &expo.trees, a, layers, &stage);
+            let proposals: Vec<(u64, u32)> = expo
+                .trees
+                .iter()
+                .zip(&per_node)
+                .flat_map(|(tree, node_layers)| {
+                    tree.node_ids()
+                        .zip(node_layers)
+                        .filter(|&(_, &l)| l != UNASSIGNED)
+                        .map(|(x, &l)| (tree.vertex(x) as u64, l))
+                })
+                .collect();
+            let layering = combine_tree_layers(g.num_vertices(), proposals, &mut separate).unwrap();
+
+            assert!(r.layering.num_assigned() > 0, "steps = {steps}");
+            assert_eq!(r.layering, layering, "steps = {steps}");
+            assert_eq!(cluster.metrics(), separate.metrics(), "steps = {steps}");
         }
     }
 }

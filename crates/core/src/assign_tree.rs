@@ -13,7 +13,14 @@
 //! tree allocates nothing beyond its output. Batch stages hand one scratch
 //! to each worker via [`StageExecutor::map_with`], or to each chunk of
 //! [`StageExecutor::map_chunks`] when the chunk peels into one flat buffer.
+//!
+//! The peel reads a tree's `vertex` and `parent` columns and nothing else.
+//! So Algorithm 4 peels Algorithm 2's last attachments in place
+//! ([`layer_proposals`]): each chunk splices just those two columns of an
+//! attaching vertex's tree into reusable buffers, and the tree itself is
+//! never built.
 
+use crate::exponentiate::PendingExponentiation;
 use crate::stage::StageExecutor;
 use crate::vtree::ViewTree;
 use dgo_graph::{Graph, UNASSIGNED};
@@ -41,24 +48,24 @@ impl PeelScratch {
         PeelScratch::default()
     }
 
-    /// Runs the peel, writing each node's layer (`1..=layers`, or
-    /// [`UNASSIGNED`] for the paper's `∞`) into `layer`, which is cleared and
-    /// refilled.
+    /// Runs the peel on the tree with node columns `vertex` and `parent`
+    /// (arena order, [`ViewTree::vertex_col`] and [`ViewTree::parent_col`]),
+    /// writing each node's layer (`1..=layers`, or [`UNASSIGNED`] for the
+    /// paper's `∞`) into `layer`, which is cleared and refilled.
     fn peel_into(
         &mut self,
         graph: &Graph,
-        tree: &ViewTree,
+        (vertex, parent): (&[u32], &[u32]),
         a: usize,
         layers: u32,
         layer: &mut Vec<u32>,
     ) {
-        let t = tree.len();
+        let t = vertex.len();
         layer.clear();
         layer.resize(t, UNASSIGNED);
         // Surviving-children + missing counts; the sum starts at the image's
         // graph degree (children map to distinct neighbors, Def 2.3) and only
         // drops as children get selected.
-        let vertex = tree.vertex_col();
         self.count.clear();
         self.count
             .extend(vertex.iter().map(|&v| graph.degree(v as usize) as u32));
@@ -69,10 +76,9 @@ impl PeelScratch {
         // Parent values are always < t except the root's NO_PARENT
         // (u32::MAX), so `min` redirects exactly the root to the sentinel.
         self.pidx.clear();
-        self.pidx
-            .extend(tree.parent_col().iter().map(|&p| p.min(t as u32)));
+        self.pidx.extend(parent.iter().map(|&p| p.min(t as u32)));
         self.remaining.clear();
-        self.remaining.extend(tree.node_ids());
+        self.remaining.extend(0..t as u32);
         let a = a.min(u32::MAX as usize) as u32;
         for j in 1..=layers {
             // Select against the round-start counts: marking first, then
@@ -124,8 +130,13 @@ pub(crate) fn partial_layer_assignment_tree_with(
     scratch: &mut PeelScratch,
 ) -> Vec<u32> {
     let mut out = Vec::new();
-    scratch.peel_into(graph, tree, a, layers, &mut out);
+    scratch.peel_into(graph, columns(tree), a, layers, &mut out);
     out
+}
+
+/// The `vertex` and `parent` columns of `tree`, the peel's input.
+fn columns(tree: &ViewTree) -> (&[u32], &[u32]) {
+    (tree.vertex_col(), tree.parent_col())
 }
 
 /// Runs Algorithm 3 over a whole batch of trees as one vertex-parallel
@@ -166,33 +177,54 @@ pub fn partial_layer_assignment_trees(
     })
 }
 
-/// Peels every tree and returns the Algorithm 4 layer proposals
-/// `(image vertex, layer)` for the finite-layer nodes of every tree, in tree
-/// order and node order within a tree — exactly the records the min-combine
-/// aggregates. The per-node layer vectors live only in each chunk's scratch,
-/// and each chunk peels into one flat buffer, not one per tree.
-pub(crate) fn tree_layer_proposals(
+/// Peels every tree of Algorithm 2's final state and returns the
+/// Algorithm 4 layer proposals `(image vertex, layer)` for the finite-layer
+/// nodes of every tree, in vertex order and node order within a tree —
+/// exactly the records the min-combine aggregates. A vertex with pending
+/// attachments is peeled in place: its tree's `vertex` and `parent` columns
+/// are spliced into chunk scratch ([`ViewTree::attached_columns_into`]) in
+/// the node order the materialized tree would have, so the proposals equal
+/// those of the materialized trees. The per-node layer vectors live only in
+/// each chunk's scratch, and each chunk peels into one flat buffer, not one
+/// per tree.
+pub(crate) fn layer_proposals(
     graph: &Graph,
-    trees: &[ViewTree],
+    pending: &PendingExponentiation,
     a: usize,
     layers: u32,
     stage: &StageExecutor,
 ) -> Vec<(u64, u32)> {
+    let trees = &pending.trees;
     stage.map_chunks(
         trees,
-        |_, chunk| {
+        |offset, chunk| {
             let mut scratch = PeelScratch::new();
-            let mut layer = Vec::new();
-            let mut proposals = Vec::new();
-            for tree in chunk {
-                scratch.peel_into(graph, tree, a, layers, &mut layer);
+            let (mut layer, mut vertex, mut parent) = (Vec::new(), Vec::new(), Vec::new());
+            // Sized for one proposal per tree, so the buffer regrows a few
+            // times, not once per doubling from empty.
+            let mut proposals = Vec::with_capacity(chunk.len());
+            for (v, tree) in (offset..).zip(chunk) {
+                let leaves = pending.last_leaves(v);
+                let cols = if leaves.is_empty() {
+                    columns(tree)
+                } else {
+                    ViewTree::attached_columns_into(
+                        tree,
+                        leaves,
+                        |leaf| &trees[tree.vertex(leaf)],
+                        &mut vertex,
+                        &mut parent,
+                    );
+                    (&vertex[..], &parent[..])
+                };
+                scratch.peel_into(graph, cols, a, layers, &mut layer);
                 // Compact the finite-layer records with a predicated write
                 // index: every node stores a candidate record, only assigned
                 // ones advance the cursor (and survive the truncate) — same
                 // node order, no per-node push branch.
                 let mut w = proposals.len();
-                proposals.resize(w + tree.len(), (0u64, 0u32));
-                for (&img, &l) in tree.vertex_col().iter().zip(layer.iter()) {
+                proposals.resize(w + layer.len(), (0u64, 0u32));
+                for (&img, &l) in cols.0.iter().zip(layer.iter()) {
                     proposals[w] = (img as u64, l);
                     w += (l != UNASSIGNED) as usize;
                 }
@@ -211,7 +243,9 @@ pub(crate) fn tree_layer_proposals(
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
-    use crate::exponentiate::{exponentiate_and_prune_staged, ExponentiationResult};
+    use crate::exponentiate::{
+        exponentiate_and_prune_staged, exponentiate_pending, ExponentiationResult,
+    };
     use dgo_graph::generators::gnm;
     use dgo_mpc::{Cluster, ClusterConfig};
 
@@ -335,11 +369,14 @@ mod tests {
 
     #[test]
     fn proposals_match_per_node_layers() {
-        // Above the stage engine's inline floor (1,024 trees), so jobs > 1
-        // peels in several chunks whose flat buffers must concatenate in
-        // tree order.
+        // Peeling Algorithm 2's pending state in place proposes exactly the
+        // finite-layer nodes of the materialized trees, in tree order and
+        // node order. Above the stage engine's inline floor (1,024 trees),
+        // so jobs > 1 peels in several chunks whose flat buffers must
+        // concatenate in tree order.
         let g = gnm(1500, 6000, 8);
-        let r = exponentiate(&g, 144, 2, 3);
+        let (budget, k, steps) = (144, 2, 2);
+        let r = exponentiate(&g, budget, k, steps);
         let (a, layers) = (8usize, 4u32);
         let stage = StageExecutor::sequential();
         let per_node = partial_layer_assignment_trees(&g, &r.trees, a, layers, &stage);
@@ -351,8 +388,14 @@ mod tests {
                     .map(|x| (tree.vertex(x) as u64, node_layers[x as usize])),
             );
         }
+        let mut cluster = Cluster::new(ClusterConfig::new(2048, 8192));
+        let pending = exponentiate_pending(&g, budget, k, steps, &mut cluster, &stage).unwrap();
+        let attaching = (0..g.num_vertices())
+            .filter(|&v| !pending.last_leaves(v).is_empty())
+            .count();
+        assert!(attaching > 0, "test vacuous: nothing attaches at step s");
         for jobs in [1usize, 2, 8, 0] {
-            let got = tree_layer_proposals(&g, &r.trees, a, layers, &StageExecutor::new(jobs));
+            let got = layer_proposals(&g, &pending, a, layers, &StageExecutor::new(jobs));
             assert_eq!(got, expected, "jobs = {jobs}");
         }
     }

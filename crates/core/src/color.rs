@@ -70,7 +70,9 @@ pub struct ColorResult {
 ///
 /// # Errors
 ///
-/// Propagates layering errors and MPC capacity violations.
+/// * [`CoreError::InvalidParams`](crate::CoreError::InvalidParams) for bad
+///   parameters, a [`Params::lambda_hint`] above the vertex count included.
+/// * Propagates layering errors and MPC capacity violations.
 ///
 /// # Examples
 ///
@@ -102,7 +104,7 @@ pub fn color(graph: &Graph, params: &Params) -> Result<ColorResult> {
 pub fn color_on<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<ColorResult> {
     params.validate()?;
     let n = graph.num_vertices();
-    let (lambda_hat, parts_needed) = lambda_and_parts(graph, params);
+    let (lambda_hat, parts_needed) = lambda_and_parts(graph, params)?;
 
     if parts_needed <= 1 {
         // The layering takes this λ̂ as its hint instead of estimating again.

@@ -17,21 +17,40 @@
 //!
 //! Both per-step passes are *per-vertex maps over a read-only snapshot* — the
 //! paper's vertices act independently between synchronization barriers — so
-//! they execute as [`StageExecutor`] stages: the prune pass via
-//! [`local_prune_batch`], and the attachment pass double-buffered (each
-//! attaching vertex builds its next tree from its own pruned tree plus
-//! *borrowed* provider trees in the current buffer, then the new trees swap
-//! in by index). The double buffer is also what makes providers borrowable at
-//! all: consumers never mutate the snapshot, so no provider tree is ever
-//! cloned — each consumer splices the borrowed providers into one
-//! exactly-sized destination block ([`ViewTree::attached_with`]): one heap
-//! allocation per consumer, none per spliced node. The attachment plan that
-//! drives it is flat too ([`AttachPlan`]): one request list and one leaf
-//! list per stage chunk, concatenated in vertex order, not two buffers per
-//! requesting vertex.
+//! they execute as [`StageExecutor`] stages, double-buffered: each attaching
+//! vertex builds its next tree from its own pruned tree plus *borrowed*
+//! provider trees in the current buffer, then the new trees swap in by
+//! index. The double buffer is also what makes providers borrowable at all:
+//! consumers never mutate the snapshot, so no provider tree is ever cloned —
+//! each consumer splices the borrowed providers into one exactly-sized
+//! destination block ([`ViewTree::attached_with`]): one heap allocation per
+//! consumer, none per spliced node. The attachment plan that drives it is
+//! flat too ([`AttachPlan`]): one leaf list per stage chunk, concatenated in
+//! vertex order, not a buffer per requesting vertex. The gather meters the
+//! plan's requests as a stream, without collecting them.
+//!
+//! Algorithm 1 is local, so step `i + 1`'s prune of a vertex reads only that
+//! vertex's step-`i` attachment: one stage splices each attachment and
+//! prunes it at once ([`local_prune_with`]), and an attachment the prune
+//! shrinks is freed as soon as it is pruned. Two of the up to `2s + 1` trees
+//! per vertex are not even built, because nothing reads them as trees:
+//!
+//! * **The stars.** They exist only to be pruned by step 1, and Algorithm 1
+//!   on a star removes its `k` lowest-id leaves (every child subtree has size
+//!   1, ties break by neighbour order). Step 1 starts from those pruned stars
+//!   ([`pruned_star`]); the first residency checkpoint reads the star lengths
+//!   off the degrees. With `s = 0` nothing is pruned, and the stars are built
+//!   and returned.
+//! * **Step `s`'s attachments.** The step loop ends in a *pending* state
+//!   ([`PendingExponentiation`]): the step-`s` pruned trees plus step `s`'s
+//!   attachment plan, metered and checkpointed (every checkpoint after an
+//!   attachment reads the attached lengths off the plan) but not spliced.
+//!   [`exponentiate_and_prune_staged`] materializes it; Algorithm 4 peels it
+//!   in place, filling only the two columns Algorithm 3 reads
+//!   ([`ViewTree::attached_columns_into`]).
 
 use crate::error::{CoreError, Result};
-use crate::prune::local_prune_batch;
+use crate::prune::{local_prune_with, pruned_star, PruneScratch};
 use crate::stage::StageExecutor;
 use crate::vtree::{NodeId, ViewTree};
 use dgo_graph::Graph;
@@ -44,8 +63,9 @@ use dgo_mpc::ExecutionBackend;
 pub struct ExponentiationResult {
     /// `trees[v]` is `T_v^{(s)}` with its valid mapping.
     pub trees: Vec<ViewTree>,
-    /// Whether `v` was still active at the end (inactive vertices carry the
-    /// pruned tree they had when deactivated).
+    /// Whether `v` was still active at the end. An inactive vertex attaches
+    /// nothing, so its tree is its step-`s` pruned tree: every step prunes
+    /// every tree, inactive ones included.
     pub active: Vec<bool>,
     /// Exponentiation steps actually executed.
     pub steps: u32,
@@ -90,6 +110,24 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
     cluster: &mut B,
     stage: &StageExecutor,
 ) -> Result<ExponentiationResult> {
+    Ok(exponentiate_pending(graph, budget, k, steps, cluster, stage)?.materialize(stage))
+}
+
+/// Algorithm 2 up to, but not including, the splicing of its last
+/// attachments: every step is metered and checkpointed as in full, and the
+/// result is the [`PendingExponentiation`] the module docs describe.
+///
+/// # Errors
+///
+/// As [`exponentiate_and_prune_staged`].
+pub(crate) fn exponentiate_pending<B: ExecutionBackend>(
+    graph: &Graph,
+    budget: usize,
+    k: usize,
+    steps: u32,
+    cluster: &mut B,
+    stage: &StageExecutor,
+) -> Result<PendingExponentiation> {
     if k == 0 || budget < 4 {
         return Err(CoreError::InvalidParams {
             reason: format!(
@@ -98,57 +136,66 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
         });
     }
     let n = graph.num_vertices();
-    let sqrt_budget = (budget as f64).sqrt().floor() as u64;
+    let sqrt_budget = (budget as f64).sqrt().floor() as usize;
 
-    // Initialization (Algorithm 2 preamble): a pure per-vertex map.
-    let init: Vec<(ViewTree, bool)> = stage.map_indices(n, |v| {
-        if graph.degree(v) < budget {
-            (ViewTree::star(v, graph.neighbors(v)), true)
+    // Initialization (Algorithm 2 preamble): `v` starts active with the star
+    // over its neighbourhood iff `deg(v) < B`, else inactive with its root
+    // alone. The checkpoint reads the star lengths off the degrees.
+    let mut active: Vec<bool> = (0..n).map(|v| graph.degree(v) < budget).collect();
+    checkpoint(graph, cluster, |v| {
+        if active[v] {
+            graph.degree(v) + 1
         } else {
-            (ViewTree::singleton(v), false)
+            1
+        }
+    })?;
+    // With `s >= 1` the stars are read only by step 1's prune, so build its
+    // result directly; with `s = 0` they are the result.
+    let mut trees: Vec<ViewTree> = stage.map_indices(n, |v| {
+        if !active[v] {
+            ViewTree::singleton(v)
+        } else if steps == 0 {
+            ViewTree::star(v, graph.neighbors(v))
+        } else {
+            pruned_star(v, graph.neighbors(v), k)
         }
     });
-    let mut trees: Vec<ViewTree> = Vec::with_capacity(n);
-    let mut active: Vec<bool> = Vec::with_capacity(n);
-    for (tree, is_active) in init {
-        trees.push(tree);
-        active.push(is_active);
-    }
-    checkpoint(graph, cluster, &trees)?;
 
+    let mut last_plan = None;
     for i in 1..=steps {
         // ---- Local prune step (free: no communication). ----
-        // One Algorithm 1 stage over all trees; fixed points stay in place.
-        let pruned = local_prune_batch(&trees, k, stage);
-        for (v, replacement) in pruned.into_iter().enumerate() {
-            if let Some(tree) = replacement {
-                trees[v] = tree;
-            }
-            if trees[v].len() as u64 > sqrt_budget {
-                active[v] = false;
+        // The trees are pruned already: step 1's above, every later step's
+        // in the previous step's attachment stage.
+        for (is_active, tree) in active.iter_mut().zip(&trees) {
+            if tree.len() > sqrt_budget {
+                *is_active = false;
             }
         }
 
         // ---- Exponentiation / attachment step. ----
-        let frontier_depth = 1u32 << (i - 1);
-        // Collect the plan — (consumer v, provider u) for every qualifying
-        // leaf — as a stage over the pruned snapshot, one flat plan per
-        // chunk, concatenated in vertex order (the exact order the
-        // sequential loop produces).
+        // The true depth 2^(i-1) exceeds every tree's depth (< B) long before
+        // it leaves u32, so saturating it attaches exactly the same nothing.
+        let frontier_depth = 1u32.checked_shl(i - 1).unwrap_or(u32::MAX);
+        // Collect the plan — the frontier leaves whose images are active —
+        // as a stage over the pruned snapshot, one flat plan per chunk,
+        // concatenated in vertex order (the exact order the sequential loop
+        // produces).
         let plan = stage.map_chunks(
             &trees,
             |offset, chunk| {
-                let mut plan = AttachPlan::default();
-                plan.ends.reserve(chunk.len());
+                // Sized for one leaf per vertex up front, so a plan of a few
+                // leaves per vertex regrows a few times, not once per
+                // doubling from empty.
+                let mut plan = AttachPlan {
+                    leaves: Vec::with_capacity(chunk.len()),
+                    ends: Vec::with_capacity(chunk.len()),
+                };
                 for (v, tree) in (offset..).zip(chunk) {
                     if active[v] {
-                        for leaf in tree.leaves_at_depth(frontier_depth) {
-                            let u = tree.vertex(leaf);
-                            if active[u] {
-                                plan.requests.push((v as u64, u as u64));
-                                plan.leaves.push(leaf);
-                            }
-                        }
+                        plan.leaves.extend(
+                            tree.leaves_at_depth(frontier_depth)
+                                .filter(|&leaf| active[tree.vertex(leaf)]),
+                        );
                     }
                     plan.ends.push(plan.leaves.len());
                 }
@@ -156,80 +203,115 @@ pub fn exponentiate_and_prune_staged<B: ExecutionBackend>(
             },
             AttachPlan::append,
         );
-        let requests = &plan.requests;
-        // Meter the tree transfer as a Lemma 4.1 gather: a bundle is the
-        // provider's tree at its encoded size (`ViewTree::wire_words`),
-        // computed as a stage over the distinct provider ids and looked up
-        // per request through a per-vertex table. Marking the table first
-        // deduplicates the providers, and scanning it lists them in
-        // ascending order, without sorting the requests.
-        let mut wire_words = vec![0usize; n];
-        for &(_, u) in requests {
-            wire_words[u as usize] = 1;
-        }
-        let provider_ids: Vec<usize> = (0..n).filter(|&u| wire_words[u] != 0).collect();
-        let provider_words = stage.map(&provider_ids, |_, &u| trees[u].wire_words());
-        for (&u, words) in provider_ids.iter().zip(provider_words) {
-            wire_words[u] = words;
-        }
-        // Book the bundle payloads (post-codec vs the flat baseline) once per
-        // delivered copy. Recorded here in the algorithm layer — the encoding
-        // is the algorithm's choice, so the totals are backend-independent by
-        // construction.
-        let (bundle_wire, bundle_flat) =
-            requests.iter().fold((0usize, 0usize), |(w, f), &(_, u)| {
-                (
-                    w + wire_words[u as usize],
-                    f + trees[u as usize].flat_wire_words(),
-                )
-            });
-        if !requests.is_empty() {
-            cluster
-                .metrics_mut()
-                .record_bundle_words(bundle_wire, bundle_flat);
-        }
-        gather_bundles(cluster, requests, n, |u| Some(wire_words[u as usize]))?;
-
-        // Materialize the attachments (inactive vertices keep pruned trees)
-        // as a double-buffered stage: every attaching vertex splices its own
-        // pruned tree and the *borrowed* provider trees in the read-only
-        // current buffer into one exactly-sized fresh arena — attachment must
-        // use this step's pruned versions even when provider == consumer, and
-        // the snapshot is exactly that.
-        let attached: Vec<Option<ViewTree>> = stage.map(&trees, |v, source| {
-            let leaves = plan.leaves_of(v);
-            if leaves.is_empty() {
-                return None;
-            }
-            let tree = ViewTree::attached_with(source, leaves, |leaf| &trees[source.vertex(leaf)]);
+        meter_tree_transfer(cluster, &trees, plan.requests(&trees), stage)?;
+        // The residency after the attachment, read off the plan: a spliced
+        // provider adds all of its nodes but its root.
+        checkpoint(graph, cluster, |v| {
+            let len = trees[v].len()
+                + plan
+                    .leaves_of(v)
+                    .iter()
+                    .map(|&leaf| trees[trees[v].vertex(leaf)].len() - 1)
+                    .sum::<usize>();
             debug_assert!(
-                tree.len() <= budget,
-                "Claim 3.4 violated: tree of {v} has {} nodes > B = {budget}",
-                tree.len()
+                len <= budget,
+                "Claim 3.4 violated: tree of {v} has {len} nodes > B = {budget}"
             );
-            Some(tree)
-        });
-        for (v, replacement) in attached.into_iter().enumerate() {
-            if let Some(tree) = replacement {
-                trees[v] = tree;
-            }
+            len
+        })?;
+        if i < steps {
+            // Splice every attachment and run step i + 1's Algorithm 1 on it
+            // in the same stage; fixed points of the prune stay as they are.
+            let next = stage.map_with(&trees, PruneScratch::new, |scratch, v, source| {
+                let leaves = plan.leaves_of(v);
+                if leaves.is_empty() {
+                    return local_prune_with(source, k, scratch);
+                }
+                let attached =
+                    ViewTree::attached_with(source, leaves, |leaf| &trees[source.vertex(leaf)]);
+                Some(local_prune_with(&attached, k, scratch).unwrap_or(attached))
+            });
+            replace(&mut trees, next);
+        } else {
+            last_plan = Some(plan);
         }
-        checkpoint(graph, cluster, &trees)?;
     }
-    Ok(ExponentiationResult {
+    Ok(PendingExponentiation {
         trees,
         active,
         steps,
+        last_plan,
     })
+}
+
+/// Algorithm 2 stopped before splicing its last attachments: the step-`s`
+/// pruned trees (the stars when `s = 0`) plus step `s`'s attachment plan.
+/// Every step, the last one included, is already metered and checkpointed.
+#[derive(Debug)]
+pub(crate) struct PendingExponentiation {
+    /// The step-`s` pruned trees, which the last attachments splice onto and
+    /// from.
+    pub(crate) trees: Vec<ViewTree>,
+    /// The final activity flags.
+    active: Vec<bool>,
+    /// Exponentiation steps executed.
+    steps: u32,
+    /// Step `s`'s attachment plan, `None` when `s = 0`.
+    last_plan: Option<AttachPlan>,
+}
+
+impl PendingExponentiation {
+    /// The leaves of `trees[v]` that step `s` attaches the providers'
+    /// `trees` at, in splice order (none when `s = 0`).
+    pub(crate) fn last_leaves(&self, v: usize) -> &[NodeId] {
+        self.last_plan
+            .as_ref()
+            .map_or(&[], |plan| plan.leaves_of(v))
+    }
+
+    /// Splices the last attachments: the result of the full Algorithm 2.
+    fn materialize(mut self, stage: &StageExecutor) -> ExponentiationResult {
+        if let Some(plan) = &self.last_plan {
+            attach(&mut self.trees, plan, stage);
+        }
+        ExponentiationResult {
+            trees: self.trees,
+            active: self.active,
+            steps: self.steps,
+        }
+    }
+}
+
+/// Moves every `Some` replacement into its vertex's slot.
+fn replace(trees: &mut [ViewTree], replacements: impl IntoIterator<Item = Option<ViewTree>>) {
+    for (tree, replacement) in trees.iter_mut().zip(replacements) {
+        if let Some(replacement) = replacement {
+            *tree = replacement;
+        }
+    }
+}
+
+/// Materializes the last step's attachments (inactive vertices keep their
+/// pruned trees) as a double-buffered stage: every attaching vertex splices
+/// its own pruned tree and the *borrowed* provider trees in the read-only
+/// current buffer into one exactly-sized fresh arena — attachment must use
+/// this step's pruned versions even when provider == consumer, and the
+/// snapshot is exactly that.
+fn attach(trees: &mut [ViewTree], plan: &AttachPlan, stage: &StageExecutor) {
+    let snapshot: &[ViewTree] = trees;
+    let attached = stage.map(snapshot, |v, source| {
+        let leaves = plan.leaves_of(v);
+        (!leaves.is_empty())
+            .then(|| ViewTree::attached_with(source, leaves, |leaf| &snapshot[source.vertex(leaf)]))
+    });
+    replace(trees, attached);
 }
 
 /// One step's attachment plan, flat over all vertices in vertex order:
 /// vertex `v` attaches at `leaves[ends[v − 1]..ends[v]]` (from 0 for
-/// `v = 0`), and `requests` holds the matching `(v, image of the leaf)`
-/// pairs the bundle gather meters.
-#[derive(Debug, Default)]
+/// `v = 0`).
+#[derive(Debug)]
 struct AttachPlan {
-    requests: Vec<(u64, u64)>,
     leaves: Vec<NodeId>,
     ends: Vec<usize>,
 }
@@ -246,19 +328,77 @@ impl AttachPlan {
     /// past `self`'s leaves.
     fn append(mut self, later: AttachPlan) -> AttachPlan {
         let base = self.leaves.len();
-        self.requests.extend(later.requests);
         self.leaves.extend(later.leaves);
         self.ends.extend(later.ends.iter().map(|&end| base + end));
         self
     }
+
+    /// The `(consumer v, provider u)` pair of every planned leaf, in plan
+    /// order: the requests the bundle gather meters, streamed rather than
+    /// collected.
+    fn requests<'a>(
+        &'a self,
+        trees: &'a [ViewTree],
+    ) -> impl Iterator<Item = (u64, u64)> + Clone + 'a {
+        trees.iter().enumerate().flat_map(move |(v, tree)| {
+            self.leaves_of(v)
+                .iter()
+                .map(move |&leaf| (v as u64, tree.vertex(leaf) as u64))
+        })
+    }
 }
 
-/// Residency checkpoint: trees are balanced over machines (one tree is never
-/// split — Claim 3.5's `O(n^δ + B)` local memory), the graph's edge share is
-/// uniform. Alongside the word-accounting the checkpoint also meters the
-/// *host* footprint of the tree arenas ([`ViewTree::arena_bytes`]) per
-/// machine — the `peak_tree_bytes` component the experiment tables report
-/// next to the certified words.
+/// Meters one step's tree transfer as a Lemma 4.1 gather: a bundle is the
+/// provider's tree at its encoded size (`ViewTree::wire_words`), computed as
+/// a stage over the vertices for the distinct providers only and looked up
+/// per request in the resulting per-vertex table. Marking the providers
+/// first deduplicates them without sorting the requests.
+fn meter_tree_transfer<B: ExecutionBackend>(
+    cluster: &mut B,
+    trees: &[ViewTree],
+    requests: impl Iterator<Item = (u64, u64)> + Clone,
+    stage: &StageExecutor,
+) -> Result<()> {
+    let n = trees.len();
+    let mut is_provider = vec![false; n];
+    for (_, u) in requests.clone() {
+        is_provider[u as usize] = true;
+    }
+    let wire_words = stage.map(&is_provider, |u, &provides| {
+        if provides {
+            trees[u].wire_words()
+        } else {
+            0
+        }
+    });
+    drop(is_provider);
+    // Book the bundle payloads (post-codec vs the flat baseline) once per
+    // delivered copy. Recorded here in the algorithm layer — the encoding
+    // is the algorithm's choice, so the totals are backend-independent by
+    // construction.
+    let (bundle_wire, bundle_flat) = requests.clone().fold((0usize, 0usize), |(w, f), (_, u)| {
+        (
+            w + wire_words[u as usize],
+            f + trees[u as usize].flat_wire_words(),
+        )
+    });
+    if requests.clone().next().is_some() {
+        cluster
+            .metrics_mut()
+            .record_bundle_words(bundle_wire, bundle_flat);
+    }
+    gather_bundles(cluster, requests, n, |u| Some(wire_words[u as usize]))?;
+    Ok(())
+}
+
+/// Residency checkpoint over the per-vertex trees, `len_of(v)` nodes each:
+/// trees are balanced over machines (one tree is never split — Claim 3.5's
+/// `O(n^δ + B)` local memory), the graph's edge share is uniform. Alongside
+/// the word-accounting the checkpoint also meters the *host* footprint of
+/// the tree arenas ([`ViewTree::arena_bytes`]) per machine — the
+/// `peak_tree_bytes` component the experiment tables report next to the
+/// certified words. It reads lengths only, so it meters trees that are never
+/// built (the stars, the last attachments) exactly as built ones.
 ///
 /// The balance deals the trees round-robin in size-descending order, which
 /// is within 2x of optimal (largest-first onto the lightest machine would
@@ -266,38 +406,40 @@ impl AttachPlan {
 /// sizes, so a counting sort over the sizes (each at most the tree budget)
 /// replaces a sort of the trees, and only the first `min(n, M)` machines —
 /// the ones that receive a tree — are listed on top of the uniform share:
-/// `O(n + B)`, whatever the machine count.
+/// `O(n + B)`, whatever the machine count. Slot `i` receives
+/// `⌈(n − i) / min(n, M)⌉` trees, so its arena bytes follow from its words.
 fn checkpoint<B: ExecutionBackend>(
     graph: &Graph,
     cluster: &mut B,
-    trees: &[ViewTree],
+    len_of: impl Fn(usize) -> usize,
 ) -> Result<()> {
+    let n = graph.num_vertices();
     let machines = cluster.num_machines();
-    let graph_share = (2 * graph.num_edges() + graph.num_vertices()).div_ceil(machines);
-    let largest = trees.iter().map(ViewTree::len).max().unwrap_or(0);
+    let graph_share = (2 * graph.num_edges() + n).div_ceil(machines);
+    let largest = (0..n).map(&len_of).max().unwrap_or(0);
     let mut trees_of_len = vec![0usize; largest + 1];
-    for tree in trees {
-        trees_of_len[tree.len()] += 1;
+    for v in 0..n {
+        trees_of_len[len_of(v)] += 1;
     }
-    let dealt = trees.len().min(machines);
+    let dealt = n.min(machines);
     let mut load = vec![0usize; dealt];
-    let mut tree_bytes = vec![0usize; dealt];
     let mut slot = 0;
     for (len, &count) in trees_of_len.iter().enumerate().rev() {
-        if count == 0 {
-            continue;
-        }
-        let bytes = ViewTree::arena_bytes_of_len(len);
         for _ in 0..count {
             load[slot] += 2 * len;
-            tree_bytes[slot] += bytes;
             slot += 1;
             if slot == dealt {
                 slot = 0;
             }
         }
     }
+    drop(trees_of_len);
     cluster.checkpoint_residency(graph_share, &load)?;
+    // Two words per node: the words become the slot's arena bytes in place.
+    let mut tree_bytes = load;
+    for (i, bytes) in tree_bytes.iter_mut().enumerate() {
+        *bytes = ViewTree::arena_bytes_of(*bytes / 2, (n - i).div_ceil(dealt));
+    }
     cluster.metrics_mut().record_tree_bytes(&tree_bytes);
     Ok(())
 }

@@ -101,11 +101,26 @@ pub fn estimate_lambda(graph: &Graph, params: &Params) -> usize {
 /// λ̂ and the part count `⌈k / log₂ n⌉` of Theorem 1.1's edge partition
 /// (Lemma 2.1) and Theorem 1.2's vertex partition (Lemma 2.2): the one λ̂
 /// estimate each pipeline makes on its input graph.
-pub(crate) fn lambda_and_parts(graph: &Graph, params: &Params) -> (usize, usize) {
+///
+/// # Errors
+///
+/// [`CoreError::InvalidParams`] for a λ-hint above `n`, before any part is
+/// sized: no `n`-vertex graph has arboricity above `⌈n/2⌉`, and a part
+/// count sized from such a hint can exceed `u32` or every allocation.
+pub(crate) fn lambda_and_parts(graph: &Graph, params: &Params) -> Result<(usize, usize)> {
+    let n = graph.num_vertices();
+    if params.lambda_hint > n {
+        return Err(CoreError::InvalidParams {
+            reason: format!(
+                "lambda_hint {} exceeds the vertex count {n}",
+                params.lambda_hint
+            ),
+        });
+    }
     let lambda_hat = estimate_lambda(graph, params);
-    let log_n = (graph.num_vertices().max(2) as f64).log2();
+    let log_n = (n.max(2) as f64).log2();
     let parts = (params.k(lambda_hat) as f64 / log_n).ceil() as usize;
-    (lambda_hat, parts)
+    Ok((lambda_hat, parts))
 }
 
 /// Builds the cluster configuration for a layering run on an `n`-vertex,
@@ -423,7 +438,8 @@ impl<'a, B: ExecutionBackend> LayeringState<'a, B> {
 ///
 /// # Errors
 ///
-/// See [`complete_layering`].
+/// See [`complete_layering`]; besides, [`CoreError::InvalidParams`] for a
+/// [`Params::lambda_hint`] above the vertex count.
 ///
 /// # Examples
 ///
@@ -455,7 +471,7 @@ pub fn orient_on<B: ExecutionBackend + Send>(
     params: &Params,
 ) -> Result<OrientResult> {
     params.validate()?;
-    let (lambda_hat, parts_needed) = lambda_and_parts(graph, params);
+    let (lambda_hat, parts_needed) = lambda_and_parts(graph, params)?;
 
     if parts_needed <= 1 {
         // The layering takes this λ̂ as its hint instead of estimating again.
@@ -655,6 +671,40 @@ mod tests {
                 "k_factor {k_factor} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn lambda_hint_above_n_is_invalid_params() {
+        // A hint of 2⁴⁰ on 200 vertices would size 2⁴⁰-scale partitions (a
+        // panic in `partition_edges`, a 6.9 TB allocation in
+        // `partition_vertices`), so any hint above n is rejected before a
+        // part is sized; a hint of n itself still runs.
+        let g = gnm(200, 800, 1);
+        let mut params = Params::practical(200);
+        for hint in [1usize << 40, 201] {
+            params.lambda_hint = hint;
+            assert!(
+                matches!(orient(&g, &params), Err(CoreError::InvalidParams { .. })),
+                "orient, hint {hint}"
+            );
+            assert!(
+                matches!(
+                    crate::color(&g, &params),
+                    Err(CoreError::InvalidParams { .. })
+                ),
+                "color, hint {hint}"
+            );
+        }
+        params.lambda_hint = 200;
+        let r = orient(&g, &params).unwrap();
+        r.orientation.validate(&g).unwrap();
+        assert!(r.parts > 1, "a hint of n takes the edge-partition path");
+        let c = crate::color(&g, &params).unwrap();
+        c.coloring.validate(&g).unwrap();
+        assert!(
+            c.stats.parts > 1,
+            "a hint of n takes the vertex-partition path"
+        );
     }
 
     #[test]

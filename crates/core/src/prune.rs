@@ -119,14 +119,24 @@ pub(crate) fn local_prune_with(
     (total != tree.len() as u64).then(|| scratch.materialize(tree, total))
 }
 
+/// `LocalPrune(ViewTree::star(vertex, neighbors), k)` in closed form,
+/// without building the star. Every leaf subtree has size 1 and ties break
+/// by arena id, which is neighbour order, so Algorithm 1 removes the first
+/// `k` leaves, and collapses the root when `vertex` has at most `k`
+/// neighbours (a star over no leaves is the singleton).
+pub(crate) fn pruned_star(vertex: usize, neighbors: &[u32], k: usize) -> ViewTree {
+    ViewTree::star(vertex, neighbors.get(k..).unwrap_or(&[]))
+}
+
 /// Runs `LocalPrune` (Algorithm 1) over a whole batch of trees as one
 /// vertex-parallel stage: `result[v]` is `Some` of the pruned `trees[v]`
 /// when pruning actually removes nodes, `None` when `trees[v]` is already a
 /// fixed point.
 ///
-/// Entirely local — no communication; Algorithm 2 runs this stage on every
-/// machine between exponentiation rounds. Ties among equal-size subtrees are
-/// broken deterministically by arena id (the algorithm permits arbitrary
+/// Entirely local — no communication; Algorithm 2 runs the same per-tree
+/// prune on every machine between exponentiation rounds, inside its
+/// attachment stage. Ties among equal-size subtrees are broken
+/// deterministically by arena id (the algorithm permits arbitrary
 /// tie-breaking).
 ///
 /// Each tree's pruning is an independent pure computation over the read-only
@@ -391,6 +401,31 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_k_panics() {
         local_prune_batch(&[ViewTree::singleton(0)], 0, &StageExecutor::sequential());
+    }
+
+    #[test]
+    fn pruned_star_matches_algorithm_1_on_the_star() {
+        // Property over random graphs: the closed form equals the batch
+        // prune of the star (or the star itself where the star is a fixed
+        // point) for k below, at and above the degree.
+        let stage = StageExecutor::sequential();
+        for seed in 0..24u64 {
+            let n = 40 + 7 * seed as usize;
+            let g = gnm(n, (1 + seed as usize % 5) * n, seed);
+            for v in 0..n {
+                let star = star_of(&g, v);
+                let deg = g.degree(v);
+                for k in [1, 2, 3, deg.saturating_sub(1), deg, deg + 1] {
+                    let k = k.max(1);
+                    let pruned = local_prune_batch(std::slice::from_ref(&star), k, &stage);
+                    let expected = pruned[0].as_ref().unwrap_or(&star);
+                    let closed = pruned_star(v, g.neighbors(v), k);
+                    assert_eq!(&closed, expected, "seed {seed}, v {v}, deg {deg}, k {k}");
+                    assert_eq!(closed.wire_words(), expected.wire_words());
+                    closed.assert_valid(&g);
+                }
+            }
+        }
     }
 
     #[test]

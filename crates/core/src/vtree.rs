@@ -353,10 +353,11 @@ impl ViewTree {
         std::mem::size_of::<u32>() * self.block.len()
     }
 
-    /// [`arena_bytes`](ViewTree::arena_bytes) of any tree with `len ≥ 1`
-    /// nodes: the figure depends on the node count alone.
-    pub(crate) fn arena_bytes_of_len(len: usize) -> usize {
-        std::mem::size_of::<u32>() * block_len(len)
+    /// The summed [`arena_bytes`](ViewTree::arena_bytes) of `trees` trees
+    /// with `nodes` nodes altogether: the figure is affine in the node
+    /// count, so it depends on the two totals alone.
+    pub(crate) fn arena_bytes_of(nodes: usize, trees: usize) -> usize {
+        std::mem::size_of::<u32>() * ((NODE_COLUMNS + 1) * nodes - trees)
     }
 
     /// Attaches pruned subtrees at the given leaves (Definition 2.5): each
@@ -426,6 +427,37 @@ impl ViewTree {
         }
         debug_assert_eq!(next as usize, n + grown, "sizing pass and splices disagree");
         out
+    }
+
+    /// The `vertex` and `parent` columns of
+    /// [`ViewTree::attached_with`]`(source, leaves, provider)`, written into
+    /// `vertex` and `parent` (cleared and refilled) without building the
+    /// tree: same node order, same remapped parents. These are the only
+    /// columns Algorithm 3 reads, so a last attachment that only gets peeled
+    /// fills these two reusable buffers instead of allocating a tree.
+    pub(crate) fn attached_columns_into<'t, F>(
+        source: &ViewTree,
+        leaves: &[NodeId],
+        provider: F,
+        vertex: &mut Vec<u32>,
+        parent: &mut Vec<u32>,
+    ) where
+        F: Fn(NodeId) -> &'t ViewTree,
+    {
+        vertex.clear();
+        parent.clear();
+        vertex.extend_from_slice(source.vertex_col());
+        parent.extend_from_slice(source.parent_col());
+        for &leaf in leaves {
+            let subtree = provider(leaf);
+            let next = vertex.len() as u32;
+            vertex.extend_from_slice(&subtree.vertex_col()[1..]);
+            parent.extend(
+                subtree.parent_col()[1..]
+                    .iter()
+                    .map(|&p| spliced_id(p, leaf, next)),
+            );
+        }
     }
 
     /// Builds the subtree rooted at `keep_root`, retaining only the child
@@ -554,11 +586,9 @@ impl Columns<'_> {
         let base = next as usize;
         let added = subtree.len() - 1;
         let base_depth = self.depth[leaf as usize];
-        // Subtree ids are topological (parents first) and remap affinely:
-        // subtree node i (i >= 1) becomes arena node `base + i - 1`; the
-        // subtree root is the leaf itself. Children are never the root, so
-        // pool entries remap without the root case.
-        let remap = |x: u32| if x == 0 { leaf } else { next + x - 1 };
+        // Children are never the subtree root, so pool entries remap
+        // without the root case.
+        let remap = |x: u32| spliced_id(x, leaf, next);
         self.vertex[base..base + added].copy_from_slice(&subtree.vertex_col()[1..]);
         let parents = &subtree.parent_col()[1..];
         let depths = &subtree.column(DEPTH)[1..];
@@ -581,6 +611,18 @@ impl Columns<'_> {
             tail += run.len();
         }
         next + added as u32
+    }
+}
+
+/// The id subtree node `x` gets when the subtree is spliced onto `leaf` with
+/// its non-root nodes from id `next` on. Subtree ids are topological
+/// (parents first) and remap affinely: node `x ≥ 1` becomes `next + x − 1`,
+/// and the subtree root is the leaf itself.
+fn spliced_id(x: u32, leaf: NodeId, next: u32) -> u32 {
+    if x == 0 {
+        leaf
+    } else {
+        next + x - 1
     }
 }
 
@@ -716,6 +758,43 @@ mod tests {
             ViewTree::attached_with(&source, &targets, |leaf| &providers[source.vertex(leaf)]);
         assert_eq!(built, reference);
         built.assert_valid(&g);
+    }
+
+    #[test]
+    fn attached_columns_match_the_attached_tree() {
+        // The two columns spliced without building the tree equal the
+        // attached tree's own, node for node: no leaves, the depth-1 leaf,
+        // and the three depth-2 leaves (star and singleton providers). The
+        // buffers start dirty and are refilled, not appended to.
+        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 4), (1, 2)]).unwrap();
+        let providers = [
+            ViewTree::singleton(0),
+            ViewTree::star(1, &[0, 2, 3]),
+            ViewTree::star(2, &[0, 1, 4]),
+            ViewTree::singleton(3),
+            ViewTree::singleton(4),
+        ];
+        let mut source = ViewTree::star(0, &[1, 2]);
+        let l2 = source
+            .leaves_at_depth(1)
+            .find(|&x| source.vertex(x) == 2)
+            .unwrap();
+        source.attach(&[(l2, &providers[2])]);
+        let (mut vertex, mut parent) = (vec![7; 3], vec![7; 9]);
+        for targets in [vec![], leaves(&source, 1), leaves(&source, 2)] {
+            let built =
+                ViewTree::attached_with(&source, &targets, |leaf| &providers[source.vertex(leaf)]);
+            built.assert_valid(&g);
+            ViewTree::attached_columns_into(
+                &source,
+                &targets,
+                |leaf| &providers[source.vertex(leaf)],
+                &mut vertex,
+                &mut parent,
+            );
+            assert_eq!(vertex, built.vertex_col(), "targets {targets:?}");
+            assert_eq!(parent, built.parent_col(), "targets {targets:?}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::backend::ExecutionBackend;
 use crate::error::{MpcError, Result};
+use std::borrow::Borrow;
 
 /// Rounds charged per distributed sort: the constant-round sample sort of
 /// Goodrich–Sitchinava–Zhang \[GSZ11\] (sample, partition, route, local
@@ -47,7 +48,9 @@ pub fn broadcast_tree_rounds(copies: usize, fanout: usize) -> u64 {
 /// Charges the delivery of requested bundles to their consumers
 /// (Lemma 4.1).
 ///
-/// * `requests`: `(consumer, bundle_key)` pairs, both ids below `keys`.
+/// * `requests`: `(consumer, bundle_key)` pairs, both ids below `keys`,
+///   read once, by value or by reference (a slice works too), so a caller
+///   can stream them without collecting them first.
 /// * `bundle_words(key)`: the payload words of `key`'s bundle, or `None`
 ///   when `key` has no bundle; such requests enter the copy-counting sort
 ///   but deliver nothing.
@@ -89,7 +92,7 @@ pub fn broadcast_tree_rounds(copies: usize, fanout: usize) -> u64 {
 /// ```
 pub fn gather_bundles<B: ExecutionBackend>(
     cluster: &mut B,
-    requests: &[(u64, u64)],
+    requests: impl IntoIterator<Item = impl Borrow<(u64, u64)>>,
     keys: usize,
     bundle_words: impl Fn(u64) -> Option<usize>,
 ) -> Result<()> {
@@ -113,7 +116,10 @@ pub fn gather_bundles<B: ExecutionBackend>(
             })
         }
     };
-    for &(consumer, key) in requests {
+    let mut count = 0usize;
+    for request in requests {
+        let &(consumer, key) = request.borrow();
+        count += 1;
         let consumer = in_range("consumer", consumer)?;
         let slot = in_range("bundle key", key)?;
         if let Some(words) = bundle_words(key) {
@@ -124,7 +130,7 @@ pub fn gather_bundles<B: ExecutionBackend>(
             total_delivered += 1 + words;
         }
     }
-    let count_volume = 2 * requests.len(); // (key, consumer) pairs
+    let count_volume = 2 * count; // (key, consumer) pairs
     let count_load = count_volume.div_ceil(m).max(1).min(count_volume.max(1));
     cluster.charge_rounds(SORT_ROUNDS, count_volume * SORT_ROUNDS as usize, count_load)?;
 
@@ -180,7 +186,7 @@ mod tests {
         // is consumer 0's inbox, the tree replicates bundle 10 twice.
         let mut c = cluster(2, 1024);
         let requests = [(0u64, 20u64), (1, 10), (0, 10)];
-        gather_bundles(&mut c, &requests, 21, two_bundles).unwrap();
+        gather_bundles(&mut c, requests, 21, two_bundles).unwrap();
         let log = &c.metrics().round_log;
         assert_eq!(log.len() as u64, SORT_ROUNDS + 2);
         assert!(log[..SORT_ROUNDS as usize]
@@ -196,7 +202,7 @@ mod tests {
     fn missing_keys_ignored() {
         // The request is sorted, but nothing is replicated or delivered.
         let mut c = cluster(2, 1024);
-        gather_bundles(&mut c, &[(0, 99)], 100, two_bundles).unwrap();
+        gather_bundles(&mut c, [(0, 99)], 100, two_bundles).unwrap();
         assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
         assert_eq!(c.metrics().total_comm_words, 2 * SORT_ROUNDS as usize);
     }
@@ -205,7 +211,7 @@ mod tests {
     fn consumer_overload_errors() {
         let mut c = cluster(2, 8);
         // A 20-word bundle > S = 8.
-        let err = gather_bundles(&mut c, &[(1, 0)], 2, |_| Some(20)).unwrap_err();
+        let err = gather_bundles(&mut c, [(1, 0)], 2, |_| Some(20)).unwrap_err();
         assert!(err.to_string().contains("capacity"));
     }
 
@@ -215,7 +221,7 @@ mod tests {
         // broadcast tree than a single copy.
         let mut single = cluster(4, 64);
         let mut many = cluster(4, 64);
-        gather_bundles(&mut single, &[(1, 0)], 40, |_| Some(1)).unwrap();
+        gather_bundles(&mut single, [(1, 0)], 40, |_| Some(1)).unwrap();
         let reqs: Vec<(u64, u64)> = (0..40).map(|i| (i, 0)).collect();
         gather_bundles(&mut many, &reqs, 40, |_| Some(1)).unwrap();
         assert!(many.metrics().rounds > single.metrics().rounds);
@@ -224,7 +230,7 @@ mod tests {
     #[test]
     fn empty_requests() {
         let mut c = cluster(2, 64);
-        gather_bundles(&mut c, &[], 0, two_bundles).unwrap();
+        gather_bundles(&mut c, Vec::<(u64, u64)>::new(), 0, two_bundles).unwrap();
         assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
         assert_eq!(c.metrics().total_comm_words, 0);
     }
@@ -236,7 +242,7 @@ mod tests {
         let mut c = cluster(2, 64);
         let requests = [(0u64, 10u64), (3, 99), (21, 10)];
         assert_eq!(
-            gather_bundles(&mut c, &requests, 21, two_bundles),
+            gather_bundles(&mut c, requests, 21, two_bundles),
             Err(MpcError::UnknownKey {
                 role: "bundle key",
                 key: 99,
@@ -244,7 +250,7 @@ mod tests {
             })
         );
         assert_eq!(
-            gather_bundles(&mut c, &[(u64::MAX, u64::MAX)], 21, two_bundles),
+            gather_bundles(&mut c, [(u64::MAX, u64::MAX)], 21, two_bundles),
             Err(MpcError::UnknownKey {
                 role: "consumer",
                 key: u64::MAX,

@@ -11,7 +11,8 @@
 //! are the regression fence for both. A whole Algorithm 2–4 stage makes one
 //! acquisition per tree it builds plus a constant per step: its attachment
 //! plans and Algorithm 3 proposals are flat buffers, not one per vertex or
-//! per tree. Algorithm 4's min-combine makes a constant number of
+//! per tree, and it builds neither the stars (step 1 starts from the pruned
+//! stars) nor the last step's attachments (Algorithm 3 peels them in place). Algorithm 4's min-combine makes a constant number of
 //! allocations however many machines and proposals it has: its rounds are
 //! flat per-machine buffers, not a heap buffer per machine. The allocator
 //! also tallies requested bytes, which fence the metering's independence
@@ -174,11 +175,13 @@ fn attach_is_o1_allocations_per_consumed_tree() {
         "pruning allocated {prune_allocs} times for {materialized} pruned trees"
     );
 
-    // --- A whole Algorithm 2–4 stage: the initial stars, then per step at
-    // most one pruned and one attached tree per vertex, plus a constant per
-    // step for the plan, metering and checkpoint buffers and for the
-    // proposals and the min-combine. One buffer per vertex or per tree
-    // anywhere in the stage would add `n` per step and break the bound. ---
+    // --- A whole Algorithm 2–4 stage: the pruned stars, then at most one
+    // pruned tree per vertex in each of steps 2..=s and one attached tree
+    // per vertex in each of steps 1..s, plus a constant per step for the
+    // plan, metering and checkpoint buffers and for the proposals and the
+    // min-combine. Building the stars or the last attachments would add `n`
+    // each, and so would one buffer per vertex or per tree anywhere in the
+    // stage. ---
     let (budget, k, layers, steps) = (256, 3, 4, 3);
     let mut cluster = SequentialBackend::from_config(ClusterConfig::new(4 * n, 1 << 16));
     let (stage_allocs, assigned) = measure(|| {
@@ -189,7 +192,7 @@ fn attach_is_o1_allocations_per_consumed_tree() {
         assigned.layering.num_assigned() > 0,
         "fence needs a real stage"
     );
-    let stage_bound = (2 * steps as usize + 1) * n + 64;
+    let stage_bound = (2 * steps as usize - 1) * n + 64;
     assert!(
         stage_allocs <= stage_bound,
         "one Algorithm 2–4 stage allocated {stage_allocs} times for {n} vertices \

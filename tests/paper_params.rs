@@ -4,8 +4,8 @@
 //! of any produced layering holds structurally (Claim 3.12; see "What the
 //! reproduction checks" in PAPER.md).
 
-use dgo::core::{color, orient, Params};
-use dgo::graph::generators::{gnm, random_tree};
+use dgo::core::{color, complete_layering, orient, Params};
+use dgo::graph::generators::{clique, gnm, random_tree};
 
 #[test]
 fn paper_preset_orients_correctly() {
@@ -50,4 +50,22 @@ fn paper_and_practical_agree_on_artifact_validity() {
         let c = color(&g, &params).unwrap();
         c.coloring.validate(&g).unwrap();
     }
+}
+
+#[test]
+fn paper_steps_past_32_keep_the_frontier_depth_in_range() {
+    // `Params::paper` sets s = 40 for 256 < n ≤ 65,536, and step i's
+    // frontier depth is 2^(i−1), past u32 from step 33 on: a plain u32
+    // shift panics in debug builds and wraps in release. At λ-hint 1 Stage
+    // 1 peels nothing on a 300-clique, so Stage 2 runs all 40 steps.
+    let g = clique(300);
+    let mut params = Params::paper(300);
+    params.lambda_hint = 1;
+    assert_eq!(params.steps, 40);
+    let out = complete_layering(&g, &params).unwrap();
+    assert!(out.stats.stages > 0, "Stage 2 must run");
+    assert!(out.layering.is_complete());
+    out.layering
+        .validate(&g, out.layering.out_degree_bound(&g).unwrap())
+        .unwrap();
 }

@@ -21,13 +21,14 @@
 
 use dgo::core::stage::StageExecutor;
 use dgo::core::{
-    approximate_coreness_on, color_on, complete_layering_on, exponentiate_and_prune_staged,
-    num_paths_in_staged, num_paths_out_staged, orient_on, partial_layer_assignment_staged, Params,
+    approximate_coreness_on, color_on, combine_tree_layers, complete_layering_on,
+    exponentiate_and_prune_staged, num_paths_in_staged, num_paths_out_staged, orient_on,
+    partial_layer_assignment_staged, partial_layer_assignment_trees, Params,
 };
 use dgo::graph::generators::{
     barabasi_albert, core_onion_with_truth, gnm, ring_of_cliques, Family,
 };
-use dgo::graph::Graph;
+use dgo::graph::{Graph, LayerAssignment, UNASSIGNED};
 use dgo::mpc::{Cluster, ClusterConfig, SequentialBackend};
 use proptest::prelude::*;
 
@@ -122,7 +123,9 @@ fn algorithm_4_stages_bit_identical_across_families() {
     // scenario-diverse workloads, including the two new families. The last
     // one is above the stage engine's inline floor (1,024 items), so at
     // jobs > 1 the attachment plans and proposals really are built per chunk
-    // and concatenated.
+    // and concatenated. Algorithm 4 peels Algorithm 2's last attachments in
+    // place, so at every job count it must also match the separate pipeline
+    // over the materialized trees, on one cluster each.
     let workloads: Vec<(&str, Graph)> = vec![
         ("gnm", gnm(300, 1200, 5)),
         ("ring-of-cliques", ring_of_cliques(24, 6)),
@@ -136,30 +139,58 @@ fn algorithm_4_stages_bit_identical_across_families() {
         let reference =
             partial_layer_assignment_staged(g, 256, 3, 4, 3, &mut reference_cluster, &sequential)
                 .unwrap();
-        for jobs in JOB_COUNTS {
+        for jobs in std::iter::once(1).chain(JOB_COUNTS) {
+            let stage = StageExecutor::new(jobs);
             let mut cluster = kernel_cluster(n);
-            let r = partial_layer_assignment_staged(
-                g,
-                256,
-                3,
-                4,
-                3,
-                &mut cluster,
-                &StageExecutor::new(jobs),
-            )
-            .unwrap();
+            let r = partial_layer_assignment_staged(g, 256, 3, 4, 3, &mut cluster, &stage).unwrap();
             assert_eq!(r.layering, reference.layering, "{label}/jobs{jobs}");
-            assert_eq!(
-                r.exponentiation.trees, reference.exponentiation.trees,
-                "{label}/jobs{jobs}"
-            );
             assert_eq!(
                 cluster.metrics(),
                 reference_cluster.metrics(),
                 "{label}/jobs{jobs}"
             );
+            let mut separate = kernel_cluster(n);
+            let layering = separate_algorithm_4(g, 256, 3, 4, 3, &mut separate, &stage);
+            assert_eq!(
+                layering, r.layering,
+                "{label}/jobs{jobs}: separate pipeline"
+            );
+            assert_eq!(
+                separate.metrics(),
+                cluster.metrics(),
+                "{label}/jobs{jobs}: separate pipeline"
+            );
         }
     }
+}
+
+/// Algorithm 4 as its three public pieces in turn on one cluster: Algorithm
+/// 2 with its final trees materialized, Algorithm 3 per tree flattened in
+/// node order, then the min-combine.
+fn separate_algorithm_4(
+    g: &Graph,
+    budget: usize,
+    k: usize,
+    layers: u32,
+    steps: u32,
+    cluster: &mut Cluster,
+    stage: &StageExecutor,
+) -> LayerAssignment {
+    let expo = exponentiate_and_prune_staged(g, budget, k, steps, cluster, stage).unwrap();
+    let a = (steps as usize + 1) * k;
+    let per_node = partial_layer_assignment_trees(g, &expo.trees, a, layers, stage);
+    let proposals: Vec<(u64, u32)> = expo
+        .trees
+        .iter()
+        .zip(&per_node)
+        .flat_map(|(tree, node_layers)| {
+            tree.node_ids()
+                .zip(node_layers)
+                .filter(|&(_, &l)| l != UNASSIGNED)
+                .map(|(x, &l)| (tree.vertex(x) as u64, l))
+        })
+        .collect();
+    combine_tree_layers(g.num_vertices(), proposals, cluster).unwrap()
 }
 
 fn assert_driver_bit_identical(graph: &Graph, label: &str, lambda_hint: usize) {
