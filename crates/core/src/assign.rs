@@ -359,7 +359,9 @@ mod tests {
         // Besides the layering and the metering, the proposals the in-place
         // peel sends to the min-combine match record for record. On this
         // graph step 2 attaches at 458 vertices and step 3 at none, so both
-        // peel paths run.
+        // peel paths run. Step 2 attaches to trees that are not stars, so
+        // at s = 3 its attachments are pruned through the general graft
+        // path of a later step, which the jobs comparisons then cover.
         let g = gnm(1500, 5250, 12);
         let (budget, k, layers) = (256, 3, 4);
         for steps in [2u32, 3] {
@@ -369,14 +371,23 @@ mod tests {
                 let mut cluster = cluster_for(1500);
                 let pending =
                     exponentiate_pending(&g, budget, k, steps, &mut cluster, &stage).unwrap();
-                let attaching = (0..g.num_vertices())
+                let (attaching, non_star) = (0..g.num_vertices())
                     .filter(|&v| !pending.last_leaves(v).is_empty())
-                    .count();
-                (layer_proposals(&g, &pending, a, layers, &stage), attaching)
+                    .fold((0, 0), |(all, non_star), v| {
+                        let tree = &pending.trees[v];
+                        let deep = tree.node_ids().any(|x| tree.depth(x) > 1);
+                        (all + 1, non_star + usize::from(deep))
+                    });
+                (
+                    layer_proposals(&g, &pending, a, layers, &stage),
+                    attaching,
+                    non_star,
+                )
             };
             let reference_proposals = proposals(1);
             assert!(!reference_proposals.0.is_empty());
             assert_eq!(reference_proposals.1 > 0, steps == 2, "steps = {steps}");
+            assert_eq!(reference_proposals.2 > 0, steps == 2, "steps = {steps}");
             let mut reference_cluster = cluster_for(1500);
             let reference = assign(&g, budget, k, layers, steps, &mut reference_cluster).unwrap();
             for jobs in [2usize, 8, 0] {

@@ -17,23 +17,20 @@
 //!
 //! Both per-step passes are *per-vertex maps over a read-only snapshot* — the
 //! paper's vertices act independently between synchronization barriers — so
-//! they execute as [`StageExecutor`] stages, double-buffered: each attaching
-//! vertex builds its next tree from its own pruned tree plus *borrowed*
-//! provider trees in the current buffer, then the new trees swap in by
-//! index. The double buffer is also what makes providers borrowable at all:
-//! consumers never mutate the snapshot, so no provider tree is ever cloned —
-//! each consumer splices the borrowed providers into one exactly-sized
-//! destination block ([`ViewTree::attached_with`]): one heap allocation per
-//! consumer, none per spliced node. The attachment plan that drives it is
-//! flat too ([`AttachPlan`]): one leaf list per stage chunk, concatenated in
-//! vertex order, not a buffer per requesting vertex. The gather meters the
-//! plan's requests as a stream, without collecting them.
+//! they execute as [`StageExecutor`] stages, double-buffered: each vertex
+//! builds its next tree from its own pruned tree plus *borrowed* provider
+//! trees in the current buffer, then the new trees swap in by index. The
+//! double buffer is also what makes providers borrowable at all: consumers
+//! never mutate the snapshot, so no provider tree is ever cloned. The
+//! attachment plan that drives a step is flat too ([`AttachPlan`]): one leaf
+//! list per stage chunk, concatenated in vertex order, not a buffer per
+//! requesting vertex. The gather meters the plan's requests as a stream,
+//! without collecting them, and a step whose plan is empty allocates no
+//! per-vertex metering table.
 //!
-//! Algorithm 1 is local, so step `i + 1`'s prune of a vertex reads only that
-//! vertex's step-`i` attachment: one stage splices each attachment and
-//! prunes it at once ([`local_prune_with`]), and an attachment the prune
-//! shrinks is freed as soon as it is pruned. Two of the up to `2s + 1` trees
-//! per vertex are not even built, because nothing reads them as trees:
+//! Of the up to `2s + 1` trees per vertex that the steps describe (the star,
+//! then each step's pruned tree and attachment), only the pruned trees are
+//! built, because nothing else reads the others as trees:
 //!
 //! * **The stars.** They exist only to be pruned by step 1, and Algorithm 1
 //!   on a star removes its `k` lowest-id leaves (every child subtree has size
@@ -41,16 +38,27 @@
 //!   ([`pruned_star`]); the first residency checkpoint reads the star lengths
 //!   off the degrees. With `s = 0` nothing is pruned, and the stars are built
 //!   and returned.
+//! * **The attachments of steps 1 to `s − 1`.** Step `i + 1`'s prune of a
+//!   vertex reads only its step-`i` attachment, and Algorithm 1 is local,
+//!   so it runs on the vertex's own step-`i` tree, with each attachment leaf
+//!   counted at its provider's pruned size, and splices the pruned providers
+//!   where it keeps their leaves ([`prune_attached`]). The result equals the
+//!   prune of the attached tree node for node; every checkpoint after an
+//!   attachment reads the attached lengths off the plan. A step-1 provider
+//!   is a pruned star, whose prune is a slice of its leaves; a later
+//!   provider is pruned where a consumer keeps it, so no pruned provider is
+//!   held past its consumer.
 //! * **Step `s`'s attachments.** The step loop ends in a *pending* state
 //!   ([`PendingExponentiation`]): the step-`s` pruned trees plus step `s`'s
-//!   attachment plan, metered and checkpointed (every checkpoint after an
-//!   attachment reads the attached lengths off the plan) but not spliced.
-//!   [`exponentiate_and_prune_staged`] materializes it; Algorithm 4 peels it
-//!   in place, filling only the two columns Algorithm 3 reads
+//!   attachment plan, metered and checkpointed but not spliced.
+//!   [`exponentiate_and_prune_staged`] materializes it, splicing the
+//!   borrowed providers into one exactly-sized block per consumer
+//!   ([`ViewTree::attached_with`]); Algorithm 4 peels it in place, filling
+//!   only the two columns Algorithm 3 reads
 //!   ([`ViewTree::attached_columns_into`]).
 
 use crate::error::{CoreError, Result};
-use crate::prune::{local_prune_with, pruned_star, PruneScratch};
+use crate::prune::{local_prune_with, prune_attached, pruned_star, Provider, PruneScratch};
 use crate::stage::StageExecutor;
 use crate::vtree::{NodeId, ViewTree};
 use dgo_graph::Graph;
@@ -173,36 +181,7 @@ pub(crate) fn exponentiate_pending<B: ExecutionBackend>(
         }
 
         // ---- Exponentiation / attachment step. ----
-        // The true depth 2^(i-1) exceeds every tree's depth (< B) long before
-        // it leaves u32, so saturating it attaches exactly the same nothing.
-        let frontier_depth = 1u32.checked_shl(i - 1).unwrap_or(u32::MAX);
-        // Collect the plan — the frontier leaves whose images are active —
-        // as a stage over the pruned snapshot, one flat plan per chunk,
-        // concatenated in vertex order (the exact order the sequential loop
-        // produces).
-        let plan = stage.map_chunks(
-            &trees,
-            |offset, chunk| {
-                // Sized for one leaf per vertex up front, so a plan of a few
-                // leaves per vertex regrows a few times, not once per
-                // doubling from empty.
-                let mut plan = AttachPlan {
-                    leaves: Vec::with_capacity(chunk.len()),
-                    ends: Vec::with_capacity(chunk.len()),
-                };
-                for (v, tree) in (offset..).zip(chunk) {
-                    if active[v] {
-                        plan.leaves.extend(
-                            tree.leaves_at_depth(frontier_depth)
-                                .filter(|&leaf| active[tree.vertex(leaf)]),
-                        );
-                    }
-                    plan.ends.push(plan.leaves.len());
-                }
-                plan
-            },
-            AttachPlan::append,
-        );
+        let plan = AttachPlan::collect(&trees, &active, i, stage);
         meter_tree_transfer(cluster, &trees, plan.requests(&trees), stage)?;
         // The residency after the attachment, read off the plan: a spliced
         // provider adds all of its nodes but its root.
@@ -220,18 +199,7 @@ pub(crate) fn exponentiate_pending<B: ExecutionBackend>(
             len
         })?;
         if i < steps {
-            // Splice every attachment and run step i + 1's Algorithm 1 on it
-            // in the same stage; fixed points of the prune stay as they are.
-            let next = stage.map_with(&trees, PruneScratch::new, |scratch, v, source| {
-                let leaves = plan.leaves_of(v);
-                if leaves.is_empty() {
-                    return local_prune_with(source, k, scratch);
-                }
-                let attached =
-                    ViewTree::attached_with(source, leaves, |leaf| &trees[source.vertex(leaf)]);
-                Some(local_prune_with(&attached, k, scratch).unwrap_or(attached))
-            });
-            replace(&mut trees, next);
+            prune_attachments(&mut trees, &plan, k, i == 1, stage);
         } else {
             last_plan = Some(plan);
         }
@@ -282,6 +250,45 @@ impl PendingExponentiation {
     }
 }
 
+/// Step `i + 1`'s Algorithm 1 on every step-`i` attachment, in place, with
+/// no attachment built: a vertex that attaches nothing prunes its own tree,
+/// and an attaching vertex prunes through its splice plan
+/// ([`prune_attached`]), which splices each kept provider's pruned tree. At
+/// step 1 every tree is a pruned star `star(u, N(u)[k..])`, whose prune is
+/// the star over its leaves past the `k`-th (the root alone when it has at
+/// most `k`), so a graft copies that leaf slice. A later provider is pruned
+/// where a consumer keeps it, so no pruned provider outlives the consumer
+/// that splices it. One stage over the current trees does the whole step.
+fn prune_attachments(
+    trees: &mut [ViewTree],
+    plan: &AttachPlan,
+    k: usize,
+    first_step: bool,
+    stage: &StageExecutor,
+) {
+    let snapshot: &[ViewTree] = trees;
+    let next = stage.map_with(snapshot, PruneScratch::new, |scratch, v, source| {
+        let leaves = plan.leaves_of(v);
+        if leaves.is_empty() {
+            return local_prune_with(source, k, scratch);
+        }
+        let provider = |leaf| {
+            let tree = &snapshot[source.vertex(leaf)];
+            if first_step {
+                debug_assert!(
+                    tree.depth(tree.len() as u32 - 1) <= 1,
+                    "a step-1 tree is a star"
+                );
+                Provider::PrunedStar(tree.vertex_col().get(1 + k..).unwrap_or(&[]))
+            } else {
+                Provider::Tree(tree)
+            }
+        };
+        Some(prune_attached(source, leaves, provider, k, scratch))
+    });
+    replace(trees, next);
+}
+
 /// Moves every `Some` replacement into its vertex's slot.
 fn replace(trees: &mut [ViewTree], replacements: impl IntoIterator<Item = Option<ViewTree>>) {
     for (tree, replacement) in trees.iter_mut().zip(replacements) {
@@ -317,6 +324,44 @@ struct AttachPlan {
 }
 
 impl AttachPlan {
+    /// Step `step`'s plan: the frontier leaves (depth `2^(step − 1)`) of
+    /// every active vertex whose images are active, collected as a stage
+    /// over the pruned snapshot, one flat plan per chunk, concatenated in
+    /// vertex order (the exact order the sequential loop produces).
+    fn collect(
+        trees: &[ViewTree],
+        active: &[bool],
+        step: u32,
+        stage: &StageExecutor,
+    ) -> AttachPlan {
+        // The true depth 2^(i-1) exceeds every tree's depth (< B) long before
+        // it leaves u32, so saturating it attaches exactly the same nothing.
+        let frontier_depth = 1u32.checked_shl(step - 1).unwrap_or(u32::MAX);
+        stage.map_chunks(
+            trees,
+            |offset, chunk| {
+                // Sized for one leaf per vertex up front, so a plan of a few
+                // leaves per vertex regrows a few times, not once per
+                // doubling from empty.
+                let mut plan = AttachPlan {
+                    leaves: Vec::with_capacity(chunk.len()),
+                    ends: Vec::with_capacity(chunk.len()),
+                };
+                for (v, tree) in (offset..).zip(chunk) {
+                    if active[v] {
+                        plan.leaves.extend(
+                            tree.leaves_at_depth(frontier_depth)
+                                .filter(|&leaf| active[tree.vertex(leaf)]),
+                        );
+                    }
+                    plan.ends.push(plan.leaves.len());
+                }
+                plan
+            },
+            AttachPlan::append,
+        )
+    }
+
     /// The frontier leaves vertex `v` attaches at.
     fn leaves_of(&self, v: usize) -> &[NodeId] {
         let start = if v == 0 { 0 } else { self.ends[v - 1] };
@@ -352,7 +397,9 @@ impl AttachPlan {
 /// provider's tree at its encoded size (`ViewTree::wire_words`), computed as
 /// a stage over the vertices for the distinct providers only and looked up
 /// per request in the resulting per-vertex table. Marking the providers
-/// first deduplicates them without sorting the requests.
+/// first deduplicates them without sorting the requests. A step with no
+/// request sizes and books nothing, and the gather charges its rounds with
+/// no words.
 fn meter_tree_transfer<B: ExecutionBackend>(
     cluster: &mut B,
     trees: &[ViewTree],
@@ -360,29 +407,31 @@ fn meter_tree_transfer<B: ExecutionBackend>(
     stage: &StageExecutor,
 ) -> Result<()> {
     let n = trees.len();
-    let mut is_provider = vec![false; n];
-    for (_, u) in requests.clone() {
-        is_provider[u as usize] = true;
-    }
-    let wire_words = stage.map(&is_provider, |u, &provides| {
-        if provides {
-            trees[u].wire_words()
-        } else {
-            0
-        }
-    });
-    drop(is_provider);
-    // Book the bundle payloads (post-codec vs the flat baseline) once per
-    // delivered copy. Recorded here in the algorithm layer — the encoding
-    // is the algorithm's choice, so the totals are backend-independent by
-    // construction.
-    let (bundle_wire, bundle_flat) = requests.clone().fold((0usize, 0usize), |(w, f), (_, u)| {
-        (
-            w + wire_words[u as usize],
-            f + trees[u as usize].flat_wire_words(),
-        )
-    });
+    let mut wire_words = Vec::new();
     if requests.clone().next().is_some() {
+        let mut is_provider = vec![false; n];
+        for (_, u) in requests.clone() {
+            is_provider[u as usize] = true;
+        }
+        wire_words = stage.map(&is_provider, |u, &provides| {
+            if provides {
+                trees[u].wire_words()
+            } else {
+                0
+            }
+        });
+        drop(is_provider);
+        // Book the bundle payloads (post-codec vs the flat baseline) once
+        // per delivered copy. Recorded here in the algorithm layer — the
+        // encoding is the algorithm's choice, so the totals are
+        // backend-independent by construction.
+        let (bundle_wire, bundle_flat) =
+            requests.clone().fold((0usize, 0usize), |(w, f), (_, u)| {
+                (
+                    w + wire_words[u as usize],
+                    f + trees[u as usize].flat_wire_words(),
+                )
+            });
         cluster
             .metrics_mut()
             .record_bundle_words(bundle_wire, bundle_flat);
@@ -447,7 +496,7 @@ fn checkpoint<B: ExecutionBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgo_graph::generators::{clique, gnm, random_tree, star};
+    use dgo_graph::generators::{barabasi_albert, clique, gnm, random_tree, star};
     use dgo_mpc::{Cluster, ClusterConfig};
 
     fn big_cluster(n: usize, budget: usize) -> Cluster {
@@ -589,6 +638,83 @@ mod tests {
                 "jobs = {jobs}"
             );
         }
+    }
+
+    #[test]
+    fn splice_plan_prune_matches_pruning_the_attached_tree() {
+        // Algorithm 2's steps by hand, with every attachment built: at each
+        // step the splice-plan prune of every vertex equals Algorithm 1 on
+        // its attached tree (its own tree when it attaches nothing), by
+        // equality and encoded size, on random gnm and BA graphs at
+        // k ∈ {1, 2, 4} over five steps; and `exponentiate_pending` at
+        // s = 1..5 holds the hand loop's step-s trees. Later steps attach to
+        // trees that are not stars, and to providers that attach in the
+        // same step, whose prune is not their next tree.
+        let stage = StageExecutor::sequential();
+        let mut scratch = PruneScratch::new();
+        let (budget, sqrt_budget) = (256, 16);
+        let (mut non_star, mut attaching_providers) = (0usize, 0usize);
+        for seed in 0..3u64 {
+            for (family, g) in [
+                ("gnm", gnm(200, 700, seed)),
+                ("ba", barabasi_albert(200, 3, seed)),
+            ] {
+                let n = g.num_vertices();
+                for k in [1usize, 2, 4] {
+                    let mut active: Vec<bool> = (0..n).map(|v| g.degree(v) < budget).collect();
+                    let mut trees: Vec<ViewTree> = (0..n)
+                        .map(|v| {
+                            if active[v] {
+                                pruned_star(v, g.neighbors(v), k)
+                            } else {
+                                ViewTree::singleton(v)
+                            }
+                        })
+                        .collect();
+                    for i in 1..=5u32 {
+                        let context = format!("{family} seed {seed}, k {k}, step {i}");
+                        let mut cluster = big_cluster(n, budget);
+                        let pending =
+                            exponentiate_pending(&g, budget, k, i, &mut cluster, &stage).unwrap();
+                        assert_eq!(pending.trees, trees, "{context}");
+                        for (is_active, tree) in active.iter_mut().zip(&trees) {
+                            if tree.len() > sqrt_budget {
+                                *is_active = false;
+                            }
+                        }
+                        let plan = AttachPlan::collect(&trees, &active, i, &stage);
+                        let mut next = trees.clone();
+                        prune_attachments(&mut next, &plan, k, i == 1, &stage);
+                        for (v, source) in trees.iter().enumerate() {
+                            let leaves = plan.leaves_of(v);
+                            let attached = ViewTree::attached_with(source, leaves, |leaf| {
+                                &trees[source.vertex(leaf)]
+                            });
+                            let expected =
+                                local_prune_with(&attached, k, &mut scratch).unwrap_or(attached);
+                            assert_eq!(next[v], expected, "{context}, v {v}");
+                            assert_eq!(next[v].wire_words(), expected.wire_words(), "{context}");
+                            if i >= 2 && !leaves.is_empty() {
+                                non_star +=
+                                    usize::from(source.node_ids().any(|x| source.depth(x) > 1));
+                                attaching_providers += leaves
+                                    .iter()
+                                    .filter(|&&leaf| {
+                                        !plan.leaves_of(source.vertex(leaf)).is_empty()
+                                    })
+                                    .count();
+                            }
+                        }
+                        trees = next;
+                    }
+                }
+            }
+        }
+        assert!(
+            non_star > 0 && attaching_providers > 0,
+            "later steps must attach to non-star trees ({non_star}) and to \
+             attaching providers ({attaching_providers})"
+        );
     }
 
     #[test]

@@ -18,15 +18,37 @@
 //! buffer, and the projection stack are all reusable buffers, so pruning a
 //! tree allocates nothing beyond the returned tree's own arena. Batch stages
 //! hand one scratch to each worker via [`StageExecutor::map_with`].
+//!
+//! Algorithm 1 is local: the pruned size of a node, and which of its children
+//! it keeps, depend only on its own subtree. So a tree with provider trees
+//! attached at some of its leaves (Definition 2.5) prunes without being
+//! built ([`prune_attached`]): each attachment leaf enters the plan with its
+//! provider's pruned size, and the projection splices the pruned provider
+//! wherever the plan keeps the leaf.
 
 use crate::stage::StageExecutor;
 use crate::vtree::{CsrRuns, NodeId, ViewTree};
 
-/// Reusable scratch for Algorithm 1: sizing, kept-children selection, and
-/// projection buffers. One scratch serves any number of [`local_prune_with`]
-/// calls; workers of a batch stage each own one.
+/// Reusable scratch for Algorithm 1: the plans of the tree being pruned and
+/// of a provider pruned inside it, and their projection stacks. One scratch
+/// serves any number of [`local_prune_with`] and [`prune_attached`] calls;
+/// workers of a batch stage each own one.
 #[derive(Debug, Default)]
 pub(crate) struct PruneScratch {
+    /// The plan of the tree being pruned.
+    own: Plan,
+    /// The plan of a provider that [`prune_attached`] prunes where it is
+    /// spliced ([`Provider::Tree`]).
+    provider: Plan,
+    /// Projection traversal stacks, the tree's own and a provider's.
+    stack: Vec<(NodeId, NodeId)>,
+    provider_stack: Vec<(NodeId, NodeId)>,
+}
+
+/// One tree's sizing and selection: bottom-up pruned-subtree sizes and the
+/// children each node keeps.
+#[derive(Debug, Default)]
+struct Plan {
     /// Bottom-up pruned-subtree sizes.
     size: Vec<u64>,
     /// CSR runs over `kept_pool`: the children each node keeps.
@@ -35,8 +57,6 @@ pub(crate) struct PruneScratch {
     kept_pool: Vec<u32>,
     /// Child-ordering buffer for the size sort.
     order: Vec<u32>,
-    /// Projection traversal stack.
-    stack: Vec<(NodeId, NodeId)>,
 }
 
 impl PruneScratch {
@@ -45,12 +65,21 @@ impl PruneScratch {
     pub(crate) fn new() -> Self {
         PruneScratch::default()
     }
+}
 
+impl Plan {
     /// The sizing + selection pass: fills the kept-children CSR and returns
     /// the pruned size of the whole tree, without materializing anything.
     /// Ties among equal-size subtrees break by arena id (the algorithm
-    /// permits arbitrary tie-breaking).
-    fn plan(&mut self, tree: &ViewTree, k: usize) -> u64 {
+    /// permits arbitrary tie-breaking). Every `(leaf, size)` of `presets`
+    /// counts as a subtree of `size` nodes rather than 1: a leaf has no
+    /// children, so it keeps its preset.
+    fn plan(
+        &mut self,
+        tree: &ViewTree,
+        k: usize,
+        presets: impl IntoIterator<Item = (NodeId, u64)>,
+    ) -> u64 {
         let n = tree.len();
         let (child_start, child_len, pool) = tree.child_cols();
         // Bulk-initialize every column to the collapse outcome (size 1, empty
@@ -60,6 +89,10 @@ impl PruneScratch {
         // branchy writes.
         self.size.clear();
         self.size.resize(n, 1);
+        for (leaf, size) in presets {
+            debug_assert_eq!(child_len[leaf as usize], 0, "preset {leaf} is not a leaf");
+            self.size[leaf as usize] = size;
+        }
         self.kept_start.clear();
         self.kept_start.resize(n, 0);
         self.kept_len.clear();
@@ -93,14 +126,13 @@ impl PruneScratch {
         self.size[ViewTree::ROOT as usize]
     }
 
-    /// Materializes the planned pruned tree into a fresh exactly-sized arena.
-    fn materialize(&mut self, tree: &ViewTree, total: u64) -> ViewTree {
-        let kept = CsrRuns {
+    /// The planned kept-children runs, for the projection.
+    fn kept(&self) -> CsrRuns<'_> {
+        CsrRuns {
             start: &self.kept_start,
             len: &self.kept_len,
             pool: &self.kept_pool,
-        };
-        tree.project_csr(ViewTree::ROOT, &kept, total as usize, &mut self.stack)
+        }
     }
 }
 
@@ -115,8 +147,90 @@ pub(crate) fn local_prune_with(
     k: usize,
     scratch: &mut PruneScratch,
 ) -> Option<ViewTree> {
-    let total = scratch.plan(tree, k);
-    (total != tree.len() as u64).then(|| scratch.materialize(tree, total))
+    let total = scratch.own.plan(tree, k, []);
+    (total != tree.len() as u64).then(|| {
+        tree.project_csr(
+            &scratch.own.kept(),
+            total as usize,
+            &mut scratch.stack,
+            |_, _, _, next| next,
+        )
+    })
+}
+
+/// How [`prune_attached`] gets `LocalPrune(T_u, k)` of a provider `u`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Provider<'t> {
+    /// `T_u` is a star whose prune is `star(u, images)`, given by its
+    /// leaves' images.
+    PrunedStar(&'t [u32]),
+    /// `T_u` itself, pruned wherever it is spliced.
+    Tree(&'t ViewTree),
+}
+
+/// `LocalPrune(ViewTree::attached_with(source, leaves, T_u), k)` without
+/// building the attachment: `provider(leaf)` gives the tree `T_u` of the
+/// provider attached at `leaf`. `leaves` must be ascending leaves of
+/// `source`, as an attachment plan lists them, and at least one.
+///
+/// Algorithm 1 prunes a spliced provider subtree exactly as it prunes the
+/// provider's own tree, so the plan runs on `source` alone with each of
+/// `leaves` counted at its provider's pruned size, and the projection
+/// splices the pruned provider wherever the plan keeps its leaf. The
+/// attachment appends provider nodes after `source`'s, so `source`'s nodes
+/// keep their ids there, and a provider's nodes keep their relative order:
+/// every sibling tie breaks as in the attached tree, and the projection
+/// numbers each kept provider's nodes as one block, in the order the
+/// attached tree's projection gives them. The result equals the prune of the
+/// attached tree node for node. That prune always removes nodes (only a
+/// singleton is a fixed point of Algorithm 1, and an attaching tree has an
+/// internal root), so a tree is always returned.
+pub(crate) fn prune_attached<'t>(
+    source: &ViewTree,
+    leaves: &[NodeId],
+    provider: impl Fn(NodeId) -> Provider<'t>,
+    k: usize,
+    scratch: &mut PruneScratch,
+) -> ViewTree {
+    debug_assert!(!leaves.is_empty() && leaves.windows(2).all(|w| w[0] < w[1]));
+    let PruneScratch {
+        own,
+        provider: nested,
+        stack,
+        provider_stack,
+    } = scratch;
+    let presets = leaves.iter().map(|&leaf| {
+        let size = match provider(leaf) {
+            Provider::PrunedStar(images) => 1 + images.len() as u64,
+            Provider::Tree(tree) => nested.plan(tree, k, []),
+        };
+        (leaf, size)
+    });
+    let total = own.plan(source, k, presets);
+    source.project_csr(
+        &own.kept(),
+        total as usize,
+        stack,
+        |columns, old, new, next| {
+            let Ok(i) = leaves.binary_search(&old) else {
+                return next;
+            };
+            match provider(leaves[i]) {
+                Provider::PrunedStar(images) => columns.graft_leaves(next, new, images),
+                Provider::Tree(tree) => {
+                    nested.plan(tree, k, []);
+                    columns.project(
+                        tree,
+                        &nested.kept(),
+                        new,
+                        next,
+                        provider_stack,
+                        |_, _, _, next| next,
+                    )
+                }
+            }
+        },
+    )
 }
 
 /// `LocalPrune(ViewTree::star(vertex, neighbors), k)` in closed form,
@@ -134,9 +248,9 @@ pub(crate) fn pruned_star(vertex: usize, neighbors: &[u32], k: usize) -> ViewTre
 /// fixed point.
 ///
 /// Entirely local — no communication; Algorithm 2 runs the same per-tree
-/// prune on every machine between exponentiation rounds, inside its
-/// attachment stage. Ties among equal-size subtrees are broken
-/// deterministically by arena id (the algorithm permits arbitrary
+/// prune on every machine between exponentiation rounds, on each
+/// attachment through its splice plan. Ties among equal-size subtrees are
+/// broken deterministically by arena id (the algorithm permits arbitrary
 /// tie-breaking).
 ///
 /// Each tree's pruning is an independent pure computation over the read-only
@@ -240,7 +354,7 @@ mod tests {
             t.attach(&reps);
             for k in [1usize, 2, 3, 5] {
                 assert_eq!(
-                    PruneScratch::new().plan(&t, k),
+                    PruneScratch::new().own.plan(&t, k, []),
                     prune(&t, k).len() as u64,
                     "v={v} k={k}"
                 );

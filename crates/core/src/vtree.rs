@@ -43,7 +43,9 @@
 //! Attachment never grows a block in place: it sizes the result first and
 //! builds it into a fresh block (an attachment target is a leaf, whose run
 //! is empty, so the source's runs copy over unchanged and the spliced runs
-//! fill the pool tail).
+//! fill the pool tail). The pruning projection grafts pruned subtrees onto
+//! kept leaves while it writes its result ([`ViewTree::project_csr`]), so an
+//! attachment that is only pruned is never built.
 
 use dgo_graph::Graph;
 
@@ -99,8 +101,9 @@ pub struct ViewTree {
     block: Box<[u32]>,
 }
 
-/// Mutable views of a block's six columns, for the constructors.
-struct Columns<'a> {
+/// Mutable views of a block's six columns, for the constructors and for
+/// the grafts of a pruning projection ([`ViewTree::project_csr`]).
+pub(crate) struct Columns<'a> {
     vertex: &'a mut [u32],
     parent: &'a mut [u32],
     depth: &'a mut [u32],
@@ -193,19 +196,11 @@ impl ViewTree {
     /// per (distinct) neighbor. The leaf images are copied straight from the
     /// caller's adjacency slice — no intermediate buffers.
     pub fn star(vertex: usize, neighbors: &[u32]) -> Self {
-        let deg = neighbors.len();
-        let mut t = ViewTree::zeroed(deg + 1);
-        let c = t.columns_mut();
+        let mut t = ViewTree::zeroed(neighbors.len() + 1);
+        let mut c = t.columns_mut();
         c.vertex[0] = vertex as u32;
-        c.vertex[1..].copy_from_slice(neighbors);
-        c.parent[0] = NO_PARENT; // the leaves' parent, 0, is the zero fill
-        c.depth[1..].fill(1);
-        c.child_len[0] = deg as u32;
-        // Leaves: empty runs at the pool tail.
-        c.child_start[1..].fill(deg as u32);
-        for (slot, id) in c.pool.iter_mut().zip(1..) {
-            *slot = id;
-        }
+        c.parent[0] = NO_PARENT;
+        c.graft_leaves(1, ViewTree::ROOT, neighbors);
         t
     }
 
@@ -379,9 +374,10 @@ impl ViewTree {
     /// Builds `source` with `provider(leaf)`'s tree attached at every node in
     /// `leaves`, into a single exactly-sized fresh block: `source` is
     /// block-copied and the providers splice in borrowed — the
-    /// one-allocation form of `clone` + [`ViewTree::attach`] the
-    /// exponentiation hot loop uses (providers live in the read-only current
-    /// buffer of the double-buffered step, so they are never cloned).
+    /// one-allocation form of `clone` + [`ViewTree::attach`] that Algorithm
+    /// 2 materializes its last attachments with (providers live in the
+    /// read-only current buffer of the double-buffered step, so they are
+    /// never cloned).
     ///
     /// Equivalent to `source.clone()` followed by
     /// `attach(&[(leaf, provider(leaf)), ...])`, including the Def 2.5 debug
@@ -389,7 +385,7 @@ impl ViewTree {
     ///
     /// `provider` is called twice per leaf — once by the sizing pass, once by
     /// the splice pass — so it must be cheap and return the same tree both
-    /// times (in the hot loop it is a slice index into the read-only current
+    /// times (in Algorithm 2 it is a slice index into the read-only current
     /// buffer).
     pub fn attached_with<'t, F>(source: &ViewTree, leaves: &[NodeId], provider: F) -> Self
     where
@@ -460,50 +456,31 @@ impl ViewTree {
         }
     }
 
-    /// Builds the subtree rooted at `keep_root`, retaining only the child
-    /// edges in `kept`'s run for every node. Used by the pruning algorithm to
-    /// materialize its result in one pass into an exactly-sized block
-    /// (`total` nodes — the pruned size the caller already computed);
-    /// `stack` is caller-provided scratch, cleared here.
+    /// Builds the tree, retaining only the child edges in `kept`'s run for
+    /// every node. Used by the pruning algorithm to materialize its result
+    /// in one pass into an exactly-sized block (`total` nodes — the pruned
+    /// size the caller already computed); `stack` is caller-provided
+    /// scratch.
+    ///
+    /// `graft(columns, old, new, next)` is called for every output node
+    /// whose kept run is empty (a leaf of the result), with the source node
+    /// `old`, its output id `new` and the next free id. It may splice a
+    /// subtree onto `new` with descendants from `next` on, and returns the
+    /// next free id after it. A node's descendants are numbered as one
+    /// contiguous block, so a graft lands exactly where the projection of
+    /// the same subtree would have put it.
     pub(crate) fn project_csr(
         &self,
-        keep_root: NodeId,
         kept: &CsrRuns,
         total: usize,
         stack: &mut Vec<(NodeId, NodeId)>,
+        graft: impl FnMut(&mut Columns<'_>, NodeId, NodeId, u32) -> u32,
     ) -> ViewTree {
-        let vertex = self.vertex_col();
         let mut out = ViewTree::zeroed(total);
-        let c = out.columns_mut();
-        c.vertex[0] = vertex[keep_root as usize];
+        let mut c = out.columns_mut();
+        c.vertex[0] = self.block[0];
         c.parent[0] = NO_PARENT;
-        // Nodes are numbered in expansion order; each expansion fills the
-        // next ids and the matching pool slots, so the pool tail is always
-        // one behind the node count.
-        let mut next = 1u32;
-        stack.clear();
-        stack.push((keep_root, 0)); // (old id, new id)
-        while let Some((old, new)) = stack.pop() {
-            let run = kept.run(old);
-            if run.is_empty() {
-                continue;
-            }
-            let depth = c.depth[new as usize] + 1;
-            let first = next;
-            next += run.len() as u32;
-            c.child_start[new as usize] = first - 1;
-            c.child_len[new as usize] = run.len() as u32;
-            for (new_child, &old_child) in (first..next).zip(run) {
-                let i = new_child as usize;
-                c.pool[i - 1] = new_child;
-                c.vertex[i] = vertex[old_child as usize];
-                c.parent[i] = new;
-                c.depth[i] = depth;
-                // Leaves: empty runs at the pool tail.
-                c.child_start[i] = next - 1;
-                stack.push((old_child, new_child));
-            }
-        }
+        let next = c.project(self, kept, ViewTree::ROOT, 1, stack, graft);
         debug_assert_eq!(next as usize, total, "pruned size and projection disagree");
         out
     }
@@ -611,6 +588,78 @@ impl Columns<'_> {
             tail += run.len();
         }
         next + added as u32
+    }
+
+    /// Gives `leaf` one fresh leaf child per entry of `images`, at ids
+    /// `next..` with their run at the pool tail: the splice of the star
+    /// `star(vertex(leaf), images)` without building it. Returns the next
+    /// free node id; no images leave the leaf as it is.
+    pub(crate) fn graft_leaves(&mut self, next: u32, leaf: NodeId, images: &[u32]) -> u32 {
+        if images.is_empty() {
+            return next;
+        }
+        let end = next + images.len() as u32;
+        let nodes = next as usize..end as usize;
+        self.child_start[leaf as usize] = next - 1;
+        self.child_len[leaf as usize] = images.len() as u32;
+        self.vertex[nodes.clone()].copy_from_slice(images);
+        self.parent[nodes.clone()].fill(leaf);
+        let depth = self.depth[leaf as usize] + 1;
+        self.depth[nodes.clone()].fill(depth);
+        // Leaves: empty runs at the pool tail.
+        self.child_start[nodes].fill(end - 1);
+        for (slot, id) in self.pool[next as usize - 1..end as usize - 1]
+            .iter_mut()
+            .zip(next..)
+        {
+            *slot = id;
+        }
+        end
+    }
+
+    /// Projects `source` through `kept` onto the written node `root`, whose
+    /// image is `source`'s root image: `root`'s kept descendants get ids
+    /// `next..` in expansion order, as [`ViewTree::project_csr`] describes
+    /// (it is this loop with `root` the output root). Returns the next free
+    /// id. `stack` is caller-provided scratch, cleared here.
+    pub(crate) fn project(
+        &mut self,
+        source: &ViewTree,
+        kept: &CsrRuns,
+        root: NodeId,
+        mut next: u32,
+        stack: &mut Vec<(NodeId, NodeId)>,
+        mut graft: impl FnMut(&mut Self, NodeId, NodeId, u32) -> u32,
+    ) -> u32 {
+        let vertex = source.vertex_col();
+        // Nodes are numbered in expansion order; each expansion fills the
+        // next ids and the matching pool slots, so the pool tail is always
+        // one behind the node count.
+        stack.clear();
+        stack.push((ViewTree::ROOT, root)); // (old id, new id)
+        while let Some((old, new)) = stack.pop() {
+            let run = kept.run(old);
+            if run.is_empty() {
+                next = graft(self, old, new, next);
+                continue;
+            }
+            let depth = self.depth[new as usize] + 1;
+            let first = next;
+            next += run.len() as u32;
+            self.child_start[new as usize] = first - 1;
+            self.child_len[new as usize] = run.len() as u32;
+            for (new_child, &old_child) in (first..next).zip(run) {
+                let i = new_child as usize;
+                self.pool[i - 1] = new_child;
+                self.vertex[i] = vertex[old_child as usize];
+                self.parent[i] = new;
+                self.depth[i] = depth;
+                // Leaves: empty runs at the pool tail.
+                self.child_start[i] = next - 1;
+                stack.push((old_child, new_child));
+            }
+        }
+        next
     }
 }
 

@@ -267,27 +267,40 @@ impl Graph {
     ///
     /// Vertices in `keep` that are out of range are ignored; duplicates are
     /// collapsed.
+    ///
+    /// The relabeling is monotone and every neighbor list is sorted, so each
+    /// new list is its vertex's old list, filtered and relabeled in one pass:
+    /// no edge list, no sort.
     pub fn induced_subgraph(&self, keep: &[usize]) -> (Graph, Vec<usize>) {
         let n = self.num_vertices();
         let mut sorted: Vec<usize> = keep.iter().copied().filter(|&v| v < n).collect();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut old_to_new = vec![usize::MAX; n];
+        const DROPPED: u32 = u32::MAX;
+        let mut old_to_new = vec![DROPPED; n];
         for (new, &old) in sorted.iter().enumerate() {
-            old_to_new[old] = new;
+            old_to_new[old] = new as u32;
         }
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for &old_u in &sorted {
-            let new_u = old_to_new[old_u];
-            for &w in self.neighbors(old_u) {
-                let old_v = w as usize;
-                if old_v > old_u && old_to_new[old_v] != usize::MAX {
-                    edges.push((new_u as u32, old_to_new[old_v] as u32));
-                }
-            }
+        let mut offsets = Vec::with_capacity(sorted.len() + 1);
+        offsets.push(0);
+        // The kept degrees bound the kept slots from above.
+        let mut neighbors = Vec::with_capacity(sorted.iter().map(|&v| self.degree(v)).sum());
+        for &old in &sorted {
+            neighbors.extend(
+                self.neighbors(old)
+                    .iter()
+                    .map(|&w| old_to_new[w as usize])
+                    .filter(|&w| w != DROPPED),
+            );
+            offsets.push(neighbors.len());
         }
-        edges.sort_unstable();
-        (Graph::from_normalized(sorted.len(), &edges), sorted)
+        let num_edges = neighbors.len() / 2;
+        let sub = Graph {
+            offsets,
+            neighbors,
+            num_edges,
+        };
+        (sub, sorted)
     }
 
     /// Edge-induced subgraph: keeps all `n` vertices but only the edges for
@@ -559,6 +572,57 @@ mod tests {
         let (sub, map) = g.induced_subgraph(&[0, 0, 1, 99]);
         assert_eq!(map, vec![0, 1]);
         assert_eq!(sub.num_edges(), 1);
+    }
+
+    /// The edge-list build `induced_subgraph` replaced: the kept edges as
+    /// relabeled pairs, sorted, then scattered into a fresh CSR whose lists
+    /// are sorted again.
+    fn induced_subgraph_by_edges(g: &Graph, keep: &[usize]) -> (Graph, Vec<usize>) {
+        let n = g.num_vertices();
+        let mut sorted: Vec<usize> = keep.iter().copied().filter(|&v| v < n).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut old_to_new = vec![usize::MAX; n];
+        for (new, &old) in sorted.iter().enumerate() {
+            old_to_new[old] = new;
+        }
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for &old_u in &sorted {
+            let new_u = old_to_new[old_u];
+            for &w in g.neighbors(old_u) {
+                let old_v = w as usize;
+                if old_v > old_u && old_to_new[old_v] != usize::MAX {
+                    edges.push((new_u as u32, old_to_new[old_v] as u32));
+                }
+            }
+        }
+        edges.sort_unstable();
+        (Graph::from_normalized(sorted.len(), &edges), sorted)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The CSR filter equals the edge-list build on random graphs and
+        /// random `keep` lists: unsorted, with duplicates and out-of-range
+        /// entries, from empty to every vertex.
+        #[test]
+        fn induced_subgraph_matches_the_edge_list_build(
+            n in 0usize..120,
+            density in 0usize..6,
+            keep_len in 0usize..200,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let g = crate::generators::gnm(n, density * n, seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
+            let keep: Vec<usize> = (0..keep_len).map(|_| rng.random_range(0..n + 8)).collect();
+            proptest::prop_assert_eq!(g.induced_subgraph(&keep), induced_subgraph_by_edges(&g, &keep));
+            let every: Vec<usize> = (0..n).rev().collect();
+            let (whole, map) = g.induced_subgraph(&every);
+            proptest::prop_assert_eq!(&whole, &g);
+            proptest::prop_assert_eq!(map, (0..n).collect::<Vec<_>>());
+        }
     }
 
     #[test]

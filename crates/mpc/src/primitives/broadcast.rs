@@ -59,7 +59,9 @@ pub fn broadcast_tree_rounds(copies: usize, fanout: usize) -> u64 {
 /// `log_{√S}(max copies)`, and one delivery round. Every delivered copy
 /// costs its key word plus the payload. The host side counts the copies
 /// per key and the words per consumer in two `keys`-long tables, so it
-/// costs `O(requests + keys)`: no sort, and nothing per machine.
+/// costs `O(requests + keys)`: no sort, and nothing per machine. An empty
+/// request stream allocates no table and charges the sort and the delivery
+/// at no words.
 ///
 /// # Errors
 ///
@@ -101,9 +103,12 @@ pub fn gather_bundles<B: ExecutionBackend>(
 
     // Phase 1: count copies per bundle (sorting-based, SORT_ROUNDS). The
     // host tallies copies per key and delivered words per consumer in
-    // place, keeping the largest of each as it goes.
-    let mut copies = vec![0usize; keys];
-    let mut consumer_words = vec![0usize; keys];
+    // place, keeping the largest of each as it goes; no request needs no
+    // table.
+    let mut requests = requests.into_iter().peekable();
+    let tables = if requests.peek().is_some() { keys } else { 0 };
+    let mut copies = vec![0usize; tables];
+    let mut consumer_words = vec![0usize; tables];
     let (mut max_copies, mut max_consumer, mut total_delivered) = (0, 0, 0usize);
     let in_range = |role, id: u64| {
         if id < keys as u64 {
@@ -229,10 +234,22 @@ mod tests {
 
     #[test]
     fn empty_requests() {
-        let mut c = cluster(2, 64);
-        gather_bundles(&mut c, Vec::<(u64, u64)>::new(), 0, two_bundles).unwrap();
-        assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
-        assert_eq!(c.metrics().total_comm_words, 0);
+        // Whatever the key bound (the tables are skipped), the sort and the
+        // delivery are charged at no words and unit load, with no tree.
+        for keys in [0, 21, 1 << 20] {
+            let mut c = cluster(2, 64);
+            gather_bundles(&mut c, Vec::<(u64, u64)>::new(), keys, two_bundles).unwrap();
+            assert_eq!(c.metrics().rounds, SORT_ROUNDS + 1);
+            assert_eq!(c.metrics().total_comm_words, 0);
+            assert!(
+                c.metrics()
+                    .round_log
+                    .iter()
+                    .all(|r| (r.total_words, r.max_sent, r.max_received) == (0, 1, 1)),
+                "keys = {keys}: {:?}",
+                c.metrics().round_log
+            );
+        }
     }
 
     #[test]

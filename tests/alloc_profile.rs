@@ -11,8 +11,11 @@
 //! are the regression fence for both. A whole Algorithm 2–4 stage makes one
 //! acquisition per tree it builds plus a constant per step: its attachment
 //! plans and Algorithm 3 proposals are flat buffers, not one per vertex or
-//! per tree, and it builds neither the stars (step 1 starts from the pruned
-//! stars) nor the last step's attachments (Algorithm 3 peels them in place). Algorithm 4's min-combine makes a constant number of
+//! per tree, and it builds no attachment at all — step 1 starts from the
+//! pruned stars, each later step's prune splices the pruned providers
+//! through the plan of the consumer's own tree, and Algorithm 3 peels the
+//! last step's attachments in place — so it builds at most one tree per
+//! vertex and step. Algorithm 4's min-combine makes a constant number of
 //! allocations however many machines and proposals it has: its rounds are
 //! flat per-machine buffers, not a heap buffer per machine. The allocator
 //! also tallies requested bytes, which fence the metering's independence
@@ -176,11 +179,11 @@ fn attach_is_o1_allocations_per_consumed_tree() {
     );
 
     // --- A whole Algorithm 2–4 stage: the pruned stars, then at most one
-    // pruned tree per vertex in each of steps 2..=s and one attached tree
-    // per vertex in each of steps 1..s, plus a constant per step for the
-    // plan, metering and checkpoint buffers and for the proposals and the
-    // min-combine. Building the stars or the last attachments would add `n`
-    // each, and so would one buffer per vertex or per tree anywhere in the
+    // pruned tree per vertex in each of steps 2..=s, plus a constant per
+    // step for the plan, metering and checkpoint buffers and for the
+    // proposals and the min-combine. Building the stars, any attachment or
+    // a pruned provider apart from its consumer would add up to `n` each,
+    // and so would one buffer per vertex or per tree anywhere in the
     // stage. ---
     let (budget, k, layers, steps) = (256, 3, 4, 3);
     let mut cluster = SequentialBackend::from_config(ClusterConfig::new(4 * n, 1 << 16));
@@ -192,7 +195,7 @@ fn attach_is_o1_allocations_per_consumed_tree() {
         assigned.layering.num_assigned() > 0,
         "fence needs a real stage"
     );
-    let stage_bound = (2 * steps as usize - 1) * n + 64;
+    let stage_bound = steps as usize * n + 64;
     assert!(
         stage_allocs <= stage_bound,
         "one Algorithm 2–4 stage allocated {stage_allocs} times for {n} vertices \
