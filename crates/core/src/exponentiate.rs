@@ -44,10 +44,9 @@
 //!   counted at its provider's pruned size, and splices the pruned providers
 //!   where it keeps their leaves ([`prune_attached`]). The result equals the
 //!   prune of the attached tree node for node; every checkpoint after an
-//!   attachment reads the attached lengths off the plan. A step-1 provider
-//!   is a pruned star, whose prune is a slice of its leaves; a later
-//!   provider is pruned where a consumer keeps it, so no pruned provider is
-//!   held past its consumer.
+//!   attachment reads the attached lengths off the plan. A provider is
+//!   pruned where a consumer keeps it, so no pruned provider is held past
+//!   its consumer.
 //! * **Step `s`'s attachments.** The step loop ends in a *pending* state
 //!   ([`PendingExponentiation`]): the step-`s` pruned trees plus step `s`'s
 //!   attachment plan, metered and checkpointed but not spliced.
@@ -58,7 +57,7 @@
 //!   ([`ViewTree::attached_columns_into`]).
 
 use crate::error::{CoreError, Result};
-use crate::prune::{local_prune_with, prune_attached, pruned_star, Provider, PruneScratch};
+use crate::prune::{local_prune_with, prune_attached, pruned_star, PruneScratch};
 use crate::stage::StageExecutor;
 use crate::vtree::{NodeId, ViewTree};
 use dgo_graph::Graph;
@@ -199,7 +198,7 @@ pub(crate) fn exponentiate_pending<B: ExecutionBackend>(
             len
         })?;
         if i < steps {
-            prune_attachments(&mut trees, &plan, k, i == 1, stage);
+            prune_attachments(&mut trees, &plan, k, stage);
         } else {
             last_plan = Some(plan);
         }
@@ -253,37 +252,18 @@ impl PendingExponentiation {
 /// Step `i + 1`'s Algorithm 1 on every step-`i` attachment, in place, with
 /// no attachment built: a vertex that attaches nothing prunes its own tree,
 /// and an attaching vertex prunes through its splice plan
-/// ([`prune_attached`]), which splices each kept provider's pruned tree. At
-/// step 1 every tree is a pruned star `star(u, N(u)[k..])`, whose prune is
-/// the star over its leaves past the `k`-th (the root alone when it has at
-/// most `k`), so a graft copies that leaf slice. A later provider is pruned
-/// where a consumer keeps it, so no pruned provider outlives the consumer
-/// that splices it. One stage over the current trees does the whole step.
-fn prune_attachments(
-    trees: &mut [ViewTree],
-    plan: &AttachPlan,
-    k: usize,
-    first_step: bool,
-    stage: &StageExecutor,
-) {
+/// ([`prune_attached`]), which splices each kept provider's pruned tree. A
+/// provider is pruned where a consumer keeps it, so no pruned provider
+/// outlives the consumer that splices it. One stage over the current trees
+/// does the whole step.
+fn prune_attachments(trees: &mut [ViewTree], plan: &AttachPlan, k: usize, stage: &StageExecutor) {
     let snapshot: &[ViewTree] = trees;
     let next = stage.map_with(snapshot, PruneScratch::new, |scratch, v, source| {
         let leaves = plan.leaves_of(v);
         if leaves.is_empty() {
             return local_prune_with(source, k, scratch);
         }
-        let provider = |leaf| {
-            let tree = &snapshot[source.vertex(leaf)];
-            if first_step {
-                debug_assert!(
-                    tree.depth(tree.len() as u32 - 1) <= 1,
-                    "a step-1 tree is a star"
-                );
-                Provider::PrunedStar(tree.vertex_col().get(1 + k..).unwrap_or(&[]))
-            } else {
-                Provider::Tree(tree)
-            }
-        };
+        let provider = |leaf| &snapshot[source.vertex(leaf)];
         Some(prune_attached(source, leaves, provider, k, scratch))
     });
     replace(trees, next);
@@ -684,7 +664,7 @@ mod tests {
                         }
                         let plan = AttachPlan::collect(&trees, &active, i, &stage);
                         let mut next = trees.clone();
-                        prune_attachments(&mut next, &plan, k, i == 1, &stage);
+                        prune_attachments(&mut next, &plan, k, &stage);
                         for (v, source) in trees.iter().enumerate() {
                             let leaves = plan.leaves_of(v);
                             let attached = ViewTree::attached_with(source, leaves, |leaf| {

@@ -38,7 +38,7 @@ pub(crate) struct PruneScratch {
     /// The plan of the tree being pruned.
     own: Plan,
     /// The plan of a provider that [`prune_attached`] prunes where it is
-    /// spliced ([`Provider::Tree`]).
+    /// spliced.
     provider: Plan,
     /// Projection traversal stacks, the tree's own and a provider's.
     stack: Vec<(NodeId, NodeId)>,
@@ -158,16 +158,6 @@ pub(crate) fn local_prune_with(
     })
 }
 
-/// How [`prune_attached`] gets `LocalPrune(T_u, k)` of a provider `u`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Provider<'t> {
-    /// `T_u` is a star whose prune is `star(u, images)`, given by its
-    /// leaves' images.
-    PrunedStar(&'t [u32]),
-    /// `T_u` itself, pruned wherever it is spliced.
-    Tree(&'t ViewTree),
-}
-
 /// `LocalPrune(ViewTree::attached_with(source, leaves, T_u), k)` without
 /// building the attachment: `provider(leaf)` gives the tree `T_u` of the
 /// provider attached at `leaf`. `leaves` must be ascending leaves of
@@ -188,7 +178,7 @@ pub(crate) enum Provider<'t> {
 pub(crate) fn prune_attached<'t>(
     source: &ViewTree,
     leaves: &[NodeId],
-    provider: impl Fn(NodeId) -> Provider<'t>,
+    provider: impl Fn(NodeId) -> &'t ViewTree,
     k: usize,
     scratch: &mut PruneScratch,
 ) -> ViewTree {
@@ -199,13 +189,9 @@ pub(crate) fn prune_attached<'t>(
         stack,
         provider_stack,
     } = scratch;
-    let presets = leaves.iter().map(|&leaf| {
-        let size = match provider(leaf) {
-            Provider::PrunedStar(images) => 1 + images.len() as u64,
-            Provider::Tree(tree) => nested.plan(tree, k, []),
-        };
-        (leaf, size)
-    });
+    let presets = leaves
+        .iter()
+        .map(|&leaf| (leaf, nested.plan(provider(leaf), k, [])));
     let total = own.plan(source, k, presets);
     source.project_csr(
         &own.kept(),
@@ -215,20 +201,16 @@ pub(crate) fn prune_attached<'t>(
             let Ok(i) = leaves.binary_search(&old) else {
                 return next;
             };
-            match provider(leaves[i]) {
-                Provider::PrunedStar(images) => columns.graft_leaves(next, new, images),
-                Provider::Tree(tree) => {
-                    nested.plan(tree, k, []);
-                    columns.project(
-                        tree,
-                        &nested.kept(),
-                        new,
-                        next,
-                        provider_stack,
-                        |_, _, _, next| next,
-                    )
-                }
-            }
+            let tree = provider(leaves[i]);
+            nested.plan(tree, k, []);
+            columns.project(
+                tree,
+                &nested.kept(),
+                new,
+                next,
+                provider_stack,
+                |_, _, _, next| next,
+            )
         },
     )
 }

@@ -196,11 +196,19 @@ impl ViewTree {
     /// per (distinct) neighbor. The leaf images are copied straight from the
     /// caller's adjacency slice — no intermediate buffers.
     pub fn star(vertex: usize, neighbors: &[u32]) -> Self {
-        let mut t = ViewTree::zeroed(neighbors.len() + 1);
-        let mut c = t.columns_mut();
+        let deg = neighbors.len();
+        let mut t = ViewTree::zeroed(deg + 1);
+        let c = t.columns_mut();
         c.vertex[0] = vertex as u32;
-        c.parent[0] = NO_PARENT;
-        c.graft_leaves(1, ViewTree::ROOT, neighbors);
+        c.vertex[1..].copy_from_slice(neighbors);
+        c.parent[0] = NO_PARENT; // the leaves' parent, 0, is the zero fill
+        c.depth[1..].fill(1);
+        c.child_len[0] = deg as u32;
+        // Leaves: empty runs at the pool tail.
+        c.child_start[1..].fill(deg as u32);
+        for (slot, id) in c.pool.iter_mut().zip(1..) {
+            *slot = id;
+        }
         t
     }
 
@@ -588,33 +596,6 @@ impl Columns<'_> {
             tail += run.len();
         }
         next + added as u32
-    }
-
-    /// Gives `leaf` one fresh leaf child per entry of `images`, at ids
-    /// `next..` with their run at the pool tail: the splice of the star
-    /// `star(vertex(leaf), images)` without building it. Returns the next
-    /// free node id; no images leave the leaf as it is.
-    pub(crate) fn graft_leaves(&mut self, next: u32, leaf: NodeId, images: &[u32]) -> u32 {
-        if images.is_empty() {
-            return next;
-        }
-        let end = next + images.len() as u32;
-        let nodes = next as usize..end as usize;
-        self.child_start[leaf as usize] = next - 1;
-        self.child_len[leaf as usize] = images.len() as u32;
-        self.vertex[nodes.clone()].copy_from_slice(images);
-        self.parent[nodes.clone()].fill(leaf);
-        let depth = self.depth[leaf as usize] + 1;
-        self.depth[nodes.clone()].fill(depth);
-        // Leaves: empty runs at the pool tail.
-        self.child_start[nodes].fill(end - 1);
-        for (slot, id) in self.pool[next as usize - 1..end as usize - 1]
-            .iter_mut()
-            .zip(next..)
-        {
-            *slot = id;
-        }
-        end
     }
 
     /// Projects `source` through `kept` onto the written node `root`, whose
