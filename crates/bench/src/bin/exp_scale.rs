@@ -14,7 +14,9 @@
 //! * `scale/orient/sequential` and `scale/coreness/sequential` — end-to-end
 //!   `orient` + approximate coreness on the parsed graph, on
 //!   `SequentialBackend` (the leg names keep the backend for continuity of
-//!   the persisted trajectory).
+//!   the persisted trajectory). The orient leg runs three times and records
+//!   the median run with the fastest and the slowest; every other leg is
+//!   one run.
 //!
 //! Every leg carries `peak_rss_bytes` (the kernel's `VmHWM` high-water mark
 //! — monotonic, so read legs in order) next to the usual wall-clock, comm
@@ -50,6 +52,11 @@ const EPS: f64 = 0.5;
 /// is the bottleneck.
 const AVG_DEGREE: usize = 8;
 
+/// Runs of the orient leg: a few seconds each at 10⁷ edges, so three give
+/// its median and spread. The ingestion and coreness legs run once (the
+/// coreness ladder takes most of a minute).
+const ORIENT_PASSES: u64 = 3;
+
 fn flag_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -58,36 +65,44 @@ fn flag_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Times one closure and pushes its leg; returns the closure's output.
-/// `passes: 1`, `samples: 1` — at this scale a single end-to-end run is the
-/// measurement, so its spread is the run itself.
+/// Times `passes` runs of `body` and pushes their leg: the median run with
+/// the fastest and the slowest, `samples: 1` — at this scale one end-to-end
+/// run is one sample. Each run's output is dropped before the next starts,
+/// so the peak RSS is one run's; the last output is returned. The leg's
+/// comm words and peak tree bytes start at 0 for the caller to fill in.
 fn leg<T>(
     report: &mut BenchReport,
     name: &str,
     jobs: usize,
     backend: &str,
-    comm_words: usize,
-    peak_tree_bytes: usize,
-    body: impl FnOnce() -> T,
+    passes: u64,
+    mut body: impl FnMut() -> T,
 ) -> T {
-    let start = Instant::now();
-    let out = body();
-    let wall = start.elapsed().as_secs_f64();
-    println!("{name:<32} {wall:>10.3}s");
+    let mut walls = Vec::new();
+    let mut out = None;
+    for _ in 0..passes {
+        drop(out.take());
+        let start = Instant::now();
+        out = Some(body());
+        walls.push(start.elapsed().as_secs_f64());
+    }
+    walls.sort_by(f64::total_cmp);
+    let (wall, fastest, slowest) = (walls[walls.len() / 2], walls[0], walls[walls.len() - 1]);
+    println!("{name:<32} {wall:>10.3}s ({passes} passes, {fastest:.3}..{slowest:.3}s)");
     report.push(BenchLeg {
         name: name.to_string(),
         wall_seconds: wall,
-        wall_min_seconds: wall,
-        wall_max_seconds: wall,
-        passes: 1,
+        wall_min_seconds: fastest,
+        wall_max_seconds: slowest,
+        passes,
         samples: 1,
         jobs,
         backend: backend.to_string(),
-        comm_words,
-        peak_tree_bytes,
+        comm_words: 0,
+        peak_tree_bytes: 0,
         peak_rss_bytes: peak_rss_bytes(),
     });
-    out
+    out.expect("at least one pass")
 }
 
 /// The pre-counting-sort ingestion pipeline, kept verbatim as the baseline
@@ -193,35 +208,23 @@ fn main() {
     );
 
     // ---- Ingestion: seed path vs fast path --------------------------------
-    let (n_seed, pairs_seed) = leg(&mut report, "scale/parse/seed", 1, "host", 0, 0, || {
+    let (n_seed, pairs_seed) = leg(&mut report, "scale/parse/seed", 1, "host", 1, || {
         seed_path::parse(text.as_slice()).expect("seed parse")
     });
     let seed_parse_s = report.legs.last().expect("pushed").wall_seconds;
-    let g_seed = leg(&mut report, "scale/build/seed", 1, "host", 0, 0, || {
+    let g_seed = leg(&mut report, "scale/build/seed", 1, "host", 1, || {
         seed_path::build(n_seed, &pairs_seed).expect("seed build")
     });
     let seed_build_s = report.legs.last().expect("pushed").wall_seconds;
     drop(pairs_seed);
 
-    let (n_fast, pairs_fast) = leg(
-        &mut report,
-        "scale/parse/fast",
-        ingest,
-        "host",
-        0,
-        0,
-        || parse_edge_list(&text).expect("fast parse"),
-    );
+    let (n_fast, pairs_fast) = leg(&mut report, "scale/parse/fast", ingest, "host", 1, || {
+        parse_edge_list(&text).expect("fast parse")
+    });
     let fast_parse_s = report.legs.last().expect("pushed").wall_seconds;
-    let graph = leg(
-        &mut report,
-        "scale/build/fast",
-        ingest,
-        "host",
-        0,
-        0,
-        || Graph::from_normalized_unsorted(n_fast, &pairs_fast, ingest),
-    );
+    let graph = leg(&mut report, "scale/build/fast", ingest, "host", 1, || {
+        Graph::from_normalized_unsorted(n_fast, &pairs_fast, ingest)
+    });
     let fast_build_s = report.legs.last().expect("pushed").wall_seconds;
     drop(pairs_fast);
 
@@ -250,8 +253,7 @@ fn main() {
         "scale/orient/sequential",
         resolved_jobs(jobs),
         "sequential",
-        0,
-        0,
+        ORIENT_PASSES,
         || orient(&graph, &params).expect("orient"),
     );
     let last = report.legs.last_mut().expect("pushed");
@@ -270,8 +272,7 @@ fn main() {
         "scale/coreness/sequential",
         resolved_jobs(jobs),
         "sequential",
-        0,
-        0,
+        1,
         || approximate_coreness(&graph, EPS, &params).expect("coreness"),
     );
     let last = report.legs.last_mut().expect("pushed");

@@ -24,9 +24,11 @@
 //! never mutate the snapshot, so no provider tree is ever cloned. The
 //! attachment plan that drives a step is flat too ([`AttachPlan`]): one leaf
 //! list per stage chunk, concatenated in vertex order, not a buffer per
-//! requesting vertex. The gather meters the plan's requests as a stream,
-//! without collecting them, and a step whose plan is empty allocates no
-//! per-vertex metering table.
+//! requesting vertex. A tree stores only its `vertex` and `parent` columns,
+//! so the plan derives each active tree's depths and leafness into one
+//! scratch buffer per chunk. The gather meters the plan's requests as a
+//! stream, without collecting them, and a step whose plan is empty allocates
+//! no per-vertex metering table.
 //!
 //! Of the up to `2s + 1` trees per vertex that the steps describe (the star,
 //! then each step's pruned tree and attachment), only the pruned trees are
@@ -327,12 +329,17 @@ impl AttachPlan {
                     leaves: Vec::with_capacity(chunk.len()),
                     ends: Vec::with_capacity(chunk.len()),
                 };
+                // Each active tree's `(depth, is_leaf)` per node, derived
+                // into one buffer per chunk.
+                let mut shape = Vec::new();
                 for (v, tree) in (offset..).zip(chunk) {
                     if active[v] {
-                        plan.leaves.extend(
-                            tree.leaves_at_depth(frontier_depth)
-                                .filter(|&leaf| active[tree.vertex(leaf)]),
-                        );
+                        tree.shape_into(&mut shape);
+                        plan.leaves
+                            .extend((0..).zip(&shape).filter_map(|(leaf, &s)| {
+                                (s == (frontier_depth, true) && active[tree.vertex(leaf)])
+                                    .then_some(leaf)
+                            }));
                     }
                     plan.ends.push(plan.leaves.len());
                 }
@@ -435,8 +442,8 @@ fn meter_tree_transfer<B: ExecutionBackend>(
 /// sizes, so a counting sort over the sizes (each at most the tree budget)
 /// replaces a sort of the trees, and only the first `min(n, M)` machines —
 /// the ones that receive a tree — are listed on top of the uniform share:
-/// `O(n + B)`, whatever the machine count. Slot `i` receives
-/// `⌈(n − i) / min(n, M)⌉` trees, so its arena bytes follow from its words.
+/// `O(n + B)`, whatever the machine count. A metered tree word is one `u32`
+/// of an arena, so the peak arena bytes follow from the peak load.
 fn checkpoint<B: ExecutionBackend>(
     graph: &Graph,
     cluster: &mut B,
@@ -464,12 +471,12 @@ fn checkpoint<B: ExecutionBackend>(
     }
     drop(trees_of_len);
     cluster.checkpoint_residency(graph_share, &load)?;
-    // Two words per node: the words become the slot's arena bytes in place.
-    let mut tree_bytes = load;
-    for (i, bytes) in tree_bytes.iter_mut().enumerate() {
-        *bytes = ViewTree::arena_bytes_of(*bytes / 2, (n - i).div_ceil(dealt));
-    }
-    cluster.metrics_mut().record_tree_bytes(&tree_bytes);
+    // A slot's trees hold two words per node, so the most loaded slot holds
+    // the most arena bytes.
+    let peak_nodes = load.iter().max().map_or(0, |&words| words / 2);
+    cluster
+        .metrics_mut()
+        .record_tree_bytes(&[ViewTree::arena_bytes_of(peak_nodes)]);
     Ok(())
 }
 

@@ -13,11 +13,13 @@
 //!   `NumPathsIn(map(root))` nodes — the size-control that lets
 //!   exponentiation fit in `n^δ` memory.
 //!
-//! The whole pass runs in [`PruneScratch`] — bottom-up sizes, the kept-child
-//! selection (a CSR of per-node kept runs, not a `Vec<Vec<u32>>`), the sort
-//! buffer, and the projection stack are all reusable buffers, so pruning a
-//! tree allocates nothing beyond the returned tree's own arena. Batch stages
-//! hand one scratch to each worker via [`StageExecutor::map_with`].
+//! The whole pass runs in [`PruneScratch`] — each node's children run
+//! (derived from the tree's `parent` column, since a tree stores no
+//! children), bottom-up sizes, the kept-child selection (a CSR of per-node
+//! kept runs, not a `Vec<Vec<u32>>`), the sort buffer, and the projection
+//! stack are all reusable buffers, so pruning a tree allocates nothing
+//! beyond the returned tree's own arena. Batch stages hand one scratch to
+//! each worker via [`StageExecutor::map_with`].
 //!
 //! Algorithm 1 is local: the pruned size of a node, and which of its children
 //! it keeps, depend only on its own subtree. So a tree with provider trees
@@ -49,6 +51,9 @@ pub(crate) struct PruneScratch {
 /// children each node keeps.
 #[derive(Debug, Default)]
 struct Plan {
+    /// Each node's children run `(first child, count)`: siblings are one
+    /// ascending id range, derived from the tree's `parent` column.
+    children: Vec<(u32, u32)>,
     /// Bottom-up pruned-subtree sizes.
     size: Vec<u64>,
     /// CSR runs over `kept_pool`: the children each node keeps.
@@ -81,7 +86,14 @@ impl Plan {
         presets: impl IntoIterator<Item = (NodeId, u64)>,
     ) -> u64 {
         let n = tree.len();
-        let (child_start, child_len, pool) = tree.child_cols();
+        // Counting every node into its parent's run, last node first, leaves
+        // each node's first child as the last write.
+        self.children.clear();
+        self.children.resize(n, (0, 0));
+        for (x, &p) in (1..n as u32).zip(&tree.parent_col()[1..]).rev() {
+            let run = &mut self.children[p as usize];
+            *run = (x, run.1 + 1);
+        }
         // Bulk-initialize every column to the collapse outcome (size 1, empty
         // kept run) with straight fills the compiler vectorizes; the scan
         // below only revisits the > k nodes. In a pruned-to-fixpoint batch
@@ -90,7 +102,10 @@ impl Plan {
         self.size.clear();
         self.size.resize(n, 1);
         for (leaf, size) in presets {
-            debug_assert_eq!(child_len[leaf as usize], 0, "preset {leaf} is not a leaf");
+            debug_assert_eq!(
+                self.children[leaf as usize].1, 0,
+                "preset {leaf} is not a leaf"
+            );
             self.size[leaf as usize] = size;
         }
         self.kept_start.clear();
@@ -101,15 +116,14 @@ impl Plan {
         // Arena ids are topologically ordered (parents precede children), so
         // a reverse scan is bottom-up.
         for x in (0..n).rev() {
-            let nc = child_len[x] as usize;
-            if nc <= k {
+            let (first, nc) = self.children[x];
+            if nc as usize <= k {
                 // Collapses to a single node — already the pre-filled state.
                 continue;
             }
             // Remove the k largest pruned child subtrees (ties by id).
-            let start = child_start[x] as usize;
             self.order.clear();
-            self.order.extend_from_slice(&pool[start..start + nc]);
+            self.order.extend(first..first + nc);
             let size = &self.size;
             self.order
                 .sort_unstable_by(|&a, &b| size[b as usize].cmp(&size[a as usize]).then(a.cmp(&b)));
@@ -391,12 +405,10 @@ mod tests {
                         "missing grew {before} -> {after} with k={k}"
                     );
                     // Match children by image.
-                    for &pc in p.children(pruned) {
+                    for pc in p.children(pruned) {
                         let image = p.vertex(pc);
                         let oc = t
                             .children(orig)
-                            .iter()
-                            .copied()
                             .find(|&c| t.vertex(c) == image)
                             .expect("pruned child must exist in original");
                         stack.push((oc, pc));

@@ -11,20 +11,16 @@
 //!
 //! # Arena layout
 //!
-//! The tree is a flat struct-of-arrays arena in **one exactly-sized heap
-//! block** of `u32`s: five node columns indexed by [`NodeId`] — `vertex`,
-//! `parent`, `depth`, `child_start`, `child_len`, each `len` long — followed
-//! by the `len − 1` slots of the children `pool`. The children of every node
-//! are one contiguous run of the pool, addressed CSR-style by
-//! `(child_start, child_len)`. Every constructor knows its final node count
-//! before it writes a node, so a tree costs one heap allocation whatever its
-//! size, cloning is one `memcpy`, and [`ViewTree::arena_bytes`] is exactly
-//! `4·(6·len − 1)` bytes. The wire content is just the `vertex` and `parent`
-//! columns (depths and children runs are reconstructible from parents in
-//! arena order); on the wire those two columns ship delta/varint-compressed
-//! ([`ViewTree::wire_words`]) — the topological order makes `parent`
-//! near-sorted, so the encoded stream is far smaller than the flat two words
-//! per node.
+//! A tree is its two wire columns in **one exactly-sized heap block** of
+//! `u32`s: `vertex | parent`, each `len` long and indexed by [`NodeId`].
+//! Every constructor knows its final node count before it writes a node, so
+//! a tree costs one heap allocation whatever its size, cloning is one
+//! `memcpy`, equality is block equality, and [`ViewTree::arena_bytes`] is
+//! exactly `8·len` bytes — the two words per node the residency checkpoints
+//! and the Lemma 4.1 gather meter. On the wire the same two columns ship
+//! delta/varint-compressed ([`ViewTree::wire_words`]): the topological order
+//! makes `parent` near-sorted, so the encoded stream is far smaller than the
+//! flat two words per node.
 //!
 //! Invariants maintained by every constructor ([`ViewTree::star`],
 //! [`ViewTree::attached_with`] and [`ViewTree::attach`], and the pruning
@@ -34,42 +30,32 @@
 //!   children's ids, so reverse index scans are bottom-up traversals
 //!   ([`ViewTree::subtree_sizes`]) and forward scans are top-down.
 //! * **Contiguous sibling blocks**: the children of a node occupy one
-//!   contiguous id range *and* one contiguous pool run, laid out in
-//!   construction order. Linear scans over the arena therefore visit whole
-//!   sibling groups in cache order — no pointer chasing.
-//! * **Live pool**: every pool slot belongs to exactly one node's run; the
-//!   pool holds exactly the `len − 1` non-root nodes, once each.
+//!   contiguous, ascending id range, laid out in construction order.
+//!
+//! So the shape follows from `parent` and is not stored: a node's depth is
+//! its parent's plus one, and its children are the run of ids whose parent
+//! it is. The kernels that read the shape derive it in scratch they own —
+//! Algorithm 1's plan the children runs, Algorithm 2's frontier collection
+//! depth and leafness ([`ViewTree::shape_into`]). The per-node accessors
+//! ([`ViewTree::children`], [`ViewTree::depth`],
+//! [`ViewTree::leaves_at_depth`], ...) scan or walk `parent` and are meant
+//! for tests and benches.
 //!
 //! Attachment never grows a block in place: it sizes the result first and
-//! builds it into a fresh block (an attachment target is a leaf, whose run
-//! is empty, so the source's runs copy over unchanged and the spliced runs
-//! fill the pool tail). The pruning projection grafts pruned subtrees onto
-//! kept leaves while it writes its result ([`ViewTree::project_csr`]), so an
-//! attachment that is only pruned is never built.
+//! splices into a fresh block (an attachment target is a leaf, so the
+//! spliced nodes append after the source's and keep their relative order).
+//! The pruning projection grafts pruned subtrees onto kept leaves while it
+//! writes its result ([`ViewTree::project_csr`]), so an attachment that is
+//! only pruned is never built.
 
 use dgo_graph::Graph;
+use std::ops::Range;
 
 /// Index of a node within a [`ViewTree`] arena.
 pub type NodeId = u32;
 
 /// Sentinel parent for the root.
 const NO_PARENT: u32 = u32::MAX;
-
-/// Block position of each node column (in units of `len`); the pool follows
-/// the last one.
-const VERTEX: usize = 0;
-const PARENT: usize = 1;
-const DEPTH: usize = 2;
-const CHILD_START: usize = 3;
-const CHILD_LEN: usize = 4;
-/// Number of node columns before the pool.
-const NODE_COLUMNS: usize = 5;
-
-/// Block length of a tree with `len ≥ 1` nodes: five node columns plus the
-/// `len − 1` pool slots.
-fn block_len(len: usize) -> usize {
-    (NODE_COLUMNS + 1) * len - 1
-}
 
 /// A rooted tree with a valid mapping into a graph (Definition 2.3).
 ///
@@ -92,51 +78,25 @@ fn block_len(len: usize) -> usize {
 /// t.assert_valid(&g);
 /// # Ok::<(), dgo_graph::GraphError>(())
 /// ```
-#[derive(Clone, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ViewTree {
-    /// `vertex | parent | depth | child_start | child_len | pool`: the five
-    /// node columns, `len` entries each (`parent` is `NO_PARENT` at the
-    /// root), then the `len − 1` pool slots holding the concatenated
-    /// children runs. Its length is always `6·len − 1`.
+    /// `vertex | parent`, `len` entries each (`parent` is `NO_PARENT` at the
+    /// root). Its length is always `2·len`.
     block: Box<[u32]>,
 }
 
-/// Mutable views of a block's six columns, for the constructors and for
-/// the grafts of a pruning projection ([`ViewTree::project_csr`]).
+/// Mutable views of a block's two columns, for the constructors and for the
+/// grafts of a pruning projection ([`ViewTree::project_csr`]).
 pub(crate) struct Columns<'a> {
     vertex: &'a mut [u32],
     parent: &'a mut [u32],
-    depth: &'a mut [u32],
-    child_start: &'a mut [u32],
-    child_len: &'a mut [u32],
-    pool: &'a mut [u32],
-}
-
-/// Trees compare by logical structure — per-node images, parents, depths, and
-/// children runs — independent of where runs happen to sit in the pool, so
-/// equal trees built through different operation sequences compare equal.
-impl PartialEq for ViewTree {
-    fn eq(&self, other: &Self) -> bool {
-        let n = self.len();
-        // vertex | parent | depth are the block's first three columns.
-        n == other.len()
-            && self.block[..CHILD_START * n] == other.block[..CHILD_START * n]
-            && self.column(CHILD_LEN) == other.column(CHILD_LEN)
-            && self
-                .node_ids()
-                .all(|x| self.children(x) == other.children(x))
-    }
 }
 
 impl std::fmt::Debug for ViewTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ViewTree")
-            .field("vertex", &self.column(VERTEX))
-            .field("parent", &self.column(PARENT))
-            .field("depth", &self.column(DEPTH))
-            .field("child_start", &self.column(CHILD_START))
-            .field("child_len", &self.column(CHILD_LEN))
-            .field("pool", &self.pool())
+            .field("vertex", &self.vertex_col())
+            .field("parent", &self.parent_col())
             .finish()
     }
 }
@@ -150,71 +110,36 @@ impl ViewTree {
     fn zeroed(len: usize) -> Self {
         debug_assert!(len >= 1, "a tree always has its root");
         ViewTree {
-            block: vec![0; block_len(len)].into_boxed_slice(),
+            block: vec![0; 2 * len].into_boxed_slice(),
         }
     }
 
-    /// Node column `c` (one of the column constants), `len` entries.
-    fn column(&self, c: usize) -> &[u32] {
-        let n = self.len();
-        &self.block[c * n..(c + 1) * n]
-    }
-
-    /// The children pool: the `len − 1` slots after the node columns.
-    fn pool(&self) -> &[u32] {
-        &self.block[NODE_COLUMNS * self.len()..]
-    }
-
-    /// All six columns, mutably.
+    /// Both columns, mutably.
     fn columns_mut(&mut self) -> Columns<'_> {
-        let n = self.len();
-        let (vertex, rest) = self.block.split_at_mut(n);
-        let (parent, rest) = rest.split_at_mut(n);
-        let (depth, rest) = rest.split_at_mut(n);
-        let (child_start, rest) = rest.split_at_mut(n);
-        let (child_len, pool) = rest.split_at_mut(n);
-        Columns {
-            vertex,
-            parent,
-            depth,
-            child_start,
-            child_len,
-            pool,
-        }
+        let (vertex, parent) = self.block.split_at_mut(self.block.len() / 2);
+        Columns { vertex, parent }
     }
 
     /// Single-node tree mapping the root to `vertex`.
     pub fn singleton(vertex: usize) -> Self {
-        let mut t = ViewTree::zeroed(1);
-        let c = t.columns_mut();
-        c.vertex[0] = vertex as u32;
-        c.parent[0] = NO_PARENT;
-        t
+        ViewTree::star(vertex, &[])
     }
 
     /// Initial exponentiation view: the root maps to `vertex`, with one child
     /// per (distinct) neighbor. The leaf images are copied straight from the
     /// caller's adjacency slice — no intermediate buffers.
     pub fn star(vertex: usize, neighbors: &[u32]) -> Self {
-        let deg = neighbors.len();
-        let mut t = ViewTree::zeroed(deg + 1);
+        let mut t = ViewTree::zeroed(neighbors.len() + 1);
         let c = t.columns_mut();
         c.vertex[0] = vertex as u32;
         c.vertex[1..].copy_from_slice(neighbors);
         c.parent[0] = NO_PARENT; // the leaves' parent, 0, is the zero fill
-        c.depth[1..].fill(1);
-        c.child_len[0] = deg as u32;
-        // Leaves: empty runs at the pool tail.
-        c.child_start[1..].fill(deg as u32);
-        for (slot, id) in c.pool.iter_mut().zip(1..) {
-            *slot = id;
-        }
         t
     }
 
     /// Number of tree nodes.
     pub fn len(&self) -> usize {
-        (self.block.len() + 1) / (NODE_COLUMNS + 1)
+        self.block.len() / 2
     }
 
     /// Whether the tree is empty (never true: a tree always has its root).
@@ -233,53 +158,78 @@ impl ViewTree {
     ///
     /// Panics if `x` is out of range.
     pub fn vertex(&self, x: NodeId) -> usize {
-        self.column(VERTEX)[x as usize] as usize
+        self.vertex_col()[x as usize] as usize
     }
 
-    /// Children of node `x`: one contiguous run of the shared pool.
-    pub fn children(&self, x: NodeId) -> &[u32] {
-        let start = self.column(CHILD_START)[x as usize] as usize;
-        &self.pool()[start..start + self.num_children(x)]
+    /// Children of node `x`: one contiguous, ascending id range (empty for
+    /// a leaf). Found by scanning `parent` past `x`, so it costs `O(len)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is out of range.
+    pub fn children(&self, x: NodeId) -> Range<NodeId> {
+        let after = &self.parent_col()[x as usize + 1..];
+        let skipped = after.iter().take_while(|&&p| p != x).count();
+        let run = after[skipped..].iter().take_while(|&&p| p == x).count();
+        let first = x + 1 + skipped as u32;
+        first..first + run as u32
     }
 
-    /// Number of children of node `x`, without touching the pool.
+    /// Number of children of node `x`: the length of
+    /// [`ViewTree::children`], at its `O(len)` cost.
     pub fn num_children(&self, x: NodeId) -> usize {
-        self.column(CHILD_LEN)[x as usize] as usize
+        self.children(x).len()
     }
 
     /// Parent of node `x`, or `None` for the root.
     pub fn parent(&self, x: NodeId) -> Option<NodeId> {
-        let p = self.column(PARENT)[x as usize];
+        let p = self.parent_col()[x as usize];
         (p != NO_PARENT).then_some(p)
     }
 
-    /// Depth of node `x` (root has depth 0).
+    /// Depth of node `x` (root has depth 0), by walking `parent` up to the
+    /// root: `O(depth)`.
     pub fn depth(&self, x: NodeId) -> u32 {
-        self.column(DEPTH)[x as usize]
+        std::iter::successors(self.parent(x), |&p| self.parent(p)).count() as u32
     }
 
     /// Ids of all nodes, root first, in topological (parents-first) order —
     /// the arena order all constructors maintain.
-    pub fn node_ids(&self) -> std::ops::Range<NodeId> {
+    pub fn node_ids(&self) -> Range<NodeId> {
         0..self.len() as u32
     }
 
-    /// Leaves (childless nodes) whose depth is exactly `d`, in id order, as a
-    /// borrowing iterator — one linear scan over two arena columns, no
-    /// allocation. Collect into a reusable buffer when a materialized list is
-    /// needed.
-    pub fn leaves_at_depth(&self, d: u32) -> impl Iterator<Item = NodeId> + '_ {
-        self.column(DEPTH)
-            .iter()
-            .zip(self.column(CHILD_LEN))
-            .enumerate()
-            .filter(move |&(_, (&depth, &nc))| depth == d && nc == 0)
-            .map(|(x, _)| x as u32)
+    /// Leaves (childless nodes) whose depth is exactly `d`, in id order. The
+    /// depths and leafness are derived first, in one pass over `parent` into
+    /// a fresh `len`-entry buffer, so each call costs `O(len)` time and one
+    /// allocation.
+    pub fn leaves_at_depth(&self, d: u32) -> impl Iterator<Item = NodeId> {
+        let mut shape = Vec::new();
+        self.shape_into(&mut shape);
+        (0..)
+            .zip(shape)
+            .filter_map(move |(x, s)| (s == (d, true)).then_some(x))
+    }
+
+    /// The shape of every node, `(depth, is_leaf)` in id order, written into
+    /// `shape` (cleared and refilled): one pass over `parent`, which lists
+    /// every parent before its children. The scratch form of
+    /// [`ViewTree::leaves_at_depth`], for kernels that own a reusable
+    /// buffer.
+    pub(crate) fn shape_into(&self, shape: &mut Vec<(u32, bool)>) {
+        shape.clear();
+        shape.resize(self.len(), (0, true));
+        for (x, &p) in (1..).zip(&self.parent_col()[1..]) {
+            let p = p as usize;
+            shape[p].1 = false;
+            shape[x].0 = shape[p].0 + 1;
+        }
     }
 
     /// Number of *missing neighbors* of node `x` (Definition 2.6):
     /// `|N(map(x))| - |children(x)|`. Valid mappings make children map to
-    /// distinct neighbors, so the count is pure arithmetic.
+    /// distinct neighbors, so the count is arithmetic on
+    /// [`ViewTree::num_children`], at its `O(len)` cost.
     ///
     /// # Panics
     ///
@@ -293,12 +243,10 @@ impl ViewTree {
     /// have larger arena indices than their parent, so a reverse index scan
     /// is a valid bottom-up order.
     pub fn subtree_sizes(&self) -> Vec<u32> {
-        let n = self.len();
-        let mut sizes = vec![1u32; n];
-        for x in (0..n).rev() {
-            for &c in self.children(x as u32) {
-                sizes[x] += sizes[c as usize];
-            }
+        let parent = self.parent_col();
+        let mut sizes = vec![1u32; self.len()];
+        for x in (1..parent.len()).rev() {
+            sizes[parent[x] as usize] += sizes[x];
         }
         sizes
     }
@@ -307,32 +255,19 @@ impl ViewTree {
     /// arena (topological) order. Crate-internal raw view for the wire size
     /// and the branch-light stage kernels.
     pub(crate) fn vertex_col(&self) -> &[u32] {
-        self.column(VERTEX)
+        &self.block[..self.len()]
     }
 
     /// The `parent` column in arena order (`NO_PARENT` at index 0).
     /// Topological order makes every entry past the root smaller than its
     /// index — the near-sorted shape the delta codec exploits.
     pub(crate) fn parent_col(&self) -> &[u32] {
-        self.column(PARENT)
-    }
-
-    /// The CSR children structure `(child_start, child_len, pool)` as raw
-    /// columns, for kernels that scan whole sibling groups without the
-    /// per-node [`ViewTree::children`] slice construction.
-    pub(crate) fn child_cols(&self) -> (&[u32], &[u32], &[u32]) {
-        (
-            self.column(CHILD_START),
-            self.column(CHILD_LEN),
-            self.pool(),
-        )
+        &self.block[self.len()..]
     }
 
     /// Words this tree costs on the wire under the *flat* model: two per node
-    /// (vertex image + parent pointer — the `vertex` and `parent` columns
-    /// verbatim; depths and children runs are reconstructible from parents in
-    /// arena order). The baseline [`ViewTree::wire_words`] is compared
-    /// against.
+    /// (vertex image + parent pointer — the block's two columns verbatim).
+    /// The baseline [`ViewTree::wire_words`] is compared against.
     pub fn flat_wire_words(&self) -> usize {
         2 * self.len()
     }
@@ -349,18 +284,16 @@ impl ViewTree {
     }
 
     /// Resident heap bytes of the arena (by length, so the figure is
-    /// deterministic across allocator behavior): five `u32` columns per node
-    /// plus one `u32` pool slot per child — the whole block, `20·len +
-    /// 4·(len − 1)`.
+    /// deterministic across allocator behavior): the two `u32` columns,
+    /// `8·len`.
     pub fn arena_bytes(&self) -> usize {
         std::mem::size_of::<u32>() * self.block.len()
     }
 
-    /// The summed [`arena_bytes`](ViewTree::arena_bytes) of `trees` trees
-    /// with `nodes` nodes altogether: the figure is affine in the node
-    /// count, so it depends on the two totals alone.
-    pub(crate) fn arena_bytes_of(nodes: usize, trees: usize) -> usize {
-        std::mem::size_of::<u32>() * ((NODE_COLUMNS + 1) * nodes - trees)
+    /// The summed [`arena_bytes`](ViewTree::arena_bytes) of trees with
+    /// `nodes` nodes altogether.
+    pub(crate) fn arena_bytes_of(nodes: usize) -> usize {
+        2 * std::mem::size_of::<u32>() * nodes
     }
 
     /// Attaches pruned subtrees at the given leaves (Definition 2.5): each
@@ -405,40 +338,23 @@ impl ViewTree {
 
     /// The shared body of [`ViewTree::attach`] and
     /// [`ViewTree::attached_with`]: one sizing pass over `replacements`, one
-    /// block, `source` copied column by column, then every replacement
-    /// spliced in order.
+    /// block, and the splice ([`splice_into`]) into its two columns.
     fn attached<'t, I>(source: &ViewTree, replacements: I) -> Self
     where
         I: Iterator<Item = (NodeId, &'t ViewTree)> + Clone,
     {
-        let n = source.len();
-        let grown: usize = replacements.clone().map(|(_, t)| t.len() - 1).sum();
-        let mut out = ViewTree::zeroed(n + grown);
-        let mut c = out.columns_mut();
-        for (dst, c_id) in [
-            (&mut *c.vertex, VERTEX),
-            (&mut *c.parent, PARENT),
-            (&mut *c.depth, DEPTH),
-            (&mut *c.child_start, CHILD_START),
-            (&mut *c.child_len, CHILD_LEN),
-        ] {
-            dst[..n].copy_from_slice(source.column(c_id));
-        }
-        c.pool[..n - 1].copy_from_slice(source.pool());
-        let mut next = n as u32;
-        for (leaf, subtree) in replacements {
-            next = c.splice(next, leaf, subtree);
-        }
-        debug_assert_eq!(next as usize, n + grown, "sizing pass and splices disagree");
+        let mut out = ViewTree::zeroed(attached_len(source, replacements.clone()));
+        let c = out.columns_mut();
+        splice_into(source, replacements, c.vertex, c.parent);
         out
     }
 
     /// The `vertex` and `parent` columns of
     /// [`ViewTree::attached_with`]`(source, leaves, provider)`, written into
     /// `vertex` and `parent` (cleared and refilled) without building the
-    /// tree: same node order, same remapped parents. These are the only
+    /// tree: the same splice into reusable buffers. These are the only
     /// columns Algorithm 3 reads, so a last attachment that only gets peeled
-    /// fills these two reusable buffers instead of allocating a tree.
+    /// fills these two buffers instead of allocating a tree.
     pub(crate) fn attached_columns_into<'t, F>(
         source: &ViewTree,
         leaves: &[NodeId],
@@ -448,20 +364,13 @@ impl ViewTree {
     ) where
         F: Fn(NodeId) -> &'t ViewTree,
     {
-        vertex.clear();
-        parent.clear();
-        vertex.extend_from_slice(source.vertex_col());
-        parent.extend_from_slice(source.parent_col());
-        for &leaf in leaves {
-            let subtree = provider(leaf);
-            let next = vertex.len() as u32;
-            vertex.extend_from_slice(&subtree.vertex_col()[1..]);
-            parent.extend(
-                subtree.parent_col()[1..]
-                    .iter()
-                    .map(|&p| spliced_id(p, leaf, next)),
-            );
+        let replacements = leaves.iter().map(|&leaf| (leaf, provider(leaf)));
+        let len = attached_len(source, replacements.clone());
+        for column in [&mut *vertex, &mut *parent] {
+            column.clear();
+            column.resize(len, 0);
         }
+        splice_into(source, replacements, vertex, parent);
     }
 
     /// Builds the tree, retaining only the child edges in `kept`'s run for
@@ -494,110 +403,96 @@ impl ViewTree {
     }
 
     /// Verifies the valid-mapping invariants (Definition 2.3) plus the arena
-    /// invariants (parent/child symmetry, depths, topological order, live
-    /// pool). Intended for tests.
+    /// invariants (block size, a single root, every parent before its
+    /// children, every children run one contiguous id range). The runs are
+    /// derived once, in linear time. Intended for tests.
     ///
     /// # Panics
     ///
     /// Panics with a description of the first violated invariant.
     pub fn assert_valid(&self, graph: &Graph) {
-        assert!(!self.is_empty(), "tree must have a root");
-        assert_eq!(
-            self.block.len(),
-            block_len(self.len()),
-            "the block holds five node columns and the pool"
-        );
-        assert_eq!(self.column(PARENT)[0], NO_PARENT, "root has no parent");
-        assert_eq!(self.depth(ViewTree::ROOT), 0, "root depth is 0");
-        let total_children: usize = self.column(CHILD_LEN).iter().map(|&c| c as usize).sum();
-        assert_eq!(
-            total_children,
-            self.len() - 1,
-            "every non-root node is exactly one parent's child"
-        );
-        assert_eq!(
-            self.pool().len(),
-            total_children,
-            "pool must hold exactly the live children runs"
-        );
-        let mut images: Vec<u32> = Vec::new();
-        for x in self.node_ids() {
-            // Children: larger ids (topological order), distinct images,
-            // adjacency in the graph.
-            images.clear();
-            for &c in self.children(x) {
-                assert!(c > x, "child {c} must follow its parent {x}");
-                assert_eq!(self.parent(c), Some(x), "parent/child symmetry at {c}");
-                assert_eq!(self.depth(c), self.depth(x) + 1, "depth bookkeeping at {c}");
-                assert!(
-                    graph.has_edge(self.vertex(x), self.vertex(c)),
-                    "tree edge ({}, {}) maps to a non-edge ({}, {})",
-                    x,
-                    c,
-                    self.vertex(x),
-                    self.vertex(c)
-                );
-                images.push(self.vertex(c) as u32);
+        let n = self.len();
+        assert!(n >= 1, "tree must have a root");
+        assert_eq!(self.block.len(), 2 * n, "the block holds the two columns");
+        let (vertex, parent) = (self.vertex_col(), self.parent_col());
+        assert_eq!(parent[0], NO_PARENT, "root has no parent");
+        // Each node's children run `(first, len)`, in one forward pass.
+        let mut runs = vec![(0u32, 0u32); n];
+        for (x, &p) in (1..).zip(&parent[1..]) {
+            assert!(p < x, "parent {p} of node {x} must precede it");
+            let (first, len) = &mut runs[p as usize];
+            if *len == 0 {
+                *first = x;
             }
+            assert_eq!(*first + *len, x, "children of {p} are not one id range");
+            *len += 1;
+            let (u, w) = (vertex[p as usize] as usize, vertex[x as usize] as usize);
+            assert!(
+                graph.has_edge(u, w),
+                "tree edge ({p}, {x}) maps to a non-edge ({u}, {w})"
+            );
+        }
+        let mut images: Vec<u32> = Vec::new();
+        for (x, &(first, len)) in runs.iter().enumerate() {
+            images.clear();
+            images.extend_from_slice(&vertex[first as usize..(first + len) as usize]);
             images.sort_unstable();
-            let len_before = images.len();
             images.dedup();
             assert_eq!(
                 images.len(),
-                len_before,
+                len as usize,
                 "children of {x} map to duplicate vertices"
             );
         }
     }
 }
 
-impl Columns<'_> {
-    /// Splices `subtree` onto `leaf` (which is the copy of the subtree's
-    /// root: same image, same parent edge), writing the subtree's non-root
-    /// nodes at ids `next..` in arena order and their runs at the pool tail
-    /// (`next − 1`), then points the leaf at the remapped run of the subtree
-    /// root. Returns the next free node id. No pool slot goes dead: the
-    /// leaf's run was empty.
-    fn splice(&mut self, next: u32, leaf: NodeId, subtree: &ViewTree) -> u32 {
-        debug_assert_eq!(
-            self.child_len[leaf as usize], 0,
+/// Node count of `source` with every `(leaf, subtree)` of `replacements`
+/// spliced in: a spliced subtree adds all of its nodes but its root.
+fn attached_len<'t>(
+    source: &ViewTree,
+    replacements: impl Iterator<Item = (NodeId, &'t ViewTree)>,
+) -> usize {
+    source.len() + replacements.map(|(_, t)| t.len() - 1).sum::<usize>()
+}
+
+/// Writes `source` with every `(leaf, subtree)` of `replacements` attached
+/// (Definition 2.5) into `vertex` and `parent`, which are exactly as long as
+/// the result: `source`'s two columns, then each subtree's non-root nodes in
+/// arena order, in the order of `replacements`. The leaf is the copy of the
+/// subtree's root (same image, same parent edge), so the subtree's other
+/// ids shift by one constant ([`spliced_id`]).
+fn splice_into<'t>(
+    source: &ViewTree,
+    replacements: impl Iterator<Item = (NodeId, &'t ViewTree)>,
+    vertex: &mut [u32],
+    parent: &mut [u32],
+) {
+    let n = source.len();
+    vertex[..n].copy_from_slice(source.vertex_col());
+    parent[..n].copy_from_slice(source.parent_col());
+    let mut next = n;
+    for (leaf, subtree) in replacements {
+        debug_assert!(
+            !source.parent_col().contains(&leaf),
             "attachment target {leaf} is not a leaf"
         );
         debug_assert_eq!(
-            self.vertex[leaf as usize] as usize,
+            source.vertex(leaf),
             subtree.root_vertex(),
             "replacement root must map to the leaf's vertex (Def 2.5)"
         );
-        let base = next as usize;
-        let added = subtree.len() - 1;
-        let base_depth = self.depth[leaf as usize];
-        // Children are never the subtree root, so pool entries remap
-        // without the root case.
-        let remap = |x: u32| spliced_id(x, leaf, next);
-        self.vertex[base..base + added].copy_from_slice(&subtree.vertex_col()[1..]);
-        let parents = &subtree.parent_col()[1..];
-        let depths = &subtree.column(DEPTH)[1..];
-        for (i, (&p, &d)) in parents.iter().zip(depths).enumerate() {
-            self.parent[base + i] = remap(p);
-            self.depth[base + i] = base_depth + d;
+        let end = next + subtree.len() - 1;
+        vertex[next..end].copy_from_slice(&subtree.vertex_col()[1..]);
+        for (slot, &p) in parent[next..end].iter_mut().zip(&subtree.parent_col()[1..]) {
+            *slot = spliced_id(p, leaf, next as u32);
         }
-        // Children runs, in subtree node order: the root's run lands on the
-        // leaf, every other node gets a fresh run at the pool tail.
-        let (starts, lens, pool) = subtree.child_cols();
-        let mut tail = base - 1;
-        for (x, (&start, &len)) in (0..).zip(starts.iter().zip(lens)) {
-            let id = remap(x) as usize;
-            let run = &pool[start as usize..(start + len) as usize];
-            self.child_start[id] = tail as u32;
-            self.child_len[id] = len;
-            for (slot, &child) in self.pool[tail..tail + run.len()].iter_mut().zip(run) {
-                *slot = next + child - 1;
-            }
-            tail += run.len();
-        }
-        next + added as u32
+        next = end;
     }
+    debug_assert_eq!(next, vertex.len(), "sizing pass and splices disagree");
+}
 
+impl Columns<'_> {
     /// Projects `source` through `kept` onto the written node `root`, whose
     /// image is `source`'s root image: `root`'s kept descendants get ids
     /// `next..` in expansion order, as [`ViewTree::project_csr`] describes
@@ -614,8 +509,8 @@ impl Columns<'_> {
     ) -> u32 {
         let vertex = source.vertex_col();
         // Nodes are numbered in expansion order; each expansion fills the
-        // next ids and the matching pool slots, so the pool tail is always
-        // one behind the node count.
+        // next ids with one node's kept children, so siblings stay one
+        // contiguous id range.
         stack.clear();
         stack.push((ViewTree::ROOT, root)); // (old id, new id)
         while let Some((old, new)) = stack.pop() {
@@ -624,19 +519,12 @@ impl Columns<'_> {
                 next = graft(self, old, new, next);
                 continue;
             }
-            let depth = self.depth[new as usize] + 1;
             let first = next;
             next += run.len() as u32;
-            self.child_start[new as usize] = first - 1;
-            self.child_len[new as usize] = run.len() as u32;
             for (new_child, &old_child) in (first..next).zip(run) {
                 let i = new_child as usize;
-                self.pool[i - 1] = new_child;
                 self.vertex[i] = vertex[old_child as usize];
                 self.parent[i] = new;
-                self.depth[i] = depth;
-                // Leaves: empty runs at the pool tail.
-                self.child_start[i] = next - 1;
                 stack.push((old_child, new_child));
             }
         }
@@ -842,13 +730,9 @@ mod tests {
 
     #[test]
     fn equality_across_construction_paths() {
-        // The same logical tree built via clone-free splicing
-        // (`attached_with`) and via in-place `attach` must compare equal —
-        // equality is the logical per-node structure, per the documented
-        // `PartialEq` contract (pool offsets are excluded from the
-        // comparison; current constructors happen to place runs identically
-        // for identical splice sequences, so the exclusion is
-        // future-proofing) — and unequal trees must not.
+        // The same tree built via clone-free splicing (`attached_with`) and
+        // via in-place `attach` must compare equal — equality is equality of
+        // the two columns — and unequal trees must not.
         let g = path_graph(3);
         let sub = ViewTree::star(1, &[0, 2]);
         let mut a = ViewTree::star(0, &[1]);
@@ -871,8 +755,8 @@ mod tests {
         // the flat figure.
         assert_eq!(t.wire_words(), 1);
         assert!(t.wire_words() <= t.flat_wire_words());
-        // 4 nodes × 5 columns × 4 bytes + 3 pool slots × 4 bytes.
-        assert_eq!(t.arena_bytes(), 4 * 5 * 4 + 3 * 4);
+        // 4 nodes × 2 columns × 4 bytes.
+        assert_eq!(t.arena_bytes(), 4 * 2 * 4);
         assert_eq!(t.num_children(ViewTree::ROOT), 3);
         assert_eq!(t.num_children(1), 0);
     }

@@ -19,9 +19,10 @@
 //!   parent (starting from 0), sign-folded so small negative steps stay
 //!   small: `zigzag(d) = (d << 1) ^ (d >> 63)`.
 //!
-//! Depths and the children CSR never ship: they follow from the parent
-//! column, because [`ViewTree`]'s sibling runs are ascending contiguous id
-//! ranges. The algorithm only ever needs the stream's length, so only the
+//! The two columns are the whole of a [`ViewTree`]: depths and children
+//! are not stored but derived from `parent` where they are read, because
+//! ids are topological and every sibling run is an ascending contiguous id
+//! range. The algorithm only ever needs the stream's length, so only the
 //! length is computed here ([`encoded_words`], charged through
 //! [`ViewTree::wire_words`]). The `wire_codec` conformance suite holds an
 //! encoder and a strict decoder for the format, which show that this length

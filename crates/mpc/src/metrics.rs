@@ -34,9 +34,10 @@ pub struct Metrics {
     /// (the *global memory* actually used).
     pub peak_global_memory: usize,
     /// Peak resident view-tree arena bytes on any *simulated machine* (the
-    /// flat-arena component of the certified words: the `ViewTree` columns +
-    /// children pool balanced over machines at the exponentiation
-    /// checkpoints). A per-machine figure like
+    /// flat-arena component of the certified words: the `ViewTree` blocks,
+    /// two `u32` columns per tree, balanced over machines at the
+    /// exponentiation checkpoints — 4 bytes per metered tree word). A
+    /// per-machine figure like
     /// [`peak_machine_memory`](Metrics::peak_machine_memory) — concurrent
     /// instances occupy disjoint machine sets, so both merge directions take
     /// the max (it is *not* a summed host-wide total). Zero for algorithms

@@ -110,7 +110,7 @@ fn partial_layer_assignment_metrics_are_pinned() {
             round_log_digest: 16_141_075_492_424_634_349,
             peak_machine_memory: 133,
             peak_global_memory: 61_190,
-            peak_tree_bytes: 1_556,
+            peak_tree_bytes: 520,
             violations: 0,
         }
     );
@@ -140,7 +140,7 @@ fn approximate_coreness_metrics_are_pinned() {
             round_log_digest: 14_695_981_039_346_656_037,
             peak_machine_memory: 34,
             peak_global_memory: 279_630,
-            peak_tree_bytes: 356,
+            peak_tree_bytes: 120,
             violations: 0,
         }
     );
@@ -200,7 +200,7 @@ fn complete_layering_with_fallback_is_pinned() {
             round_log_digest: 606_813_836_435_427_324,
             peak_machine_memory: 34,
             peak_global_memory: 63_324,
-            peak_tree_bytes: 356,
+            peak_tree_bytes: 120,
             violations: 0,
         }
     );
@@ -287,7 +287,7 @@ fn orient_single_graph_path_with_stage_two_is_pinned() {
             round_log_digest: 13_605_105_197_559_445_424,
             peak_machine_memory: 37,
             peak_global_memory: 47_139,
-            peak_tree_bytes: 380,
+            peak_tree_bytes: 128,
             violations: 0,
         }
     );
@@ -431,7 +431,7 @@ fn partial_layer_assignment_on_narrow_relaxed_clusters_is_pinned() {
                     round_log_digest: 5_711_466_140_278_851_155,
                     peak_machine_memory: 456,
                     peak_global_memory: 23_992,
-                    peak_tree_bytes: 4_640,
+                    peak_tree_bytes: 1_560,
                     violations: 0,
                 }
             ),
@@ -447,7 +447,7 @@ fn partial_layer_assignment_on_narrow_relaxed_clusters_is_pinned() {
                     round_log_digest: 13_786_699_049_205_869_251,
                     peak_machine_memory: 3_478,
                     peak_global_memory: 23_968,
-                    peak_tree_bytes: 34_192,
+                    peak_tree_bytes: 11_512,
                     violations: 21,
                 }
             ),

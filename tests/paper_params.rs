@@ -4,8 +4,12 @@
 //! of any produced layering holds structurally (Claim 3.12; see "What the
 //! reproduction checks" in PAPER.md).
 
-use dgo::core::{color, complete_layering, orient, Params};
-use dgo::graph::generators::{clique, gnm, random_tree};
+use dgo::core::{
+    color, complete_layering, exponentiate_and_prune_staged, orient, Params, StageExecutor,
+    ViewTree,
+};
+use dgo::graph::generators::{clique, gnm, random_tree, star};
+use dgo::mpc::{Cluster, ClusterConfig};
 
 #[test]
 fn paper_preset_orients_correctly() {
@@ -68,4 +72,25 @@ fn paper_steps_past_32_keep_the_frontier_depth_in_range() {
     out.layering
         .validate(&g, out.layering.out_degree_bound(&g).unwrap())
         .unwrap();
+}
+
+#[test]
+fn paper_steps_past_32_keep_a_live_tree_off_the_frontier() {
+    // The test above ends with singleton trees long before step 32. Here
+    // the hub of star(200) at k = 1 and B = 2¹⁶ stays active through all 40
+    // steps: each prune drops one of its leaves, and its leaves' trees are
+    // singletons, so only step 1 attaches anything (at depth 1). From step
+    // 32 on the frontier depth is 2³¹ or saturated, and the hub's internal
+    // root must still not count as a frontier leaf.
+    let g = star(200);
+    let run = |steps| {
+        let mut cluster = Cluster::new(ClusterConfig::new(256, 1 << 12));
+        let stage = StageExecutor::sequential();
+        let r = exponentiate_and_prune_staged(&g, 1 << 16, 1, steps, &mut cluster, &stage).unwrap();
+        (r, cluster.metrics().bundle_flat_words)
+    };
+    let (r, bundle_words) = run(40);
+    assert!(r.active[0], "the hub stays active");
+    assert_eq!(r.trees[0], ViewTree::star(0, &g.neighbors(0)[40..]));
+    assert_eq!(bundle_words, run(2).1, "nothing attaches after step 1");
 }

@@ -109,14 +109,16 @@ fn be08_peel_violation(g: &Graph, r: &PeelingResult, max_layers: u64) -> Option<
 }
 
 /// The layout contract every `ViewTree` constructor keeps: a valid mapping
-/// and valid arena, one block of `20·len + 4·(len − 1)` bytes, a clone equal
-/// to the original, and a shape that the two wire columns (`vertex` and
-/// `parent`) determine: every depth is its parent's plus one, and every
-/// children run is the ascending list of the ids whose parent it is.
+/// and valid arena, one block of `8·len` bytes (the two wire columns,
+/// `vertex` and `parent`), a clone equal to the original, and a shape that
+/// those two columns determine: every depth is its parent's plus one, every
+/// children range is the ascending, contiguous list of the ids whose parent
+/// it is, and `leaves_at_depth` lists exactly the childless nodes at each
+/// depth, none at a frontier depth past every tree (`2³¹`, `u32::MAX`).
 fn assert_layout_contract(t: &ViewTree, g: &Graph) {
     t.assert_valid(g);
     let len = t.len();
-    assert_eq!(t.arena_bytes(), 20 * len + 4 * (len - 1), "arena bytes");
+    assert_eq!(t.arena_bytes(), 8 * len, "arena bytes");
     assert_eq!(&t.clone(), t, "clone");
     let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); len];
     for x in t.node_ids().skip(1) {
@@ -127,7 +129,24 @@ fn assert_layout_contract(t: &ViewTree, g: &Graph) {
     }
     assert_eq!(t.depth(ViewTree::ROOT), 0, "root depth");
     for x in t.node_ids() {
-        assert_eq!(t.children(x), children[x as usize], "children of node {x}");
+        let range = t.children(x);
+        let ids: Vec<NodeId> = range.clone().collect();
+        assert_eq!(ids, children[x as usize], "children of node {x}");
+        assert_eq!(t.num_children(x), range.len(), "child count of node {x}");
+    }
+    // Reference depths walk the parents up to the root.
+    let walked: Vec<u32> = t
+        .node_ids()
+        .map(|x| std::iter::successors(t.parent(x), |&p| t.parent(p)).count() as u32)
+        .collect();
+    let deepest = walked.iter().copied().max().unwrap_or(0);
+    for d in (0..=deepest).chain([1 << 31, u32::MAX]) {
+        let reference: Vec<NodeId> = t
+            .node_ids()
+            .filter(|&x| walked[x as usize] == d && children[x as usize].is_empty())
+            .collect();
+        let leaves: Vec<NodeId> = t.leaves_at_depth(d).collect();
+        assert_eq!(leaves, reference, "leaves at depth {d}");
     }
 }
 
