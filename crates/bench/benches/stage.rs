@@ -16,10 +16,11 @@ use criterion::{BenchmarkId, Criterion};
 use dgo_bench::report::{peak_rss_bytes, quick_mode, BenchLeg, BenchReport};
 use dgo_core::stage::StageExecutor;
 use dgo_core::{
-    exponentiate_and_prune_staged, local_prune_batch, num_paths_in_staged,
+    combine_tree_layers, exponentiate_and_prune_staged, local_prune_batch, num_paths_in_staged,
     partial_layer_assignment_staged, partial_layer_assignment_trees, ViewTree,
 };
 use dgo_graph::generators::gnm;
+use dgo_graph::UNASSIGNED;
 use dgo_mpc::{Cluster, ClusterConfig};
 
 const BUDGET: usize = 256;
@@ -138,7 +139,8 @@ fn bench_stage(c: &mut Criterion, report: &mut BenchReport) {
 /// The branch-light stage kernels in isolation — `LocalPrune` plan/project,
 /// the Algorithm 3 peel, the per-layer path-count refill — plus the wire
 /// size of a bundle (`ViewTree::wire_words`), so its overhead is metered as
-/// its own leg instead of hiding inside the exponentiation step.
+/// its own leg instead of hiding inside the exponentiation step, and
+/// Algorithm 4's min-combine of the trees' proposals.
 fn bench_kernels(c: &mut Criterion, report: &mut BenchReport) {
     let n: usize = if quick() { 2_000 } else { 12_000 };
     let g = gnm(n, 5 * n, 17);
@@ -192,6 +194,35 @@ fn bench_kernels(c: &mut Criterion, report: &mut BenchReport) {
         |b, trees| b.iter(|| -> usize { trees.iter().map(ViewTree::wire_words).sum() }),
     );
     record_kernel_leg(report, 1, wire_total, 0);
+
+    // Min-combine leg: Algorithm 4's last step on the trees' Algorithm 3
+    // proposals at its cap `(s+1)·k`, flattened tree by tree in node order.
+    // The combine takes the proposals by value, so each pass copies them.
+    let a = (STEPS as usize + 1) * K;
+    let node_layers = partial_layer_assignment_trees(&g, &trees, a, LAYERS, &executors[0].1);
+    let proposals: Vec<(u64, u32)> = trees
+        .iter()
+        .zip(&node_layers)
+        .flat_map(|(tree, layers)| {
+            tree.node_ids()
+                .zip(layers)
+                .filter(|&(_, &layer)| layer != UNASSIGNED)
+                .map(|(x, &layer)| (tree.vertex(x) as u64, layer))
+        })
+        .collect();
+    let combine_words = {
+        let mut cluster = cluster_for(n);
+        combine_tree_layers(n, proposals.clone(), &mut cluster).expect("fits");
+        cluster.metrics().total_comm_words
+    };
+    group.bench_with_input(
+        BenchmarkId::new("min_combine", "jobs1"),
+        &proposals,
+        |b, proposals| {
+            b.iter(|| combine_tree_layers(n, proposals.clone(), &mut cluster_for(n)).expect("fits"))
+        },
+    );
+    record_kernel_leg(report, 1, combine_words, 0);
     group.finish();
 }
 

@@ -19,17 +19,20 @@ use crate::error::{CoreError, Result};
 use crate::exponentiate::exponentiate_pending;
 use crate::stage::StageExecutor;
 use dgo_graph::{Graph, LayerAssignment, UNASSIGNED};
-use dgo_mpc::primitives::aggregate_by_key;
-use dgo_mpc::{ExecutionBackend, PerMachine};
+use dgo_mpc::primitives::min_by_key;
+use dgo_mpc::ExecutionBackend;
 
 /// Min-combines per-tree layer assignments into a graph-wide partial layer
 /// assignment (the final step of Algorithm 4), metered as one MPC
 /// aggregation round.
 ///
 /// `proposals` holds `(vertex, layer)` pairs: vertices below `n`, finite
-/// layers `1..UNASSIGNED`. Proposal `i` starts on machine `i mod M`, so only
-/// the first `min(P, M)` machines hold any, and the round's host cost
-/// follows the `P` proposals rather than the machine count.
+/// layers `1..UNASSIGNED`. Proposal `i` starts on machine `i mod M`; each
+/// machine sends one record per distinct vertex it holds to the vertex's
+/// home machine. [`min_by_key`] counts that round instead of routing it, so
+/// the host cost is `O(P + n)`, whatever the machine count, and the
+/// minima it keeps are the layering: a vertex no proposal names keeps
+/// `u32::MAX`, which is [`UNASSIGNED`].
 ///
 /// # Errors
 ///
@@ -54,26 +57,8 @@ pub fn combine_tree_layers<B: ExecutionBackend>(
             vertices: n,
         });
     }
-    let machines = cluster.num_machines();
-    // Proposals originate wherever the owning tree lives; spread them
-    // round-robin, proposal `i` on machine `i mod M`, straight into the flat
-    // per-machine buffer. The machines past the first `P` stay implicit.
-    let mut per_machine = PerMachine::with_capacity(machines, proposals.len());
-    for machine in 0..machines.min(proposals.len()) {
-        per_machine.push_machine(
-            proposals
-                .iter()
-                .skip(machine)
-                .step_by(machines)
-                .map(|&(v, layer)| (v, u64::from(layer))),
-        );
-    }
-    let combined = aggregate_by_key(cluster, per_machine, u64::min)?;
-    let mut layering = LayerAssignment::unassigned(n);
-    for &(v, layer) in combined.items() {
-        layering.set_layer(v as usize, layer as u32);
-    }
-    Ok(layering)
+    let layers = min_by_key(cluster, &proposals, n)?;
+    Ok(LayerAssignment::new(layers)?)
 }
 
 /// Output of Algorithm 4.
@@ -91,10 +76,11 @@ pub struct PartialAssignmentResult {
 /// Algorithm 2's steps, Algorithm 3's per-tree peeling, and the proposal
 /// collection — running as data-parallel [`StageExecutor`] stages. The
 /// proposals are peeled in parallel over the exponentiated trees into flat
-/// per-chunk buffers, concatenated in vertex order before the min-combine
-/// charges the backend, so layerings and metrics are bit-identical at any
-/// thread count. The trees of Algorithm 2's last step are peeled in place
-/// and never built (see the module docs); the result equals running
+/// per-chunk buffers and concatenated in vertex order, the order that
+/// places them on machines for the min-combine's counted round, so
+/// layerings and metrics are bit-identical at any thread count. The trees
+/// of Algorithm 2's last step are peeled in place and never built (see the
+/// module docs); the result equals running
 /// [`exponentiate_and_prune_staged`](crate::exponentiate_and_prune_staged),
 /// [`partial_layer_assignment_trees`](crate::partial_layer_assignment_trees)
 /// and [`combine_tree_layers`] in turn on one backend.

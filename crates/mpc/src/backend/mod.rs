@@ -5,7 +5,9 @@
 //! deterministic single-threaded metering simulator. Round charging,
 //! residency checkpoints and key homing are the trait's default methods;
 //! only the exchange — one metering pass, one counting-sort scatter into a
-//! flat [`PerMachine`] inbox, the capacity check — is the implementation's.
+//! flat [`PerMachine`] inbox — is the implementation's. A round's capacity
+//! rule is [`record_round`], which the exchange and the counted min-by-key
+//! primitive share.
 
 mod sequential;
 
@@ -191,6 +193,72 @@ pub trait ExecutionBackend {
         }
         Ok(())
     }
+}
+
+/// One side of a round's per-machine word loads — what machines send, or
+/// what they receive — added in machine index order. A machine that moves
+/// 0 words changes no total, maximum or offender, so it may be left out.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    total: usize,
+    max: usize,
+    /// The first machine over capacity, with its load.
+    first_over: Option<(usize, usize)>,
+    /// Machines over capacity.
+    over: u64,
+}
+
+impl Tally {
+    pub(crate) fn add(&mut self, machine: usize, words: usize, capacity: usize) {
+        self.total += words;
+        self.max = self.max.max(words);
+        if words > capacity {
+            self.first_over.get_or_insert((machine, words));
+            self.over += 1;
+        }
+    }
+}
+
+/// Records one round from what its machines send and receive: the
+/// capacity rule every metered round shares. Machines are checked in index
+/// order, each one's send before its receive; strict mode stops at the
+/// first offense and records nothing, relaxed mode records one violation
+/// per offense. Then the round's total words, largest send and largest
+/// receive go into the metrics.
+///
+/// # Errors
+///
+/// [`MpcError::CapacityExceeded`] in strict mode for the first offense, at
+/// round `rounds + 1`.
+pub(crate) fn record_round<B: ExecutionBackend>(
+    backend: &mut B,
+    sent: &Tally,
+    received: &Tally,
+) -> Result<()> {
+    let offense = match (sent.first_over, received.first_over) {
+        (Some((src, words)), Some((dst, _))) if src <= dst => Some((src, words, "send")),
+        (Some((src, words)), None) => Some((src, words, "send")),
+        (_, Some((dst, words))) => Some((dst, words, "receive")),
+        (None, None) => None,
+    };
+    if let Some((machine, words, direction)) = offense {
+        if backend.config().strict {
+            return Err(MpcError::CapacityExceeded {
+                machine: Some(machine),
+                round: backend.metrics().rounds + 1,
+                words,
+                capacity: backend.local_memory(),
+                direction,
+            });
+        }
+        backend
+            .metrics_mut()
+            .record_violations(sent.over + received.over);
+    }
+    backend
+        .metrics_mut()
+        .record_round(sent.total, sent.max, received.max);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! metrics so parameter sweeps can chart how far out of budget a
 //! configuration is.
 
-use crate::backend::ExecutionBackend;
+use crate::backend::{record_round, ExecutionBackend, Tally};
 use crate::config::ClusterConfig;
 use crate::error::{MpcError, Result};
 use crate::metrics::Metrics;
@@ -116,7 +116,7 @@ impl SequentialBackend {
             });
         }
         let capacity = self.config.local_memory;
-        let mut sent = Tally::default();
+        let (mut sent, mut received) = (Tally::default(), Tally::default());
         // One more than the largest destination: the inbox stores that many.
         let mut used = 0;
         for (src, messages) in outbox.stored_lists().enumerate() {
@@ -134,33 +134,10 @@ impl SequentialBackend {
             sent.add(src, words, capacity);
         }
         let inbox = outbox.route(machines, used);
-        let mut received = Tally::default();
         for (dst, messages) in inbox.stored_lists().enumerate() {
             received.add(dst, messages.iter().map(WordSized::words).sum(), capacity);
         }
-        // Machines are checked in index order, each one's send before its
-        // receive; strict mode stops at the first offense, relaxed mode
-        // records one violation per offense.
-        let offense = match (sent.first_over, received.first_over) {
-            (Some((src, words)), Some((dst, _))) if src <= dst => Some((src, words, "send")),
-            (Some((src, words)), None) => Some((src, words, "send")),
-            (_, Some((dst, words))) => Some((dst, words, "receive")),
-            (None, None) => None,
-        };
-        if let Some((machine, words, direction)) = offense {
-            if self.config.strict {
-                return Err(MpcError::CapacityExceeded {
-                    machine: Some(machine),
-                    round: self.metrics.rounds + 1,
-                    words,
-                    capacity,
-                    direction,
-                });
-            }
-            self.metrics.record_violations(sent.over + received.over);
-        }
-        self.metrics
-            .record_round(sent.total, sent.max, received.max);
+        record_round(self, &sent, &received)?;
         Ok(inbox)
     }
 
@@ -216,29 +193,6 @@ impl ExecutionBackend for SequentialBackend {
 
     fn exchange<T: WordSized>(&mut self, outbox: PerMachine<(usize, T)>) -> Result<PerMachine<T>> {
         SequentialBackend::exchange(self, outbox)
-    }
-}
-
-/// One side of a round's per-machine word loads — what machines send, or
-/// what they receive — folded in machine index order.
-#[derive(Debug, Default)]
-struct Tally {
-    total: usize,
-    max: usize,
-    /// The first machine over capacity, with its load.
-    first_over: Option<(usize, usize)>,
-    /// Machines over capacity.
-    over: u64,
-}
-
-impl Tally {
-    fn add(&mut self, machine: usize, words: usize, capacity: usize) {
-        self.total += words;
-        self.max = self.max.max(words);
-        if words > capacity {
-            self.first_over.get_or_insert((machine, words));
-            self.over += 1;
-        }
     }
 }
 

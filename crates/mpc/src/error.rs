@@ -44,7 +44,7 @@ pub enum MpcError {
     /// A primitive was handed a key or consumer id outside the key range it
     /// was sized for.
     UnknownKey {
-        /// `"consumer"` or `"bundle key"`.
+        /// `"consumer"`, `"bundle key"` or `"key"`.
         role: &'static str,
         /// The out-of-range id.
         key: u64,

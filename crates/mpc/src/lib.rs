@@ -31,8 +31,8 @@
 //! moves per message plus one integer per machine that sends or receives, a
 //! residency checkpoint takes a uniform share plus a per-machine prefix
 //! ([`ExecutionBackend::checkpoint_residency`]), and the Lemma 4.1 gather
-//! counts in tables over its key range
-//! ([`primitives::gather_bundles`]).
+//! and Algorithm 4's min-combine count in tables over their key ranges
+//! ([`primitives::gather_bundles`], [`primitives::min_by_key`]).
 //!
 //! Algorithms are written once against the trait and handed a backend:
 //!

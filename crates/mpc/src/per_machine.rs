@@ -109,39 +109,6 @@ impl<T> PerMachine<T> {
             .windows(2)
             .map(|bounds| &self.items[bounds[0]..bounds[1]])
     }
-
-    /// Applies `f` to every entry, keeping each in its machine's list.
-    pub fn map<U>(self, f: impl FnMut(T) -> U) -> PerMachine<U> {
-        PerMachine {
-            width: self.width,
-            offsets: self.offsets,
-            items: self.items.into_iter().map(f).collect(),
-        }
-    }
-
-    /// Rewrites every stored list in place: `f` may reorder or overwrite the
-    /// list and returns how many leading entries to keep. The rest are
-    /// dropped and the kept entries close up, so no list is reallocated.
-    /// Implicitly empty lists are not visited.
-    pub(crate) fn retain_prefixes(&mut self, mut f: impl FnMut(&mut [T]) -> usize) {
-        let (mut start, mut write) = (0, 0);
-        for machine in 1..self.offsets.len() {
-            let end = self.offsets[machine];
-            let kept = f(&mut self.items[start..end]);
-            assert!(kept <= end - start, "kept more entries than the list has");
-            // The write cursor never passes the read position, so moving
-            // the kept entries forward one by one is a rotation.
-            if write < start {
-                for i in 0..kept {
-                    self.items.swap(write + i, start + i);
-                }
-            }
-            write += kept;
-            self.offsets[machine] = write;
-            start = end;
-        }
-        self.items.truncate(write);
-    }
 }
 
 impl<T> PerMachine<(usize, T)> {
@@ -259,28 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_prefixes_closes_gaps() {
-        let mut lists = PerMachine::from(vec![vec![5, 1, 5], vec![], vec![7, 7, 7, 2], vec![9]]);
-        // Keep each list's distinct values, sorted.
-        lists.retain_prefixes(|list| {
-            list.sort_unstable();
-            let mut kept = 0;
-            for i in 0..list.len() {
-                if kept == 0 || list[kept - 1] != list[i] {
-                    list[kept] = list[i];
-                    kept += 1;
-                }
-            }
-            kept
-        });
-        assert_eq!(
-            lists,
-            PerMachine::from(vec![vec![1, 5], vec![], vec![2, 7], vec![9]])
-        );
-        assert_eq!(lists.items(), [1, 5, 2, 7, 9]);
-    }
-
-    #[test]
     fn accessors_agree_with_the_lists() {
         let lists = PerMachine::from(vec![vec![1u8], vec![], vec![2, 3]]);
         assert_eq!(lists.num_machines(), 3);
@@ -288,7 +233,6 @@ mod tests {
         assert!(!lists.is_empty());
         let collected: Vec<&[u8]> = lists.iter().collect();
         assert_eq!(collected, [&[1u8][..], &[], &[2, 3]]);
-        assert_eq!(lists.clone().map(u32::from)[2], [2u32, 3]);
         assert!(PerMachine::<u8>::from(vec![vec![], vec![]]).is_empty());
     }
 }

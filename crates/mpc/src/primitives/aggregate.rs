@@ -1,81 +1,103 @@
-//! Key-wise aggregation with combiner pre-reduction.
+//! Key-wise aggregation with combiner pre-reduction, counted.
 //!
-//! Aggregating values by key (min-combining layer proposals in Algorithm 4,
-//! summing counters, ...) is a constant-round MPC primitive: each machine
-//! first combines locally (the MapReduce "combiner" trick), then sends one
-//! record per distinct key to the key's home machine. The pre-combine is what
-//! keeps hot keys (e.g. a star center receiving `n-1` proposals) within the
-//! per-machine load cap: at most `M` records per key cross the network.
+//! Min-combining values by key (Algorithm 4's layer proposals) is a
+//! constant-round MPC primitive: each machine first combines locally (the
+//! MapReduce "combiner" trick), then sends one record per distinct key to
+//! the key's home machine, which combines what it receives. The pre-combine
+//! is what keeps hot keys (e.g. a star center receiving `n-1` proposals)
+//! within the per-machine load cap: at most `M` records per key cross the
+//! network. The caller already holds every item, and only per-machine word
+//! counts enter the metering, so [`min_by_key`] counts the round instead of
+//! routing it, as [`gather_bundles`](super::gather_bundles) does for
+//! Lemma 4.1.
 
-use crate::backend::ExecutionBackend;
-use crate::error::Result;
-use crate::per_machine::PerMachine;
-use crate::word::WordSized;
+use crate::backend::{record_round, ExecutionBackend, Tally};
+use crate::error::{MpcError, Result};
 
-/// Aggregates `(key, value)` items by key with the associative, commutative
-/// `combine` function. `items[i]` lists the items machine `i` holds. Returns,
-/// per machine, the combined record for every key homed there (sorted by key
-/// for determinism).
+/// Words of one pre-combined record: its key and its value.
+const RECORD_WORDS: usize = 2;
+
+/// Min-combines `(key, value)` items by key in one metered round. Item `i`
+/// starts on machine `i mod M`; every machine sends one record per distinct
+/// key it holds to the key's home machine
+/// ([`home`](ExecutionBackend::home)), and the round is charged exactly as
+/// [`exchange`](ExecutionBackend::exchange) would charge that outbox.
+/// Returns `minima`, `keys` long: `minima[key]` is the least value of
+/// `key`'s items, or `u32::MAX` if it has none.
 ///
-/// Costs one exchange round (after free local pre-combining). Both combines
-/// work on each stored list in place — a stable sort by key, then one fold
-/// over each run of equal keys in list order — instead of building a map
-/// per machine; machines past the last stored list hold nothing and are
-/// not visited, so the host cost follows the items and the machines they
-/// occupy, not `M`.
+/// Nothing moves: one pass over the items, machine by machine, counts each
+/// machine's distinct keys (its sent records) and each home machine's
+/// received records with a last-source marker per key, and keeps each
+/// key's minimum. The host cost is `O(items + keys)` in three arrays of at
+/// most `keys` entries, whatever the machine count.
 ///
 /// # Errors
 ///
-/// [`MpcError::WrongClusterWidth`](crate::MpcError::WrongClusterWidth) if
-/// `items` does not list every machine; otherwise propagates capacity errors
-/// from the exchange.
+/// * [`MpcError::UnknownKey`] for the first item, in order, whose key is
+///   `keys` or more; nothing is charged then.
+/// * [`MpcError::CapacityExceeded`] in strict mode for the first machine,
+///   in index order, that sends or receives more than `S` words (its send
+///   checked before its receive).
 ///
 /// # Examples
 ///
 /// ```
-/// use dgo_mpc::{Cluster, ClusterConfig, PerMachine};
-/// use dgo_mpc::primitives::aggregate_by_key;
+/// use dgo_mpc::primitives::min_by_key;
+/// use dgo_mpc::{Cluster, ClusterConfig};
 ///
 /// let mut cluster = Cluster::new(ClusterConfig::new(2, 64));
-/// let items = PerMachine::from(vec![vec![(7u64, 3u64), (8, 1)], vec![(7, 2)]]);
-/// let out = aggregate_by_key(&mut cluster, items, u64::min)?;
-/// // Key 7 homes on machine 7 % 2 = 1; min(3, 2) = 2.
-/// assert_eq!(out[1], [(7, 2)]);
-/// assert_eq!(out[0], [(8, 1)]);
+/// // Machine 0 holds the first and third items, machine 1 the second.
+/// let minima = min_by_key(&mut cluster, &[(1, 3), (1, 2), (0, 1)], 3)?;
+/// assert_eq!(minima, [1, 2, u32::MAX]);
+/// // Three two-word records: machine 0 sends keys 0 and 1, machine 1 key 1.
+/// assert_eq!(cluster.metrics().total_comm_words, 6);
 /// # Ok::<(), dgo_mpc::MpcError>(())
 /// ```
-pub fn aggregate_by_key<B, V, F>(
+pub fn min_by_key<B: ExecutionBackend>(
     cluster: &mut B,
-    mut items: PerMachine<(u64, V)>,
-    mut combine: F,
-) -> Result<PerMachine<(u64, V)>>
-where
-    B: ExecutionBackend,
-    V: WordSized + Copy,
-    F: FnMut(V, V) -> V,
-{
-    items.retain_prefixes(|list| combine_runs(list, &mut combine));
-    let outbox = items.map(|(key, value)| (cluster.home(key), (key, value)));
-    let mut inbox = cluster.exchange(outbox)?;
-    inbox.retain_prefixes(|list| combine_runs(list, &mut combine));
-    Ok(inbox)
-}
-
-/// Sorts `list` stably by key and folds every run of equal keys, in list
-/// order, into one record at the front; returns the number of records.
-fn combine_runs<V: Copy>(list: &mut [(u64, V)], combine: &mut impl FnMut(V, V) -> V) -> usize {
-    list.sort_by_key(|&(key, _)| key);
-    let mut kept = 0;
-    for i in 0..list.len() {
-        let (key, value) = list[i];
-        if kept > 0 && list[kept - 1].0 == key {
-            list[kept - 1].1 = combine(list[kept - 1].1, value);
-        } else {
-            list[kept] = (key, value);
-            kept += 1;
+    items: &[(u64, u32)],
+    keys: usize,
+) -> Result<Vec<u32>> {
+    let machines = cluster.num_machines();
+    let mut minima = vec![u32::MAX; keys];
+    // The last machine found holding each key: a machine's first item of a
+    // key opens its record.
+    let mut last_source = vec![usize::MAX; keys];
+    let mut received = vec![0usize; machines.min(keys)];
+    let capacity = cluster.local_memory();
+    let mut sent = Tally::default();
+    let mut first_bad = items.len();
+    for src in 0..machines.min(items.len()) {
+        let mut records = 0;
+        for i in (src..items.len()).step_by(machines) {
+            let (key, value) = items[i];
+            if key >= keys as u64 {
+                first_bad = first_bad.min(i);
+                continue;
+            }
+            let slot = key as usize;
+            if last_source[slot] != src {
+                last_source[slot] = src;
+                records += 1;
+                received[cluster.home(key)] += 1;
+            }
+            minima[slot] = minima[slot].min(value);
         }
+        sent.add(src, RECORD_WORDS * records, capacity);
     }
-    kept
+    if let Some(&(key, _)) = items.get(first_bad) {
+        return Err(MpcError::UnknownKey {
+            role: "key",
+            key,
+            keys,
+        });
+    }
+    let mut homes = Tally::default();
+    for (home, &records) in received.iter().enumerate() {
+        homes.add(home, RECORD_WORDS * records, capacity);
+    }
+    record_round(cluster, &sent, &homes)?;
+    Ok(minima)
 }
 
 #[cfg(test)]
@@ -86,62 +108,69 @@ mod tests {
 
     #[test]
     fn min_aggregation() {
+        // Items 0, 3, 6 start on machine 0, items 1, 4 on machine 1 and
+        // item 2 on machine 2.
         let mut c = Cluster::new(ClusterConfig::new(3, 64));
-        let items = PerMachine::from(vec![
-            vec![(0u64, 5u64), (1, 7), (2, 9)],
-            vec![(0, 3), (1, 8)],
-            vec![(0, 6)],
-        ]);
-        let out = aggregate_by_key(&mut c, items, u64::min).unwrap();
-        assert_eq!(out[0], [(0, 3)]); // 0 % 3 = 0
-        assert_eq!(out[1], [(1, 7)]);
-        assert_eq!(out[2], [(2, 9)]);
+        let items = [(0u64, 5u32), (0, 3), (0, 6), (1, 7), (1, 8), (2, 9), (2, 4)];
+        let minima = min_by_key(&mut c, &items, 4).unwrap();
+        assert_eq!(minima, [3, 7, 4, u32::MAX]);
+        // Machine 0 sends keys {0, 1, 2}, machine 1 {0, 1}, machine 2
+        // {0, 2}: seven records. Key k homes on machine k, which receives
+        // one record per machine holding k.
+        let round = c.metrics().round_log[0];
+        assert_eq!(
+            (round.total_words, round.max_sent, round.max_received),
+            (14, 6, 6)
+        );
     }
 
     #[test]
     fn hot_key_fits_thanks_to_precombine() {
-        // 2 machines, S = 8: 100 values for one key would blow the receive
+        // 2 machines, S = 8: 200 values for one key would blow the receive
         // cap without pre-combining; with it only 2 records cross.
         let mut c = Cluster::new(ClusterConfig::new(2, 8));
-        let items = PerMachine::from(vec![
-            (0..100).map(|i| (5u64, i as u64)).collect::<Vec<_>>(),
-            (0..100)
-                .map(|i| (5u64, (100 + i) as u64))
-                .collect::<Vec<_>>(),
-        ]);
-        let out = aggregate_by_key(&mut c, items, u64::min).unwrap();
-        assert_eq!(out[1], [(5, 0)]);
-    }
-
-    #[test]
-    fn sum_aggregation_counts_every_record() {
-        // A sum is not idempotent: a record folded twice, or dropped by the
-        // pre-combine, changes the count.
-        let mut c = Cluster::new(ClusterConfig::new(2, 64));
-        let items = PerMachine::from(vec![
-            vec![(4u64, 1u64), (4, 1), (5, 1)],
-            vec![(4, 1), (5, 1), (6, 1)],
-        ]);
-        let out = aggregate_by_key(&mut c, items, |a, b| a + b).unwrap();
-        assert_eq!(out[0], [(4, 3), (6, 1)]);
-        assert_eq!(out[1], [(5, 2)]);
+        let items: Vec<(u64, u32)> = (0..200).map(|i| (5, 200 - i)).collect();
+        let minima = min_by_key(&mut c, &items, 6).unwrap();
+        assert_eq!(minima[5], 1);
+        assert_eq!(c.metrics().round_log[0].max_received, 4);
     }
 
     #[test]
     fn empty_input() {
         let mut c = Cluster::new(ClusterConfig::new(2, 8));
-        let empty = PerMachine::from(vec![vec![], vec![]]);
-        let out = aggregate_by_key::<_, u64, _>(&mut c, empty, u64::min).unwrap();
-        assert!(out.iter().all(<[_]>::is_empty));
+        let minima = min_by_key(&mut c, &[], 3).unwrap();
+        assert_eq!(minima, [u32::MAX; 3]);
         assert_eq!(c.metrics().rounds, 1);
+        assert_eq!(c.metrics().total_comm_words, 0);
     }
 
     #[test]
     fn output_sorted_by_key() {
+        // Whatever order the items arrive in, entry k holds key k.
         let mut c = Cluster::new(ClusterConfig::new(1, 64));
-        let items = PerMachine::from(vec![vec![(9u64, 1u64), (3, 1), (6, 1), (0, 1)]]);
-        let out = aggregate_by_key(&mut c, items, u64::min).unwrap();
-        let keys: Vec<u64> = out[0].iter().map(|&(k, _)| k).collect();
-        assert_eq!(keys, vec![0, 3, 6, 9]);
+        let items = [(9u64, 1u32), (3, 2), (6, 3), (0, 4)];
+        let minima = min_by_key(&mut c, &items, 10).unwrap();
+        let keyed: Vec<(usize, u32)> = (0..10)
+            .filter(|&k| minima[k] != u32::MAX)
+            .map(|k| (k, minima[k]))
+            .collect();
+        assert_eq!(keyed, [(0, 4), (3, 2), (6, 3), (9, 1)]);
+    }
+
+    #[test]
+    fn out_of_range_keys_are_typed_errors() {
+        // The first bad item in index order wins, though machine 0, counted
+        // first, holds a later one; nothing is charged.
+        let mut c = Cluster::new(ClusterConfig::new(2, 64));
+        let err = min_by_key(&mut c, &[(0, 1), (8, 1), (9, 1)], 4);
+        assert_eq!(
+            err,
+            Err(MpcError::UnknownKey {
+                role: "key",
+                key: 8,
+                keys: 4
+            })
+        );
+        assert_eq!(c.metrics().rounds, 0);
     }
 }

@@ -16,8 +16,9 @@
 //! through the plan of the consumer's own tree, and Algorithm 3 peels the
 //! last step's attachments in place — so it builds at most one tree per
 //! vertex and step. Algorithm 4's min-combine makes a constant number of
-//! allocations however many machines and proposals it has: its rounds are
-//! flat per-machine buffers, not a heap buffer per machine. The allocator
+//! allocations however many machines and proposals it has, and requests
+//! bytes in proportion to the vertices: it counts its round in per-vertex
+//! tables and copies no proposal. The allocator
 //! also tallies requested bytes, which fence the metering's independence
 //! of the machine count: on a 2²⁰-machine cluster a small min-combine,
 //! Algorithm 2 and the layering prelude each request under 1 MiB, where one
@@ -203,7 +204,9 @@ fn attach_is_o1_allocations_per_consumed_tree() {
     );
 
     // --- Algorithm 4's min-combine: a constant number of acquisitions,
-    // independent of the machine count and the proposal count. Vertex
+    // independent of the machine count and the proposal count, and bytes
+    // that follow the vertex count: it counts its round in per-vertex
+    // tables and the round log, and copies no proposal. Vertex
     // `i % vertices` proposes layer `i % 7 + 1`, so hot vertices collect
     // many proposals. ---
     for (machines, proposal_count) in [(100_000usize, 10_000usize), (50_000, 20_000)] {
@@ -212,15 +215,20 @@ fn attach_is_o1_allocations_per_consumed_tree() {
             .map(|i| ((i % vertices) as u64, (i % 7 + 1) as u32))
             .collect();
         let mut cluster = SequentialBackend::from_config(ClusterConfig::new(machines, 1 << 16));
-        let (combine_allocs, layering) =
-            measure(|| combine_tree_layers(vertices, proposals, &mut cluster));
+        let (combine_bytes, (combine_allocs, layering)) =
+            measure_bytes(|| measure(|| combine_tree_layers(vertices, proposals, &mut cluster)));
         let layering = layering.expect("the min-combine fits");
         assert!(layering.is_complete());
         assert_eq!(cluster.metrics().rounds, 1);
         assert!(
-            combine_allocs <= 16,
+            combine_allocs <= 4,
             "the min-combine of {proposal_count} proposals on {machines} machines \
              allocated {combine_allocs} times — not a constant"
+        );
+        assert!(
+            combine_bytes <= 32 * vertices,
+            "the min-combine of {proposal_count} proposals over {vertices} vertices \
+             requested {combine_bytes} bytes — more than 32 per vertex"
         );
     }
 

@@ -83,8 +83,8 @@ fn golden(metrics: &Metrics) -> Golden {
 
 #[test]
 fn partial_layer_assignment_metrics_are_pinned() {
-    // Algorithm 4 on G(1500, 4500): Algorithm 2's gathers, then the one
-    // real exchange (the min-combine) on a cluster wider than the proposal
+    // Algorithm 4 on G(1500, 4500): Algorithm 2's gathers, then the
+    // min-combine's counted round on a cluster wider than the proposal
     // count.
     let g = gnm(1500, 4500, 17);
     let mut cluster = Cluster::new(ClusterConfig::new(4096, 8192));
@@ -119,7 +119,7 @@ fn partial_layer_assignment_metrics_are_pinned() {
 #[test]
 fn approximate_coreness_metrics_are_pinned() {
     // The coreness ladder on a planted dense core: the low guesses run
-    // Stage-2 stages, so the min-combine exchange and the gathers meter.
+    // Stage-2 stages, so the min-combine and the gathers meter.
     let g = planted_dense(3000, 9000, 40, 5);
     let params = Params::practical(g.num_vertices()).with_jobs(1);
     let r = approximate_coreness(&g, 0.5, &params).expect("coreness");
