@@ -1,7 +1,6 @@
 //! Engine benchmark: the execution backend end-to-end, on the full
-//! Theorem 1.1/1.2 pipelines and on a raw exchange-heavy workload. The legs
-//! keep the backend name (`sequential`) for continuity of the persisted
-//! trajectory.
+//! Theorem 1.1/1.2 pipelines. The legs keep the backend name
+//! (`sequential`) for continuity of the persisted trajectory.
 //!
 //! Besides the human-readable timing lines, every run writes
 //! `BENCH_engine.json` (see `dgo_bench::report`) into the working directory:
@@ -13,7 +12,7 @@ use criterion::{BenchmarkId, Criterion};
 use dgo_bench::report::{peak_rss_bytes, quick_mode, resolved_jobs, BenchLeg, BenchReport};
 use dgo_core::{color, orient, Params};
 use dgo_graph::generators::{gnm, Family};
-use dgo_mpc::{ClusterConfig, Metrics, PerMachine, SequentialBackend};
+use dgo_mpc::Metrics;
 
 /// `DGO_BENCH_QUICK=1` shrinks every sweep to its smallest leg with few
 /// samples — the CI smoke mode (seconds, not minutes).
@@ -104,66 +103,6 @@ fn bench_color(c: &mut Criterion, report: &mut BenchReport) {
     group.finish();
 }
 
-/// All-to-all traffic isolating the exchange path itself: routing plus
-/// per-message word metering, no algorithm work. The `sparse` leg moves a
-/// few dozen messages on a 2²⁰-machine cluster: only the machines that send
-/// or receive are stored, so its round costs what it moves, not `M`.
-fn bench_raw_exchange(c: &mut Criterion, report: &mut BenchReport) {
-    let mut group = c.benchmark_group("engine_exchange");
-    group.sample_size(if quick() { 3 } else { 10 });
-    let machine_counts: &[usize] = if quick() { &[64] } else { &[64, 256] };
-    for &machines in machine_counts {
-        let outbox: PerMachine<(usize, (u64, u64))> = (0..machines)
-            .map(|src| {
-                (0..machines)
-                    .map(|dst| (dst, ((src * machines + dst) as u64, dst as u64)))
-                    .collect()
-            })
-            .collect::<Vec<Vec<_>>>()
-            .into();
-        let config = ClusterConfig::new(machines, 1 << 20);
-        group.bench_with_input(
-            BenchmarkId::new("sequential", machines),
-            &outbox,
-            |b, outbox| {
-                b.iter(|| {
-                    let mut backend = SequentialBackend::new(config);
-                    for _ in 0..8 {
-                        backend.exchange(outbox.clone()).expect("fits");
-                    }
-                    backend.into_metrics()
-                })
-            },
-        );
-        let metrics = {
-            let mut backend = SequentialBackend::new(config);
-            for _ in 0..8 {
-                backend.exchange(outbox.clone()).expect("fits");
-            }
-            backend.into_metrics()
-        };
-        record_leg(report, &metrics);
-    }
-
-    let machines = 1 << 20;
-    let senders = 48;
-    let mut sparse: PerMachine<(usize, (u64, u64))> = PerMachine::with_capacity(machines, senders);
-    for src in 0..senders {
-        sparse.push_machine([((src * 7) % senders, (src as u64, 1))]);
-    }
-    let config = ClusterConfig::new(machines, 1 << 10);
-    let run = |outbox: &PerMachine<(usize, (u64, u64))>| {
-        let mut backend = SequentialBackend::new(config);
-        for _ in 0..8 {
-            backend.exchange(outbox.clone()).expect("fits");
-        }
-        backend.into_metrics()
-    };
-    group.bench_function("sparse", |b| b.iter(|| run(&sparse)));
-    record_leg(report, &run(&sparse));
-    group.finish();
-}
-
 fn main() {
     let mut criterion = Criterion::default();
     let mut report = BenchReport::new("engine");
@@ -171,7 +110,6 @@ fn main() {
     bench_orient(&mut criterion, &mut report);
     bench_orient_tree_family(&mut criterion, &mut report);
     bench_color(&mut criterion, &mut report);
-    bench_raw_exchange(&mut criterion, &mut report);
     // Workspace root: two levels above this package's manifest dir.
     match report.write_in(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -166,7 +166,7 @@ pub fn color_on<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
     // clusters, so the group semantics are strict).
     check_group_capacity(&mut metrics, parts.len(), capacity, true)?;
     Ok(ColorResult {
-        coloring: Coloring::new(colors)?,
+        coloring: Coloring::new(colors),
         metrics,
         stats,
     })
@@ -305,7 +305,7 @@ fn color_single<B: ExecutionBackend>(graph: &Graph, params: &Params) -> Result<C
     let mut metrics = outcome.metrics;
     metrics.merge_sequential(cluster.metrics());
     Ok(ColorResult {
-        coloring: Coloring::new(colors)?,
+        coloring: Coloring::new(colors),
         metrics,
         stats: ColorStats {
             palette,

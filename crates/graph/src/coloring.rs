@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// use dgo_graph::{Graph, Coloring};
 ///
 /// let g = Graph::from_edges(3, &[(0, 1), (1, 2)])?;
-/// let c = Coloring::new(vec![0, 1, 0])?;
+/// let c = Coloring::new(vec![0, 1, 0]);
 /// c.validate(&g)?;
 /// assert_eq!(c.num_colors(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -27,14 +27,11 @@ pub struct Coloring {
 }
 
 impl Coloring {
-    /// Wraps a color vector (entry `v` is the color of vertex `v`).
-    ///
-    /// # Errors
-    ///
-    /// Never fails currently; returns `Result` for forward compatibility with
-    /// palette-constrained constructors.
-    pub fn new(colors: Vec<u32>) -> Result<Self> {
-        Ok(Coloring { colors })
+    /// Wraps a color vector (entry `v` is the color of vertex `v`). Any
+    /// vector is a coloring; [`validate`](Coloring::validate) checks that it
+    /// is proper for a graph.
+    pub fn new(colors: Vec<u32>) -> Self {
+        Coloring { colors }
     }
 
     /// The color assigned to vertex `v`.
@@ -145,7 +142,7 @@ mod tests {
     #[test]
     fn proper_coloring_validates() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let c = Coloring::new(vec![0, 1, 2]).unwrap();
+        let c = Coloring::new(vec![0, 1, 2]);
         assert!(c.validate(&g).is_ok());
         assert_eq!(c.num_colors(), 3);
         assert_eq!(c.palette_bound(), 3);
@@ -154,7 +151,7 @@ mod tests {
     #[test]
     fn monochromatic_edge_rejected() {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        let c = Coloring::new(vec![5, 5]).unwrap();
+        let c = Coloring::new(vec![5, 5]);
         let err = c.validate(&g).unwrap_err();
         assert!(err.to_string().contains("monochromatic"));
     }
@@ -162,7 +159,7 @@ mod tests {
     #[test]
     fn length_mismatch_rejected() {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        let c = Coloring::new(vec![0]).unwrap();
+        let c = Coloring::new(vec![0]);
         assert!(c.validate(&g).is_err());
     }
 
@@ -202,7 +199,7 @@ mod tests {
 
     #[test]
     fn empty_coloring() {
-        let c = Coloring::new(vec![]).unwrap();
+        let c = Coloring::new(vec![]);
         assert!(c.is_empty());
         assert_eq!(c.num_colors(), 0);
         assert_eq!(c.palette_bound(), 0);

@@ -2,12 +2,10 @@
 //!
 //! Every MPC algorithm in the workspace runs against the [`ExecutionBackend`]
 //! trait, implemented by [`SequentialBackend`] (alias [`Cluster`]): the
-//! deterministic single-threaded metering simulator. Round charging,
-//! residency checkpoints and key homing are the trait's default methods;
-//! only the exchange — one metering pass, one counting-sort scatter into a
-//! flat [`PerMachine`] inbox — is the implementation's. A round's capacity
-//! rule is [`record_round`], which the exchange and the counted min-by-key
-//! primitive share.
+//! deterministic single-threaded metering ledger. Round charging, residency
+//! checkpoints and key homing are the trait's default methods. A round
+//! counted machine by machine goes through the capacity rule
+//! [`record_round`].
 
 mod sequential;
 
@@ -16,22 +14,16 @@ pub use sequential::{Cluster, SequentialBackend};
 use crate::config::ClusterConfig;
 use crate::error::{MpcError, Result};
 use crate::metrics::Metrics;
-use crate::per_machine::PerMachine;
-use crate::word::WordSized;
 
-/// The execution substrate of the MPC simulator: synchronous message
-/// exchange plus faithful round/load/memory accounting.
+/// The metering ledger of the MPC simulator: faithful round, load and
+/// memory accounting against the §1.1 model.
 ///
 /// Implementations must be *observationally deterministic*: identical call
-/// sequences produce identical inboxes (messages to machine `d` arrive in
-/// `(source, production)` order), identical errors, and identical
-/// [`Metrics`].
+/// sequences produce identical errors and identical [`Metrics`].
 ///
 /// The capacity- and residency-accounting methods have default
 /// implementations over [`config`](ExecutionBackend::config) and
-/// [`metrics_mut`](ExecutionBackend::metrics_mut); only
-/// [`exchange`](ExecutionBackend::exchange) — the part with real routing
-/// work — is the implementation's.
+/// [`metrics_mut`](ExecutionBackend::metrics_mut).
 pub trait ExecutionBackend {
     /// Creates a backend for the given cluster shape.
     fn from_config(config: ClusterConfig) -> Self
@@ -52,26 +44,6 @@ pub trait ExecutionBackend {
     fn into_metrics(self) -> Metrics
     where
         Self: Sized;
-
-    /// Executes one synchronous communication round.
-    ///
-    /// `outbox[src]` holds the `(destination, message)` pairs machine `src`
-    /// produced. Returns the inbox: `inbox[dst]` holds the messages delivered
-    /// to machine `dst`, in deterministic `(source, production)` order. Both
-    /// sides are flat [`PerMachine`] buffers whose lists past the last stored
-    /// one are implicitly empty, so a round costs one offset per machine up
-    /// to the last that sends or receives and a constant number of moves per
-    /// message — not one integer per machine of the cluster.
-    ///
-    /// # Errors
-    ///
-    /// * [`MpcError::WrongClusterWidth`] if `outbox.num_machines() != M`.
-    /// * [`MpcError::UnknownMachine`] for the first out-of-range destination
-    ///   in `(source, production)` order.
-    /// * [`MpcError::CapacityExceeded`] in strict mode for the first machine,
-    ///   in index order, that sends or receives more than `S` words (its
-    ///   send checked before its receive).
-    fn exchange<T: WordSized>(&mut self, outbox: PerMachine<(usize, T)>) -> Result<PerMachine<T>>;
 
     /// Number of machines `M`.
     fn num_machines(&self) -> usize {
@@ -219,12 +191,12 @@ impl Tally {
     }
 }
 
-/// Records one round from what its machines send and receive: the
-/// capacity rule every metered round shares. Machines are checked in index
-/// order, each one's send before its receive; strict mode stops at the
-/// first offense and records nothing, relaxed mode records one violation
-/// per offense. Then the round's total words, largest send and largest
-/// receive go into the metrics.
+/// Records one round from what its machines send and receive, tallied
+/// machine by machine: the capacity rule of a counted round. Machines are
+/// checked in index order, each one's send before its receive; strict mode
+/// stops at the first offense and records nothing, relaxed mode records one
+/// violation per offense. Then the round's total words, largest send and
+/// largest receive go into the metrics.
 ///
 /// # Errors
 ///

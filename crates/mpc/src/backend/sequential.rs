@@ -1,23 +1,21 @@
 //! The sequential execution backend.
 //!
 //! [`SequentialBackend`] is the deterministic single-threaded metering
-//! simulator: operations compute their results in-process while the backend
-//! faithfully accounts rounds, per-machine communication loads, and resident
-//! memory against the model constraints of the paper's §1.1 — per round, no
-//! machine may send or receive more than its memory capacity `S`, and
-//! resident data must fit in `S`.
+//! ledger: algorithms compute their results in-process on data the host
+//! already holds, and the backend faithfully accounts rounds, per-machine
+//! communication loads, and resident memory against the model constraints
+//! of the paper's §1.1 — per round, no machine may send or receive more than
+//! its memory capacity `S`, and resident data must fit in `S`.
 //!
 //! In `strict` mode a violation aborts the computation with an error (the
 //! algorithm does not fit the machine); in relaxed mode it is recorded in the
 //! metrics so parameter sweeps can chart how far out of budget a
 //! configuration is.
 
-use crate::backend::{record_round, ExecutionBackend, Tally};
+use crate::backend::ExecutionBackend;
 use crate::config::ClusterConfig;
-use crate::error::{MpcError, Result};
+use crate::error::Result;
 use crate::metrics::Metrics;
-use crate::per_machine::PerMachine;
-use crate::word::WordSized;
 
 /// Backwards-compatible name for the reference backend: the original
 /// simulator type was called `Cluster` before the backend trait existed.
@@ -29,15 +27,15 @@ pub type Cluster = SequentialBackend;
 /// # Examples
 ///
 /// ```
-/// use dgo_mpc::{ClusterConfig, PerMachine, SequentialBackend};
+/// use dgo_mpc::primitives::min_by_key;
+/// use dgo_mpc::{ClusterConfig, SequentialBackend};
 ///
 /// let mut cluster = SequentialBackend::new(ClusterConfig::new(4, 1024));
-/// // Machine 0 sends one word to machine 3.
-/// let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; 4];
-/// outbox[0].push((3, 99));
-/// let inbox = cluster.exchange(PerMachine::from(outbox))?;
-/// assert_eq!(inbox[3], [99]);
+/// // Machine 0 sends key 3's two-word record to its home, machine 3.
+/// let minima = min_by_key(&mut cluster, &[(3, 99)], 4)?;
+/// assert_eq!(minima[3], 99);
 /// assert_eq!(cluster.metrics().rounds, 1);
+/// assert_eq!(cluster.metrics().total_comm_words, 2);
 /// # Ok::<(), dgo_mpc::MpcError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -87,66 +85,13 @@ impl SequentialBackend {
         ExecutionBackend::home(self, key)
     }
 
-    /// Executes one synchronous communication round; see
-    /// [`ExecutionBackend::exchange`]. One pass tallies what every stored
-    /// source list sends (checking each destination), one counting sort
-    /// routes the messages, one pass tallies what every stored destination
-    /// list receives; then the capacity is enforced and the round recorded.
-    /// Machines past the stored lists send and receive nothing, and a
-    /// 0-word load changes no total, maximum or offender, so neither pass
-    /// visits them.
-    ///
-    /// # Errors
-    ///
-    /// * [`MpcError::WrongClusterWidth`] if `outbox.num_machines() != M`.
-    /// * [`MpcError::UnknownMachine`] for the first out-of-range destination
-    ///   in `(source, production)` order.
-    /// * [`MpcError::CapacityExceeded`] in strict mode for the first machine,
-    ///   in index order, that sends or receives more than `S` words (its
-    ///   send checked before its receive).
-    pub fn exchange<T: WordSized>(
-        &mut self,
-        outbox: PerMachine<(usize, T)>,
-    ) -> Result<PerMachine<T>> {
-        let machines = self.config.num_machines;
-        if outbox.num_machines() != machines {
-            return Err(MpcError::WrongClusterWidth {
-                expected: machines,
-                found: outbox.num_machines(),
-            });
-        }
-        let capacity = self.config.local_memory;
-        let (mut sent, mut received) = (Tally::default(), Tally::default());
-        // One more than the largest destination: the inbox stores that many.
-        let mut used = 0;
-        for (src, messages) in outbox.stored_lists().enumerate() {
-            let mut words = 0;
-            for (dst, payload) in messages {
-                if *dst >= machines {
-                    return Err(MpcError::UnknownMachine {
-                        machine: *dst,
-                        num_machines: machines,
-                    });
-                }
-                used = used.max(dst + 1);
-                words += payload.words();
-            }
-            sent.add(src, words, capacity);
-        }
-        let inbox = outbox.route(machines, used);
-        for (dst, messages) in inbox.stored_lists().enumerate() {
-            received.add(dst, messages.iter().map(WordSized::words).sum(), capacity);
-        }
-        record_round(self, &sent, &received)?;
-        Ok(inbox)
-    }
-
     /// Charges `rounds` synchronous rounds for an unmaterialized primitive;
     /// see [`ExecutionBackend::charge_rounds`].
     ///
     /// # Errors
     ///
-    /// [`MpcError::CapacityExceeded`] in strict mode if `max_load > S`.
+    /// [`CapacityExceeded`](crate::MpcError::CapacityExceeded) in strict
+    /// mode if `max_load > S`.
     pub fn charge_rounds(
         &mut self,
         rounds: u64,
@@ -162,9 +107,10 @@ impl SequentialBackend {
     ///
     /// # Errors
     ///
-    /// [`MpcError::MemoryExceeded`] in strict mode on the first over-budget
-    /// machine; [`MpcError::WrongClusterWidth`] if `head` is longer than the
-    /// cluster.
+    /// [`MemoryExceeded`](crate::MpcError::MemoryExceeded) in strict mode on
+    /// the first over-budget machine;
+    /// [`WrongClusterWidth`](crate::MpcError::WrongClusterWidth) if `head` is
+    /// longer than the cluster.
     pub fn checkpoint_residency(&mut self, base: usize, head: &[usize]) -> Result<()> {
         ExecutionBackend::checkpoint_residency(self, base, head)
     }
@@ -190,96 +136,15 @@ impl ExecutionBackend for SequentialBackend {
     fn into_metrics(self) -> Metrics {
         self.metrics
     }
-
-    fn exchange<T: WordSized>(&mut self, outbox: PerMachine<(usize, T)>) -> Result<PerMachine<T>> {
-        SequentialBackend::exchange(self, outbox)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MpcError;
 
     fn small() -> SequentialBackend {
         SequentialBackend::new(ClusterConfig::new(3, 8))
-    }
-
-    #[test]
-    fn exchange_routes_messages() {
-        let mut c = small();
-        let outbox: Vec<Vec<(usize, u32)>> = vec![vec![(1, 10), (2, 20)], vec![(0, 30)], vec![]];
-        let inbox = c.exchange(PerMachine::from(outbox)).unwrap();
-        assert_eq!(inbox[0], [30]);
-        assert_eq!(inbox[1], [10]);
-        assert_eq!(inbox[2], [20]);
-        assert_eq!(c.metrics().rounds, 1);
-        assert_eq!(c.metrics().total_comm_words, 3);
-    }
-
-    #[test]
-    fn exchange_rejects_wrong_width() {
-        let mut c = small();
-        let outbox: Vec<Vec<(usize, u32)>> = vec![vec![]];
-        assert!(matches!(
-            c.exchange(PerMachine::from(outbox)),
-            Err(MpcError::WrongClusterWidth {
-                expected: 3,
-                found: 1
-            })
-        ));
-    }
-
-    #[test]
-    fn exchange_rejects_unknown_destination() {
-        let mut c = small();
-        let outbox: Vec<Vec<(usize, u32)>> = vec![vec![(7, 1)], vec![], vec![]];
-        assert!(matches!(
-            c.exchange(PerMachine::from(outbox)),
-            Err(MpcError::UnknownMachine { machine: 7, .. })
-        ));
-    }
-
-    #[test]
-    fn strict_send_capacity_enforced() {
-        let mut c = small(); // S = 8
-        let outbox: Vec<Vec<(usize, u64)>> =
-            vec![(0..9).map(|i| (1usize, i)).collect(), vec![], vec![]];
-        let err = c.exchange(PerMachine::from(outbox)).unwrap_err();
-        assert!(matches!(
-            err,
-            MpcError::CapacityExceeded {
-                direction: "send",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn strict_receive_capacity_enforced() {
-        let mut c = small(); // S = 8; two senders each send 5 words to machine 2
-        let outbox: Vec<Vec<(usize, u64)>> = vec![
-            (0..5).map(|i| (2usize, i)).collect(),
-            (0..5).map(|i| (2usize, i)).collect(),
-            vec![],
-        ];
-        let err = c.exchange(PerMachine::from(outbox)).unwrap_err();
-        assert!(matches!(
-            err,
-            MpcError::CapacityExceeded {
-                machine: Some(2),
-                direction: "receive",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn relaxed_mode_records_violation() {
-        let mut c = SequentialBackend::new(ClusterConfig::new(2, 4).relaxed());
-        let outbox: Vec<Vec<(usize, u64)>> = vec![(0..9).map(|i| (1usize, i)).collect(), vec![]];
-        let inbox = c.exchange(PerMachine::from(outbox)).unwrap();
-        assert_eq!(inbox[1].len(), 9);
-        assert!(c.metrics().violations >= 1);
     }
 
     #[test]
@@ -365,23 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn exchange_with_implicit_trailing_machines() {
-        // Three sources declared, only the first stored; the inbox stores
-        // destinations up to the largest one used.
-        let mut c = small();
-        let mut outbox = PerMachine::with_capacity(3, 2);
-        outbox.push_machine([(1usize, 7u32), (0, 8)]);
-        let inbox = c.exchange(outbox).unwrap();
-        assert_eq!(inbox.num_machines(), 3);
-        assert_eq!(inbox, PerMachine::from(vec![vec![8], vec![7], vec![]]));
-        assert_eq!(c.metrics().round_log[0].max_received, 1);
-        assert!(c
-            .exchange(PerMachine::<(usize, u32)>::with_capacity(3, 0))
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
     fn home_is_deterministic_and_in_range() {
         let c = small();
         for k in 0..100u64 {
@@ -394,9 +242,7 @@ mod tests {
     fn cluster_alias_still_works() {
         // Downstream code and docs predating the backend trait use `Cluster`.
         let mut c: Cluster = Cluster::new(ClusterConfig::new(2, 16));
-        let inbox = c
-            .exchange(PerMachine::from(vec![vec![(1usize, 5u64)], vec![]]))
-            .unwrap();
-        assert_eq!(inbox[1], [5]);
+        c.charge_rounds(1, 5, 5).unwrap();
+        assert_eq!(c.metrics().total_comm_words, 5);
     }
 }

@@ -34,13 +34,6 @@ pub enum MpcError {
         /// The per-machine capacity `S`.
         capacity: usize,
     },
-    /// A message was addressed to a machine id `>= num_machines`.
-    UnknownMachine {
-        /// The invalid destination.
-        machine: usize,
-        /// Number of machines in the cluster.
-        num_machines: usize,
-    },
     /// A primitive was handed a key or consumer id outside the key range it
     /// was sized for.
     UnknownKey {
@@ -86,9 +79,6 @@ impl fmt::Display for MpcError {
                 f,
                 "machine {machine} holds {words} words, local memory is {capacity}"
             ),
-            MpcError::UnknownMachine { machine, num_machines } => {
-                write!(f, "destination machine {machine} out of range (cluster has {num_machines})")
-            }
             MpcError::UnknownKey { role, key, keys } => {
                 write!(f, "{role} {key} out of range (keys are below {keys})")
             }

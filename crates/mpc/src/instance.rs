@@ -29,20 +29,21 @@
 //! multiplying into oversubscription.
 //!
 //! ```
-//! use dgo_mpc::{ClusterConfig, ExecutionBackend, InstanceGroup, PerMachine, SequentialBackend};
+//! use dgo_mpc::primitives::min_by_key;
+//! use dgo_mpc::{ClusterConfig, InstanceGroup, SequentialBackend};
 //!
 //! // Three independent instances, two host threads.
 //! let mut group =
 //!     InstanceGroup::<SequentialBackend>::uniform(ClusterConfig::new(2, 64), 3, 2);
-//! let echoes = group.run_all(|i, backend| {
-//!     let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
-//!     outbox[0].push((1, i as u64));
-//!     Ok::<u64, dgo_mpc::MpcError>(backend.exchange(PerMachine::from(outbox))?[1][0])
+//! let least = group.run_all(|i, backend| {
+//!     // One round: each of the two machines sends a two-word record.
+//!     let value = i as u32;
+//!     Ok::<u32, dgo_mpc::MpcError>(min_by_key(backend, &[(1, value + 5), (1, value)], 2)?[1])
 //! })?;
-//! assert_eq!(echoes, vec![0, 1, 2]);
+//! assert_eq!(least, vec![0, 1, 2]);
 //! let metrics = group.into_metrics()?;
 //! assert_eq!(metrics.rounds, 1); // parallel composition: max, not sum
-//! assert_eq!(metrics.total_comm_words, 3); // volume sums
+//! assert_eq!(metrics.total_comm_words, 12); // volume sums
 //! # Ok::<(), dgo_mpc::MpcError>(())
 //! ```
 
@@ -351,12 +352,13 @@ impl<B: ExecutionBackend> InstanceGroup<B> {
 mod tests {
     use super::*;
     use crate::backend::SequentialBackend;
-    use crate::per_machine::PerMachine;
+    use crate::primitives::min_by_key;
 
+    /// One metered round on instance-specific data, returning `10·i`.
     fn ping(i: usize, backend: &mut SequentialBackend) -> Result<u64> {
-        let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
-        outbox[0].push((1, i as u64 * 10));
-        Ok(backend.exchange(PerMachine::from(outbox))?[1][0])
+        let value = i as u32 * 10;
+        let minima = min_by_key(backend, &[(1, value + 1), (1, value)], 2)?;
+        Ok(u64::from(minima[1]))
     }
 
     #[test]

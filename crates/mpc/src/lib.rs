@@ -7,29 +7,28 @@
 //! (scalable) regime sets `S = n^δ` for constant `δ ∈ (0, 1)`.
 //!
 //! No reusable MPC runtime exists in the Rust ecosystem, so this crate
-//! provides one as a *metering simulator*: algorithms execute in-process and
-//! deterministically, while the backend accounts every round, every
-//! per-machine communication load, and resident memory against the model's
-//! constraints. Strict mode turns violations into hard [`MpcError`]s —
-//! an algorithm that completes under strict metering is a certificate that
-//! it fits the model at that `(M, S)`.
+//! provides one as a *metering ledger*: algorithms execute in-process and
+//! deterministically on data the host already holds, and the backend
+//! accounts every round, every per-machine communication load, and resident
+//! memory against the model's constraints. Nothing is routed or serialized:
+//! an algorithm charges the word counts its rounds would move. Strict mode
+//! turns violations into hard [`MpcError`]s — an algorithm that completes
+//! under strict metering is a certificate that it fits the model at that
+//! `(M, S)`.
 //!
 //! ## The execution backend
 //!
-//! All simulator operations live behind the [`ExecutionBackend`] trait
-//! (`exchange` / `charge_rounds` / `checkpoint_residency` / metrics), and
-//! every algorithm crate in the workspace is generic over it. Its one
-//! implementation is [`SequentialBackend`] ([`Cluster`] is an alias): the
-//! deterministic single-threaded reference simulator.
+//! The ledger sits behind the [`ExecutionBackend`] trait (`charge_rounds` /
+//! `checkpoint_residency` / metrics), and every algorithm crate in the
+//! workspace is generic over it. Its one implementation is
+//! [`SequentialBackend`] ([`Cluster`] is an alias): the deterministic
+//! single-threaded reference simulator.
 //!
-//! A round's outbox and inbox are flat [`PerMachine`] buffers: one array of
-//! messages plus one offset per machine up to the last one that holds any —
-//! the rest of the declared width is implicitly empty — routed by one
-//! counting sort. The §1.1 clusters sized for `Θ(n·B + m)` global memory
-//! have more machines than a typical round has messages, so every metering
-//! step costs what it meters, not `M`: a round costs a constant number of
-//! moves per message plus one integer per machine that sends or receives, a
-//! residency checkpoint takes a uniform share plus a per-machine prefix
+//! The §1.1 clusters sized for `Θ(n·B + m)` global memory have more
+//! machines than a typical round has messages, so every metering step costs
+//! what it meters, not `M`: a constant-round primitive is charged from its
+//! volume and worst load ([`ExecutionBackend::charge_rounds`]), a residency
+//! checkpoint takes a uniform share plus a per-machine prefix
 //! ([`ExecutionBackend::checkpoint_residency`]), and the Lemma 4.1 gather
 //! and Algorithm 4's min-combine count in tables over their key ranges
 //! ([`primitives::gather_bundles`], [`primitives::min_by_key`]).
@@ -37,15 +36,24 @@
 //! Algorithms are written once against the trait and handed a backend:
 //!
 //! ```
-//! use dgo_mpc::{ClusterConfig, ExecutionBackend, PerMachine, SequentialBackend};
+//! use dgo_mpc::primitives::min_by_key;
+//! use dgo_mpc::{Cluster, ClusterConfig, ExecutionBackend, MpcError};
 //!
-//! fn ping<B: ExecutionBackend>(backend: &mut B) -> dgo_mpc::Result<u64> {
-//!     let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; backend.num_machines()];
-//!     outbox[0].push((1, 42));
-//!     Ok(backend.exchange(PerMachine::from(outbox))?[1][0])
+//! // A sort charged as three rounds moving 600 words, at most 40 per
+//! // machine in any round, then a min-combine round over two items.
+//! fn sort_then_combine<B: ExecutionBackend>(backend: &mut B) -> dgo_mpc::Result<u32> {
+//!     backend.charge_rounds(3, 600, 40)?;
+//!     Ok(min_by_key(backend, &[(1, 42), (1, 7)], 2)?[1])
 //! }
-//! assert_eq!(ping(&mut SequentialBackend::new(ClusterConfig::new(4, 1024)))?, 42);
-//! # Ok::<(), dgo_mpc::MpcError>(())
+//! // n = 10_000-vertex graph, δ = 0.5 → S = 100 words/machine.
+//! let mut cluster = Cluster::new(ClusterConfig::for_graph(10_000, 40_000, 0.5));
+//! assert_eq!(sort_then_combine(&mut cluster)?, 7);
+//! assert_eq!(cluster.metrics().rounds, 4);
+//! assert_eq!(cluster.metrics().total_comm_words, 604);
+//! // A round that loads some machine past S does not fit the model.
+//! let err = cluster.charge_rounds(1, 500, 101).unwrap_err();
+//! assert!(matches!(err, MpcError::CapacityExceeded { round: 5, .. }));
+//! # Ok::<(), MpcError>(())
 //! ```
 //!
 //! ## Multi-instance execution
@@ -57,23 +65,6 @@
 //! threads, and metrics composed with [`Metrics::merge_parallel`] plus an
 //! aggregate global-memory check. Outputs are bit-identical to a sequential
 //! host loop at any job count.
-//!
-//! # Example: a round of communication under metering
-//!
-//! ```
-//! use dgo_mpc::{Cluster, ClusterConfig, PerMachine};
-//!
-//! // n = 10_000-vertex graph, δ = 0.5 → S ≈ 100 words/machine.
-//! let cfg = ClusterConfig::for_graph(10_000, 40_000, 0.5);
-//! let mut cluster = Cluster::new(cfg);
-//!
-//! let mut outbox: Vec<Vec<(usize, u64)>> = vec![vec![]; cluster.num_machines()];
-//! outbox[0].push((1, 42));
-//! let inbox = cluster.exchange(PerMachine::from(outbox))?;
-//! assert_eq!(inbox[1], [42]);
-//! assert_eq!(cluster.metrics().rounds, 1);
-//! # Ok::<(), dgo_mpc::MpcError>(())
-//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -84,7 +75,6 @@ mod config;
 mod error;
 pub mod instance;
 mod metrics;
-mod per_machine;
 pub mod primitives;
 pub mod tuning;
 mod word;
@@ -94,5 +84,4 @@ pub use config::ClusterConfig;
 pub use error::{MpcError, Result};
 pub use instance::{resolve_jobs, split_jobs, InstanceGroup, JobSplit};
 pub use metrics::{Metrics, RoundStats};
-pub use per_machine::PerMachine;
-pub use word::{packed_words, total_words, WordSized, BYTES_PER_WORD};
+pub use word::{packed_words, BYTES_PER_WORD};

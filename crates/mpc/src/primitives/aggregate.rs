@@ -20,8 +20,8 @@ const RECORD_WORDS: usize = 2;
 /// Min-combines `(key, value)` items by key in one metered round. Item `i`
 /// starts on machine `i mod M`; every machine sends one record per distinct
 /// key it holds to the key's home machine
-/// ([`home`](ExecutionBackend::home)), and the round is charged exactly as
-/// [`exchange`](ExecutionBackend::exchange) would charge that outbox.
+/// ([`home`](ExecutionBackend::home)), and the round is charged from the
+/// words each machine sends and receives in those two-word records.
 /// Returns `minima`, `keys` long: `minima[key]` is the least value of
 /// `key`'s items, or `u32::MAX` if it has none.
 ///
@@ -155,6 +155,76 @@ mod tests {
             .map(|k| (k, minima[k]))
             .collect();
         assert_eq!(keyed, [(0, 4), (3, 2), (6, 3), (9, 1)]);
+    }
+
+    /// The `(machine, round, words, direction)` of the strict capacity
+    /// error that `items` raise on `c`, checked to report `c`'s `S`.
+    fn offense(
+        c: &mut Cluster,
+        items: &[(u64, u32)],
+        keys: usize,
+    ) -> (usize, u64, usize, &'static str) {
+        match min_by_key(c, items, keys) {
+            Err(MpcError::CapacityExceeded {
+                machine: Some(machine),
+                round,
+                words,
+                capacity,
+                direction,
+            }) if capacity == c.local_memory() => (machine, round, words, direction),
+            other => panic!("expected a capacity error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn strict_send_capacity_enforced() {
+        // S = 8: machine 0 holds five keys and sends 10 words, while
+        // machine 0 as a home receives exactly S, which fits.
+        let mut c = Cluster::new(ClusterConfig::new(3, 8));
+        let items: Vec<(u64, u32)> = (0..13u64)
+            .map(|i| (if i % 3 == 0 { i / 3 } else { 0 }, 1))
+            .collect();
+        assert_eq!(offense(&mut c, &items, 5), (0, 1, 10, "send"));
+        assert_eq!(c.metrics().rounds, 0);
+    }
+
+    #[test]
+    fn strict_receive_capacity_enforced() {
+        // S = 8. Four records home on machine 2 (keys 2 and 5): exactly S,
+        // which fits. Six records there do not, though every machine sends
+        // only 4 words; the error names the round after the recorded one.
+        let mut c = Cluster::new(ClusterConfig::new(3, 8));
+        min_by_key(&mut c, &[(2, 1), (2, 1), (2, 1), (5, 1)], 6).unwrap();
+        assert_eq!(c.metrics().round_log[0].max_received, 8);
+        let items = [(2, 1), (2, 1), (2, 1), (5, 1), (5, 1), (5, 1)];
+        assert_eq!(offense(&mut c, &items, 6), (2, 2, 12, "receive"));
+        assert_eq!(c.metrics().rounds, 1);
+    }
+
+    #[test]
+    fn send_reported_before_receive_on_one_machine() {
+        // S = 4: machine 0 sends keys 0, 2 and 4 (6 words) and, as their
+        // home, receives four records (8 words).
+        let mut c = Cluster::new(ClusterConfig::new(2, 4));
+        let items = [(0, 1), (0, 1), (2, 1), (0, 1), (4, 1)];
+        assert_eq!(offense(&mut c, &items, 5), (0, 1, 6, "send"));
+    }
+
+    #[test]
+    fn relaxed_mode_records_violation() {
+        // S = 4: machine 0 sends keys 1, 3 and 5 (6 words), and machine 1
+        // receives their three records (6 words). The round still runs,
+        // with one violation per offense.
+        let mut c = Cluster::new(ClusterConfig::new(2, 4).relaxed());
+        let items = [(1, 7), (0, 2), (3, 8), (0, 1), (5, 9), (0, 3)];
+        let minima = min_by_key(&mut c, &items, 6).unwrap();
+        assert_eq!(minima, [1, 7, u32::MAX, 8, u32::MAX, 9]);
+        assert_eq!(c.metrics().violations, 2);
+        let round = c.metrics().round_log[0];
+        assert_eq!(
+            (round.total_words, round.max_sent, round.max_received),
+            (8, 6, 6)
+        );
     }
 
     #[test]

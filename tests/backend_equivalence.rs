@@ -1,33 +1,23 @@
-//! Exchange conformance: [`SequentialBackend::exchange`] against a naive
-//! model of the §1.1 round.
+//! Metering conformance: the counted min-combine and the residency
+//! checkpoints against naive models of what they meter.
 //!
-//! The backend routes a round with one counting sort over a flat outbox and
-//! tallies loads in machine order. The model below does the same job the
-//! obvious way — one `Vec` per destination, pushed in `(source, production)`
-//! order, and per-machine word sums — so a routing, tally, precedence or
-//! metering bug in the backend shows up as a disagreement. Payloads are
-//! variable-length `Vec<u64>`s, so a machine's words differ from its message
-//! count. Every case runs several exchanges on one strict or relaxed
-//! backend and compares each inbox or error, and the metrics after each.
-//! Outboxes store a random prefix of their sources — at least up to the
-//! last one that sends — and leave the rest implicitly empty, as the
-//! algorithm layer does on clusters wider than a round's traffic.
+//! Algorithm 4's min-combine counts its round instead of routing it. Its
+//! oracle is the routed combine on a model exchange: every machine
+//! pre-combines the proposals it starts with to one record per vertex, the
+//! model routes the records to their home machines the obvious way — one
+//! `Vec` per destination and per-machine word sums under the §1.1 capacity
+//! rule — and each home keeps the least layer per vertex.
+//! `combine_tree_layers` must give the same layering, or the same capacity
+//! error, and the same metrics.
 //!
 //! Residency checkpoints get the same treatment: `checkpoint_residency(base,
 //! head)` (a uniform share plus a per-machine prefix) against the dense
 //! per-machine layout it stands for — the peaks, the first offender in
 //! strict mode, and the violation count in relaxed mode.
-//!
-//! Algorithm 4's min-combine counts its round instead of routing it. Its
-//! oracle is the routed combine on the model exchange: every machine
-//! pre-combines the proposals it starts with to one record per vertex, the
-//! model routes the records to their home machines, and each home keeps the
-//! least layer per vertex. `combine_tree_layers` must give the same
-//! layering, or the same capacity error, and the same metrics.
 
 use dgo::core::{combine_tree_layers, CoreError};
 use dgo::graph::{LayerAssignment, UNASSIGNED};
-use dgo::mpc::{ClusterConfig, Metrics, MpcError, PerMachine, RoundStats, SequentialBackend};
+use dgo::mpc::{ClusterConfig, Metrics, MpcError, RoundStats, SequentialBackend};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,9 +26,9 @@ use std::collections::BTreeMap;
 /// `outbox[src]` lists machine `src`'s `(destination, payload)` messages.
 type Outbox = Vec<Vec<(usize, Vec<u64>)>>;
 
-/// The round as the model sees it: one list per destination, or the error
-/// the exchange must report. On success it records the round, and in
-/// relaxed mode one violation per offense, into `metrics`.
+/// The round as the model sees it, every destination below `M`: one list
+/// per destination, or the capacity error the round must report. On success
+/// it records the round, and in relaxed mode one violation per offense.
 fn model_exchange(
     config: ClusterConfig,
     metrics: &mut Metrics,
@@ -49,12 +39,6 @@ fn model_exchange(
     let (mut sent, mut received) = (vec![0; machines], vec![0; machines]);
     for (src, messages) in outbox.iter().enumerate() {
         for (dst, payload) in messages {
-            if *dst >= machines {
-                return Err(MpcError::UnknownMachine {
-                    machine: *dst,
-                    num_machines: machines,
-                });
-            }
             sent[src] += payload.len();
             received[*dst] += payload.len();
             inbox[*dst].push(payload.clone());
@@ -90,43 +74,6 @@ fn model_exchange(
         max_received,
     });
     Ok(inbox)
-}
-
-/// Up to six messages per source with 0–4 word payloads. With probability
-/// `stray` a message goes to one of the two machines just past the cluster.
-fn random_outbox(rng: &mut StdRng, machines: usize, stray: f64) -> Outbox {
-    (0..machines)
-        .map(|_| {
-            (0..rng.random_range(0..7usize))
-                .map(|_| {
-                    let dst = if rng.random_bool(stray) {
-                        machines + rng.random_range(0..2usize)
-                    } else {
-                        rng.random_range(0..machines)
-                    };
-                    let payload = (0..rng.random_range(0..5usize))
-                        .map(|_| rng.random::<u64>())
-                        .collect();
-                    (dst, payload)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// `outbox` as the backend's flat buffer, storing only the first `stored`
-/// sources (at least up to the last one that sends) and declaring the rest.
-fn flat_outbox(outbox: Outbox, stored: usize) -> PerMachine<(usize, Vec<u64>)> {
-    let machines = outbox.len();
-    let senders = outbox
-        .iter()
-        .rposition(|list| !list.is_empty())
-        .map_or(0, |i| i + 1);
-    let mut flat = PerMachine::with_capacity(machines, outbox.iter().map(Vec::len).sum());
-    for list in outbox.into_iter().take(stored.max(senders)) {
-        flat.push_machine(list);
-    }
-    flat
 }
 
 /// The checkpoint as the model sees it: machine `i` holds `base + head[i]`
@@ -310,36 +257,6 @@ proptest! {
             let want = routed_min_combine(config, &mut expected, n, &proposals);
             let got = combine_tree_layers(n, proposals, &mut backend);
             prop_assert_eq!(got, want.map_err(CoreError::Mpc));
-            prop_assert_eq!(backend.metrics(), &expected);
-        }
-    }
-
-    /// Four exchanges on one backend: a quarter of them carry strays, and
-    /// the capacity range makes some machines send or receive more than `S`.
-    #[test]
-    fn exchange_matches_naive_model(
-        machines in 1usize..10,
-        capacity in 1usize..24,
-        strict in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let config = ClusterConfig::new(machines, capacity);
-        let config = if strict { config } else { config.relaxed() };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut backend = SequentialBackend::new(config);
-        let mut expected = Metrics::new();
-        for _ in 0..4 {
-            let stray = if rng.random_bool(0.25) { 0.1 } else { 0.0 };
-            let outbox = random_outbox(&mut rng, machines, stray);
-            let want = model_exchange(config, &mut expected, &outbox);
-            let stored = rng.random_range(0..machines + 1);
-            let got = backend
-                .exchange(flat_outbox(outbox, stored))
-                .map(|inbox| {
-                    assert_eq!(inbox.num_machines(), machines);
-                    inbox.iter().map(<[_]>::to_vec).collect::<Vec<_>>()
-                });
-            prop_assert_eq!(got, want);
             prop_assert_eq!(backend.metrics(), &expected);
         }
     }

@@ -1,9 +1,10 @@
 //! Golden metrics: the metering of fixed runs, pinned to recorded values.
 //!
-//! `backend_equivalence` checks the raw exchange against a model, and the
-//! `instance_parallel` and `stage_parallel` suites compare job counts with
-//! each other, so a metering drift in the algorithm layer — the Algorithm 4
-//! min-combine, the Lemma 4.1 gather cost model — would pass them all.
+//! `backend_equivalence` checks the min-combine and residency checkpoints
+//! against models, and the `instance_parallel` and `stage_parallel` suites
+//! compare job counts with each other, so a metering drift in the algorithm
+//! layer — the Algorithm 4 min-combine, the Lemma 4.1 gather cost model —
+//! would pass them all.
 //! These runs pin the absolute figures instead: rounds, communication
 //! volume, the worst round load, the Lemma 4.1 bundle words, a digest of
 //! the per-round log, and the residency the checkpoints record — the peak

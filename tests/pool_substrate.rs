@@ -6,7 +6,8 @@
 
 use dgo_core::stage::StageExecutor;
 use dgo_mpc::instance::InstanceGroup;
-use dgo_mpc::{ClusterConfig, MpcError, PerMachine, SequentialBackend};
+use dgo_mpc::primitives::min_by_key;
+use dgo_mpc::{ClusterConfig, MpcError, SequentialBackend};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Barrier, Mutex};
 use std::time::Duration;
@@ -16,21 +17,20 @@ use std::time::Duration;
 const WAIT: Duration = Duration::from_secs(10);
 
 /// A small per-instance workload that exercises tier-2 stages inside a
-/// tier-1 instance: one metered exchange plus a vertex-stage map and
+/// tier-1 instance: one metered min-combine plus a vertex-stage map and
 /// reduction, all on instance-specific data.
 fn staged_workload(
     instance: usize,
     backend: &mut SequentialBackend,
     stage: &StageExecutor,
 ) -> Result<(Vec<u64>, usize), MpcError> {
-    let machines = backend.num_machines();
-    let mut outbox: Vec<Vec<(usize, u64)>> = vec![Vec::new(); machines];
-    for (m, box_m) in outbox.iter_mut().enumerate() {
-        box_m.push(((m + 1) % machines, (instance * 100 + m) as u64));
-    }
-    let inbox = backend.exchange(PerMachine::from(outbox))?;
+    // Machine m holds `100·instance + m + 1` under key 0.
+    let held: Vec<(u64, u32)> = (0..backend.num_machines())
+        .map(|m| (0, (instance * 100 + m + 1) as u32))
+        .collect();
+    let least = u64::from(min_by_key(backend, &held, 1)?[0]);
     let items: Vec<u64> = (0..2_000u64).map(|v| v + instance as u64).collect();
-    let mapped = stage.map(&items, |i, &v| v * 3 + i as u64 + inbox[0][0]);
+    let mapped = stage.map(&items, |i, &v| v * 3 + i as u64 + least);
     let total = stage.sum_by(&mapped, |_, &v| v as usize);
     Ok((mapped, total))
 }
